@@ -1,6 +1,4 @@
 """lgmf: exact matrix factorisations, residues and Landau-Ginzburg TFT invariants."""
 
-from .kernel import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -12,15 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg, polymat, signs
+from . import polymat, signs
 from .ideal import GRLEX, groebner, normal_form
 from .mf import (FactorisationError, MatrixFactorisation, Morphism,
-                 NullHomotopySet, default_homotopy_bound,
+                 NullHomotopySet, _commutator_mismatch, _solve_boundary,
                  default_null_homotopies, dual, dual_morphism, mf_rename,
-                 null_homotopy_search, shift, tensor, _monomials_up_to)
+                 null_homotopy_search, shift, tensor)
 from .residue import ResidueQuery, grothendieck_residue
-from .ring import (ContextMismatch, Poly, RingContext, divided_difference,
-                   embed, partial_derivative, rename, substitute)
+from .ring import (ContextMismatch, Poly, RingContext, _restrict,
+                   divided_difference, embed, partial_derivative, rename,
+                   substitute)
 from .unit import (KoszulUnit, fresh_names, koszul_unit, rho_inverse,
                    lambda_inverse, unit_action_left, unit_action_right)
 
@@ -191,18 +192,11 @@ def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
     if tuple(hs.order) != tuple(var_names):
         raise ValueError(f"homotopy set order must be {var_names}")
     sgn = Fraction(-1) if side == "source" else Fraction(1)
-    X = data.base
     for name in var_names:
-        lam = hs.entries[name]
-        comm = polymat.mat_add(polymat.mat_mul(X.d, lam.mat),
-                               polymat.mat_mul(lam.mat, X.d))
-        want = partial_derivative(X.potential, name) * sgn
-        for i in range(X.rank):
-            for j in range(X.rank):
-                expect = want if i == j else X.ctx.zero()
-                if comm[i][j] != expect:
-                    raise FactorisationError(
-                        f"supplied homotopy for {name} fails verification")
+        if _commutator_mismatch(data.base, hs.entries[name].mat, name,
+                                sgn) is not None:
+            raise FactorisationError(
+                f"supplied homotopy for {name} fails verification")
 
 
 def coev_tilde(data: AdjointData) -> KoszulValuedMap:
@@ -422,62 +416,10 @@ def kernel_homotopy_search(delta: KoszulValuedMap,
         base = max(degs) if degs else 0
         degree_bound = base + max(
             delta.source.max_entry_degree(), delta.target.max_entry_degree())
-    monos = _monomials_up_to(ctx, degree_bound)
-    rows_t, cols_s = delta.target.rank, delta.source.rank
-    par = (delta.parity + 1) % 2
-    slots = [(r, c) for r in range(rows_t) for c in range(cols_s)
-             if (delta.target.parity[r] + delta.source.parity[c]) % 2 == par]
-    unknowns = [(r, c, mono) for (r, c) in slots for mono in monos]
-    dT = [[embed(e, ctx) for e in row] for row in delta.target.d]
-    dS = [[embed(e, ctx) for e in row] for row in delta.source.d]
-    # boundary(H) = dT H - (-1)^{|H|} H dS; for odd H that is dT H + H dS
-    hsgn = Fraction(-1) if par == 0 else Fraction(1)
-    eq_index = {}
-    rows = []
-
-    def add(eqs, key, coeff, col):
-        if key not in eq_index:
-            eq_index[key] = len(eq_index)
-            rows.append({})
-        rows[eq_index[key]][col] = rows[eq_index[key]].get(
-            col, Fraction(0)) + coeff
-
-    ncols = len(unknowns)
-    for col, (r, c, mono) in enumerate(unknowns):
-        h = Poly(ctx, {mono: Fraction(1)})
-        for i in range(rows_t):
-            if not dT[i][r].is_zero():
-                contrib = delta.reduce_entry(dT[i][r] * h, gb)
-                for exp, cf in contrib.terms.items():
-                    add(rows, (i, c, exp), cf, col)
-        for j in range(cols_s):
-            if not dS[c][j].is_zero():
-                contrib = delta.reduce_entry(h * dS[c][j] * hsgn, gb)
-                for exp, cf in contrib.terms.items():
-                    add(rows, (r, j, exp), cf, col)
-    rhs_vec = {}
-    for r in range(rows_t):
-        for c in range(cols_s):
-            e = delta.reduce_entry(embed(delta.mat[r][c], ctx), gb)
-            for exp, cf in e.terms.items():
-                rhs_vec[(r, c, exp)] = cf
-    for key in rhs_vec:
-        if key not in eq_index:
-            eq_index[key] = len(eq_index)
-            rows.append({})
-    A = [[rows[i].get(j, Fraction(0)) for j in range(ncols)]
-         for i in range(len(rows))]
-    b = [Fraction(0)] * len(rows)
-    for key, val in rhs_vec.items():
-        b[eq_index[key]] = val
-    sol = linalg.solve(A, b)
-    if sol is None:
-        return None
-    H = polymat.zeros(ctx, rows_t, cols_s)
-    for val, (r, c, mono) in zip(sol, unknowns):
-        if val:
-            H[r][c] = H[r][c] + Poly(ctx, {mono: val})
-    return H
+    return _solve_boundary(delta.source, delta.target, (delta.parity + 1) % 2,
+                           degree_bound, ctx, delta.mat,
+                           reduce=None if gb is None
+                           else lambda p: normal_form(p, gb))
 
 
 def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
@@ -623,21 +565,11 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
 
 
 def _project(p: Poly, ctx: RingContext) -> Poly:
-    extra = [i for i, n in enumerate(p.ctx.names) if not ctx.contains(n)]
-    if any(exp[i] for exp in p.terms for i in extra):
+    q = _restrict(p, ctx)
+    if q is None:
         raise ContextMismatch(
             f"composite entry {p} retains auxiliary variables")
-    positions = [ctx.index(n) if ctx.contains(n) else None
-                 for n in p.ctx.names]
-    width = len(ctx.names)
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * width
-        for pos, e in zip(positions, exp):
-            if pos is not None:
-                new[pos] = e
-        out[tuple(new)] = c
-    return Poly(ctx, out)
+    return q
 
 
 def zorro_check(data: AdjointData, degree_bound: int | None = None) -> dict:

@@ -235,11 +235,16 @@ def membership_with_cofactors(g: Poly, gens, order: MonomialOrder = GRLEX):
     """g = sum cofactors_j * gens_j + remainder, remainder in normal form."""
     gb = groebner(gens, order)
     cof_gb, rem = division(g, gb.generators, gb.order)
-    cof = [g.ctx.zero() for _ in gens]
+    return _lift_cofactors(cof_gb, gb), rem
+
+
+def _lift_cofactors(cof_gb, gb: GroebnerBasis):
+    """Cofactors over the original generators from cofactors over the basis."""
+    cof = [gb.ctx.zero() for _ in gb.original_gens]
     for c, row in zip(cof_gb, gb.cofactor_log):
-        for j in range(len(gens)):
+        for j in range(len(cof)):
             cof[j] = cof[j] + c * row[j]
-    return cof, rem
+    return cof
 
 
 @dataclass
@@ -329,9 +334,5 @@ def power_membership(v, gb: GroebnerBasis, cap: int | None = None):
         p = x ** a
         cof_gb, rem = division(p, gb.generators, gb.order)
         if rem.is_zero():
-            cof = [ctx.zero() for _ in gb.original_gens]
-            for c, row in zip(cof_gb, gb.cofactor_log):
-                for j in range(len(cof)):
-                    cof[j] = cof[j] + c * row[j]
-            return a, cof
+            return a, _lift_cofactors(cof_gb, gb)
     raise PowerCapExceeded(f"{name}^a not in ideal for a <= {cap}")

@@ -9,7 +9,6 @@ degree-bounded linear solves over Q.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -159,13 +158,18 @@ class Morphism:
     def is_zero(self) -> bool:
         return polymat.is_zero_matrix(self.mat)
 
+    def _check_parity(self, other: "Morphism"):
+        if self.parity != other.parity:
+            raise ValueError(f"morphisms of parity {self.parity} and "
+                             f"{other.parity} cannot be added or subtracted")
+
     def __add__(self, other: "Morphism") -> "Morphism":
-        assert self.parity == other.parity
+        self._check_parity(other)
         return Morphism(self.source, self.target, self.parity,
                         polymat.mat_add(self.mat, other.mat))
 
     def __sub__(self, other: "Morphism") -> "Morphism":
-        assert self.parity == other.parity
+        self._check_parity(other)
         return Morphism(self.source, self.target, self.parity,
                         polymat.mat_sub(self.mat, other.mat))
 
@@ -336,15 +340,92 @@ class Homotopy:
 
 
 def _monomials_up_to(ctx: RingContext, bound: int):
-    n = len(ctx.names)
-    if n == 0:
-        return [()] if bound >= 0 else []
-    out = []
-    for exp in itertools.product(range(bound + 1), repeat=n):
-        if sum(exp) <= bound:
-            out.append(exp)
-    out.sort()
+    """Exponent tuples of total degree <= bound, in increasing lex order."""
+    out = [()] if bound >= 0 else []
+    for _ in ctx.names:
+        out = [m + (e,) for m in out for e in range(bound - sum(m) + 1)]
     return out
+
+
+def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
+                      parity: int, bound: int, ctx: RingContext, reduce=None):
+    """The boundary delta(h) = d_T h - (-1)^{|h|} h d_S as sparse columns.
+
+    The domain is the parity-homogeneous matrices h: source -> target with
+    entries of degree <= bound: one unknown (i, j, mono) per slot and
+    monomial, slot-major, then by sorted monomial.  Column k maps
+    (row, col, exp) to the nonzero coefficients of delta of unknown k.
+    ``reduce``, a linear map on entries such as a normal form, is applied to
+    every entry of delta first.  Returns (domain, columns).
+    """
+    monos = _monomials_up_to(ctx, bound)
+    domain = [(i, j, m) for i in range(target.rank) for j in range(source.rank)
+              if (target.parity[i] + source.parity[j]) % 2 == parity
+              for m in monos]
+    dT = [[embed(e, ctx) for e in row] for row in target.d]
+    dS = [[embed(e, ctx) for e in row] for row in source.d]
+    sgn = Fraction(-1) ** parity
+    columns = []
+    for (i, j, m) in domain:
+        col = {}
+        for r in range(target.rank):
+            for exp, c in dT[r][i].terms.items():
+                key = (r, j, tuple(x + y for x, y in zip(exp, m)))
+                col[key] = col.get(key, 0) + c
+        for b in range(source.rank):
+            for exp, c in dS[j][b].terms.items():
+                key = (i, b, tuple(x + y for x, y in zip(exp, m)))
+                col[key] = col.get(key, 0) - sgn * c
+        if reduce is not None:
+            entries = {}
+            for (r, b, exp), c in col.items():
+                entries.setdefault((r, b), {})[exp] = c
+            col = {(r, b, exp): c for (r, b), terms in entries.items()
+                   for exp, c in reduce(Poly(ctx, terms)).terms.items()}
+        columns.append({k: v for k, v in col.items() if v})
+    return domain, columns
+
+
+def _dicts_to_vectors(dicts):
+    """Dense vectors over the sorted union of the dicts' keys."""
+    keys = sorted({k for d in dicts for k in d})
+    index = {k: r for r, k in enumerate(keys)}
+    vecs = []
+    for d in dicts:
+        v = [Fraction(0)] * len(keys)
+        for k, c in d.items():
+            v[index[k]] = c
+        vecs.append(v)
+    return keys, vecs
+
+
+def _solve_boundary(source: MatrixFactorisation, target: MatrixFactorisation,
+                    parity: int, bound: int, ctx: RingContext, rhs,
+                    reduce=None):
+    """Entries of h with delta(h) = rhs (a matrix of Poly), or None.
+
+    h has the given parity and entries of degree <= bound; with ``reduce``
+    the equation holds after reducing every entry.
+    """
+    domain, columns = _boundary_columns(source, target, parity, bound, ctx,
+                                        reduce)
+    b = {}
+    for i, row in enumerate(rhs):
+        for j, e in enumerate(row):
+            e = embed(e, ctx) if reduce is None else reduce(embed(e, ctx))
+            for exp, c in e.terms.items():
+                b[(i, j, exp)] = c
+    keys, vecs = _dicts_to_vectors(columns + [b])
+    # with no unknowns the system still has one (empty) row per key
+    matrix = polymat.transpose(vecs[:-1]) or [[] for _ in keys]
+    sol = linalg.solve(matrix, vecs[-1])
+    if sol is None:
+        return None
+    h = polymat.zeros(ctx, target.rank, source.rank)
+    for val, (i, j, m) in zip(sol, domain):
+        if val:
+            h[i][j] = h[i][j] + Poly(ctx, {m: val})
+    return h
 
 
 def default_homotopy_bound(phi: Morphism) -> int:
@@ -362,64 +443,14 @@ def null_homotopy_search(phi: Morphism, degree_bound: int | None = None):
     """
     if degree_bound is None:
         degree_bound = default_homotopy_bound(phi)
-    ctx = phi.ctx
-    S, T = phi.source, phi.target
     hpar = phi.parity ^ 1
-    monos = _monomials_up_to(ctx, degree_bound)
-    slots = [(i, j) for i in range(T.rank) for j in range(S.rank)
-             if (T.parity[i] + S.parity[j]) % 2 == hpar]
-    unknowns = [(i, j, m) for (i, j) in slots for m in monos]
-    if not unknowns:
-        return None if not phi.is_zero() else Homotopy(
-            S, T, hpar, polymat.zeros(ctx, T.rank, S.rank), degree_bound)
-
-    dT = [[embed(e, ctx) for e in row] for row in T.d]
-    dS = [[embed(e, ctx) for e in row] for row in S.d]
-    sgn = Fraction(-1) ** hpar
-
-    # For unknown slot (i, j): boundary contribution to entry (r, j) via
-    # dT[r][i], and to entry (i, c) via -(-1)^{|h|} dS[j][c].
-    rows_index = {}
-    columns = []
-    for (i, j, m) in unknowns:
-        col = {}
-        for r in range(T.rank):
-            e = dT[r][i]
-            for exp, c in e.terms.items():
-                key = (r, j, tuple(x + y for x, y in zip(exp, m)))
-                col[key] = col.get(key, Fraction(0)) + c
-        for c_ in range(S.rank):
-            e = dS[j][c_]
-            for exp, cc in e.terms.items():
-                key = (i, c_, tuple(x + y for x, y in zip(exp, m)))
-                col[key] = col.get(key, Fraction(0)) - sgn * cc
-        columns.append(col)
-        for key in col:
-            rows_index.setdefault(key, len(rows_index))
-    rhs_entries = {}
-    for i in range(T.rank):
-        for j in range(S.rank):
-            for exp, c in phi.mat[i][j].terms.items():
-                key = (i, j, exp)
-                rhs_entries[key] = c
-                rows_index.setdefault(key, len(rows_index))
-    nrows = len(rows_index)
-    matrix = [[Fraction(0)] * len(unknowns) for _ in range(nrows)]
-    for k, col in enumerate(columns):
-        for key, c in col.items():
-            matrix[rows_index[key]][k] = c
-    rhs = [Fraction(0)] * nrows
-    for key, c in rhs_entries.items():
-        rhs[rows_index[key]] = c
-    sol = linalg.solve(matrix, rhs)
-    if sol is None:
+    hmat = _solve_boundary(phi.source, phi.target, hpar, degree_bound,
+                           phi.ctx, phi.mat)
+    if hmat is None:
         return None
-    hmat = polymat.zeros(ctx, T.rank, S.rank)
-    for val, (i, j, m) in zip(sol, unknowns):
-        if val:
-            hmat[i][j] = hmat[i][j] + Poly(ctx, {m: val})
-    h = Homotopy(S, T, hpar, hmat, degree_bound)
-    assert h.verifies(phi), "homotopy witness failed exact re-verification"
+    h = Homotopy(phi.source, phi.target, hpar, hmat, degree_bound)
+    if not h.verifies(phi):
+        raise RuntimeError("homotopy witness failed exact re-verification")
     return h
 
 
@@ -454,6 +485,18 @@ class NullHomotopySet:
         return out
 
 
+def _commutator_mismatch(X: MatrixFactorisation, lam, name: str, sgn):
+    """The first (i, j) where [d, lam] != sgn * dW/d(name) * Id, else None."""
+    comm = polymat.mat_add(polymat.mat_mul(X.d, lam),
+                           polymat.mat_mul(lam, X.d))
+    want = partial_derivative(X.potential, name) * sgn
+    for i in range(X.rank):
+        for j in range(X.rank):
+            if comm[i][j] != (want if i == j else X.ctx.zero()):
+                return i, j
+    return None
+
+
 def default_null_homotopies(X: MatrixFactorisation, var_names,
                             side: str = "source") -> NullHomotopySet:
     """lambda_v = -d/dv(d_X) for source-side vars, +d/dv(d_X) for target-side.
@@ -467,17 +510,11 @@ def default_null_homotopies(X: MatrixFactorisation, var_names,
     for name in var_names:
         lam = polymat.mat_scale(
             polymat.mat_map(lambda e: partial_derivative(e, name), X.d), sgn)
-        m = Morphism(X, X, 1, lam)
-        comm = polymat.mat_add(polymat.mat_mul(X.d, lam),
-                               polymat.mat_mul(lam, X.d))
-        want = partial_derivative(X.potential, name) * sgn
-        for i in range(X.rank):
-            for j in range(X.rank):
-                expect = want if i == j else X.ctx.zero()
-                if comm[i][j] != expect:
-                    raise FactorisationError(
-                        f"[d, lambda_{name}] != {sgn}*dW/d{name}*Id at ({i},{j})")
-        entries[name] = m
+        bad = _commutator_mismatch(X, lam, name, sgn)
+        if bad is not None:
+            raise FactorisationError(
+                f"[d, lambda_{name}] != {sgn}*dW/d{name}*Id at ({bad[0]},{bad[1]})")
+        entries[name] = Morphism(X, X, 1, lam)
     return NullHomotopySet(mf=X, side=side, entries=entries,
                            order=tuple(var_names))
 

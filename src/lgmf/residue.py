@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import polymat
 from .ideal import GRLEX, MonomialOrder, groebner, power_membership
-from .ring import Poly, RingContext, divided_difference, embed
+from .ring import Poly, RingContext, _restrict, divided_difference, embed
 
 
 @dataclass
@@ -39,25 +39,19 @@ class DenominatorError(ValueError):
     pass
 
 
-def _restrict(p: Poly, sub: RingContext) -> Poly:
-    """Project p into a sub-context; error if p touches removed variables."""
-    keep = [p.ctx.index(n) for n in sub.names]
-    drop = [i for i in range(len(p.ctx.names)) if i not in keep]
-    out = {}
-    for exp, c in p.terms.items():
-        if any(exp[i] for i in drop):
-            raise DenominatorError(
-                f"denominator {p} touches parameter variables")
-        out[tuple(exp[i] for i in keep)] = c
-    return Poly(sub, out)
-
-
 def grothendieck_residue(q: ResidueQuery, order: MonomialOrder = GRLEX,
                          cap: int | None = None) -> Poly:
     """Residue via the transformation rule to monomial denominators."""
     ctx = q.numerator.ctx
     sub = RingContext(q.integration_vars)
-    fs = [_restrict(embed(d, ctx), sub) for d in q.denominators]
+    fs = []
+    for d in q.denominators:
+        p = embed(d, ctx)
+        f = _restrict(p, sub)
+        if f is None:
+            raise DenominatorError(
+                f"denominator {p} touches parameter variables")
+        fs.append(f)
     gb = groebner(fs, order)
     a_list = []
     C = []
@@ -91,12 +85,3 @@ def jacobian_delta(fs, pairs) -> Poly:
            for i in range(n)]
     return polymat.det(mat)
 
-
-def residue_transitivity_check(g: Poly, inner_vars, outer_vars,
-                               fs_inner, fs_outer) -> bool:
-    """Res_all[g/(fs_inner, fs_outer)] = Res_outer[Res_inner[g]] on this data."""
-    lhs = residue(g, list(fs_inner) + list(fs_outer),
-                  list(inner_vars) + list(outer_vars))
-    inner = residue(g, fs_inner, inner_vars)
-    rhs = residue(inner, fs_outer, outer_vars)
-    return lhs == rhs

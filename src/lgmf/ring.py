@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import terms_add, terms_mul, terms_mul_term, terms_scale
-
 PRIME_SUFFIX = "'"
 
 
@@ -191,12 +189,12 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
         self._check(other)
-        return Poly(self.ctx, terms_add(self.terms, other.terms))
+        return Poly(self.ctx, _terms_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, terms_scale(self.terms, Fraction(-1)))
+        return Poly(self.ctx, _terms_scale(self.terms, Fraction(-1)))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -208,9 +206,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.ctx, terms_scale(self.terms, Fraction(other)))
+            return Poly(self.ctx, _terms_scale(self.terms, Fraction(other)))
         self._check(other)
-        return Poly(self.ctx, terms_mul(self.terms, other.terms))
+        return Poly(self.ctx, _terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -264,21 +262,91 @@ class Poly:
         return format_poly(self)
 
 
+# -- sparse-term kernels ----------------------------------------------------
+#
+# Terms are dicts mapping exponent tuples to nonzero Fractions.  These are the
+# hot loops of the whole library (Groebner reduction, matrix composites,
+# residue numerators).
+
+def _terms_add(a, b):
+    """Sum of two term dicts, zero coefficients dropped."""
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp)
+        if s is None:
+            out[exp] = c
+        else:
+            s = s + c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def _terms_mul(a, b):
+    """Product of two term dicts."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+            else:
+                s = s + c
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
+    return out
+
+
+def _terms_scale(a, c):
+    """Scalar multiple of a term dict."""
+    if not c:
+        return {}
+    return {exp: ca * c for exp, ca in a.items()}
+
+
 # -- context-changing maps --------------------------------------------------
+
+def _remap(p: Poly, ctx: RingContext, positions) -> Poly | None:
+    """Rebuild p's exponent tuples in ``ctx``: variable k moves to positions[k].
+
+    Variables sharing a position merge: their exponents add up, and so do the
+    coefficients of monomials that meet.  A position of None drops the
+    variable; the result is None when a dropped variable occurs in p.
+    """
+    dropped = [k for k, pos in enumerate(positions) if pos is None]
+    if dropped and any(exp[k] for exp in p.terms for k in dropped):
+        return None
+    kept = [(k, pos) for k, pos in enumerate(positions) if pos is not None]
+    width = len(ctx.names)
+    out = {}
+    for exp, c in p.terms.items():
+        new = [0] * width
+        for k, pos in kept:
+            new[pos] += exp[k]
+        key = tuple(new)
+        s = out.get(key)
+        out[key] = c if s is None else s + c
+    return Poly(ctx, out)
+
+
+def _restrict(p: Poly, ctx: RingContext) -> Poly | None:
+    """p in ``ctx``, dropping the variables ctx lacks; None if p uses one."""
+    return _remap(p, ctx, [ctx._lookup.get(n) for n in p.ctx.names])
+
 
 def embed(p: Poly, ctx: RingContext) -> Poly:
     """Reinterpret p in a larger (or reordered) context, matching by name."""
     if p.ctx == ctx:
         return p
-    positions = [ctx.index(n) for n in p.ctx.names]
-    width = len(ctx.names)
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * width
-        for pos, e in zip(positions, exp):
-            new[pos] = e
-        out[tuple(new)] = c
-    return Poly(ctx, out)
+    return _remap(p, ctx, [ctx.index(n) for n in p.ctx.names])
 
 
 def rename(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
@@ -296,32 +364,13 @@ def rename(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     if len(set(images)) != len(images):
         raise ValueError(f"rename map not injective on {p.ctx.names}: {mapping}")
     ctx = target_ctx if target_ctx is not None else p.ctx
-    positions = [ctx.index(n) for n in images]
-    width = len(ctx.names)
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * width
-        for pos, e in zip(positions, exp):
-            new[pos] = e
-        out[tuple(new)] = c
-    return Poly(ctx, out)
+    return _remap(p, ctx, [ctx.index(n) for n in images])
 
 
 def substitute(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     """Variable-for-variable substitution, merges allowed (e.g. x' -> x)."""
-    mapping = {k: v for k, v in mapping.items()}
-    images = [mapping.get(n, n) for n in p.ctx.names]
     ctx = target_ctx if target_ctx is not None else p.ctx
-    positions = [ctx.index(n) for n in images]
-    width = len(ctx.names)
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * width
-        for pos, e in zip(positions, exp):
-            new[pos] += e
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + c
-    return Poly(ctx, out)
+    return _remap(p, ctx, [ctx.index(mapping.get(n, n)) for n in p.ctx.names])
 
 
 def partial_derivative(p: Poly, v) -> Poly:

@@ -8,7 +8,6 @@ and generalised boundary-bulk maps.  Everything is exact over the rationals.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +16,8 @@ from . import linalg, polymat, signs
 from .adjunction import AdjointData, _project, evaluate_residue_entry
 from .ideal import (GRLEX, GroebnerBasis, QuotientBasis, groebner,
                     normal_form, quotient_monomial_basis)
-from .mf import (MatrixFactorisation, Morphism, str_matrix, _monomials_up_to)
+from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
+                 _dicts_to_vectors, str_matrix)
 from .ring import Poly, RingContext, embed, partial_derivative
 
 
@@ -167,7 +167,7 @@ class DefectOperator:
 
     def matrix(self):
         """Columns over the source basis, rows over the target basis."""
-        return polymat_transpose(
+        return polymat.transpose(
             [self.target.coordinates(img) for img in self.images])
 
     def compose(self, other: "DefectOperator") -> "DefectOperator":
@@ -198,35 +198,33 @@ class DefectOperator:
                 and [i.rep for i in self.images] == [i.rep for i in other.images])
 
 
-def polymat_transpose(rows):
-    if not rows:
-        return []
-    return [[rows[i][j] for i in range(len(rows))]
-            for j in range(len(rows[0]))]
-
-
 def identity_operator(ring: JacobiRing) -> DefectOperator:
     return DefectOperator(ring, ring, ring.basis_elements())
 
 
+def _str_with_derivatives(M, X: MatrixFactorisation, names) -> Poly:
+    """str(M dd/dv_1 ... dd/dv_k) for d = d_X, with M embedded in X's ring."""
+    prod = [[embed(e, X.ctx) for e in row] for row in M]
+    for name in names:
+        D = [[partial_derivative(e, name) for e in row] for row in X.d]
+        prod = polymat.mat_mul(prod, D)
+    return str_matrix(prod, X.parity)
+
+
 def _insertion_matrix(data: AdjointData, Phi):
-    ctx = data.base.ctx
     if Phi is None:
-        return polymat.identity(ctx, data.base.rank)
+        return polymat.identity(data.base.ctx, data.base.rank)
     if isinstance(Phi, Morphism):
         if Phi.parity != 0:
             raise ValueError("field insertion must be even")
-        Phi = Phi.mat
-    return [[embed(e, ctx) for e in row] for row in Phi]
+        return Phi.mat
+    return Phi
 
 
 def defect_supertrace(data: AdjointData, Phi=None) -> Poly:
     """str(Phi dd/dx_1 ... dd/dx_n dd/dz_1 ... dd/dz_m) over the joint ring."""
-    prod = _insertion_matrix(data, Phi)
-    for name in data.source_names + data.target_names:
-        D = [[partial_derivative(e, name) for e in row] for row in data.base.d]
-        prod = polymat.mat_mul(prod, D)
-    return str_matrix(prod, data.base.parity)
+    return _str_with_derivatives(_insertion_matrix(data, Phi), data.base,
+                                 data.source_names + data.target_names)
 
 
 def _parity_warn(data: AdjointData):
@@ -311,16 +309,10 @@ def boundary_bulk(X: MatrixFactorisation, psi, ring=None) -> JacobiElement:
     """The boundary-bulk map: (-1)^{C(n+1,2)} str(psi dd/dx_1...dd/dx_n)."""
     ring = JacobiRing(X.potential) if ring is None else ring
     n = len(ring.ctx.names)
-    if isinstance(psi, Morphism):
-        mat = [[embed(e, X.ctx) for e in row] for row in psi.mat]
-    else:
-        mat = [[embed(e, X.ctx) for e in row] for row in psi]
-    prod = mat
-    for name in ring.ctx.names:
-        D = [[partial_derivative(e, name) for e in row] for row in X.d]
-        prod = polymat.mat_mul(prod, D)
+    mat = psi.mat if isinstance(psi, Morphism) else psi
     sign = signs.minus_one_to(signs.binom2(n + 1))
-    return ring.reduce(str_matrix(prod, X.parity) * Fraction(sign))
+    return ring.reduce(_str_with_derivatives(mat, X, ring.ctx.names)
+                       * Fraction(sign))
 
 
 def chern_character(X: MatrixFactorisation, ring=None) -> JacobiElement:
@@ -366,10 +358,7 @@ def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
     ctx = X.ctx
     prod = polymat.mat_mul([[embed(e, ctx) for e in r] for r in m1],
                            [[embed(e, ctx) for e in r] for r in m2])
-    for name in ring.ctx.names:
-        D = [[partial_derivative(e, name) for e in row] for row in X.d]
-        prod = polymat.mat_mul(prod, D)
-    num = str_matrix(prod, X.parity)
+    num = _str_with_derivatives(prod, X, ring.ctx.names)
     dens = list(ring.partials)
     if not dens:
         return _constant(num)
@@ -403,50 +392,6 @@ class HomCohomology:
         return (len(self.h0), len(self.h1))
 
 
-def _positions(X, Y, parity):
-    return [(i, j) for i in range(Y.rank) for j in range(X.rank)
-            if (Y.parity[i] + X.parity[j]) % 2 == parity]
-
-
-def _vectorise_columns(X, Y, parity, bound, ctx):
-    """The boundary map on degree-bounded parity-homogeneous matrices.
-
-    Returns (domain basis [(i, j, exp)], list of output coefficient dicts
-    keyed by (a, b, exp)).
-    """
-    monos = _monomials_up_to(ctx, bound)
-    dom = [(i, j, mu) for (i, j) in _positions(X, Y, parity) for mu in monos]
-    dY = [[embed(e, ctx) for e in row] for row in Y.d]
-    dX = [[embed(e, ctx) for e in row] for row in X.d]
-    sgn = Fraction(-1) ** parity
-    cols = []
-    for (i, j, mu) in dom:
-        mono = ctx.poly({mu: Fraction(1)})
-        out = {}
-        for a in range(Y.rank):
-            p = dY[a][i] * mono
-            for exp, c in p.terms.items():
-                key = (a, j, exp)
-                out[key] = out.get(key, Fraction(0)) + c
-        for b in range(X.rank):
-            p = mono * dX[j][b]
-            for exp, c in p.terms.items():
-                key = (i, b, exp)
-                out[key] = out.get(key, Fraction(0)) - sgn * c
-        cols.append({k: v for k, v in out.items() if v})
-    return dom, cols
-
-
-def _nullspace_of_columns(dom, cols):
-    keys = sorted({k for col in cols for k in col})
-    index = {k: r for r, k in enumerate(keys)}
-    matrix = [[Fraction(0)] * len(dom) for _ in keys]
-    for c, col in enumerate(cols):
-        for k, v in col.items():
-            matrix[index[k]][c] = v
-    return linalg.nullspace(matrix, n=len(dom))
-
-
 def _morphism_vector(phi: Morphism, ctx):
     out = {}
     for i, row in enumerate(phi.mat):
@@ -456,23 +401,12 @@ def _morphism_vector(phi: Morphism, ctx):
     return out
 
 
-def _dicts_to_vectors(dicts):
-    keys = sorted({k for d in dicts for k in d})
-    index = {k: r for r, k in enumerate(keys)}
-    vecs = []
-    for d in dicts:
-        v = [Fraction(0)] * len(keys)
-        for k, c in d.items():
-            v[index[k]] = c
-        vecs.append(v)
-    return keys, vecs
-
-
 def _cohomology_at(X, Y, parity, bound, ctx):
     """Harvest cocycle/coboundary data for one parity at one degree bound."""
-    dom, cols = _vectorise_columns(X, Y, parity, bound, ctx)
-    cocycles = _nullspace_of_columns(dom, cols)
-    dom1, cols1 = _vectorise_columns(X, Y, parity ^ 1, bound, ctx)
+    dom, cols = _boundary_columns(X, Y, parity, bound, ctx)
+    _, vecs = _dicts_to_vectors(cols)
+    cocycles = linalg.nullspace(polymat.transpose(vecs), n=len(dom))
+    _, cols1 = _boundary_columns(X, Y, parity ^ 1, bound, ctx)
     reps = []
     for vec in cocycles:
         d = {}
@@ -571,7 +505,7 @@ def _cohomology_supertrace(coh: HomCohomology, phi: Morphism,
             span.add(v)
         bas = [span.reduce(v) for v in vecs[len(cob):len(cob) + len(basis)]]
         ims = [span.reduce(v) for v in vecs[len(cob) + len(basis):]]
-        matrix = polymat_transpose(bas)
+        matrix = polymat.transpose(bas)
         for k, im in enumerate(ims):
             sol = linalg.solve(matrix, im)
             if sol is None:
@@ -635,11 +569,8 @@ def generalized_boundary_bulk(data: AdjointData, psi) -> JacobiElement:
         Phi = psi
     else:
         Phi = Morphism(data.base, data.base, 0, psi)
-    prod = [[embed(e, data.base.ctx) for e in row] for row in Phi.mat]
-    for name in data.source_names + data.target_names:
-        D = [[partial_derivative(e, name) for e in row] for row in data.base.d]
-        prod = polymat.mat_mul(prod, D)
-    num = str_matrix(prod, data.base.parity)
+    num = _str_with_derivatives(Phi.mat, data.base,
+                                data.source_names + data.target_names)
     sign = signs.minus_one_to(signs.binom2(data.m + 1))
     dens = [embed(p, data.base.ctx) for p in target_ring.partials]
     if data.m:

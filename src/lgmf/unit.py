@@ -16,7 +16,7 @@ from . import polymat, signs
 from .ideal import check_potential
 from .mf import (FactorisationError, MatrixFactorisation, Morphism, mf_rename,
                  tensor)
-from .ring import (Poly, RingContext, divided_difference,
+from .ring import (Poly, RingContext, _restrict, divided_difference,
                    divided_difference_ordered, embed, primed_name, rename,
                    substitute)
 
@@ -108,30 +108,6 @@ def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUn
                 sgn, T = con
                 d[pos[T]][col] = d[pos[T]][col] + lin[i] * sgn
     return KoszulUnit(W, base, primes, sigma, dctx, parity, d, subsets)
-
-
-def delta_plus_minus(unit: KoszulUnit):
-    """The two halves of the unit differential as separate matrices."""
-    dctx = unit.ctx
-    n = unit.n
-    subsets = unit.subsets
-    pos = {s: k for k, s in enumerate(subsets)}
-    Wd = embed(unit.W, dctx)
-    w = [_divided(Wd, i + 1, unit.pairs, unit.sigma) for i in range(n)]
-    lin = [dctx.gen(u) - dctx.gen(p) for u, p in unit.pairs]
-    dp = polymat.zeros(dctx, len(subsets), len(subsets))
-    dm = polymat.zeros(dctx, len(subsets), len(subsets))
-    for col, S in enumerate(subsets):
-        for i in range(n):
-            ins = signs.wedge_insert(i, S)
-            if ins is not None:
-                sgn, T = ins
-                dp[pos[T]][col] = dp[pos[T]][col] + w[i] * sgn
-            con = signs.contract(i, S)
-            if con is not None:
-                sgn, T = con
-                dm[pos[T]][col] = dm[pos[T]][col] + lin[i] * sgn
-    return dp, dm
 
 
 # -- KoszulElement and the comparison maps -----------------------------------
@@ -325,20 +301,8 @@ class UnitAction:
 
 def _try_restrict(p: Poly, ctx: RingContext) -> Poly:
     """Project into ``ctx`` if no absent variable actually occurs, else return p."""
-    extra = [i for i, n in enumerate(p.ctx.names) if not ctx.contains(n)]
-    if any(exp[i] for exp in p.terms for i in extra):
-        return p
-    width = len(ctx.names)
-    positions = [ctx.index(n) if ctx.contains(n) else None
-                 for n in p.ctx.names]
-    out = {}
-    for exp, c in p.terms.items():
-        new = [0] * width
-        for pos, e in zip(positions, exp):
-            if pos is not None:
-                new[pos] = e
-        out[tuple(new)] = c
-    return Poly(ctx, out)
+    q = _restrict(p, ctx)
+    return p if q is None else q
 
 
 def unit_action_right(X: MatrixFactorisation, unit: KoszulUnit) -> UnitAction:

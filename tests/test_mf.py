@@ -1,12 +1,14 @@
 """Matrix factorisations: validity, functors, tensor calculus, homotopies."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from lgmf import polymat
+from lgmf import linalg, polymat
 from lgmf.mf import (FactorisationError, MatrixFactorisation, Morphism,
-                     NullHomotopySet, default_null_homotopies, dual,
+                     NullHomotopySet, _monomials_up_to,
+                     default_null_homotopies, dual,
                      dual_morphism, homotopic, identity_morphism, mf_rename,
                      new_mf, null_homotopy_search, shift, supertrace, tensor,
                      tensor_morphism, trivial_mf)
@@ -185,3 +187,34 @@ def test_trivial_factorisation():
     cx = ctx_of("x")
     T = trivial_mf(cx)
     assert T.rank == 1 and T.potential.is_zero()
+
+
+def test_adding_morphisms_of_different_parity_raises(eta_x3):
+    even = eta_x3.source.identity()
+    with pytest.raises(ValueError):
+        even + eta_x3
+    with pytest.raises(ValueError):
+        even - eta_x3
+
+
+def test_wrong_solver_output_fails_witness_verification(monkeypatch):
+    cx = ctx_of("x")
+    x = cx.gen("x")
+    X = new_mf(cx, x ** 3, [[x]], [[x ** 2]])
+    alpha = Morphism(X, X, 1, [[cx.zero(), x], [cx.one(), cx.zero()]])
+    phi = alpha.boundary()
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda matrix, rhs: [
+        v + 1 for v in solve(matrix, rhs)])
+    with pytest.raises(RuntimeError):
+        null_homotopy_search(phi)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_monomials_up_to_matches_filtered_product(n):
+    ctx = RingContext([f"v{i}" for i in range(n)])
+    for bound in range(-1, 7):
+        filtered = sorted(e for e in itertools.product(range(bound + 1),
+                                                       repeat=n)
+                          if sum(e) <= bound)
+        assert _monomials_up_to(ctx, bound) == filtered

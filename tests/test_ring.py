@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgmf.adjunction import _project
+from lgmf.residue import DenominatorError, ResidueQuery, grothendieck_residue
 from lgmf.ring import (ContextMismatch, RingContext, UnknownVariable,
-                       divided_difference, divided_difference_ordered,
-                       embed, format_poly, parse_poly, partial_derivative,
-                       rename, substitute)
+                       _restrict, divided_difference,
+                       divided_difference_ordered, embed, format_poly,
+                       parse_poly, partial_derivative, rename, substitute)
+from lgmf.unit import _try_restrict
 
 
 def doubled(n):
@@ -172,3 +176,46 @@ def test_grammar_rational_coefficients():
     assert parse_poly("3/2*x - 1/2*x", ctx) == ctx.gen("x")
     assert parse_poly("x^3-2*x+1", ctx) == parse_poly(
         " x^3 - 2*x + 1 ", ctx)
+
+
+# -- the exponent-remapping primitive ----------------------------------------
+
+CTX4 = RingContext(["x", "y", "z", "w"])
+
+
+@given(poly_strategy(CTX3), st.permutations(list(CTX4.names)))
+def test_restrict_inverts_embed(p, names):
+    bigger = RingContext(names + ["t"])
+    assert _restrict(embed(p, bigger), CTX3) == p
+
+
+@given(poly_strategy(CTX4), st.permutations(list(CTX4.names)))
+def test_rename_by_permutation_then_inverse(p, image):
+    perm = dict(zip(CTX4.names, image))
+    inverse = {v: k for k, v in perm.items()}
+    assert rename(rename(p, perm), inverse) == p
+
+
+@given(poly_strategy(CTX3, names=["x", "y"]), st.integers(1, 3))
+def test_restrict_of_dropped_variable_fails_three_ways(p, e):
+    p = p + CTX3.gen("z") ** e
+    sub = RingContext(["x", "y"])
+    assert _restrict(p, sub) is None
+    with pytest.raises(DenominatorError):
+        grothendieck_residue(ResidueQuery(CTX3.one(), [p, p], ["x", "y"]))
+    with pytest.raises(ContextMismatch):
+        _project(p, sub)
+    assert _try_restrict(p, sub) is p
+
+
+@given(poly_strategy(CTX4), st.lists(st.sampled_from(CTX4.names),
+                                     min_size=4, max_size=4))
+def test_merging_substitute_agrees_with_sympy(p, image):
+    mapping = dict(zip(CTX4.names, image))
+    syms = {n: sympy.Symbol(n) for n in CTX4.names}
+    want = sympy.sympify(format_poly(p).replace("^", "**"), locals=syms)
+    want = want.subs({syms[k]: syms[v] for k, v in mapping.items()},
+                     simultaneous=True)
+    got = substitute(p, mapping)
+    assert sympy.expand(want - sympy.sympify(
+        format_poly(got).replace("^", "**"), locals=syms)) == 0
