@@ -186,9 +186,11 @@ class EvCoevMaps:
     homotopies_target: NullHomotopySet
 
 
-def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
-                       var_names) -> None:
-    """Re-verify a supplied null-homotopy set before use."""
+def _verify_homotopies(data: AdjointData, hs: NullHomotopySet | None,
+                       side: str, var_names) -> NullHomotopySet:
+    """A supplied set, re-verified, or else the (self-verifying) default."""
+    if hs is None:
+        return default_null_homotopies(data.base, var_names, side=side)
     if tuple(hs.order) != tuple(var_names):
         raise ValueError(f"homotopy set order must be {var_names}")
     sgn = Fraction(-1) if side == "source" else Fraction(1)
@@ -197,6 +199,7 @@ def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
                                 sgn) is not None:
             raise FactorisationError(
                 f"supplied homotopy for {name} fails verification")
+    return hs
 
 
 def coev_tilde(data: AdjointData) -> KoszulValuedMap:
@@ -277,13 +280,14 @@ def ev_tilde(data: AdjointData,
     (-1)^{l + (n+1)|e_j|} theta_{i_1}...theta_{i_l} times the x-residue of
     {del_[i_l] d ... del_[i_1] d Lambda^(x)}_{ij} g against the partials of W.
     """
+    hs = _verify_homotopies(data, homotopies, "source", data.source_names)
+    return _ev_tilde(data, hs)
+
+
+def _ev_tilde(data: AdjointData,
+              homotopies: NullHomotopySet) -> KoszulValuedMap:
     X = data.base
     unit = data.unit_target
-    if homotopies is None:
-        homotopies = default_null_homotopies(X, data.source_names,
-                                             side="source")
-    else:
-        _verify_homotopies(data, homotopies, "source", data.source_names)
     Xd = mf_rename(data.right_adjoint,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xd)
@@ -322,13 +326,13 @@ def ev(data: AdjointData,
     z-residue of {Lambda^(z) del_[i_1] d ... del_[i_l] d}_{ij} g against the
     partials of V.
     """
+    hs = _verify_homotopies(data, homotopies, "target", data.target_names)
+    return _ev(data, hs)
+
+
+def _ev(data: AdjointData, homotopies: NullHomotopySet) -> KoszulValuedMap:
     X = data.base
     unit = data.unit_source
-    if homotopies is None:
-        homotopies = default_null_homotopies(X, data.target_names,
-                                             side="target")
-    else:
-        _verify_homotopies(data, homotopies, "target", data.target_names)
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(data.left_adjoint, Xp)
     ctx = T.ctx
@@ -362,7 +366,7 @@ def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
     hs = default_null_homotopies(data.base, data.source_names, side="source")
     ht = default_null_homotopies(data.base, data.target_names, side="target")
     return EvCoevMaps(coev_tilde=coev_tilde(data), coev=coev(data),
-                      ev_tilde=ev_tilde(data, hs), ev=ev(data, ht),
+                      ev_tilde=_ev_tilde(data, hs), ev=_ev(data, ht),
                       homotopies_source=hs, homotopies_target=ht)
 
 

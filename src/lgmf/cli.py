@@ -18,7 +18,7 @@ from .adjunction import (AdjointData, KoszulValuedMap, ev_coev_maps,
                          zorro_check)
 from .ideal import check_potential
 from .mf import MatrixFactorisation, Morphism
-from .residue import ResidueQuery, grothendieck_residue
+from .residue import DenominatorError, ResidueQuery, grothendieck_residue
 from .ring import Poly, RingContext, embed
 from .unit import koszul_unit, psi_phi_is_identity
 from .workspace import (Workspace, WorkspaceError, load_workspace,
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.workspace)
         args.fn(ws, args, report)
-    except (WorkspaceError, OSError) as exc:
+    except (WorkspaceError, OSError, DenominatorError) as exc:
         report.outputs["error"] = str(exc)
         code = 2
     except MathFailure as exc:

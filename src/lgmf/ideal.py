@@ -2,8 +2,9 @@
 
 Buchberger's algorithm (sugar strategy, leading coefficients normalised to 1),
 division with remainder and cofactors, finite quotient monomial bases, the
-potential certificate (finite Jacobi colength over Q), and bounded power
-membership used by the residue transformation rule.
+potential certificate (finite Jacobi colength over Q), and power membership
+(certified by the quotient dimension) used by the residue transformation
+rule.
 """
 
 from __future__ import annotations
@@ -312,27 +313,24 @@ def check_potential(W: Poly, order: MonomialOrder = GRLEX) -> PotentialCertifica
     return PotentialCertificate(W=W, ctx=ctx, partials=partials, gb=gb, quotient=quotient)
 
 
-class PowerCapExceeded(RuntimeError):
-    pass
-
-
-def power_membership(v, gb: GroebnerBasis, cap: int | None = None):
+def power_membership(v, gb: GroebnerBasis):
     """Minimal a with v^a in the ideal, plus cofactors over the original gens.
 
-    Default cap: 4 x the top standard-monomial degree (at least 4).
+    The quotient A = k[x]/I must be finite, of dimension D.  Then v is
+    nilpotent in A iff v^D lies in I: the chain A > vA > v^2 A > ... descends
+    strictly until it is stable, so it has at most D steps.  Raises
+    ValueError for an infinite quotient or a v that is not nilpotent.
     """
     name = v if isinstance(v, str) else v.name
-    ctx = gb.ctx
-    if cap is None:
-        q = quotient_monomial_basis(gb)
-        if not q.finite:
-            raise ValueError("power_membership requires a finite quotient")
-        top = max((sum(m) for m in q.monomials), default=0)
-        cap = max(4, 4 * top)
-    x = ctx.gen(name)
-    for a in range(1, cap + 1):
-        p = x ** a
-        cof_gb, rem = division(p, gb.generators, gb.order)
+    q = quotient_monomial_basis(gb)
+    if not q.finite:
+        raise ValueError(f"infinite quotient: no power of {q.witness} "
+                         f"lies in the ideal")
+    D = q.dimension
+    x = gb.ctx.gen(name)
+    for a in range(1, max(D, 1) + 1):
+        cof_gb, rem = division(x ** a, gb.generators, gb.order)
         if rem.is_zero():
             return a, _lift_cofactors(cof_gb, gb)
-    raise PowerCapExceeded(f"{name}^a not in ideal for a <= {cap}")
+    raise ValueError(f"{name} is not nilpotent: {name}^{D} is not in the "
+                     f"ideal, whose quotient has dimension D = {D}")

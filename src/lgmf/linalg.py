@@ -1,7 +1,9 @@
 """Exact linear algebra over Q: solving, rank, nullspace, span membership.
 
-All matrices are lists of lists of Fractions; everything is fraction-exact
-Gaussian elimination with first-nonzero pivoting for determinism.
+One sparse engine, ``Span``, does all elimination: its rows are
+``{column: Fraction}`` dicts in reduced row echelon form, keyed by their pivot
+(leftmost nonzero, scaled to 1).  Pivots follow column order, so every result
+comes from the unique reduced form.  Matrices and vectors are dense lists.
 """
 
 from __future__ import annotations
@@ -9,77 +11,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _rref(rows, width):
-    """Reduced row echelon form in place; returns list of pivot columns."""
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _sparse(vec):
+    return {c: x if type(x) is Fraction else Fraction(x)
+            for c, x in enumerate(vec) if x}
 
 
-def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    return len(_rref(rows, len(rows[0])))
-
-
-def solve(matrix, rhs):
-    """One solution of matrix @ x = rhs, or None if inconsistent.
-
-    Free variables are set to zero (deterministically).
-    """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots = _rref(rows, n)
-    for i in range(len(pivots), m):
-        if rows[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return x
-
-
-def nullspace(matrix, n=None):
-    """Basis of the kernel of matrix (m x n); returns list of vectors."""
-    m = len(matrix)
-    if n is None:
-        n = len(matrix[0]) if m else 0
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    pivots = _rref(rows, n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(v)
-    return basis
+def _axpy(v, f, row):
+    """v -= f * row, in place, dropping entries that cancel."""
+    f = -f
+    for c, a in row.items():
+        x = v[c] + f * a if c in v else f * a
+        if x:
+            v[c] = x
+        else:
+            del v[c]
 
 
 class Span:
@@ -87,39 +32,89 @@ class Span:
 
     def __init__(self, width: int):
         self.width = width
-        self.rows = []      # rref rows
-        self.pivots = []    # pivot column per row
+        self._rows = {}     # pivot column -> reduced row, pivot entry 1
 
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+    def _reduce(self, v):
+        for p in [c for c in v if c in self._rows]:
+            _axpy(v, v[p], self._rows[p])
         return v
 
+    def _insert(self, v):
+        """Insert a sparse row (consumed); its new pivot column, or None."""
+        v = self._reduce(v)
+        if not v:
+            return None
+        p = min(v)
+        if v[p] != 1:
+            inv = 1 / v[p]
+            v = {c: x * inv for c, x in v.items()}
+        for row in self._rows.values():
+            if p in row:
+                _axpy(row, row[p], v)
+        self._rows[p] = v
+        return p
+
+    def reduce(self, vec):
+        v, zero = self._reduce(_sparse(vec)), Fraction(0)
+        return [v.get(c, zero) for c in range(len(vec))]
+
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not self._reduce(_sparse(vec))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        v = self.reduce(vec)
-        for c in range(self.width):
-            if v[c]:
-                inv = Fraction(1) / v[c]
-                v = [a * inv for a in v]
-                for i in range(len(self.rows)):
-                    if self.rows[i][c]:
-                        f = self.rows[i][c]
-                        self.rows[i] = [a - f * b for a, b in zip(self.rows[i], v)]
-                self.rows.append(v)
-                self.pivots.append(c)
-                return True
-        return False
+        return self._insert(_sparse(vec)) is not None
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+
+def _span(matrix, width):
+    span = Span(width)
+    for row in matrix:
+        span._insert(_sparse(row))
+    return span
+
+
+def rank(matrix) -> int:
+    return _span(matrix, len(matrix[0]) if matrix else 0).dim
+
+
+def solve(matrix, rhs):
+    """One solution of matrix @ x = rhs, or None if inconsistent.
+
+    Free variables are set to zero (deterministically).
+    """
+    if not matrix:
+        return []
+    n = len(matrix[0])
+    span = Span(n + 1)
+    for row, b in zip(matrix, rhs):
+        v = _sparse(row)
+        if b:
+            v[n] = Fraction(b)
+        if span._insert(v) == n:
+            return None
+    rows, zero = span._rows, Fraction(0)
+    return [rows[c].get(n, zero) if c in rows else zero for c in range(n)]
+
+
+def nullspace(matrix, n=None):
+    """Basis of the kernel of matrix (m x n); returns list of vectors."""
+    if n is None:
+        n = len(matrix[0]) if matrix else 0
+    rows = _span(matrix, n)._rows
+    basis = []
+    for free in range(n):
+        if free not in rows:
+            v = [Fraction(0)] * n
+            v[free] = Fraction(1)
+            for c, row in rows.items():
+                if free in row:
+                    v[c] = -row[free]
+            basis.append(v)
+    return basis
 
 
 def invertible(matrix) -> bool:

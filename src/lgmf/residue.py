@@ -1,7 +1,7 @@
 """Grothendieck residue symbols, absolute and relative.
 
 The residue Res[g dx/(f_1,...,f_n)] is computed through the transformation
-rule: bounded power membership supplies x_i^{a_i} = sum_j C_ij f_j, and the
+rule: power membership supplies x_i^{a_i} = sum_j C_ij f_j, and the
 residue becomes coefficient extraction of det(C) * g at prod x_i^{a_i - 1}.
 Denominators must be free of parameter variables; results are polynomials in
 the parameters (rationals when there are none).
@@ -39,8 +39,7 @@ class DenominatorError(ValueError):
     pass
 
 
-def grothendieck_residue(q: ResidueQuery, order: MonomialOrder = GRLEX,
-                         cap: int | None = None) -> Poly:
+def grothendieck_residue(q: ResidueQuery, order: MonomialOrder = GRLEX) -> Poly:
     """Residue via the transformation rule to monomial denominators."""
     ctx = q.numerator.ctx
     sub = RingContext(q.integration_vars)
@@ -56,7 +55,10 @@ def grothendieck_residue(q: ResidueQuery, order: MonomialOrder = GRLEX,
     a_list = []
     C = []
     for name in q.integration_vars:
-        a, cof = power_membership(name, gb, cap)
+        try:
+            a, cof = power_membership(name, gb)
+        except ValueError as exc:
+            raise DenominatorError(str(exc)) from None
         a_list.append(a)
         C.append([embed(c, ctx) for c in cof])
     detC = polymat.det(C, ctx)

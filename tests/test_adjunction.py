@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from lgmf import polymat
+from lgmf import adjunction, mf, polymat
 from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
                              kernel_homotopy_search, kvm_difference,
                              left_dual_morphism, right_dual_morphism,
                              zorro_check)
-from lgmf.mf import (Morphism, NullHomotopySet, default_null_homotopies,
-                     identity_morphism)
+from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
+                     default_null_homotopies, identity_morphism)
 from lgmf.ring import RingContext, embed
 
 from conftest import boundary_defect, corpus_boundary_mfs, line_defect
@@ -126,6 +126,36 @@ def test_invalid_homotopies_are_rejected():
     bad = NullHomotopySet(mf=X, side="source", entries=wrong, order=hs.order)
     with pytest.raises(ValueError):
         ev_tilde(data, bad)
+
+
+def test_ev_coev_maps_verifies_each_homotopy_once(monkeypatch):
+    calls = []
+    check = mf._commutator_mismatch
+
+    def counting(*args):
+        calls.append(args[2])
+        return check(*args)
+    monkeypatch.setattr(mf, "_commutator_mismatch", counting)
+    monkeypatch.setattr(adjunction, "_commutator_mismatch", counting)
+    ev_coev_maps(line_defect(3))
+    assert sorted(calls) == ["x", "y"]
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_tampered_supplied_homotopies_are_reverified(side):
+    data = line_defect(3)
+    X = data.base
+    names = data.source_names if side == "source" else data.target_names
+    hs = default_null_homotopies(X, names, side=side)
+    entries = dict(hs.entries)
+    lam = polymat.mat_scale(entries[names[0]].mat, Fraction(2))
+    entries[names[0]] = Morphism(X, X, 1, lam)
+    tampered = NullHomotopySet(mf=X, side=side, entries=entries,
+                               order=hs.order)
+    build = ev_tilde if side == "source" else ev
+    build(data, hs)
+    with pytest.raises(FactorisationError):
+        build(data, tampered)
 
 
 # -- dual morphisms -----------------------------------------------------------

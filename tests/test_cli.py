@@ -115,6 +115,15 @@ def test_residue_bad_denominator_count_fails_cleanly(ws, capsys):
     assert "denominator" in rep["outputs"]["error"]
 
 
+@pytest.mark.parametrize("dens, message", [
+    ("x^2 - 1", "x is not nilpotent"), ("0", "infinite quotient")])
+def test_residue_bad_denominators_exit_two(ws, capsys, dens, message):
+    code, rep = run_json(capsys, "residue", ws, "--ring", "R1",
+                         "--numerator", "1", "--denominators", dens)
+    assert code == 2
+    assert message in rep["outputs"]["error"]
+
+
 def test_qdim_chern_and_pairings(ws, capsys):
     code, rep = run_json(capsys, "qdim", ws, "D")
     assert code == 0

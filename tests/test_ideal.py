@@ -89,6 +89,19 @@ def test_power_membership_in_jacobi_ideal():
     assert acc == x ** k
 
 
+def test_power_membership_bound_is_the_quotient_dimension():
+    x, y = CTX.gen("x"), CTX.gen("y")
+    # modulo (x - y^2, y^6), y is nilpotent of index exactly D = 6
+    gb = groebner([x - y ** 2, y ** 6])
+    assert quotient_monomial_basis(gb).dimension == 6
+    assert power_membership("x", gb)[0] == 3
+    assert power_membership("y", gb)[0] == 6
+    with pytest.raises(ValueError, match=r"x\^2 is not in the ideal"):
+        power_membership("x", groebner([x ** 2 - 1, y]))
+    with pytest.raises(ValueError, match="infinite quotient"):
+        power_membership("x", groebner([x ** 3]))
+
+
 def test_groebner_requires_matching_contexts():
     other = RingContext(["z"])
     with pytest.raises(Exception):

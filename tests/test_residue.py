@@ -23,6 +23,22 @@ def test_defining_property_single_variable():
         assert r == (ctx.one() if a == 1 else ctx.zero())
 
 
+def test_non_nilpotent_denominator_is_rejected():
+    ctx = RingContext(["x"])
+    x = ctx.gen("x")
+    with pytest.raises(DenominatorError, match=r"x\^2 .*D = 2"):
+        residue(ctx.one(), [x ** 2 - 1], ["x"])
+
+
+def test_infinite_quotient_is_rejected():
+    ctx = RingContext(["x", "y"])
+    x = ctx.gen("x")
+    with pytest.raises(DenominatorError, match="infinite quotient"):
+        residue(ctx.one(), [ctx.zero(), x ** 2], ["x", "y"])
+    with pytest.raises(DenominatorError, match="infinite quotient"):
+        residue(ctx.one(), [x, x ** 2], ["x", "y"])
+
+
 def test_monomial_residue_picks_top_coefficient():
     ctx = RingContext(["x", "y"])
     x, y = ctx.gen("x"), ctx.gen("y")
