@@ -9,7 +9,7 @@ as executable identity-up-to-homotopy checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polymat, signs
@@ -442,13 +442,6 @@ def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
 
 # -- Zorro composites ---------------------------------------------------------
 
-def _all_names(*groups):
-    out = []
-    for g in groups:
-        out.extend(g)
-    return out
-
-
 def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     """The snake composite X -> X for either adjunction.
 
@@ -461,111 +454,72 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
         raise ValueError("variant must be 'right' or 'left'")
     X = data.base
     r = X.rank
+    src, tgt = data.source_names, data.target_names
     if variant == "right":
-        unit = data.unit_source
+        unit, other = data.unit_source, data.unit_target
         act = unit_action_right(X, unit)
         P = rho_inverse(X, unit, action=act)
-        mids = tuple(act.contraction.keys())            # middle source copy
-        other = data.target_names
-        prime_other = data.unit_target.prime_names
+        C, E = coev_tilde(data), ev_tilde(data)
+        mids, w = _snake_names(X, act, unit, other)
+        cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
+        emap = dict(zip(src + other.prime_names, mids + w))
+
+        def route(x, i, j):                 # (ev index, output row)
+            return x * r + i, j
     else:
-        unit = data.unit_target
+        unit, other = data.unit_target, data.unit_source
         act = unit_action_left(X, unit)
         P = lambda_inverse(X, unit, action=act)
-        mids = tuple(act.contraction.keys())            # middle target copy
-        other = data.source_names
-        prime_other = data.unit_source.prime_names
-    taken = set(_all_names(X.ctx.names, mids, unit.prime_names, prime_other))
-    w = fresh_names(other, taken)
+        C, E = coev(data), ev(data)
+        mids, w = _snake_names(X, act, unit, other)
+        cmap = dict(zip(unit.prime_names + src, mids + w))
+        emap = dict(zip(src + other.prime_names + tgt, w + src + mids))
+
+        def route(x, i, j):
+            return j * r + x, i
     ctx = X.ctx.extend(mids).extend(w)
-    nsub = unit.rank
-
-    def emb(matrix):
-        return [[embed(e, ctx) for e in row] for row in matrix]
-
-    Pm = emb(P.mat)
-    if variant == "right":
-        ct = coev_tilde(data)
-        cmap = dict(zip(data.source_names, mids))
-        cmap.update(dict(zip(unit.prime_names, data.source_names)))
-        cmap.update(dict(zip(data.target_names, w)))
-        Cm = [[rename(e, cmap, target_ctx=ctx) for e in row]
-              for row in ct.mat]
-        et = ev_tilde(data)
-        emap = dict(zip(data.source_names, mids))
-        emap.update(dict(zip(data.unit_target.prime_names, w)))
-        K0 = [rename(e, emap, target_ctx=ctx) for e in et.mat[0]]
-        denoms = [rename(f, dict(zip(data.source_names, mids)),
-                         target_ctx=ctx) for f in et.denominators]
-        int_names = mids
-        back = dict(zip(w, data.target_names))
-        # T1 index (a, s) = a*nsub + s; T2 index (a, i, j) = a*r*r + i*r + j
-        Zm = polymat.zeros(ctx, r, r)
-        for q in range(r):
-            colQ = {}
-            for a in range(r):
-                for s in range(nsub):
-                    p = Pm[a * nsub + s][q]
-                    if p.is_zero():
-                        continue
-                    for pair in range(r * r):
-                        ce = Cm[pair][s]
-                        if not ce.is_zero():
-                            key = (a, pair)
-                            colQ[key] = colQ.get(key, ctx.zero()) + ce * p
-            acc = [ctx.zero()] * r
-            for (a, pair), val in colQ.items():
-                i, j = divmod(pair, r)
-                k = K0[a * r + i]
-                if not k.is_zero():
-                    acc[j] = acc[j] + k * val
-            for j in range(r):
-                num = substitute(acc[j], back, target_ctx=ctx)
-                Zm[j][q] = evaluate_residue_entry(num, int_names, denoms)
-    else:
-        cv = coev(data)
-        cmap = dict(zip(unit.prime_names, mids))
-        cmap.update(dict(zip(data.source_names, w)))
-        Cm = [[rename(e, cmap, target_ctx=ctx) for e in row]
-              for row in cv.mat]
-        e_map = ev(data)
-        emap = dict(zip(data.source_names, w))
-        emap.update(dict(zip(data.unit_source.prime_names,
-                             data.source_names)))
-        emap.update(dict(zip(data.target_names, mids)))
-        K0 = [rename(e, emap, target_ctx=ctx) for e in e_map.mat[0]]
-        denoms = [rename(f, dict(zip(data.target_names, mids)),
-                         target_ctx=ctx) for f in e_map.denominators]
-        int_names = mids
-        back = dict(zip(w, data.source_names))
-        # T1 index (s, b) = s*r + b; T2 index (i, j, b) = i*r*r + j*r + b
-        Zm = polymat.zeros(ctx, r, r)
-        for q in range(r):
-            colQ = {}
-            for s in range(nsub):
-                for b in range(r):
-                    p = Pm[s * r + b][q]
-                    if p.is_zero():
-                        continue
-                    for pair in range(r * r):
-                        ce = Cm[pair][s]
-                        if not ce.is_zero():
-                            key = (pair, b)
-                            colQ[key] = colQ.get(key, ctx.zero()) + ce * p
-            acc = [ctx.zero()] * r
-            for (pair, b), val in colQ.items():
-                i, j = divmod(pair, r)
-                k = K0[j * r + b]
-                if not k.is_zero():
-                    acc[i] = acc[i] + k * val
-            for i in range(r):
-                num = substitute(acc[i], back, target_ctx=ctx)
-                Zm[i][q] = evaluate_residue_entry(num, int_names, denoms)
+    Pm = [[embed(e, ctx) for e in row] for row in P.mat]
+    Cm = [[rename(e, cmap, target_ctx=ctx) for e in row] for row in C.mat]
+    K0 = [rename(e, emap, target_ctx=ctx) for e in E.mat[0]]
+    to_mids = dict(zip(unit.base_names, mids))
+    denoms = [rename(f, to_mids, target_ctx=ctx) for f in E.denominators]
+    back = dict(zip(w, other.base_names))
+    # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
+    # coev pair (i, j) is the coev row i*r + j
+    Zm = polymat.zeros(ctx, r, r)
+    for q in range(r):
+        colQ = {}
+        for t, row in enumerate(Pm):
+            p = row[q]
+            if p.is_zero():
+                continue
+            x, s = act._component(t)
+            for pair in range(r * r):
+                ce = Cm[pair][s]
+                if not ce.is_zero():
+                    key = route(x, *divmod(pair, r))
+                    colQ[key] = colQ.get(key, ctx.zero()) + ce * p
+        acc = [ctx.zero()] * r
+        for (e, o), val in colQ.items():
+            k = K0[e]
+            if not k.is_zero():
+                acc[o] = acc[o] + k * val
+        for o in range(r):
+            num = substitute(acc[o], back, target_ctx=ctx)
+            Zm[o][q] = evaluate_residue_entry(num, mids, denoms)
     out = polymat.zeros(X.ctx, r, r)
     for i in range(r):
         for j in range(r):
             out[i][j] = _project(Zm[i][j], X.ctx)
     return Morphism(X, X, 0, out)
+
+
+def _snake_names(X, act, unit, other):
+    """The middle copy contracted by ``act`` and fresh names for the other
+    side's variables, avoiding every name already in play."""
+    mids = tuple(act.contraction.keys())
+    taken = set(X.ctx.names).union(mids, unit.prime_names, other.prime_names)
+    return mids, fresh_names(other.base_names, taken)
 
 
 def _project(p: Poly, ctx: RingContext) -> Poly:

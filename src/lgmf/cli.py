@@ -7,6 +7,7 @@ witness was not found), 2 input error (parse, resolution, validation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -14,15 +15,12 @@ import warnings
 from fractions import Fraction
 
 from . import tft
-from .adjunction import (AdjointData, KoszulValuedMap, ev_coev_maps,
-                         zorro_check)
+from .adjunction import KoszulValuedMap, ev_coev_maps, zorro_check
 from .ideal import check_potential
-from .mf import MatrixFactorisation, Morphism
 from .residue import DenominatorError, ResidueQuery, grothendieck_residue
 from .ring import Poly, RingContext, embed
 from .unit import koszul_unit, psi_phi_is_identity
-from .workspace import (Workspace, WorkspaceError, load_workspace,
-                        parse_poly)
+from .workspace import WorkspaceError, load_workspace, parse_poly
 
 
 class MathFailure(RuntimeError):
@@ -81,20 +79,15 @@ class Report:
         return "\n".join(lines)
 
 
+@contextlib.contextmanager
 def _capture_warnings(report):
-    class _Ctx:
-        def __enter__(self):
-            self._cm = warnings.catch_warnings(record=True)
-            self._rec = self._cm.__enter__()
-            warnings.simplefilter("always")
-            return self
-
-        def __exit__(self, *exc):
-            for w in self._rec:
-                report.warnings.append(str(w.message))
-            return self._cm.__exit__(*exc)
-
-    return _Ctx()
+    """Append the message of each warning raised in the block to ``report``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            report.warnings.extend(str(w.message) for w in caught)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -235,11 +228,11 @@ def cmd_defect_act(ws, args, report):
         if args.side == "right":
             ring = tft.JacobiRing(data.source_potential)
             psi = ring.reduce(parse_poly(args.field, ring.ctx))
-            out = tft.defect_action_right(data, psi)
+            out = tft.defect_operator_right(data).apply(psi)
         else:
             ring = tft.JacobiRing(data.target_potential)
             phi = ring.reduce(parse_poly(args.field, ring.ctx))
-            out = tft.defect_action_left(data, phi)
+            out = tft.defect_operator_left(data).apply(phi)
     report.outputs["side"] = args.side
     report.outputs["image"] = out
 

@@ -9,12 +9,12 @@ degree-bounded linear solves over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, polymat
 from .ideal import groebner, normal_form, quotient_monomial_basis
-from .ring import ContextMismatch, Poly, RingContext, embed, partial_derivative, rename
+from .ring import Poly, RingContext, embed, partial_derivative, rename
 
 
 class FactorisationError(ValueError):
@@ -259,12 +259,6 @@ def mf_rename(X: MatrixFactorisation, mapping) -> MatrixFactorisation:
     pot = rename(X.potential, mapping, target_ctx=ctx)
     return MatrixFactorisation(ctx, pot, X.parity, d, labels=X.labels,
                                validate=False)
-
-
-def embed_mf(X: MatrixFactorisation, ctx: RingContext) -> MatrixFactorisation:
-    return MatrixFactorisation(ctx, embed(X.potential, ctx), X.parity,
-                               [[embed(e, ctx) for e in row] for row in X.d],
-                               labels=X.labels, validate=False, factors=X.factors)
 
 
 def tensor(Y: MatrixFactorisation, X: MatrixFactorisation,

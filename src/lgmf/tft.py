@@ -9,16 +9,16 @@ and generalised boundary-bulk maps.  Everything is exact over the rationals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, polymat, signs
 from .adjunction import AdjointData, _project, evaluate_residue_entry
-from .ideal import (GRLEX, GroebnerBasis, QuotientBasis, groebner,
-                    normal_form, quotient_monomial_basis)
+from .ideal import (GRLEX, QuotientBasis, groebner, normal_form,
+                    quotient_monomial_basis)
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
                  _dicts_to_vectors, str_matrix)
-from .ring import Poly, RingContext, embed, partial_derivative
+from .ring import Poly, embed, partial_derivative
 
 
 class ParityWarning(UserWarning):
@@ -135,12 +135,6 @@ def _rep(other, ring: JacobiRing) -> Poly:
     return ring.ctx.const(Fraction(other))
 
 
-def jacobi_class(p: Poly, W) -> JacobiElement:
-    """The class of p in k[x]/(dW); W may be a potential or a JacobiRing."""
-    ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
-    return ring.reduce(p)
-
-
 # -- defect operators --------------------------------------------------------
 
 @dataclass
@@ -198,10 +192,6 @@ class DefectOperator:
                 and [i.rep for i in self.images] == [i.rep for i in other.images])
 
 
-def identity_operator(ring: JacobiRing) -> DefectOperator:
-    return DefectOperator(ring, ring, ring.basis_elements())
-
-
 def _str_with_derivatives(M, X: MatrixFactorisation, names) -> Poly:
     """str(M dd/dv_1 ... dd/dv_k) for d = d_X, with M embedded in X's ring."""
     prod = [[embed(e, X.ctx) for e in row] for row in M]
@@ -239,19 +229,27 @@ def _defect_rings(data: AdjointData):
     return JacobiRing(data.source_potential), JacobiRing(data.target_potential)
 
 
+def _defect_wrap(data: AdjointData, integrand: Poly, names,
+                 over: JacobiRing, onto: JacobiRing, k: int, fields) -> list:
+    """(-1)^{C(k+1,2)} Res_names[f integrand / d(over)] in ``onto``, per f."""
+    ctx = data.base.ctx
+    sign = Fraction(signs.minus_one_to(signs.binom2(k + 1)))
+    dens = [embed(p, ctx) for p in over.partials]
+    out = []
+    for f in fields:
+        res = evaluate_residue_entry(embed(f, ctx) * integrand, names, dens)
+        out.append(onto.reduce(_project(res, onto.ctx) * sign))
+    return out
+
+
 def defect_operator_right(data: AdjointData, Phi=None,
                           rings=None) -> DefectOperator:
     """Wrapping the defect around a source bulk insertion: Jac(W) -> Jac(V)."""
     _parity_warn(data)
     src, tgt = rings if rings is not None else _defect_rings(data)
-    integrand = defect_supertrace(data, Phi)
-    sign = signs.minus_one_to(signs.binom2(data.m + 1))
-    dens = [embed(p, data.base.ctx) for p in src.partials]
-    images = []
-    for b in src.basis_elements():
-        num = embed(b.rep, data.base.ctx) * integrand
-        res = evaluate_residue_entry(num, data.source_names, dens)
-        images.append(tgt.reduce(_project(res, tgt.ctx) * Fraction(sign)))
+    images = _defect_wrap(data, defect_supertrace(data, Phi),
+                          data.source_names, src, tgt, data.m,
+                          [b.rep for b in src.basis_elements()])
     return DefectOperator(src, tgt, images)
 
 
@@ -260,23 +258,10 @@ def defect_operator_left(data: AdjointData, Phi=None,
     """The mirrored wrap on target bulk insertions: Jac(V) -> Jac(W)."""
     _parity_warn(data)
     src, tgt = rings if rings is not None else _defect_rings(data)
-    integrand = defect_supertrace(data, Phi)
-    sign = signs.minus_one_to(signs.binom2(data.n + 1))
-    dens = [embed(p, data.base.ctx) for p in tgt.partials]
-    images = []
-    for b in tgt.basis_elements():
-        num = embed(b.rep, data.base.ctx) * integrand
-        res = evaluate_residue_entry(num, data.target_names, dens)
-        images.append(src.reduce(_project(res, src.ctx) * Fraction(sign)))
+    images = _defect_wrap(data, defect_supertrace(data, Phi),
+                          data.target_names, tgt, src, data.n,
+                          [b.rep for b in tgt.basis_elements()])
     return DefectOperator(tgt, src, images)
-
-
-def defect_action_right(data: AdjointData, psi, Phi=None) -> JacobiElement:
-    return defect_operator_right(data, Phi).apply(psi)
-
-
-def defect_action_left(data: AdjointData, phi, Phi=None) -> JacobiElement:
-    return defect_operator_left(data, Phi).apply(phi)
 
 
 def quantum_dim(data: AdjointData, side: str = "right") -> JacobiElement:
@@ -323,8 +308,7 @@ def bulk_boundary(X: MatrixFactorisation, phi) -> Morphism:
     """phi . Id_X: a bulk field acting as a central boundary endomorphism."""
     rep = phi.rep if isinstance(phi, JacobiElement) else phi
     rep = embed(rep, X.ctx)
-    mat = polymat.mat_scale(polymat.identity(X.ctx, X.rank), Fraction(1))
-    mat = [[e * rep for e in row] for row in mat]
+    mat = [[e * rep for e in row] for row in polymat.identity(X.ctx, X.rank)]
     return Morphism(X, X, 0, mat)
 
 
@@ -342,10 +326,8 @@ def bulk_pairing(phi1, phi2, W) -> Fraction:
     """The two-point bulk correlator Res[phi1 phi2 dx / dW]."""
     ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
     p = _rep(phi1, ring) * embed(_rep(phi2, ring), ring.ctx)
-    dens = list(ring.partials)
-    if not dens:
-        return _constant(p)
-    res = evaluate_residue_entry(embed(p, ring.ctx), ring.ctx.names, dens)
+    res = evaluate_residue_entry(embed(p, ring.ctx), ring.ctx.names,
+                                 list(ring.partials))
     return _constant(res)
 
 
@@ -359,10 +341,8 @@ def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
     prod = polymat.mat_mul([[embed(e, ctx) for e in r] for r in m1],
                            [[embed(e, ctx) for e in r] for r in m2])
     num = _str_with_derivatives(prod, X, ring.ctx.names)
-    dens = list(ring.partials)
-    if not dens:
-        return _constant(num)
-    res = evaluate_residue_entry(embed(num, ctx), ring.ctx.names, dens)
+    res = evaluate_residue_entry(embed(num, ctx), ring.ctx.names,
+                                 list(ring.partials))
     return _constant(res)
 
 
@@ -385,7 +365,6 @@ class HomCohomology:
     h0: list                    # list of closed even Morphisms
     h1: list                    # list of closed odd Morphisms
     stable: bool                # dimensions agree at bound + 1
-    _coords: dict = field(default_factory=dict, repr=False)
 
     @property
     def dimensions(self):
@@ -399,22 +378,6 @@ def _morphism_vector(phi: Morphism, ctx):
             for exp, c in embed(e, ctx).terms.items():
                 out[(i, j, exp)] = c
     return out
-
-
-def _cohomology_at(X, Y, parity, bound, ctx):
-    """Harvest cocycle/coboundary data for one parity at one degree bound."""
-    dom, cols = _boundary_columns(X, Y, parity, bound, ctx)
-    _, vecs = _dicts_to_vectors(cols)
-    cocycles = linalg.nullspace(polymat.transpose(vecs), n=len(dom))
-    _, cols1 = _boundary_columns(X, Y, parity ^ 1, bound, ctx)
-    reps = []
-    for vec in cocycles:
-        d = {}
-        for (i, j, mu), c in zip(dom, vec):
-            if c:
-                d[(i, j, mu)] = d.get((i, j, mu), Fraction(0)) + c
-        reps.append(d)
-    return reps, cols1, dom
 
 
 def _select_classes(reps, coboundaries):
@@ -436,12 +399,20 @@ def _dict_to_morphism(d, X, Y, parity, ctx):
     return Morphism(X, Y, parity, mat)
 
 
-def _dims_at(X, Y, bound, ctx):
-    out = []
-    for parity in (0, 1):
-        reps, cob, _ = _cohomology_at(X, Y, parity, bound, ctx)
-        out.append(len(_select_classes(reps, cob)))
-    return tuple(out)
+def _classes_at(X, Y, bound, ctx):
+    """Cocycle representatives of H^0 and H^1 on entries of degree <= bound.
+
+    Each parity's boundary system is built once: its nullspace gives that
+    parity's cocycles, and its columns are the other parity's coboundaries.
+    """
+    systems = [_boundary_columns(X, Y, p, bound, ctx) for p in (0, 1)]
+    classes = []
+    for parity, (dom, cols) in enumerate(systems):
+        _, vecs = _dicts_to_vectors(cols)
+        cocycles = linalg.nullspace(polymat.transpose(vecs), n=len(dom))
+        reps = [{key: c for key, c in zip(dom, vec) if c} for vec in cocycles]
+        classes.append(_select_classes(reps, systems[parity ^ 1][1]))
+    return classes
 
 
 def default_cohomology_bound(X: MatrixFactorisation) -> int:
@@ -455,12 +426,9 @@ def hom_cohomology(X: MatrixFactorisation, Y: MatrixFactorisation,
         raise ValueError("factorisations of different potentials")
     bound = default_cohomology_bound(X) if degree_bound is None else degree_bound
     ctx = Y.ctx.merge(X.ctx)
-    classes = {}
-    for parity in (0, 1):
-        reps, cob, _ = _cohomology_at(X, Y, parity, bound, ctx)
-        classes[parity] = _select_classes(reps, cob)
-    stable = ((len(classes[0]), len(classes[1]))
-              == _dims_at(X, Y, bound + 1, ctx))
+    classes = _classes_at(X, Y, bound, ctx)
+    stable = ([len(c) for c in classes]
+              == [len(c) for c in _classes_at(X, Y, bound + 1, ctx)])
     h0 = [_dict_to_morphism(d, X, Y, 0, ctx) for d in classes[0]]
     h1 = [_dict_to_morphism(d, X, Y, 1, ctx) for d in classes[1]]
     return HomCohomology(X=X, Y=Y, bound=bound, h0=h0, h1=h1, stable=stable)
@@ -487,15 +455,13 @@ def _cohomology_supertrace(coh: HomCohomology, phi: Morphism,
     for parity, basis in ((0, coh.h0), (1, coh.h1)):
         if not basis:
             continue
+        images = [psi.compose(b).compose(phi) for b in basis]
         # coboundary columns at the bound itself do not always contain the
         # composite's class; recompute them at the composite's degree
-        deg = max([coh.bound]
-                  + [e.total_degree()
-                     for b in basis
-                     for row in psi.compose(b).compose(phi).mat
-                     for e in row if not e.is_zero()])
-        _, cob, _ = _cohomology_at(X, Y, parity, deg, ctx)
-        images = [psi.compose(b).compose(phi) for b in basis]
+        deg = max([coh.bound] + [e.total_degree() for im in images
+                                 for row in im.mat for e in row
+                                 if not e.is_zero()])
+        _, cob = _boundary_columns(X, Y, parity ^ 1, deg, ctx)
         dicts = (list(cob)
                  + [_morphism_vector(b, ctx) for b in basis]
                  + [_morphism_vector(im, ctx) for im in images])
@@ -565,16 +531,10 @@ def generalized_boundary_bulk(data: AdjointData, psi) -> JacobiElement:
     """(-1)^{C(m+1,2)} Res_z[str(psi dd/dx...dd/dz...) dz / dV] in Jac(W)."""
     ring = JacobiRing(data.source_potential)
     target_ring = JacobiRing(data.target_potential)
-    if isinstance(psi, Morphism):
-        Phi = psi
-    else:
-        Phi = Morphism(data.base, data.base, 0, psi)
-    num = _str_with_derivatives(Phi.mat, data.base,
+    if not isinstance(psi, Morphism):
+        psi = Morphism(data.base, data.base, 0, psi)
+    # not the even-only _insertion_matrix: psi may be odd
+    num = _str_with_derivatives(psi.mat, data.base,
                                 data.source_names + data.target_names)
-    sign = signs.minus_one_to(signs.binom2(data.m + 1))
-    dens = [embed(p, data.base.ctx) for p in target_ring.partials]
-    if data.m:
-        res = evaluate_residue_entry(num, data.target_names, dens)
-    else:
-        res = num
-    return ring.reduce(_project(res, ring.ctx) * Fraction(sign))
+    return _defect_wrap(data, num, data.target_names, target_ring, ring,
+                        data.m, [data.base.ctx.one()])[0]

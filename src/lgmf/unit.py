@@ -17,8 +17,7 @@ from .ideal import check_potential
 from .mf import (FactorisationError, MatrixFactorisation, Morphism, mf_rename,
                  tensor)
 from .ring import (Poly, RingContext, _restrict, divided_difference,
-                   divided_difference_ordered, embed, primed_name, rename,
-                   substitute)
+                   divided_difference_ordered, embed, primed_name, substitute)
 
 
 class KoszulUnit(MatrixFactorisation):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .adjunction import AdjointData
 from .mf import FactorisationError, MatrixFactorisation, Morphism, new_mf

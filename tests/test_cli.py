@@ -1,11 +1,13 @@
 """End-to-end runs of the command-line interface against a workspace file."""
 
 import json
+import warnings
 
 import pytest
 
+from lgmf import tft
 from lgmf.cli import main
-from lgmf.workspace import WorkspaceError, load_workspace
+from lgmf.workspace import WorkspaceError, load_workspace, parse_poly
 
 GOOD = """\
 # desk-scale corpus
@@ -142,8 +144,22 @@ def test_qdim_chern_and_pairings(ws, capsys):
 
 
 def test_defect_act(ws, capsys):
-    code, rep = run_json(capsys, "defect-act", ws, "D", "--field", "1")
-    assert code == 0
+    data = load_workspace(ws).defect("D")
+    for side, field in (("right", "1"), ("right", "s"),
+                        ("left", "1"), ("left", "t")):
+        code, rep = run_json(capsys, "defect-act", ws, "D", "--field", field,
+                             "--side", side)
+        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tft.ParityWarning)
+            op = (tft.defect_operator_right if side == "right"
+                  else tft.defect_operator_left)(data)
+        want = op.apply(parse_poly(field, op.source.ctx))
+        assert rep["outputs"] == {"side": side, "image": str(want.rep)}
+        # D has one source and one target variable: one parity warning
+        assert rep["warnings"] == [
+            "defect operator evaluated with odd variable count (n=1, m=1); "
+            "the closed formula is asserted only for even counts"]
 
 
 def test_cardy(ws, capsys):

@@ -9,6 +9,7 @@ from lgmf import linalg, polymat, tft
 from lgmf.adjunction import AdjointData
 from lgmf.mf import Morphism, mf_rename, new_mf, null_homotopy_search
 from lgmf.ring import RingContext, rename
+from lgmf.signs import binom2
 
 from conftest import (boundary_defect, corpus_boundary_mfs, corpus_potentials,
                       delta_defect, line_defect)
@@ -185,10 +186,27 @@ def test_simultaneous_variable_permutation_invariance():
 
 # -- morphism cohomology and the Cardy identity -------------------------------
 
-def test_hom_cohomology_dimensions():
+def _xy_mf():
     ctx = RingContext(["x", "y"])
     x, y = ctx.gen("x"), ctx.gen("y")
-    Xxy = new_mf(ctx, x * y, [[x]], [[y]])
+    return new_mf(ctx, x * y, [[x]], [[y]])
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its call args."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_hom_cohomology_dimensions():
+    Xxy = _xy_mf()
     assert tft.hom_cohomology(Xxy, Xxy).dimensions == (1, 0)
     X3, _, _ = _x3_setup()
     assert tft.hom_cohomology(X3, X3).dimensions == (1, 1)
@@ -197,10 +215,31 @@ def test_hom_cohomology_dimensions():
     assert tft.hom_cohomology(Xc, Xc).dimensions == (0, 0)
 
 
+def test_hom_cohomology_builds_each_boundary_system_once_per_bound(
+        monkeypatch):
+    Xxy = _xy_mf()
+    calls = _counting(monkeypatch, tft, "_boundary_columns")
+    coh = tft.hom_cohomology(Xxy, Xxy)
+    b = coh.bound
+    # (parity, degree bound) of every build: one per parity at the bound and
+    # at the stability check's bound + 1
+    assert sorted(args[2:4] for args in calls) == [(0, b), (0, b + 1),
+                                                   (1, b), (1, b + 1)]
+
+
+def test_cardy_supertrace_computes_no_cocycles(monkeypatch):
+    Xxy = _xy_mf()
+    calls = _counting(monkeypatch, linalg, "nullspace")
+    tft.hom_cohomology(Xxy, Xxy)
+    alone = len(calls)
+    assert alone == 4
+    del calls[:]
+    assert tft.cardy_check(Xxy, Xxy).equal
+    assert len(calls) <= alone
+
+
 def test_cardy_identity_on_corpus_pairs():
-    ctx = RingContext(["x", "y"])
-    x, y = ctx.gen("x"), ctx.gen("y")
-    Xxy = new_mf(ctx, x * y, [[x]], [[y]])
+    Xxy = _xy_mf()
     rep = tft.cardy_check(Xxy, Xxy)
     assert rep.stable and rep.equal and rep.lhs == 1
 
@@ -258,6 +297,24 @@ def test_generalized_boundary_bulk_of_diagonal_identity():
     dd = delta_defect(corpus_potentials()["x^3-y^3"])
     g = tft.generalized_boundary_bulk(dd, dd.base.identity())
     assert g.rep.is_constant() and g.rep.constant_value() == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: line_defect(3),
+    lambda: delta_defect(corpus_potentials()["x^3-y^3"]),
+], ids=["line x^3", "delta x^3-y^3"])
+def test_generalized_boundary_bulk_is_the_left_wrap_of_one(make):
+    d = make()
+    ctx = d.base.ctx
+    sign = (-1) ** (binom2(d.m + 1) + binom2(d.n + 1))
+    ident = polymat.identity(ctx, d.rank)
+    for scale in (ctx.one(), ctx.gen("x")):
+        Phi = Morphism(d.base, d.base, 0,
+                       [[scale * e for e in row] for row in ident])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tft.ParityWarning)
+            left = tft.defect_operator_left(d, Phi)
+        assert tft.generalized_boundary_bulk(d, Phi) == left(1).scale(sign)
 
 
 # -- shadows ------------------------------------------------------------------
