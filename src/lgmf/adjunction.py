@@ -18,7 +18,7 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  NullHomotopySet, _commutator_mismatch, _solve_boundary,
                  default_null_homotopies, dual, dual_morphism, mf_rename,
                  null_homotopy_search, shift, tensor)
-from .residue import ResidueQuery, grothendieck_residue
+from .residue import residue_plan
 from .ring import (ContextMismatch, Poly, RingContext, _restrict,
                    divided_difference, embed, partial_derivative, rename,
                    substitute)
@@ -394,16 +394,7 @@ def left_dual_morphism(phi: Morphism, data_src: AdjointData,
                     phi.parity, mat)
 
 
-# -- residue evaluation and kernel homotopies ---------------------------------
-
-def evaluate_residue_entry(p: Poly, integration_names, denominators) -> Poly:
-    """The residue of one integrand; trivial when nothing is integrated."""
-    if not integration_names:
-        return p
-    q = ResidueQuery(p, [embed(f, p.ctx) for f in denominators],
-                     list(integration_names))
-    return grothendieck_residue(q)
-
+# -- kernel homotopies --------------------------------------------------------
 
 def kernel_homotopy_search(delta: KoszulValuedMap,
                            degree_bound: int | None = None):
@@ -448,7 +439,8 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     variant='right': lambda o (ev_tilde (x) 1) o (1 (x) coev_tilde) o rho^{-1};
     variant='left':  rho o (1 (x) ev) o (coev (x) 1) o lambda^{-1}.
     The middle copies are contracted only at the final unit-action stage, and
-    the residues are evaluated over the shared middle source copy.
+    the residues are evaluated over the shared middle source copy, all with
+    one residue plan.
     """
     if variant not in ("right", "left"):
         raise ValueError("variant must be 'right' or 'left'")
@@ -484,6 +476,7 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     to_mids = dict(zip(unit.base_names, mids))
     denoms = [rename(f, to_mids, target_ctx=ctx) for f in E.denominators]
     back = dict(zip(w, other.base_names))
+    plan = residue_plan(denoms, mids)
     # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
     # coev pair (i, j) is the coev row i*r + j
     Zm = polymat.zeros(ctx, r, r)
@@ -506,7 +499,7 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
                 acc[o] = acc[o] + k * val
         for o in range(r):
             num = substitute(acc[o], back, target_ctx=ctx)
-            Zm[o][q] = evaluate_residue_entry(num, mids, denoms)
+            Zm[o][q] = plan(num)
     out = polymat.zeros(X.ctx, r, r)
     for i in range(r):
         for j in range(r):

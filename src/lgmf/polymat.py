@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .ring import Poly, RingContext
+from .ring import ContextMismatch, Poly, RingContext
 
 
 def zeros(ctx: RingContext, rows: int, cols: int):
@@ -26,20 +26,35 @@ def mat_scale(a, c):
 
 
 def mat_mul(a, b):
+    """a * b, forming only the products of two nonzero entries.
+
+    Cells that get no product are the zero of the entries' common context;
+    as in the dense product, entries in different contexts raise
+    ContextMismatch whenever there is a product to form.
+    """
     if not a:
         return []
     rows, inner = len(a), len(b)
     cols = len(b[0]) if inner else 0
+    if not cols:
+        return [[] for _ in range(rows)]
+    ctx = a[0][0].ctx
+    if (any(row[k].ctx != ctx for row in a for k in range(inner))
+            or any(row[j].ctx != ctx for row in b for j in range(cols))):
+        raise ContextMismatch("matrix entries in different contexts")
+    b_nonzero = [[(j, row[j]) for j in range(cols) if not row[j].is_zero()]
+                 for row in b]
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                t = a[i][k] * b[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc = [None] * cols
+        for k in range(inner):
+            x = row[k]
+            if x.is_zero():
+                continue
+            for j, y in b_nonzero[k]:
+                t = x * y
+                acc[j] = t if acc[j] is None else acc[j] + t
+        out.append([ctx.zero() if e is None else e for e in acc])
     return out
 
 

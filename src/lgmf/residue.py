@@ -5,10 +5,18 @@ rule: power membership supplies x_i^{a_i} = sum_j C_ij f_j, and the
 residue becomes coefficient extraction of det(C) * g at prod x_i^{a_i - 1}.
 Denominators must be free of parameter variables; results are polynomials in
 the parameters (rationals when there are none).
+
+A residue plan does the denominator work once: ``residue_plan`` runs the
+Groebner basis, the power-membership certificates and det(C) for one
+denominator tuple, and the plan then reads each residue off the
+coefficients of det(C), forming no product.  Loops that take many residues
+over one tuple build one plan; ``grothendieck_residue`` builds a plan and
+applies it once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import polymat
@@ -39,31 +47,64 @@ class DenominatorError(ValueError):
     pass
 
 
+def residue_plan(denominators, integration_vars,
+                 order: MonomialOrder = GRLEX) -> Callable[[Poly], Poly]:
+    """g -> Res[g dx / (f)] for one denominator tuple f.
+
+    Runs the Groebner basis, the power membership of every integration
+    variable (certified by the quotient dimension) and det(C) once.  With
+    exponents a_i and det(C) = sum_e d_e x^e, a term c x^e t^f of g (t the
+    parameter variables) contributes c d_{a-1-e} t^f.  With no integration
+    variables the plan is the identity.
+    """
+    names = list(integration_vars)
+    if len(denominators) != len(names):
+        raise ValueError("need exactly one denominator per integration variable")
+    sub = RingContext(names)
+    fs = []
+    for d in denominators:
+        f = _restrict(d, sub)
+        if f is None:
+            raise DenominatorError(
+                f"denominator {d} touches parameter variables")
+        fs.append(f)
+    tops, C = [], []
+    if names:
+        gb = groebner(fs, order)
+        for name in names:
+            try:
+                a, cof = power_membership(name, gb)
+            except ValueError as exc:
+                raise DenominatorError(str(exc)) from None
+            tops.append(a - 1)
+            C.append(cof)
+    det = polymat.det(C, sub).terms
+
+    def plan(numerator: Poly) -> Poly:
+        ctx = numerator.ctx
+        pos = [ctx.index(n) for n in names]
+        out = {}
+        for exp, c in numerator.terms.items():
+            d = det.get(tuple(a - exp[p] for a, p in zip(tops, pos)))
+            if d is None:
+                continue
+            rest = list(exp)
+            for p in pos:
+                rest[p] = 0
+            rest = tuple(rest)
+            s = out.get(rest)
+            out[rest] = c * d if s is None else s + c * d
+        return Poly(ctx, out)
+
+    return plan
+
+
 def grothendieck_residue(q: ResidueQuery, order: MonomialOrder = GRLEX) -> Poly:
     """Residue via the transformation rule to monomial denominators."""
     ctx = q.numerator.ctx
-    sub = RingContext(q.integration_vars)
-    fs = []
-    for d in q.denominators:
-        p = embed(d, ctx)
-        f = _restrict(p, sub)
-        if f is None:
-            raise DenominatorError(
-                f"denominator {p} touches parameter variables")
-        fs.append(f)
-    gb = groebner(fs, order)
-    a_list = []
-    C = []
-    for name in q.integration_vars:
-        try:
-            a, cof = power_membership(name, gb)
-        except ValueError as exc:
-            raise DenominatorError(str(exc)) from None
-        a_list.append(a)
-        C.append([embed(c, ctx) for c in cof])
-    detC = polymat.det(C, ctx)
-    g = detC * embed(q.numerator, ctx)
-    return monomial_residue(g, a_list, q.integration_vars)
+    plan = residue_plan([embed(d, ctx) for d in q.denominators],
+                        q.integration_vars, order)
+    return plan(q.numerator)
 
 
 def residue(numerator: Poly, denominators, integration_vars, **kw) -> Poly:

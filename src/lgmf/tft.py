@@ -9,15 +9,16 @@ and generalised boundary-bulk maps.  Everything is exact over the rationals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, polymat, signs
-from .adjunction import AdjointData, _project, evaluate_residue_entry
+from .adjunction import AdjointData, _project
 from .ideal import (GRLEX, QuotientBasis, groebner, normal_form,
                     quotient_monomial_basis)
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
                  _dicts_to_vectors, str_matrix)
+from .residue import residue, residue_plan
 from .ring import Poly, embed, partial_derivative
 
 
@@ -234,12 +235,9 @@ def _defect_wrap(data: AdjointData, integrand: Poly, names,
     """(-1)^{C(k+1,2)} Res_names[f integrand / d(over)] in ``onto``, per f."""
     ctx = data.base.ctx
     sign = Fraction(signs.minus_one_to(signs.binom2(k + 1)))
-    dens = [embed(p, ctx) for p in over.partials]
-    out = []
-    for f in fields:
-        res = evaluate_residue_entry(embed(f, ctx) * integrand, names, dens)
-        out.append(onto.reduce(_project(res, onto.ctx) * sign))
-    return out
+    plan = residue_plan([embed(p, ctx) for p in over.partials], names)
+    return [onto.reduce(_project(plan(embed(f, ctx) * integrand), onto.ctx)
+                        * sign) for f in fields]
 
 
 def defect_operator_right(data: AdjointData, Phi=None,
@@ -265,14 +263,17 @@ def defect_operator_left(data: AdjointData, Phi=None,
 
 
 def quantum_dim(data: AdjointData, side: str = "right") -> JacobiElement:
-    """The image of 1 under the chosen defect action."""
-    if side == "right":
-        op = defect_operator_right(data)
-    elif side == "left":
-        op = defect_operator_left(data)
-    else:
+    """The image of 1 under the chosen defect action (one residue)."""
+    if side not in ("right", "left"):
         raise ValueError("side must be 'left' or 'right'")
-    return op.apply(op.source.one())
+    _parity_warn(data)
+    src, tgt = _defect_rings(data)
+    if side == "right":
+        over, onto, names, k = src, tgt, data.source_names, data.m
+    else:
+        over, onto, names, k = tgt, src, data.target_names, data.n
+    return _defect_wrap(data, defect_supertrace(data), names, over, onto, k,
+                        [over.ctx.one()])[0]
 
 
 def dual_defect(data: AdjointData) -> AdjointData:
@@ -326,9 +327,7 @@ def bulk_pairing(phi1, phi2, W) -> Fraction:
     """The two-point bulk correlator Res[phi1 phi2 dx / dW]."""
     ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
     p = _rep(phi1, ring) * embed(_rep(phi2, ring), ring.ctx)
-    res = evaluate_residue_entry(embed(p, ring.ctx), ring.ctx.names,
-                                 list(ring.partials))
-    return _constant(res)
+    return _constant(residue(p, ring.partials, ring.ctx.names))
 
 
 def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
@@ -341,16 +340,15 @@ def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
     prod = polymat.mat_mul([[embed(e, ctx) for e in r] for r in m1],
                            [[embed(e, ctx) for e in r] for r in m2])
     num = _str_with_derivatives(prod, X, ring.ctx.names)
-    res = evaluate_residue_entry(embed(num, ctx), ring.ctx.names,
-                                 list(ring.partials))
-    return _constant(res)
+    return _constant(residue(num, ring.partials, ring.ctx.names))
 
 
 def bulk_gram_matrix(W) -> list:
     """The bulk pairing on the monomial basis of the Jacobi ring."""
     ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
-    els = ring.basis_elements()
-    return [[bulk_pairing(a, b, ring) for b in els] for a in els]
+    plan = residue_plan(ring.partials, ring.ctx.names)
+    els = [b.rep for b in ring.basis_elements()]
+    return [[_constant(plan(a * b)) for b in els] for a in els]
 
 
 # -- morphism cohomology -----------------------------------------------------
@@ -365,6 +363,10 @@ class HomCohomology:
     h0: list                    # list of closed even Morphisms
     h1: list                    # list of closed odd Morphisms
     stable: bool                # dimensions agree at bound + 1
+    # per parity p, the coboundary columns at ``bound`` (boundaries of
+    # parity p ^ 1 maps), kept for the Cardy supertrace
+    coboundaries: tuple | None = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def dimensions(self):
@@ -400,19 +402,21 @@ def _dict_to_morphism(d, X, Y, parity, ctx):
 
 
 def _classes_at(X, Y, bound, ctx):
-    """Cocycle representatives of H^0 and H^1 on entries of degree <= bound.
+    """Cocycle representatives of H^0 and H^1 on entries of degree <= bound,
+    and the coboundary columns they were selected against, per parity.
 
     Each parity's boundary system is built once: its nullspace gives that
     parity's cocycles, and its columns are the other parity's coboundaries.
     """
     systems = [_boundary_columns(X, Y, p, bound, ctx) for p in (0, 1)]
+    coboundaries = (systems[1][1], systems[0][1])
     classes = []
     for parity, (dom, cols) in enumerate(systems):
         _, vecs = _dicts_to_vectors(cols)
         cocycles = linalg.nullspace(polymat.transpose(vecs), n=len(dom))
         reps = [{key: c for key, c in zip(dom, vec) if c} for vec in cocycles]
-        classes.append(_select_classes(reps, systems[parity ^ 1][1]))
-    return classes
+        classes.append(_select_classes(reps, coboundaries[parity]))
+    return classes, coboundaries
 
 
 def default_cohomology_bound(X: MatrixFactorisation) -> int:
@@ -426,12 +430,13 @@ def hom_cohomology(X: MatrixFactorisation, Y: MatrixFactorisation,
         raise ValueError("factorisations of different potentials")
     bound = default_cohomology_bound(X) if degree_bound is None else degree_bound
     ctx = Y.ctx.merge(X.ctx)
-    classes = _classes_at(X, Y, bound, ctx)
+    classes, coboundaries = _classes_at(X, Y, bound, ctx)
     stable = ([len(c) for c in classes]
-              == [len(c) for c in _classes_at(X, Y, bound + 1, ctx)])
+              == [len(c) for c in _classes_at(X, Y, bound + 1, ctx)[0]])
     h0 = [_dict_to_morphism(d, X, Y, 0, ctx) for d in classes[0]]
     h1 = [_dict_to_morphism(d, X, Y, 1, ctx) for d in classes[1]]
-    return HomCohomology(X=X, Y=Y, bound=bound, h0=h0, h1=h1, stable=stable)
+    return HomCohomology(X=X, Y=Y, bound=bound, h0=h0, h1=h1, stable=stable,
+                         coboundaries=coboundaries)
 
 
 # -- the Cardy identity ------------------------------------------------------
@@ -457,11 +462,14 @@ def _cohomology_supertrace(coh: HomCohomology, phi: Morphism,
             continue
         images = [psi.compose(b).compose(phi) for b in basis]
         # coboundary columns at the bound itself do not always contain the
-        # composite's class; recompute them at the composite's degree
+        # composite's class; above the bound, build them at its degree
         deg = max([coh.bound] + [e.total_degree() for im in images
                                  for row in im.mat for e in row
                                  if not e.is_zero()])
-        _, cob = _boundary_columns(X, Y, parity ^ 1, deg, ctx)
+        if deg == coh.bound and coh.coboundaries is not None:
+            cob = coh.coboundaries[parity]
+        else:
+            _, cob = _boundary_columns(X, Y, parity ^ 1, deg, ctx)
         dicts = (list(cob)
                  + [_morphism_vector(b, ctx) for b in basis]
                  + [_morphism_vector(im, ctx) for im in images])

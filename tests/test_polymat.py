@@ -1,0 +1,98 @@
+"""The sparse matrix product against the dense triple loop."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lgmf import polymat
+from lgmf.ring import ContextMismatch, RingContext
+
+from test_ring import poly_strategy
+
+CTX = RingContext(["x", "y"])
+OTHER = RingContext(["x", "y", "z"])
+
+
+def dense_mat_mul(a, b):
+    """Every product a[i][k] * b[k][j], zero factors included."""
+    if not a:
+        return []
+    rows, inner = len(a), len(b)
+    cols = len(b[0]) if inner else 0
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = None
+            for k in range(inner):
+                t = a[i][k] * b[k][j]
+                acc = t if acc is None else acc + t
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _outcome(mul, a, b):
+    try:
+        return mul(a, b)
+    except ContextMismatch:
+        return ContextMismatch
+
+
+# three zeros in four entries
+ENTRY = st.tuples(st.integers(0, 3),
+                  poly_strategy(CTX, max_deg=2, max_terms=3)).map(
+    lambda t: t[1] if t[0] == 0 else CTX.zero())
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(ENTRY, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def factor_pairs(draw):
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(_matrix(rows, inner)), draw(_matrix(inner, cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_pairs())
+def test_mat_mul_equals_the_dense_product(ab):
+    a, b = ab
+    got = polymat.mat_mul(a, b)
+    assert got == dense_mat_mul(a, b)
+    assert all(e.ctx == CTX for row in got for e in row)
+
+
+def test_mat_mul_degenerate_shapes():
+    z, one = CTX.zero(), CTX.one()
+    assert polymat.mat_mul([], [[one]]) == []
+    assert polymat.mat_mul([[], []], []) == [[], []]
+    assert polymat.mat_mul([[one], [z]], [[]]) == [[], []]
+    assert polymat.mat_mul([[z, z]], [[z], [z]]) == [[z]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ab=factor_pairs(), in_a=st.booleans(), zero=st.booleans(),
+       data=st.data())
+def test_mat_mul_raises_exactly_when_the_dense_product_does(ab, in_a, zero,
+                                                            data):
+    a, b = ab
+    target = a if in_a else b
+    cells = [(i, j) for i, row in enumerate(target) for j in range(len(row))]
+    if cells:
+        i, j = data.draw(st.sampled_from(cells))
+        e = target[i][j]
+        target[i][j] = (OTHER.zero() if zero or e.is_zero()
+                        else OTHER.gen("z") + OTHER.one())
+    assert _outcome(polymat.mat_mul, a, b) == _outcome(dense_mat_mul, a, b)
+
+
+def test_mat_mul_checks_contexts_of_zero_entries():
+    z, one = CTX.zero(), CTX.one()
+    for a, b in (([[OTHER.zero()]], [[one]]),
+                 ([[one, z]], [[one], [OTHER.zero()]])):
+        assert _outcome(dense_mat_mul, a, b) is ContextMismatch
+        assert _outcome(polymat.mat_mul, a, b) is ContextMismatch
+    # with no product to form, the dense loop never compares contexts
+    assert polymat.mat_mul([[OTHER.zero()]], [[]]) == [[]]

@@ -1,17 +1,21 @@
-"""Grothendieck residues: defining property, transformation rule, duality."""
+"""Grothendieck residues: defining property, transformation rule, duality,
+and residue plans against the product form of the transformation rule."""
 
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgmf.ideal import groebner, normal_form
+from lgmf import adjunction, polymat, residue as residue_module, tft
+from lgmf.ideal import groebner, normal_form, power_membership
 from lgmf.residue import (DenominatorError, ResidueQuery, grothendieck_residue,
-                          jacobian_delta, monomial_residue, residue)
+                          jacobian_delta, monomial_residue, residue,
+                          residue_plan)
 from lgmf.ring import RingContext, _restrict, embed, partial_derivative, rename
 
-from conftest import corpus_potentials
+from conftest import corpus_potentials, delta_defect, line_defect
 from test_ring import poly_strategy
 
 
@@ -102,3 +106,143 @@ def test_parameters_allowed_in_numerator_only():
     assert embed(out, dctx) == t
     with pytest.raises(DenominatorError):
         grothendieck_residue(ResidueQuery(x, [t * x ** 2], ["x"]))
+
+
+# -- residue plans ------------------------------------------------------------
+
+def reference_residue(numerator, denominators, names):
+    """The product form: coefficient of x^(a-1) in det(C) * numerator."""
+    ctx = numerator.ctx
+    sub = RingContext(names)
+    gb = groebner([_restrict(embed(d, ctx), sub) for d in denominators])
+    a_list, C = [], []
+    for name in names:
+        a, cof = power_membership(name, gb)
+        a_list.append(a)
+        C.append([embed(c, ctx) for c in cof])
+    return monomial_residue(polymat.det(C, ctx) * numerator, a_list, names)
+
+
+PCTX = RingContext(["x", "y", "t"])
+
+
+def _denominator_tuples():
+    """Denominator pairs over x, y with a finite, origin-supported quotient."""
+    x, y = PCTX.gen("x"), PCTX.gen("y")
+    out = {key: [embed(partial_derivative(W, n), PCTX) for n in W.ctx.names]
+           for key, W in corpus_potentials().items() if len(W.ctx) == 2}
+    out["x^3,y^2"] = [x ** 3, y ** 2]
+    out["x^2+xy,y^3"] = [x ** 2 + x * y, y ** 3]
+    out["x^3+y^2,xy"] = [x ** 3 + y ** 2, x * y]
+    out["d(x^3y+y^4)"] = [3 * x ** 2 * y, x ** 3 + 4 * y ** 3]
+    return out
+
+
+DENOMINATORS = _denominator_tuples()
+
+
+def _unimodular(fs, a, b):
+    """(f1 + a f2, b f1 + (1 + ab) f2): the same ideal, a non-monomial C."""
+    return [fs[0] + Fraction(a) * fs[1],
+            Fraction(b) * fs[0] + Fraction(1 + a * b) * fs[1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(DENOMINATORS)), a=st.integers(-2, 2),
+       b=st.integers(-2, 2), with_t=st.booleans(), data=st.data())
+def test_plan_equals_product_form(key, a, b, with_t, data):
+    dens = _unimodular(DENOMINATORS[key], a, b)
+    num = data.draw(poly_strategy(PCTX, ["x", "y"], max_deg=3, max_terms=8))
+    if with_t:
+        # the parameter t rides along on terms that have residues
+        t = PCTX.gen("t")
+        num = num + t * num * data.draw(
+            poly_strategy(PCTX, max_deg=2, max_terms=3))
+    plan = residue_plan(dens, ["x", "y"])
+    assert plan(num) == reference_residue(num, dens, ["x", "y"])
+    assert grothendieck_residue(ResidueQuery(num, dens, ["x", "y"])) \
+        == plan(num)
+
+
+@settings(max_examples=15, deadline=None)
+@given(key=st.sampled_from(sorted(DENOMINATORS)),
+       nums=st.lists(poly_strategy(PCTX, max_deg=4, max_terms=5),
+                     min_size=1, max_size=6))
+def test_one_plan_serves_many_numerators(key, nums):
+    dens = DENOMINATORS[key]
+    plan = residue_plan(dens, ["x", "y"])
+    assert ([plan(n) for n in nums]
+            == [residue_plan(dens, ["x", "y"])(n) for n in nums])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), c=st.fractions(min_value=-5, max_value=5).filter(
+    bool), g=poly_strategy(RingContext(["x"]), max_deg=8, max_terms=6))
+def test_univariate_residue_matches_sympy(k, c, g):
+    ctx = g.ctx
+    x = sympy.Symbol("x")
+    gs = sum((sympy.Rational(v.numerator, v.denominator) * x ** e[0]
+              for e, v in g.terms.items()), sympy.Integer(0))
+    want = sympy.residue(gs / (sympy.Rational(c.numerator, c.denominator)
+                               * x ** k), x, 0)
+    got = residue_plan([ctx.const(c) * ctx.gen("x") ** k], ["x"])(g)
+    assert got == ctx.const(Fraction(int(want.p), int(want.q)))
+
+
+@given(p=poly_strategy(PCTX))
+def test_plan_without_integration_variables_is_the_identity(p):
+    assert residue_plan([], [])(p) == p
+
+
+def test_plan_build_rejects_bad_denominators():
+    x, t = PCTX.gen("x"), PCTX.gen("t")
+    cx = RingContext(["x"])
+    with pytest.raises(DenominatorError, match="parameter"):
+        residue_plan([t * x ** 2], ["x"])
+    with pytest.raises(DenominatorError, match="not nilpotent"):
+        residue_plan([cx.gen("x") ** 2 - 1], ["x"])
+    with pytest.raises(DenominatorError, match="infinite quotient"):
+        residue_plan([PCTX.zero(), x ** 2], ["x", "y"])
+
+
+# -- one plan per loop --------------------------------------------------------
+
+def _count_groebner(monkeypatch):
+    """Count the Groebner bases that residue plans build."""
+    calls = []
+    real = residue_module.groebner
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(residue_module, "groebner", wrapper)
+    return calls
+
+
+def test_zorro_composite_builds_one_plan_per_variant(monkeypatch):
+    cxy = RingContext(["x", "y"])
+    data = delta_defect(cxy.gen("x") ** 3 + cxy.gen("y") ** 3)
+    calls = _count_groebner(monkeypatch)
+    for variant in ("right", "left"):
+        del calls[:]
+        adjunction.zorro_composite(data, variant)
+        assert len(calls) == 1
+
+
+def test_defect_operator_builds_one_plan(monkeypatch):
+    data = line_defect(3)
+    calls = _count_groebner(monkeypatch)
+    with pytest.warns(tft.ParityWarning):
+        op = tft.defect_operator_right(data)
+    assert len(op.images) == 2 and len(calls) == 1
+
+
+def test_bulk_gram_matrix_builds_one_plan(monkeypatch):
+    cxy = RingContext(["x", "y"])
+    ring = tft.JacobiRing(cxy.gen("x") ** 4 + cxy.gen("y") ** 3)
+    calls = _count_groebner(monkeypatch)
+    gram = tft.bulk_gram_matrix(ring)
+    assert len(gram) == ring.dimension == 6 and len(calls) == 1
+    els = ring.basis_elements()
+    assert gram == [[tft.bulk_pairing(a, b, ring) for b in els] for a in els]

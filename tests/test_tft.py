@@ -114,6 +114,23 @@ def test_diagonal_defect_acts_as_identity_two_variables():
     assert tft.quantum_dim(dd, "left").rep.constant_value() == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: line_defect(3),
+    lambda: delta_defect(corpus_potentials()["x^3-y^3"]),
+], ids=["line x^3", "delta x^3-y^3"])
+def test_quantum_dim_wraps_only_one(make, monkeypatch):
+    d = make()
+    calls = _counting(monkeypatch, tft, "_defect_wrap")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tft.ParityWarning)
+        for side, op in (("right", tft.defect_operator_right(d)),
+                         ("left", tft.defect_operator_left(d))):
+            del calls[:]
+            q = tft.quantum_dim(d, side)
+            assert [args[-1] for args in calls] == [[op.source.ctx.one()]]
+            assert q == op.apply(op.source.one())
+
+
 def test_shift_negates_defect_operator():
     dd = delta_defect(corpus_potentials()["x^3-y^3"])
     op = tft.defect_operator_right(dd)
@@ -236,6 +253,16 @@ def test_cardy_supertrace_computes_no_cocycles(monkeypatch):
     del calls[:]
     assert tft.cardy_check(Xxy, Xxy).equal
     assert len(calls) <= alone
+
+
+def test_cardy_check_reuses_the_bound_coboundaries(monkeypatch):
+    X = line_defect(4).base
+    calls = _counting(monkeypatch, tft, "_boundary_columns")
+    rep = tft.cardy_check(X, X)
+    b = rep.bound
+    # the composite's degree is the bound, so the supertrace builds nothing
+    assert rep.equal and sorted(args[2:4] for args in calls) == [
+        (0, b), (0, b + 1), (1, b), (1, b + 1)]
 
 
 def test_cardy_identity_on_corpus_pairs():
