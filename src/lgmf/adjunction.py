@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polymat, signs
-from .ideal import GRLEX, groebner, normal_form
+from .ideal import groebner, normal_form
 from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  NullHomotopySet, _commutator_mismatch, _solve_boundary,
                  default_null_homotopies, dual, dual_morphism, mf_rename,
@@ -134,7 +134,7 @@ class KoszulValuedMap:
     def denominator_gb(self, ctx: RingContext):
         if not self.denominators:
             return None
-        return groebner([embed(f, ctx) for f in self.denominators], GRLEX)
+        return groebner([embed(f, ctx) for f in self.denominators])
 
     def reduce_entry(self, p: Poly, gb) -> Poly:
         return p if gb is None else normal_form(p, gb)
@@ -145,35 +145,6 @@ class KoszulValuedMap:
         bnd = self.boundary_matrix(ctx)
         return all(self.reduce_entry(e, gb).is_zero()
                    for row in bnd for e in row)
-
-    def congruent_to(self, other: "KoszulValuedMap") -> bool:
-        """Entrywise equality modulo the denominator ideal (exact when none)."""
-        if len(self.mat) != len(other.mat):
-            return False
-        ctx = self._joint_ctx().merge(other._joint_ctx())
-        gb = self.denominator_gb(ctx)
-        for r1, r2 in zip(self.mat, other.mat):
-            if len(r1) != len(r2):
-                return False
-            for a, b in zip(r1, r2):
-                diff = embed(a, ctx) - embed(b, ctx)
-                if not self.reduce_entry(diff, gb).is_zero():
-                    return False
-        return True
-
-    def precompose(self, g: Morphism, kind: str | None = None) -> "KoszulValuedMap":
-        """The composite (self) o g for g landing in this map's source."""
-        if g.target.rank != self.source.rank:
-            raise ValueError("morphism does not land in the map's source")
-        ctx = self._joint_ctx().merge(g.ctx)
-        K = [[embed(e, ctx) for e in row] for row in self.mat]
-        G = [[embed(e, ctx) for e in row] for row in g.mat]
-        return KoszulValuedMap(
-            kind=kind or self.kind, source=g.source, target=self.target,
-            unit=self.unit, parity=(self.parity + g.parity) % 2,
-            mat=polymat.mat_mul(K, G),
-            integration_names=self.integration_names,
-            denominators=self.denominators)
 
 
 @dataclass

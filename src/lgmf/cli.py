@@ -226,12 +226,10 @@ def cmd_defect_act(ws, args, report):
     data = ws.defect(args.name)
     with _capture_warnings(report):
         if args.side == "right":
-            ring = tft.JacobiRing(data.source_potential)
-            psi = ring.reduce(parse_poly(args.field, ring.ctx))
+            psi = parse_poly(args.field, data.source_potential.ctx)
             out = tft.defect_operator_right(data).apply(psi)
         else:
-            ring = tft.JacobiRing(data.target_potential)
-            phi = ring.reduce(parse_poly(args.field, ring.ctx))
+            phi = parse_poly(args.field, data.target_potential.ctx)
             out = tft.defect_operator_left(data).apply(phi)
     report.outputs["side"] = args.side
     report.outputs["image"] = out

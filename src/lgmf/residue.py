@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import polymat
-from .ideal import GRLEX, MonomialOrder, groebner, power_membership
+from .ideal import groebner, power_membership
 from .ring import Poly, RingContext, _restrict, divided_difference, embed
 
 
@@ -47,8 +47,7 @@ class DenominatorError(ValueError):
     pass
 
 
-def residue_plan(denominators, integration_vars,
-                 order: MonomialOrder = GRLEX) -> Callable[[Poly], Poly]:
+def residue_plan(denominators, integration_vars) -> Callable[[Poly], Poly]:
     """g -> Res[g dx / (f)] for one denominator tuple f.
 
     Runs the Groebner basis, the power membership of every integration
@@ -70,7 +69,7 @@ def residue_plan(denominators, integration_vars,
         fs.append(f)
     tops, C = [], []
     if names:
-        gb = groebner(fs, order)
+        gb = groebner(fs)
         for name in names:
             try:
                 a, cof = power_membership(name, gb)
@@ -99,18 +98,18 @@ def residue_plan(denominators, integration_vars,
     return plan
 
 
-def grothendieck_residue(q: ResidueQuery, order: MonomialOrder = GRLEX) -> Poly:
+def grothendieck_residue(q: ResidueQuery) -> Poly:
     """Residue via the transformation rule to monomial denominators."""
     ctx = q.numerator.ctx
     plan = residue_plan([embed(d, ctx) for d in q.denominators],
-                        q.integration_vars, order)
+                        q.integration_vars)
     return plan(q.numerator)
 
 
-def residue(numerator: Poly, denominators, integration_vars, **kw) -> Poly:
+def residue(numerator: Poly, denominators, integration_vars) -> Poly:
     """Convenience wrapper building the ResidueQuery."""
     return grothendieck_residue(
-        ResidueQuery(numerator, list(denominators), list(integration_vars)), **kw)
+        ResidueQuery(numerator, list(denominators), list(integration_vars)))
 
 
 def jacobian_delta(fs, pairs) -> Poly:

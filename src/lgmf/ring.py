@@ -8,7 +8,6 @@ variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 PRIME_SUFFIX = "'"
@@ -25,14 +24,6 @@ class ContextMismatch(ValueError):
 
 class UnknownVariable(KeyError):
     pass
-
-
-@dataclass(frozen=True)
-class Variable:
-    """A named variable together with its position in its context."""
-
-    name: str
-    index: int
 
 
 class RingContext:
@@ -79,13 +70,6 @@ class RingContext:
             return self._lookup[name]
         except KeyError:
             raise UnknownVariable(f"{name!r} not in context {self.names}") from None
-
-    def var(self, name: str) -> Variable:
-        return Variable(name, self.index(name))
-
-    @property
-    def variables(self):
-        return tuple(Variable(n, i) for i, n in enumerate(self.names))
 
     def contains(self, name: str) -> bool:
         return name in self._lookup
@@ -173,12 +157,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(exp) for exp in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        i = self.ctx.index(name)
-        if not self.terms:
-            return -1
-        return max(exp[i] for exp in self.terms)
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -356,10 +334,6 @@ def rename(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     name.  The target context defaults to the source context (which must then
     contain every image name).
     """
-    mapping = {
-        (k.name if isinstance(k, Variable) else k): (v.name if isinstance(v, Variable) else v)
-        for k, v in mapping.items()
-    }
     images = [mapping.get(n, n) for n in p.ctx.names]
     if len(set(images)) != len(images):
         raise ValueError(f"rename map not injective on {p.ctx.names}: {mapping}")
@@ -373,9 +347,8 @@ def substitute(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     return _remap(p, ctx, [ctx.index(mapping.get(n, n)) for n in p.ctx.names])
 
 
-def partial_derivative(p: Poly, v) -> Poly:
+def partial_derivative(p: Poly, name: str) -> Poly:
     """Formal partial derivative with respect to a variable."""
-    name = v.name if isinstance(v, Variable) else v
     i = p.ctx.index(name)
     out = {}
     for exp, c in p.terms.items():
@@ -563,13 +536,9 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
         base = parse_atom()
         if peek() == "^":
             take()
-            neg = False
             if peek() == "-":
                 raise ParseError("negative exponents are not supported")
-            e = int(take("int"))
-            base = base ** e
-            if neg:
-                raise ParseError("negative exponents are not supported")
+            base = base ** int(take("int"))
         return base
 
     def parse_product() -> Poly:

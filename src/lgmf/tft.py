@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from . import linalg, polymat, signs
 from .adjunction import AdjointData, _project
-from .ideal import (GRLEX, QuotientBasis, groebner, normal_form,
-                    quotient_monomial_basis)
+from .ideal import check_potential, normal_form
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
                  _dicts_to_vectors, str_matrix)
 from .residue import residue, residue_plan
@@ -32,22 +31,17 @@ class ParityWarning(UserWarning):
 class JacobiRing:
     """k[x]/(dW/dx_1, ..., dW/dx_n) with its standard-monomial basis."""
 
-    def __init__(self, W: Poly, order=GRLEX):
+    def __init__(self, W: Poly):
+        cert = check_potential(W)
+        if not cert.is_potential:
+            raise ValueError(
+                f"Jacobi ideal has infinite colength "
+                f"(unbounded in {cert.quotient.witness})")
         self.potential = W
         self.ctx = W.ctx
-        self.order = order
-        self.partials = tuple(partial_derivative(W, name)
-                              for name in self.ctx.names)
-        if self.partials:
-            self.gb = groebner(list(self.partials), order)
-            self.basis = quotient_monomial_basis(self.gb)
-            if not self.basis.finite:
-                raise ValueError(
-                    f"Jacobi ideal has infinite colength "
-                    f"(unbounded in {self.basis.witness})")
-        else:
-            self.gb = None
-            self.basis = QuotientBasis([()])
+        self.partials = tuple(cert.partials)
+        self.gb = cert.gb           # None when W has no variables
+        self.basis = cert.quotient
 
     @property
     def dimension(self) -> int:
@@ -122,7 +116,7 @@ class JacobiElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.ring.ctx), tuple(sorted(self.rep.terms.items()))))
+        return hash(self.rep)
 
     def __repr__(self):
         return f"[{self.rep!r}]"
@@ -147,9 +141,8 @@ class DefectOperator:
     images: list  # JacobiElement per source basis monomial
 
     def apply(self, el) -> JacobiElement:
-        if isinstance(el, Poly) or not isinstance(el, JacobiElement):
-            el = self.source.reduce(el if isinstance(el, Poly)
-                                    else self.source.ctx.const(Fraction(el)))
+        if not isinstance(el, (Poly, JacobiElement)):
+            el = self.source.ctx.const(Fraction(el))
         coords = self.source.coordinates(self.source.reduce(el))
         acc = self.target.zero()
         for c, img in zip(coords, self.images):

@@ -114,13 +114,6 @@ def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUn
 class KoszulElement(dict):
     """Finitely supported map from theta-subsets to coefficients in k[x,x']."""
 
-    @staticmethod
-    def from_items(items):
-        el = KoszulElement()
-        for subset, coeff in items:
-            el.accumulate(tuple(subset), coeff)
-        return el
-
     def accumulate(self, subset, coeff):
         subset = tuple(subset)
         if subset in self:

@@ -163,12 +163,8 @@ _MOR_RE = re.compile(
 
 
 def _factor_pair(body, ctx, line):
-    blocks = _split_top(body)
-    halves, depth, buf = [], 0, ""
     # body is "blockA , blockB" at bracket depth zero, each block a list
-    parts = []
-    for item in blocks:
-        parts.append(item)
+    parts = _split_top(body)
     if len(parts) != 2:
         raise WorkspaceError("factorisation needs exactly two blocks "
                              "(d0, d1)", line)

@@ -14,7 +14,7 @@ from lgmf import linalg, polymat, tft
 from lgmf.adjunction import (AdjointData, ev_coev_maps, ev_tilde,
                              kernel_homotopy_search, kvm_difference,
                              zorro_check)
-from lgmf.ideal import groebner, normal_form, GRLEX
+from lgmf.ideal import groebner, normal_form
 from lgmf.mf import (Morphism, NullHomotopySet, default_null_homotopies,
                      homotopic, identity_morphism, new_mf,
                      null_homotopy_search)
@@ -136,7 +136,7 @@ def test_criterion_3_residues():
         primes = [n + "'" for n in names]
         pctx = RingContext(primes)
         fs = [partial_derivative(W, v) for v in names]
-        gb = groebner([rename(f, dict(pairs), pctx) for f in fs], GRLEX)
+        gb = groebner([rename(f, dict(pairs), pctx) for f in fs])
         dens = [embed(f, ctxd) for f in fs]
         delta = jacobian_delta(dens, pairs)
         for _ in range(5):

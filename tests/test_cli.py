@@ -88,6 +88,15 @@ def test_check_potential(ws, capsys):
     assert rep["outputs"]["jacobi_dimension"] == 2
 
 
+def test_check_potential_without_variables(tmp_path, capsys):
+    path = tmp_path / "point.lg"
+    path.write_text("ring R0 = []\npotential P on R0 = 1\n")
+    code, rep = run_json(capsys, "check-potential", str(path), "P")
+    assert code == 0
+    assert rep["outputs"]["is_potential"] is True
+    assert rep["outputs"]["jacobi_dimension"] == 1
+
+
 def test_validate(ws, capsys):
     code, rep = run_json(capsys, "validate", ws)
     assert code == 0
@@ -160,6 +169,23 @@ def test_defect_act(ws, capsys):
         assert rep["warnings"] == [
             "defect operator evaluated with odd variable count (n=1, m=1); "
             "the closed formula is asserted only for even counts"]
+
+
+def test_defect_act_builds_one_jacobi_ring_per_potential(ws, capsys,
+                                                         monkeypatch):
+    built = []
+    real = tft.JacobiRing.__init__
+
+    def counting(self, W):
+        built.append(W)
+        real(self, W)
+
+    monkeypatch.setattr(tft.JacobiRing, "__init__", counting)
+    for side in ("right", "left"):
+        code, _ = run_json(capsys, "defect-act", ws, "D", "--field", "1",
+                           "--side", side)
+        assert code == 0
+    assert len(built) == 4
 
 
 def test_cardy(ws, capsys):

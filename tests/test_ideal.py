@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgmf.ideal import (GRLEX, check_potential, groebner,
+from lgmf.ideal import (check_potential, groebner,
                         membership_with_cofactors, normal_form,
                         power_membership, quotient_monomial_basis)
-from lgmf.ring import RingContext, embed
+from lgmf.ring import Poly, RingContext, grlex_key
 
 from conftest import corpus_potentials
 from test_ring import poly_strategy
@@ -108,3 +109,189 @@ def test_groebner_requires_matching_contexts():
         groebner([CTX.gen("x"), other.gen("z")])
     with pytest.raises(ValueError):
         groebner([])
+
+
+def test_zero_variable_potential_has_a_one_dimensional_quotient():
+    cert = check_potential(RingContext([]).one())
+    assert cert.partials == [] and cert.gb is None
+    assert cert.is_potential and cert.jacobi_dimension == 1
+    assert cert.quotient.monomials == [()]
+
+
+# -- differential tests: a reference Buchberger and a sympy oracle -----------
+
+def _lead(p):
+    exp = max(p.terms, key=grlex_key)
+    return exp, p.terms[exp]
+
+
+def _mono(ctx, exp, coeff=Fraction(1)):
+    return Poly(ctx, {tuple(exp): coeff})
+
+
+def _reference_groebner(gens):
+    """Buchberger as first written: a private reduction loop that updates the
+    cofactor row at every step, and a pair list re-sorted by a recomputed
+    (sugar, grlex(lcm), i, j) key at every iteration.
+
+    Returns (generators, cofactor_log, standard monomials or None).
+    """
+    ctx = gens[0].ctx
+    n = len(gens)
+
+    def reduce_full(p, row, basis):
+        rem = ctx.zero()
+        while not p.is_zero():
+            exp, c = _lead(p)
+            for b, brow in basis:
+                lt = _lead(b)
+                if all(x <= y for x, y in zip(lt[0], exp)):
+                    t = _mono(ctx, [e - f for e, f in zip(exp, lt[0])],
+                              c / lt[1])
+                    p = p - t * b
+                    row = [a - t * bc for a, bc in zip(row, brow)]
+                    break
+            else:
+                t = _mono(ctx, exp, c)
+                rem = rem + t
+                p = p - t
+        return rem, row
+
+    def monic(rem, row):
+        inv = Fraction(1) / _lead(rem)[1]
+        return rem * inv, [a * ctx.const(inv) for a in row]
+
+    basis = []
+    for j, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        unit = [ctx.one() if k == j else ctx.zero() for k in range(n)]
+        rem, row = reduce_full(g, unit, basis)
+        if not rem.is_zero():
+            basis.append(monic(rem, row))
+
+    def lcm_of(i, j):
+        li, lj = _lead(basis[i][0])[0], _lead(basis[j][0])[0]
+        return li, lj, tuple(max(a, b) for a, b in zip(li, lj))
+
+    def pair_key(ij):
+        li, lj, lcm = lcm_of(*ij)
+        s = max(basis[ij[0]][0].total_degree() + sum(lcm) - sum(li),
+                basis[ij[1]][0].total_degree() + sum(lcm) - sum(lj))
+        return (s, grlex_key(lcm), ij[0], ij[1])
+
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        pairs.sort(key=pair_key)
+        i, j = pairs.pop(0)
+        li, lj, lcm = lcm_of(i, j)
+        if all(a + b == m for a, b, m in zip(li, lj, lcm)):
+            continue
+        ti = _mono(ctx, [m - a for m, a in zip(lcm, li)])
+        tj = _mono(ctx, [m - b for m, b in zip(lcm, lj)])
+        (bi, ri), (bj, rj) = basis[i], basis[j]
+        rem, row = reduce_full(ti * bi - tj * bj,
+                               [ti * a - tj * b for a, b in zip(ri, rj)],
+                               basis)
+        if not rem.is_zero():
+            basis.append(monic(rem, row))
+            pairs.extend((m, len(basis) - 1) for m in range(len(basis) - 1))
+
+    leads = [_lead(b)[0] for b, _ in basis]
+    keep = [i for i, e in enumerate(leads)
+            if not any(o != i and all(x <= y for x, y in zip(leads[o], e))
+                       and (leads[o] != e or o < i)
+                       for o in range(len(leads)))]
+    final = []
+    for i in keep:
+        b, row = reduce_full(basis[i][0], basis[i][1],
+                             [basis[o] for o in keep if o != i])
+        final.append(monic(b, row))
+    final.sort(key=lambda br: grlex_key(_lead(br[0])[0]))
+
+    lead = [_lead(b)[0] for b, _ in final]
+    bounds = []
+    for i in range(len(ctx.names)):
+        caps = [e[i] for e in lead
+                if all(v == 0 for k, v in enumerate(e) if k != i)]
+        if not caps:
+            return final, None
+        bounds.append(min(caps))
+    monos = [()]
+    for b in bounds:
+        monos = [m + (e,) for m in monos for e in range(b)]
+    standard = sorted((m for m in monos
+                       if not any(all(x <= y for x, y in zip(l, m))
+                                  for l in lead)), key=grlex_key)
+    return final, standard
+
+
+@st.composite
+def ideals(draw):
+    """Generators in 1-3 variables with rational coefficients; zero and
+    repeated generators included."""
+    n = draw(st.integers(1, 3))
+    ctx = RingContext(["x", "y", "z"][:n])
+    gens = draw(st.lists(poly_strategy(ctx, max_deg=3 if n < 3 else 2,
+                                       max_terms=3),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        gens.append(gens[draw(st.integers(0, len(gens) - 1))])
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), ctx.zero())
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals())
+def test_groebner_matches_the_reference_buchberger(gens):
+    gb = groebner(gens)
+    final, standard = _reference_groebner(gens)
+    assert gb.generators == [b for b, _ in final]
+    assert gb.cofactor_log == [r for _, r in final]
+    assert quotient_monomial_basis(gb).monomials == standard
+
+
+def test_groebner_matches_the_reference_on_the_klein_jacobi_ideal():
+    ctx = RingContext(["x", "y", "z"])
+    x, y, z = (ctx.gen(n) for n in ctx.names)
+    gens = [3 * x ** 2 * y + z ** 3, 3 * y ** 2 * z + x ** 3,
+            3 * z ** 2 * x + y ** 3]
+    gb = groebner(gens)
+    final, standard = _reference_groebner(gens)
+    assert gb.generators == [b for b, _ in final]
+    assert gb.cofactor_log == [r for _, r in final]
+    assert gb.quotient.monomials == standard and len(standard) == 27
+
+
+def _to_sympy(p: Poly, syms):
+    out = sympy.Integer(0)
+    for exp, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, e in zip(syms, exp):
+            term *= s ** e
+        out += term
+    return out
+
+
+def _from_sympy(expr, syms, ctx):
+    poly = sympy.Poly(expr, *syms, domain="QQ")
+    return Poly(ctx, {exp: Fraction(int(c.p), int(c.q))
+                      for exp, c in poly.terms() if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals(), st.data())
+def test_groebner_and_normal_form_match_sympy(gens, data):
+    ctx = gens[0].ctx
+    syms = sympy.symbols(ctx.names)
+    gb = groebner(gens)
+    want = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
+                          order="grlex", domain="QQ")
+    got = {frozenset(g.terms.items()) for g in gb.generators}
+    assert got == {frozenset(_from_sympy(e, syms, ctx).terms.items())
+                   for e in want.exprs}
+    f = data.draw(poly_strategy(ctx, max_deg=4, max_terms=4))
+    _, rem = sympy.reduced(_to_sympy(f, syms), list(want.exprs), *syms,
+                           order="grlex", domain="QQ")
+    assert normal_form(f, gb) == _from_sympy(rem, syms, ctx)

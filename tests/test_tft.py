@@ -7,6 +7,7 @@ import pytest
 
 from lgmf import linalg, polymat, tft
 from lgmf.adjunction import AdjointData
+from lgmf.ideal import check_potential
 from lgmf.mf import Morphism, mf_rename, new_mf, null_homotopy_search
 from lgmf.ring import RingContext, rename
 from lgmf.signs import binom2
@@ -70,6 +71,28 @@ def test_bulk_gram_invertible_for_all_corpus_potentials():
     for W in corpus_potentials().values():
         r = tft.JacobiRing(W)
         assert linalg.invertible(tft.bulk_gram_matrix(r))
+
+
+def test_jacobi_ring_is_the_potential_certificate_quotient():
+    for W in list(corpus_potentials().values()) + [RingContext([]).one()]:
+        cert = check_potential(W)
+        r = tft.JacobiRing(W)
+        assert r.partials == tuple(cert.partials)
+        assert r.basis.monomials == cert.quotient.monomials
+        assert r.dimension == cert.jacobi_dimension
+    xy = RingContext(["x", "y"])
+    with pytest.raises(ValueError, match="infinite colength"):
+        tft.JacobiRing(xy.gen("x") ** 2 * xy.gen("y"))
+
+
+def test_equal_jacobi_elements_hash_alike():
+    W = corpus_potentials()["x^3-y^3"]
+    # the same potential over a second, equal context object
+    V = RingContext(W.ctx.names).poly(W.terms)
+    a = tft.JacobiRing(W).reduce(W.ctx.gen("x") ** 3)
+    b = tft.JacobiRing(V).reduce(V.ctx.gen("y") ** 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 # -- Chern characters ---------------------------------------------------------
