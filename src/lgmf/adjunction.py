@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polymat, signs
 from .ideal import groebner, normal_form
@@ -20,10 +21,11 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  null_homotopy_search, shift, tensor)
 from .residue import residue_plan
 from .ring import (ContextMismatch, Poly, RingContext, _restrict,
-                   divided_difference, embed, partial_derivative, rename,
-                   substitute)
-from .unit import (KoszulUnit, fresh_names, koszul_unit, rho_inverse,
-                   lambda_inverse, unit_action_left, unit_action_right)
+                   divided_difference, embed, partial_derivative, primed_name,
+                   rename, substitute)
+from .unit import (KoszulUnit, _require_potential, fresh_names, koszul_unit,
+                   rho_inverse, lambda_inverse, unit_action_left,
+                   unit_action_right)
 
 
 class AdjointData:
@@ -62,14 +64,23 @@ class AdjointData:
             self.left_adjoint = MatrixFactorisation(
                 dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
                 labels=dl.labels, validate=False)
-        self.unit_source = koszul_unit(source_potential,
-                                       require_potential=validate)
-        self.unit_target = koszul_unit(target_potential,
-                                       require_potential=validate)
-        clash = (set(self.unit_source.prime_names)
-                 | set(self.unit_target.prime_names)) & set(ctx.names)
+        if validate:
+            _require_potential(source_potential)
+            _require_potential(target_potential)
+        clash = {primed_name(nm) for nm in self.source_names
+                 + self.target_names} & set(ctx.names)
         if clash:
             raise ValueError(f"primed copies collide with base names: {clash}")
+
+    # The Koszul units are read only by ev/coev and the Zorro moves; each is
+    # built on first use, its potential already certified above.
+    @cached_property
+    def unit_source(self) -> KoszulUnit:
+        return koszul_unit(self.source_potential, require_potential=False)
+
+    @cached_property
+    def unit_target(self) -> KoszulUnit:
+        return koszul_unit(self.target_potential, require_potential=False)
 
     @property
     def rank(self) -> int:
@@ -263,29 +274,36 @@ def _ev_tilde(data: AdjointData,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xd)
     ctx = T.ctx
-    r = X.rank
     pairs = list(zip(unit.base_names, unit.prime_names))
     D = [None] + [_divided_copies(X.d, ctx, pairs, i + 1)
                   for i in range(data.m)]
     Lam = [[embed(e, ctx) for e in row] for row in homotopies.product()]
-    denoms = tuple(partial_derivative(data.source_potential, v)
-                   for v in data.source_names)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
-        l = len(S)
-        prod = Lam
-        for i in S:                         # del_[i_l] ... del_[i_1] Lambda
-            prod = polymat.mat_mul(D[i + 1], prod)
-        for j in range(r):
-            sgn = signs.minus_one_to(l + (data.n + 1) * X.parity[j])
-            for i in range(r):
-                if prod[i][j].is_zero():
-                    continue
-                mat[row][j * r + i] = prod[i][j] * Fraction(sgn)
+        _ev_tilde_row(data, mat[row], Lam, D, S)
     return KoszulValuedMap(kind="ev_tilde", source=T, target=unit, unit=unit,
                            parity=0, mat=mat,
                            integration_names=data.source_names,
-                           denominators=denoms)
+                           denominators=_partials(data.source_potential))
+
+
+def _ev_tilde_row(data: AdjointData, out, Lam, D, S):
+    """Fill ``out`` (column j*r + i) with the theta_S row of ev_tilde."""
+    X = data.base
+    r = X.rank
+    prod = Lam
+    for i in S:                             # del_[i_l] ... del_[i_1] Lambda
+        prod = polymat.mat_mul(D[i + 1], prod)
+    for j in range(r):
+        sgn = signs.minus_one_to(len(S) + (data.n + 1) * X.parity[j])
+        for i in range(r):
+            if not prod[i][j].is_zero():
+                out[j * r + i] = prod[i][j] * Fraction(sgn)
+
+
+def _partials(W: Poly) -> tuple:
+    """The residue denominators of an evaluation: the partials of W."""
+    return tuple(partial_derivative(W, v) for v in W.ctx.names)
 
 
 def ev(data: AdjointData,
@@ -307,30 +325,32 @@ def _ev(data: AdjointData, homotopies: NullHomotopySet) -> KoszulValuedMap:
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(data.left_adjoint, Xp)
     ctx = T.ctx
-    r = X.rank
     pairs = list(zip(unit.base_names, unit.prime_names))
     D = [None] + [_divided_copies(X.d, ctx, pairs, i + 1)
                   for i in range(data.n)]
     Lam = [[embed(e, ctx) for e in row] for row in homotopies.product()]
-    denoms = tuple(partial_derivative(data.target_potential, v)
-                   for v in data.target_names)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
-        l = len(S)
-        prod = Lam
-        for i in S:                         # Lambda del_[i_1] ... del_[i_l]
-            prod = polymat.mat_mul(prod, D[i + 1])
-        for j in range(r):
-            sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[j]
-                                     + data.m)
-            for i in range(r):
-                if prod[i][j].is_zero():
-                    continue
-                mat[row][i * r + j] = prod[i][j] * Fraction(sgn)
+        _ev_row(data, mat[row], Lam, D, S)
     return KoszulValuedMap(kind="ev", source=T, target=unit, unit=unit,
                            parity=0, mat=mat,
                            integration_names=data.target_names,
-                           denominators=denoms)
+                           denominators=_partials(data.target_potential))
+
+
+def _ev_row(data: AdjointData, out, Lam, D, S):
+    """Fill ``out`` (column i*r + j) with the theta_S row of ev."""
+    X = data.base
+    r = X.rank
+    l = len(S)
+    prod = Lam
+    for i in S:                             # Lambda del_[i_1] ... del_[i_l]
+        prod = polymat.mat_mul(prod, D[i + 1])
+    for j in range(r):
+        sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[j] + data.m)
+        for i in range(r):
+            if not prod[i][j].is_zero():
+                out[i * r + j] = prod[i][j] * Fraction(sgn)
 
 
 def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
@@ -411,7 +431,8 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     variant='left':  rho o (1 (x) ev) o (coev (x) 1) o lambda^{-1}.
     The middle copies are contracted only at the final unit-action stage, and
     the residues are evaluated over the shared middle source copy, all with
-    one residue plan.
+    one residue plan.  The unit action keeps theta-degree 0 only, so of the
+    evaluation just its row theta_{} (+-Lambda) and denominators are formed.
     """
     if variant not in ("right", "left"):
         raise ValueError("variant must be 'right' or 'left'")
@@ -419,34 +440,40 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     r = X.rank
     src, tgt = data.source_names, data.target_names
     if variant == "right":
-        unit, other = data.unit_source, data.unit_target
+        unit, others = data.unit_source, tgt
         act = unit_action_right(X, unit)
         P = rho_inverse(X, unit, action=act)
-        C, E = coev_tilde(data), ev_tilde(data)
-        mids, w = _snake_names(X, act, unit, other)
+        C = coev_tilde(data)
+        hs = default_null_homotopies(X, src, side="source")
+        ev_row, W = _ev_tilde_row, data.source_potential
+        mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
-        emap = dict(zip(src + other.prime_names, mids + w))
+        emap = dict(zip(src, mids))
 
         def route(x, i, j):                 # (ev index, output row)
             return x * r + i, j
     else:
-        unit, other = data.unit_target, data.unit_source
+        unit, others = data.unit_target, src
         act = unit_action_left(X, unit)
         P = lambda_inverse(X, unit, action=act)
-        C, E = coev(data), ev(data)
-        mids, w = _snake_names(X, act, unit, other)
+        C = coev(data)
+        hs = default_null_homotopies(X, tgt, side="target")
+        ev_row, W = _ev_row, data.target_potential
+        mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(unit.prime_names + src, mids + w))
-        emap = dict(zip(src + other.prime_names + tgt, w + src + mids))
+        emap = dict(zip(src + tgt, w + mids))
 
         def route(x, i, j):
             return j * r + x, i
     ctx = X.ctx.extend(mids).extend(w)
     Pm = [[embed(e, ctx) for e in row] for row in P.mat]
     Cm = [[rename(e, cmap, target_ctx=ctx) for e in row] for row in C.mat]
-    K0 = [rename(e, emap, target_ctx=ctx) for e in E.mat[0]]
+    K0 = [X.ctx.zero()] * (r * r)
+    ev_row(data, K0, hs.product(), None, ())
+    K0 = [rename(e, emap, target_ctx=ctx) for e in K0]
     to_mids = dict(zip(unit.base_names, mids))
-    denoms = [rename(f, to_mids, target_ctx=ctx) for f in E.denominators]
-    back = dict(zip(w, other.base_names))
+    denoms = [rename(f, to_mids, target_ctx=ctx) for f in _partials(W)]
+    back = dict(zip(w, others))
     plan = residue_plan(denoms, mids)
     # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
     # coev pair (i, j) is the coev row i*r + j
@@ -478,12 +505,12 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     return Morphism(X, X, 0, out)
 
 
-def _snake_names(X, act, unit, other):
+def _snake_names(X, act, unit, others):
     """The middle copy contracted by ``act`` and fresh names for the other
     side's variables, avoiding every name already in play."""
     mids = tuple(act.contraction.keys())
-    taken = set(X.ctx.names).union(mids, unit.prime_names, other.prime_names)
-    return mids, fresh_names(other.base_names, taken)
+    taken = set(X.ctx.names).union(mids, unit.prime_names)
+    return mids, fresh_names(others, taken)
 
 
 def _project(p: Poly, ctx: RingContext) -> Poly:

@@ -224,13 +224,11 @@ def cmd_pair_kl(ws, args, report):
 
 def cmd_defect_act(ws, args, report):
     data = ws.defect(args.name)
+    W = (data.source_potential if args.side == "right"
+         else data.target_potential)
+    field = parse_poly(args.field, W.ctx)
     with _capture_warnings(report):
-        if args.side == "right":
-            psi = parse_poly(args.field, data.source_potential.ctx)
-            out = tft.defect_operator_right(data).apply(psi)
-        else:
-            phi = parse_poly(args.field, data.target_potential.ctx)
-            out = tft.defect_operator_left(data).apply(phi)
+        out = tft.defect_act(data, field, args.side)
     report.outputs["side"] = args.side
     report.outputs["image"] = out
 

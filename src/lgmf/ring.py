@@ -92,7 +92,7 @@ class RingContext:
         return Poly(self, terms)
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _poly(self, {})
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -167,12 +167,12 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
         self._check(other)
-        return Poly(self.ctx, _terms_add(self.terms, other.terms))
+        return _poly(self.ctx, _terms_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, _terms_scale(self.terms, Fraction(-1)))
+        return _poly(self.ctx, _terms_scale(self.terms, Fraction(-1)))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -184,9 +184,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(self.ctx, _terms_scale(self.terms, Fraction(other)))
+            return _poly(self.ctx, _terms_scale(self.terms, Fraction(other)))
         self._check(other)
-        return Poly(self.ctx, _terms_mul(self.terms, other.terms))
+        return _poly(self.ctx, _terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -238,6 +238,24 @@ class Poly:
 
     def __repr__(self):
         return format_poly(self)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _poly(ctx: RingContext, terms: dict) -> Poly:
+    """A Poly that takes ownership of ``terms`` without validating it.
+
+    Only for fresh dicts that nothing else holds, already in canonical form
+    (exponent tuples of the context's arity, nonzero Fractions): the results
+    of the term kernels below.
+    """
+    p = _new(Poly)
+    _set(p, "ctx", ctx)
+    _set(p, "terms", terms)
+    _set(p, "_hash", None)
+    return p
 
 
 # -- sparse-term kernels ----------------------------------------------------
@@ -472,9 +490,9 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():                # the digits int() accepts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j]))
             i = j
@@ -496,10 +514,14 @@ def _tokenize(text: str):
 def parse_poly(text: str, ctx: RingContext) -> Poly:
     """Parse the CLI polynomial grammar: signed sums of c * v1^e1 * ... terms.
 
-    Also accepts parentheses and rational coefficients p/q.
+    Also accepts parentheses and rational coefficients p/q.  Subexpressions
+    are term dicts combined by the sparse-term kernels; the result is wrapped
+    in a Poly once.
     """
     tokens = _tokenize(text)
     pos = [0]
+    width = len(ctx.names)
+    zero_exp = (0,) * width
 
     def peek():
         return tokens[pos[0]][0]
@@ -511,20 +533,24 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
         pos[0] += 1
         return v
 
-    def parse_atom() -> Poly:
+    def parse_atom() -> dict:
         k = peek()
         if k == "int":
             num = int(take())
+            den = 1
             if peek() == "/":
                 take()
                 den = int(take("int"))
-                return ctx.const(Fraction(num, den))
-            return ctx.const(num)
+                if not den:
+                    raise ParseError(f"zero denominator in {num}/{den}")
+            return {zero_exp: Fraction(num, den)} if num else {}
         if k == "var":
             name = take()
             if not ctx.contains(name):
                 raise ParseError(f"unknown variable {name!r} in context {ctx.names}")
-            return ctx.gen(name)
+            exp = [0] * width
+            exp[ctx.index(name)] = 1
+            return {tuple(exp): Fraction(1)}
         if k == "(":
             take()
             p = parse_sum()
@@ -532,38 +558,50 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
             return p
         raise ParseError(f"unexpected token {tokens[pos[0]][1]!r}")
 
-    def parse_power() -> Poly:
+    def parse_power() -> dict:
         base = parse_atom()
         if peek() == "^":
             take()
             if peek() == "-":
                 raise ParseError("negative exponents are not supported")
-            base = base ** int(take("int"))
+            k = int(take("int"))
+            out = None                      # base^0 = 1, also for base 0
+            while k:
+                if k & 1:
+                    out = base if out is None else _terms_mul(out, base)
+                k >>= 1
+                if k:
+                    base = _terms_mul(base, base)
+            return {zero_exp: Fraction(1)} if out is None else out
         return base
 
-    def parse_product() -> Poly:
+    def parse_product() -> dict:
         p = parse_power()
         while peek() in ("*", "var", "("):
             if peek() == "*":
                 take()
-            p = p * parse_power()
+            p = _terms_mul(p, parse_power())
         return p
 
-    def parse_sum() -> Poly:
-        sign = 1
+    def signed_product(negative) -> dict:
+        p = parse_product()
+        return _terms_scale(p, Fraction(-1)) if negative else p
+
+    def parse_sum() -> dict:
+        negative = False
         while peek() in ("+", "-"):
             if take() == "-":
-                sign = -sign
-        p = parse_product() * sign
+                negative = not negative
+        p = signed_product(negative)
         while peek() in ("+", "-"):
-            sign = 1
+            negative = False
             while peek() in ("+", "-"):
                 if take() == "-":
-                    sign = -sign
-            p = p + parse_product() * sign
+                    negative = not negative
+            p = _terms_add(p, signed_product(negative))
         return p
 
     out = parse_sum()
     if peek() != "end":
         raise ParseError(f"trailing input at token {tokens[pos[0]][1]!r}")
-    return out
+    return _poly(ctx, out)

@@ -257,16 +257,38 @@ def defect_operator_left(data: AdjointData, Phi=None,
 
 def quantum_dim(data: AdjointData, side: str = "right") -> JacobiElement:
     """The image of 1 under the chosen defect action (one residue)."""
+    _check_side(side)
+    _parity_warn(data)
+    return _act_on_field(data, side, None)
+
+
+def defect_act(data: AdjointData, field: Poly,
+               side: str = "right") -> JacobiElement:
+    """The chosen defect action on one bulk field (one residue).
+
+    Equals ``defect_operator_<side>(data).apply(field)`` without forming the
+    images of the whole Jacobi basis.
+    """
+    _check_side(side)
+    _parity_warn(data)
+    return _act_on_field(data, side, field)
+
+
+def _check_side(side: str):
     if side not in ("right", "left"):
         raise ValueError("side must be 'left' or 'right'")
-    _parity_warn(data)
+
+
+def _act_on_field(data: AdjointData, side: str, field) -> JacobiElement:
+    """The wrap of the chosen side on ``field`` (reduced first), or on 1."""
     src, tgt = _defect_rings(data)
     if side == "right":
         over, onto, names, k = src, tgt, data.source_names, data.m
     else:
         over, onto, names, k = tgt, src, data.target_names, data.n
+    f = over.ctx.one() if field is None else over.reduce(field).rep
     return _defect_wrap(data, defect_supertrace(data), names, over, onto, k,
-                        [over.ctx.one()])[0]
+                        [f])[0]
 
 
 def dual_defect(data: AdjointData) -> AdjointData:

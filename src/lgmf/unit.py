@@ -72,6 +72,17 @@ def _divided(p: Poly, i: int, pairs, sigma):
     return divided_difference_ordered(p, i, sigma, pairs=pairs)
 
 
+def _require_potential(W: Poly):
+    """Raise FactorisationError unless W has a finite-dimensional Jacobi ring."""
+    if not W.ctx.names:
+        return
+    cert = check_potential(W)
+    if not cert.is_potential:
+        raise FactorisationError(
+            f"W = {W} is not a potential (unbounded monomials in "
+            f"{cert.quotient.witness})")
+
+
 def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUnit:
     """Build Delta_W over the doubled context of W's variables.
 
@@ -80,12 +91,8 @@ def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUn
     """
     base = W.ctx.names
     n = len(base)
-    if require_potential and n > 0:
-        cert = check_potential(W)
-        if not cert.is_potential:
-            raise FactorisationError(
-                f"W = {W} is not a potential (unbounded monomials in "
-                f"{cert.quotient.witness})")
+    if require_potential:
+        _require_potential(W)
     dctx = W.ctx.doubled()
     primes = tuple(primed_name(nm) for nm in base)
     pairs = list(zip(base, primes))

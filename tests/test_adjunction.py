@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgmf import adjunction, mf, polymat
+from lgmf import adjunction, mf, polymat, unit
 from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
                              kernel_homotopy_search, kvm_difference,
                              left_dual_morphism, right_dual_morphism,
@@ -192,3 +192,18 @@ def test_adjoint_data_rejects_potential_mismatch():
     wrong = d.base.ctx.gen("x") ** 3
     with pytest.raises(ValueError):
         AdjointData(d.base, d.source_potential, wrong)
+
+
+def test_units_are_built_once_on_first_use(monkeypatch):
+    d = line_defect(3)
+    certified = []
+    real = unit.check_potential
+    monkeypatch.setattr(unit, "check_potential",
+                        lambda W: certified.append(W) or real(W))
+    assert "unit_source" not in vars(d) and "unit_target" not in vars(d)
+    u, v = d.unit_source, d.unit_target
+    assert d.unit_source is u and d.unit_target is v
+    # both potentials were certified when d was built
+    assert certified == []
+    assert u.base_names == ("y",) and v.base_names == ("x",)
+

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lgmf import tft
+from lgmf import adjunction, tft
 from lgmf.cli import main
 from lgmf.workspace import WorkspaceError, load_workspace, parse_poly
 
@@ -62,6 +62,14 @@ def test_workspace_loads_all_declarations(ws):
      "does not factor"),
     ("ring R = [x]\npotential W on Q = x^2\n", "unknown"),
     ("ring R = [x\n", "line 1"),
+    ("ring R = [x]\npotential W on R = 1/0*x^3\n",
+     "line 2: bad expression '1/0*x^3': zero denominator in 1/0"),
+    ("ring R = [x]\npotential W on R = \u00b2*x\n",
+     "line 2: bad expression '\u00b2*x': unexpected character"),
+    # a factorisation of t^2 - p^2*q whose source is not a potential
+    ("ring P = [p, q]\npotential Wp on P = p^2*q\nring T = [t]\n"
+     "potential Vt on T = t^2\ndefect D from Wp to Vt = ([t^2 - p^2*q], [1])\n",
+     "line 5: defect 'D': W = p^2*q is not a potential"),
 ])
 def test_workspace_errors(tmp_path, snippet, needle):
     path = tmp_path / "bad.lg"
@@ -126,11 +134,17 @@ def test_residue_bad_denominator_count_fails_cleanly(ws, capsys):
     assert "denominator" in rep["outputs"]["error"]
 
 
-@pytest.mark.parametrize("dens, message", [
-    ("x^2 - 1", "x is not nilpotent"), ("0", "infinite quotient")])
-def test_residue_bad_denominators_exit_two(ws, capsys, dens, message):
+@pytest.mark.parametrize("num, dens, message", [
+    pytest.param("1", "x^2 - 1", "x is not nilpotent",
+                 id="x^2 - 1-x is not nilpotent"),
+    pytest.param("1", "0", "infinite quotient", id="0-infinite quotient"),
+    pytest.param("1/0", "x", "zero denominator in 1/0",
+                 id="numerator 1/0-zero denominator"),
+    pytest.param("1", "3/0*x^2", "zero denominator in 3/0",
+                 id="3/0*x^2-zero denominator")])
+def test_residue_bad_denominators_exit_two(ws, capsys, num, dens, message):
     code, rep = run_json(capsys, "residue", ws, "--ring", "R1",
-                         "--numerator", "1", "--denominators", dens)
+                         "--numerator", num, "--denominators", dens)
     assert code == 2
     assert message in rep["outputs"]["error"]
 
@@ -155,7 +169,8 @@ def test_qdim_chern_and_pairings(ws, capsys):
 def test_defect_act(ws, capsys):
     data = load_workspace(ws).defect("D")
     for side, field in (("right", "1"), ("right", "s"),
-                        ("left", "1"), ("left", "t")):
+                        ("right", "s^3 - 2*s + 1/2"),
+                        ("left", "1"), ("left", "t"), ("left", "(t + 1)^2")):
         code, rep = run_json(capsys, "defect-act", ws, "D", "--field", field,
                              "--side", side)
         assert code == 0
@@ -186,6 +201,23 @@ def test_defect_act_builds_one_jacobi_ring_per_potential(ws, capsys,
                            "--side", side)
         assert code == 0
     assert len(built) == 4
+
+
+def test_koszul_units_are_built_on_first_use(ws, capsys, monkeypatch):
+    built = []
+    real = adjunction.koszul_unit
+
+    def counting(W, *args, **kw):
+        built.append(W)
+        return real(W, *args, **kw)
+
+    monkeypatch.setattr(adjunction, "koszul_unit", counting)
+    code, _ = run_json(capsys, "chern", ws, "Xxy")
+    assert code == 0
+    assert built == []          # the workspace declares the defect D
+    code, _ = run_json(capsys, "zorro-check", ws, "D")
+    assert code == 0
+    assert len(built) == 2      # one unit per side of D
 
 
 def test_cardy(ws, capsys):

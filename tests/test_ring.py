@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from lgmf.adjunction import _project
 from lgmf.residue import DenominatorError, ResidueQuery, grothendieck_residue
-from lgmf.ring import (ContextMismatch, RingContext, UnknownVariable,
-                       _restrict, divided_difference,
-                       divided_difference_ordered, embed, format_poly,
-                       parse_poly, partial_derivative, rename, substitute)
+from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
+                       UnknownVariable, _restrict, _tokenize,
+                       divided_difference, divided_difference_ordered, embed,
+                       format_poly, parse_poly, partial_derivative, rename,
+                       substitute)
 from lgmf.unit import _try_restrict
 
 
@@ -63,9 +64,153 @@ def test_ring_axioms(p, q, r):
     assert p * CTX3.one() == p
 
 
+@given(poly_strategy(CTX3), poly_strategy(CTX3), st.integers(-3, 3),
+       st.integers(0, 3))
+def test_arithmetic_results_are_canonical(p, q, c, k):
+    results = [p + q, p - q, -p, p * q, p * c, p * Fraction(c, 2), c + p,
+               c - p, p ** k, CTX3.zero(), RingContext([]).zero()]
+    for r in results:
+        assert r == Poly(r.ctx, r.terms)
+        assert all(type(e) is tuple and len(e) == len(r.ctx.names)
+                   for e in r.terms)
+        assert all(type(v) is Fraction and v for v in r.terms.values())
+        assert r.terms is not p.terms and r.terms is not q.terms
+
+
 @given(poly_strategy(CTX3))
 def test_format_parse_round_trip(p):
     assert parse_poly(format_poly(p), CTX3) == p
+
+
+def _reference_parse_poly(text, ctx):
+    """The first-written parser: every subexpression is a Poly."""
+    tokens = _tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]][0]
+
+    def take(kind=None):
+        k, v = tokens[pos[0]]
+        if kind is not None and k != kind:
+            raise ParseError(f"expected {kind}, found {v!r} (token {pos[0]})")
+        pos[0] += 1
+        return v
+
+    def parse_atom():
+        k = peek()
+        if k == "int":
+            num = int(take())
+            if peek() == "/":
+                take()
+                den = int(take("int"))
+                return ctx.const(Fraction(num, den))
+            return ctx.const(num)
+        if k == "var":
+            name = take()
+            if not ctx.contains(name):
+                raise ParseError(
+                    f"unknown variable {name!r} in context {ctx.names}")
+            return ctx.gen(name)
+        if k == "(":
+            take()
+            p = parse_sum()
+            take(")")
+            return p
+        raise ParseError(f"unexpected token {tokens[pos[0]][1]!r}")
+
+    def parse_power():
+        base = parse_atom()
+        if peek() == "^":
+            take()
+            if peek() == "-":
+                raise ParseError("negative exponents are not supported")
+            base = base ** int(take("int"))
+        return base
+
+    def parse_product():
+        p = parse_power()
+        while peek() in ("*", "var", "("):
+            if peek() == "*":
+                take()
+            p = p * parse_power()
+        return p
+
+    def parse_sum():
+        sign = 1
+        while peek() in ("+", "-"):
+            if take() == "-":
+                sign = -sign
+        p = parse_product() * sign
+        while peek() in ("+", "-"):
+            sign = 1
+            while peek() in ("+", "-"):
+                if take() == "-":
+                    sign = -sign
+            p = p + parse_product() * sign
+        return p
+
+    out = parse_sum()
+    if peek() != "end":
+        raise ParseError(f"trailing input at token {tokens[pos[0]][1]!r}")
+    return out
+
+
+def _expressions():
+    """Expression text in the grammar, with the occasional stray token."""
+    number = st.one_of(
+        st.integers(0, 12).map(str),
+        st.tuples(st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 5] * 6
+                                                     + [0])).map(
+            lambda t: f"{t[0]}/{t[1]}"))
+    var = st.sampled_from(["x", "y", "z"] * 6 + ["w"])
+    atom = st.one_of(var, var, number)
+
+    def power(base):
+        return st.one_of(
+            base,
+            st.tuples(base, st.sampled_from(["0", "1", "2", "3"] * 6
+                                            + ["-1", ""]))
+            .map(lambda t: f"{t[0]}^{t[1]}"))
+
+    def product(factor):
+        sep = st.sampled_from(["*"] * 8 + [" * "] * 4 + [" "] * 2 + [""])
+        return st.lists(st.tuples(sep, power(factor)), min_size=1,
+                        max_size=3).map(
+            lambda fs: fs[0][1] + "".join(op + f for op, f in fs[1:]))
+
+    def signed_sum(term):
+        sign = st.sampled_from(["", "", "-", "+", "--", "+-", " - "])
+        return st.lists(st.tuples(sign, product(term)), min_size=1,
+                        max_size=3).map(
+            lambda ts: ts[0][0] + ts[0][1] + "".join(
+                (s or "+") + t for s, t in ts[1:]))
+
+    expr = st.recursive(atom, lambda inner: signed_sum(
+        st.one_of(inner, inner.map(lambda e: f"({e})"))), max_leaves=12)
+    stray = st.sampled_from([""] * 30 + [")", "(", "*", "^2", "$", " 3"])
+    return st.tuples(expr, stray).map(lambda t: t[0] + t[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_expressions())
+def test_parse_poly_agrees_with_poly_built_reference(text):
+    try:
+        want = _reference_parse_poly(text, CTX3)
+    except ZeroDivisionError:
+        # the reference crashes on a p/0 coefficient; the grammar refuses it
+        with pytest.raises(ParseError, match="zero denominator in"):
+            parse_poly(text, CTX3)
+        return
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, CTX3)
+        assert str(err.value) == str(exc)
+        return
+    got = parse_poly(text, CTX3)
+    assert got == want
+    # same term order, so every downstream column order is unchanged too
+    assert list(got.terms) == list(want.terms)
 
 
 # -- difference quotients ----------------------------------------------------

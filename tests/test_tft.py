@@ -374,3 +374,25 @@ def test_shadow_dimensions_and_parities():
     for key, want in cases.items():
         s = tft.shadow_of_unit(corpus_potentials()[key])
         assert (s.dimension, s.parity) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: line_defect(3),
+    lambda: delta_defect(corpus_potentials()["x^3-y^3"]),
+], ids=["line x^3", "delta x^3-y^3"])
+def test_defect_act_is_the_operator_on_one_field(make, monkeypatch):
+    d = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tft.ParityWarning)
+        ops = {"right": tft.defect_operator_right(d),
+               "left": tft.defect_operator_left(d)}
+        calls = _counting(monkeypatch, tft, "_defect_wrap")
+        for side, op in ops.items():
+            ctx = op.source.ctx
+            v = ctx.gen(ctx.names[0])
+            fields = ([b.rep for b in op.source.basis_elements()]
+                      + [v ** 4 - v * Fraction(3, 2) + 2, ctx.zero()])
+            for f in fields:
+                del calls[:]
+                assert tft.defect_act(d, f, side) == op.apply(f)
+                assert len(calls) == 1 and len(calls[0][-1]) == 1
