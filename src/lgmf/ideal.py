@@ -13,8 +13,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
-from .ring import (ContextMismatch, Poly, RingContext, grlex_key,
+from .ring import (ContextMismatch, Poly, RingContext, _poly, grlex_key,
                    partial_derivative)
 
 
@@ -27,7 +28,7 @@ def leading_term(p: Poly):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a, b):
@@ -46,26 +47,48 @@ def division(g: Poly, divisors):
     """Multivariate division: g = sum cofactor_i * divisors_i + remainder.
 
     The remainder is supported on monomials divisible by no divisor leading
-    term.  Deterministic: first matching divisor in list order.
+    term.  Deterministic: first matching divisor in list order.  The dividend
+    is one working term dict, reduced in place (p -= q * x^m * d_j term by
+    term); the leading exponent strictly decreases, so each cofactor and the
+    remainder gain their terms in that order.
     """
     ctx = g.ctx
-    lts = [leading_term(d) for d in divisors]
-    cof = [ctx.zero() for _ in divisors]
-    rem = ctx.zero()
-    p = g
-    while not p.is_zero():
-        exp, c = leading_term(p)
+    lts = []
+    for d in divisors:
+        if d.ctx != ctx:
+            raise ContextMismatch(f"division of {ctx} by {d.ctx}")
+        lt = leading_term(d)
+        lts.append(None if lt is None else (lt[0], lt[1], d.terms))
+    cof = [{} for _ in lts]
+    rem = {}
+    p = dict(g.terms)
+    get = p.get
+    while p:
+        exp = max(p, key=grlex_key)
+        c = p[exp]
         for j, lt in enumerate(lts):
             if lt is not None and _divides(lt[0], exp):
-                t = _mono(ctx, _exp_sub(exp, lt[0]), c / lt[1])
-                cof[j] = cof[j] + t
-                p = p - t * divisors[j]
+                lexp, lc, dterms = lt
+                m = tuple(map(sub, exp, lexp))
+                q = c / lc
+                cof[j][m] = q
+                for eb, cb in dterms.items():
+                    key = tuple(map(add, m, eb))
+                    s = get(key)
+                    if s is None:
+                        p[key] = -(q * cb)
+                    else:
+                        s = s - q * cb
+                        if s:
+                            p[key] = s
+                        else:
+                            del p[key]
                 break
         else:
-            t = _mono(ctx, exp, c)
-            rem = rem + t
-            p = p - t
-    return cof, rem
+            rem[exp] = c
+            del p[exp]
+    return ([_poly(ctx, t) if t else ctx.zero() for t in cof],
+            _poly(ctx, rem) if rem else ctx.zero())
 
 
 def _combine(row, terms):

@@ -9,6 +9,8 @@ variants.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 PRIME_SUFFIX = "'"
 
@@ -32,10 +34,10 @@ class RingContext:
     Contexts compare and hash by their name tuple.  ``primed_pairs`` lists the
     (unprimed index, primed index) pairs detected by the quote-suffix
     convention; doubled contexts always append the primed block after the
-    unprimed block.
+    unprimed block.  ``zero()`` is one shared Poly per context.
     """
 
-    __slots__ = ("names", "_lookup", "primed_pairs")
+    __slots__ = ("names", "_lookup", "primed_pairs", "_zero")
 
     def __init__(self, names):
         names = tuple(names)
@@ -49,6 +51,7 @@ class RingContext:
             if primed_name(n) in self._lookup
         )
         object.__setattr__(self, "primed_pairs", pairs)
+        object.__setattr__(self, "_zero", _poly(self, {}))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RingContext is immutable")
@@ -92,7 +95,7 @@ class RingContext:
         return Poly(self, terms)
 
     def zero(self) -> "Poly":
-        return _poly(self, {})
+        return self._zero
 
     def one(self) -> "Poly":
         return self.const(1)
@@ -100,7 +103,7 @@ class RingContext:
     def const(self, c) -> "Poly":
         c = Fraction(c)
         if not c:
-            return Poly(self, {})
+            return self._zero
         return Poly(self, {(0,) * len(self.names): c})
 
     def gen(self, name: str) -> "Poly":
@@ -193,12 +196,19 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative exponent")
-        out = self.ctx.one()
+        if not k:
+            return self.ctx.one()
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        # the first factor starts the product (a copy when it is self)
+        out = _poly(self.ctx, dict(base.terms)) if base is self else base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base if k > 1 else base
             k >>= 1
         return out
 
@@ -262,7 +272,12 @@ def _poly(ctx: RingContext, terms: dict) -> Poly:
 #
 # Terms are dicts mapping exponent tuples to nonzero Fractions.  These are the
 # hot loops of the whole library (Groebner reduction, matrix composites,
-# residue numerators).
+# residue numerators).  The product runs its inner loop on integers: each
+# factor is scaled by the lcm of its denominators, and each output coefficient
+# becomes a Fraction once.  Division (``ideal.division``) reduces one working
+# dict in place.  Every context owns one immutable zero, so the terms dict of
+# a zero result may be shared; nothing may mutate a Poly's terms.  Each kernel
+# visits terms in a fixed order, so results keep a reproducible term order.
 
 def _terms_add(a, b):
     """Sum of two term dicts, zero coefficients dropped."""
@@ -281,24 +296,36 @@ def _terms_add(a, b):
 
 
 def _terms_mul(a, b):
-    """Product of two term dicts."""
+    """Product of two term dicts.
+
+    Coefficients are summed as integers over the common denominator
+    la * lb; a monomial whose sum cancels is deleted, and re-inserted at the
+    end if a later product brings it back.
+    """
     if len(a) > len(b):
         a, b = b, a
+    la = lcm(*[c.denominator for c in a.values()])
+    lb = lcm(*[c.denominator for c in b.values()])
+    ib = [(eb, cb.numerator * (lb // cb.denominator)) for eb, cb in b.items()]
     out = {}
+    get = out.get
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            s = out.get(exp)
+        na = ca.numerator * (la // ca.denominator)
+        for eb, nb in ib:
+            exp = tuple(map(add, ea, eb))
+            s = get(exp)
             if s is None:
-                out[exp] = c
+                out[exp] = na * nb
             else:
-                s = s + c
+                s += na * nb
                 if s:
                     out[exp] = s
                 else:
                     del out[exp]
-    return out
+    den = la * lb
+    if den == 1:
+        return {exp: Fraction(n) for exp, n in out.items()}
+    return {exp: Fraction(n, den) for exp, n in out.items()}
 
 
 def _terms_scale(a, c):
@@ -317,6 +344,8 @@ def _remap(p: Poly, ctx: RingContext, positions) -> Poly | None:
     coefficients of monomials that meet.  A position of None drops the
     variable; the result is None when a dropped variable occurs in p.
     """
+    if not p.terms:
+        return ctx.zero()
     dropped = [k for k, pos in enumerate(positions) if pos is None]
     if dropped and any(exp[k] for exp in p.terms for k in dropped):
         return None
@@ -330,7 +359,9 @@ def _remap(p: Poly, ctx: RingContext, positions) -> Poly | None:
         key = tuple(new)
         s = out.get(key)
         out[key] = c if s is None else s + c
-    return Poly(ctx, out)
+    if len(out) < len(p.terms):     # monomials merged: drop cancellations
+        out = {exp: c for exp, c in out.items() if c}
+    return _poly(ctx, out)
 
 
 def _restrict(p: Poly, ctx: RingContext) -> Poly | None:
@@ -340,7 +371,7 @@ def _restrict(p: Poly, ctx: RingContext) -> Poly | None:
 
 def embed(p: Poly, ctx: RingContext) -> Poly:
     """Reinterpret p in a larger (or reordered) context, matching by name."""
-    if p.ctx == ctx:
+    if p.ctx is ctx or p.ctx == ctx:
         return p
     return _remap(p, ctx, [ctx.index(n) for n in p.ctx.names])
 

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgmf.ideal import (check_potential, groebner,
+from lgmf.ideal import (check_potential, division, groebner,
                         membership_with_cofactors, normal_form,
                         power_membership, quotient_monomial_basis)
-from lgmf.ring import Poly, RingContext, grlex_key
+from lgmf.ring import ContextMismatch, Poly, RingContext, grlex_key, parse_poly
 
 from conftest import corpus_potentials
-from test_ring import poly_strategy
+from test_ring import (CONTEXTS, _reference_terms_mul, _same_terms,
+                       _snapshot, _unchanged, poly_strategy, rational_polys)
 
 CTX = RingContext(["x", "y"])
 
@@ -295,3 +296,82 @@ def test_groebner_and_normal_form_match_sympy(gens, data):
     _, rem = sympy.reduced(_to_sympy(f, syms), list(want.exprs), *syms,
                            order="grlex", domain="QQ")
     assert normal_form(f, gb) == _from_sympy(rem, syms, ctx)
+
+
+# -- division against its first-written form ---------------------------------
+
+def _reference_division(g, divisors):
+    """The first-written division: the dividend, cofactors and remainder are
+    Polys, and every step subtracts t * divisor as a whole product."""
+    ctx = g.ctx
+    lts = [None if d.is_zero() else _lead(d) for d in divisors]
+    cof = [ctx.zero() for _ in divisors]
+    rem = ctx.zero()
+    p = g
+    while not p.is_zero():
+        exp, c = _lead(p)
+        for j, lt in enumerate(lts):
+            if lt is not None and all(x <= y for x, y in zip(lt[0], exp)):
+                t = _mono(ctx, [e - f for e, f in zip(exp, lt[0])], c / lt[1])
+                cof[j] = cof[j] + t
+                p = p - Poly(ctx, _reference_terms_mul(t.terms,
+                                                       divisors[j].terms))
+                break
+        else:
+            t = _mono(ctx, exp, c)
+            rem = rem + t
+            p = p - t
+    return cof, rem
+
+
+@st.composite
+def divisions(draw):
+    """A dividend and 0-4 divisors with mixed denominators, zero divisors
+    and repeated leading terms included; 0- to 3-variable contexts."""
+    ctx = draw(st.sampled_from(CONTEXTS))
+    g = draw(rational_polys(ctx, max_deg=3, max_terms=6))
+    divisors = draw(st.lists(rational_polys(ctx, max_terms=3), max_size=4))
+    if draw(st.booleans()):
+        divisors.insert(draw(st.integers(0, len(divisors))), ctx.zero())
+    return g, divisors
+
+
+_CXY = RingContext(["x", "y"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(divisions())
+@example((parse_poly("x^2*y + x*y^2 + y^2", _CXY),
+          [parse_poly("x*y - 1", _CXY), _CXY.zero(),
+           parse_poly("y^2 - 1", _CXY)]))
+@example((RingContext([]).const(Fraction(5, 7)),
+          [RingContext([]).zero(), RingContext([]).const(Fraction(-3, 2))]))
+def test_division_matches_the_reference_in_value_and_order(args):
+    g, divisors = args
+    cof, rem = division(g, divisors)
+    want_cof, want_rem = _reference_division(g, divisors)
+    for got, want in zip(cof, want_cof):
+        _same_terms(got.terms, want.terms)
+    _same_terms(rem.terms, want_rem.terms)
+    assert len(cof) == len(divisors)
+    acc = rem
+    for c, d in zip(cof, divisors):
+        acc = acc + c * d
+    assert acc == g
+
+
+def test_division_rejects_a_divisor_from_another_context():
+    with pytest.raises(ContextMismatch):
+        division(CTX.gen("x"), [RingContext(["x"]).gen("x")])
+
+
+@settings(max_examples=25, deadline=None)
+@given(divisions())
+def test_division_and_normal_form_leave_their_inputs_alone(args):
+    g, divisors = args
+    before = _snapshot(g, *divisors)
+    division(g, divisors)
+    if divisors and any(not d.is_zero() for d in divisors):
+        normal_form(g, groebner(divisors))
+    _unchanged(before)
+    assert g.ctx.zero().is_zero()

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgmf.adjunction import _project
 from lgmf.residue import DenominatorError, ResidueQuery, grothendieck_residue
 from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
-                       UnknownVariable, _restrict, _tokenize,
+                       UnknownVariable, _remap, _restrict, _terms_add,
+                       _terms_mul, _terms_scale, _tokenize,
                        divided_difference, divided_difference_ordered, embed,
                        format_poly, parse_poly, partial_derivative, rename,
                        substitute)
@@ -364,3 +365,210 @@ def test_merging_substitute_agrees_with_sympy(p, image):
     got = substitute(p, mapping)
     assert sympy.expand(want - sympy.sympify(
         format_poly(got).replace("^", "**"), locals=syms)) == 0
+
+
+# -- the term kernels against their first-written forms ----------------------
+
+def _reference_terms_mul(a, b):
+    """The first-written product: a Fraction multiply and add per pair."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+            else:
+                s = s + c
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
+    return out
+
+
+def _reference_remap(p, ctx, positions):
+    """The first-written exponent remap: every result validated by Poly."""
+    dropped = [k for k, pos in enumerate(positions) if pos is None]
+    if dropped and any(exp[k] for exp in p.terms for k in dropped):
+        return None
+    kept = [(k, pos) for k, pos in enumerate(positions) if pos is not None]
+    width = len(ctx.names)
+    out = {}
+    for exp, c in p.terms.items():
+        new = [0] * width
+        for k, pos in kept:
+            new[pos] += exp[k]
+        key = tuple(new)
+        s = out.get(key)
+        out[key] = c if s is None else s + c
+    return Poly(ctx, out)
+
+
+def _reference_pow(p, k):
+    """The first-written binary power, which starts from ctx.one()."""
+    out = p.ctx.one()
+    base = p
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return out
+
+
+def _same_terms(got, want):
+    """Equal values and identical term order, with Fraction coefficients."""
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction and c for c in got.values())
+
+
+def rational_polys(ctx, max_deg=2, max_terms=6):
+    """Polynomials with mixed denominators and few monomials, so that
+    products and reductions often cancel a monomial and bring it back."""
+    coeff = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                         Fraction(-1, 2)]),
+        st.fractions(min_value=-6, max_value=6, max_denominator=12))
+    return st.lists(
+        st.tuples(st.tuples(*[st.integers(0, max_deg) for _ in ctx.names]),
+                  coeff),
+        max_size=max_terms).map(lambda ts: Poly(ctx, dict(ts)))
+
+
+CONTEXTS = [RingContext([]), RingContext(["x"]), RingContext(["x", "y"]),
+            CTX3]
+
+
+@st.composite
+def poly_pairs(draw):
+    ctx = draw(st.sampled_from(CONTEXTS))
+    return draw(rational_polys(ctx)), draw(rational_polys(ctx))
+
+
+_CX = RingContext(["x"])
+# (1 + x + x^2)(x^2 - x + 1): x^2 and x cancel, then x^2 comes back
+_CANCEL_RETURN = (parse_poly("1 + x + x^2", _CX),
+                  parse_poly("x^2 - x + 1", _CX))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs())
+@example(_CANCEL_RETURN)
+@example((_CX.zero(), _CANCEL_RETURN[0]))
+@example((RingContext([]).const(Fraction(3, 4)),
+          RingContext([]).const(Fraction(-2, 9))))
+def test_terms_mul_matches_the_reference_in_value_and_order(pq):
+    p, q = pq
+    _same_terms(_terms_mul(p.terms, q.terms),
+                _reference_terms_mul(p.terms, q.terms))
+    _same_terms((p * q).terms, _reference_terms_mul(p.terms, q.terms))
+
+
+def test_terms_mul_cancels_and_brings_a_monomial_back():
+    p, q = _CANCEL_RETURN
+    got = p * q
+    assert got == parse_poly("x^4 + x^2 + 1", _CX)
+    # x^2 is deleted on cancelling and re-inserted after x^4
+    assert list(got.terms) == [(0,), (4,), (2,)]
+
+
+@st.composite
+def remaps(draw):
+    """A polynomial and a position per variable: merging (x' -> x),
+    dropped (None) and permuted variables, in a target of any width."""
+    src = draw(st.sampled_from(CONTEXTS + [doubled(2)[0]]))
+    width = draw(st.integers(0, 4))
+    target = RingContext([f"t{i}" for i in range(width)])
+    slots = list(range(width)) + [None]
+    positions = [draw(st.sampled_from(slots)) for _ in src.names]
+    return draw(rational_polys(src)), target, positions
+
+
+@settings(max_examples=100, deadline=None)
+@given(remaps())
+@example((parse_poly("x1*x2' - x1'*x2 + 1/3*x1", doubled(2)[0]),
+          RingContext(["x1", "x2"]), [0, 1, 0, 1]))
+def test_remap_matches_the_reference_in_value_and_order(args):
+    p, ctx, positions = args
+    got, want = _remap(p, ctx, positions), _reference_remap(p, ctx, positions)
+    if want is None:
+        assert got is None
+        return
+    assert got.ctx is ctx
+    _same_terms(got.terms, want.terms)
+
+
+def test_remap_of_zero_is_the_shared_zero():
+    ctx2, _, _, pairs = doubled(2)
+    small = RingContext(["x1", "x2"])
+    assert _remap(ctx2.zero(), small, [0, 1, None, None]) is small.zero()
+    merge = {pr: u for u, pr in pairs}
+    assert substitute(Poly(ctx2, {}), merge) is ctx2.zero()
+    assert embed(small.zero(), ctx2) is ctx2.zero()
+    assert rename(small.zero(), {"x1": "x2", "x2": "x1"}) is small.zero()
+    # a merge that cancels every monomial: x1 - x1' under x1' -> x1
+    p = ctx2.gen("x1") - ctx2.gen("x1'")
+    assert substitute(p, {"x1'": "x1"}).is_zero()
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pow_matches_repeated_multiplication(ctx, data):
+    p = data.draw(rational_polys(ctx, max_terms=3))
+    acc = ctx.one()
+    for k in range(7):
+        got = p ** k
+        assert got == acc
+        _same_terms(got.terms, _reference_pow(p, k).terms)
+        assert got.terms is not p.terms
+        acc = acc * p
+
+
+# -- the shared zero ---------------------------------------------------------
+
+def test_each_context_has_one_zero():
+    for ctx in CONTEXTS:
+        z = ctx.zero()
+        assert z is ctx.zero() and z.is_zero() and z.ctx is ctx
+        assert ctx.const(0) is z
+        fresh = Poly(ctx, {})
+        assert fresh is not z and fresh.terms is not z.terms
+        assert fresh == z and hash(fresh) == hash(z)
+    # equal contexts still own distinct zeros, which compare equal
+    assert RingContext(["x"]).zero() == _CX.zero()
+
+
+def _snapshot(*polys):
+    return [(p.terms, list(p.terms.items())) for p in polys]
+
+
+def _unchanged(before):
+    for terms, items in before:
+        assert list(terms.items()) == items
+
+
+@settings(max_examples=30, deadline=None)
+@given(poly_pairs(), st.integers(-3, 3), st.integers(0, 3))
+def test_no_operation_mutates_its_inputs(pq, c, k):
+    p, q = pq
+    ctx = p.ctx
+    z = ctx.zero()
+    for a, b in ((p, q), (p, z), (z, p), (z, z)):
+        before = _snapshot(a, b)
+        a + b, a - b, a * b, -a, a * c, c * a, c - a, a ** k, a == b, hash(a)
+        _terms_add(a.terms, b.terms), _terms_mul(a.terms, b.terms)
+        _terms_scale(a.terms, Fraction(c, 2))
+        big = ctx.doubled()
+        lifted = embed(a, big)
+        swap = {n: f"{n}'" for n in ctx.names}
+        swap.update({f"{n}'": n for n in ctx.names})
+        back = rename(lifted, swap)
+        substitute(back, {f"{n}'": n for n in ctx.names})
+        _restrict(back, ctx)
+        _unchanged(before)
+    assert not z.terms
