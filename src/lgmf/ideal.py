@@ -5,7 +5,9 @@ division with remainder and cofactors, finite quotient monomial bases, the
 potential certificate (finite Jacobi colength over Q), and power membership
 (certified by the quotient dimension) used by the residue transformation
 rule.  The one monomial order is ``ring.grlex_key``, the order of
-``Poly.sorted_terms``; Buchberger reduces with ``division``.
+``Poly.sorted_terms``.  Buchberger, normal forms and power membership reduce
+with the loop behind ``division``, handed leading terms they already hold
+(a basis stores those of its generators).
 """
 
 from __future__ import annotations
@@ -47,18 +49,26 @@ def division(g: Poly, divisors):
     """Multivariate division: g = sum cofactor_i * divisors_i + remainder.
 
     The remainder is supported on monomials divisible by no divisor leading
-    term.  Deterministic: first matching divisor in list order.  The dividend
-    is one working term dict, reduced in place (p -= q * x^m * d_j term by
-    term); the leading exponent strictly decreases, so each cofactor and the
-    remainder gain their terms in that order.
+    term.  Deterministic: first matching divisor in list order.
     """
     ctx = g.ctx
-    lts = []
     for d in divisors:
         if d.ctx != ctx:
             raise ContextMismatch(f"division of {ctx} by {d.ctx}")
-        lt = leading_term(d)
-        lts.append(None if lt is None else (lt[0], lt[1], d.terms))
+    return _divide(g, divisors, [leading_term(d) for d in divisors])
+
+
+def _divide(g: Poly, divisors, leads):
+    """``division`` by divisors whose leading terms (exponent, coefficient),
+    None for a zero divisor, are given in ``leads``.
+
+    The dividend is one working term dict, reduced in place (p -= q * x^m *
+    d_j term by term); the leading exponent strictly decreases, so each
+    cofactor and the remainder gain their terms in that order.
+    """
+    ctx = g.ctx
+    lts = [None if lt is None else (lt[0], lt[1], d.terms)
+           for d, lt in zip(divisors, leads)]
     cof = [{} for _ in lts]
     rem = {}
     p = dict(g.terms)
@@ -148,6 +158,7 @@ class GroebnerBasis:
     cofactor_log: list          # generators[i] = sum_j cofactor_log[i][j] * original_gens[j]
     ctx: RingContext
     quotient: QuotientBasis     # standard monomials of the ideal
+    leading: list               # (exponent, coefficient) of each generator
 
 
 def groebner(gens) -> GroebnerBasis:
@@ -162,6 +173,7 @@ def groebner(gens) -> GroebnerBasis:
 
     zero_row = [ctx.zero() for _ in gens]
     polys, rows, lead, degree = [], [], [], []     # the basis so far
+    leads = []      # (lead[k], leading coefficient of polys[k])
     pairs = []      # heap of (sugar, grlex(lcm), i, j); keys are unique
 
     def append(rem, row, terms):
@@ -170,6 +182,7 @@ def groebner(gens) -> GroebnerBasis:
         inv = Fraction(1) / c
         k = len(polys)
         polys.append(rem * inv)
+        leads.append((exp, polys[k].terms[exp]))
         rows.append(_combine([a * inv for a in row],
                              [(f * inv, r) for f, r in terms]))
         lead.append(exp)
@@ -185,9 +198,10 @@ def groebner(gens) -> GroebnerBasis:
     def reduce(p, row, terms):
         """Append p's remainder by the basis, if nonzero; p has cofactor
         row row + sum c*r over terms."""
-        cof, rem = division(p, polys)
+        cof, rem = _divide(p, polys, leads)
         if not rem.is_zero():
-            append(rem, row, terms + [(-c, r) for c, r in zip(cof, rows)])
+            append(rem, row, terms + [(-c, r) for c, r in zip(cof, rows)
+                                      if not c.is_zero()])
 
     for j, g in enumerate(gens):
         if not g.is_zero():
@@ -213,8 +227,10 @@ def groebner(gens) -> GroebnerBasis:
         others = [o for o in keep if o != i]
         b, row = polys[i], rows[i]
         if others:
-            cof, b = division(b, [polys[o] for o in others])
-            row = _combine(row, [(-c, rows[o]) for c, o in zip(cof, others)])
+            cof, b = _divide(b, [polys[o] for o in others],
+                             [leads[o] for o in others])
+            row = _combine(row, [(-c, rows[o]) for c, o in zip(cof, others)
+                                 if not c.is_zero()])
         final.append((lead[i], b, row))
     final.sort(key=lambda t: grlex_key(t[0]))
     return GroebnerBasis(
@@ -223,20 +239,21 @@ def groebner(gens) -> GroebnerBasis:
         cofactor_log=[r for _, _, r in final],
         ctx=ctx,
         quotient=_standard_monomials([e for e, _, _ in final], ctx),
+        leading=[(e, b.terms[e]) for e, b, _ in final],
     )
 
 
 def normal_form(g: Poly, gb: GroebnerBasis) -> Poly:
     if g.ctx != gb.ctx:
         raise ContextMismatch("normal_form context mismatch")
-    _, rem = division(g, gb.generators)
+    _, rem = _divide(g, gb.generators, gb.leading)
     return rem
 
 
 def membership_with_cofactors(g: Poly, gens):
     """g = sum cofactors_j * gens_j + remainder, remainder in normal form."""
     gb = groebner(gens)
-    cof_gb, rem = division(g, gb.generators)
+    cof_gb, rem = _divide(g, gb.generators, gb.leading)
     return _lift_cofactors(cof_gb, gb), rem
 
 
@@ -287,16 +304,26 @@ def power_membership(v: str, gb: GroebnerBasis):
     nilpotent in A iff v^D lies in I: the chain A > vA > v^2 A > ... descends
     strictly until it is stable, so it has at most D steps.  Raises
     ValueError for an infinite quotient or a v that is not nilpotent.
+
+    The minimal a comes from the chain of normal forms r_1 = NF(v),
+    r_a = NF(v r_{a-1}) = NF(v^a); only v^a itself is then divided with
+    cofactors (at a = 1 that is the first division already made).
     """
     q = gb.quotient
     if not q.finite:
         raise ValueError(f"infinite quotient: no power of {q.witness} "
                          f"lies in the ideal")
     D = q.dimension
+    gens, leads = gb.generators, gb.leading
     x = gb.ctx.gen(v)
-    for a in range(1, max(D, 1) + 1):
-        cof_gb, rem = division(x ** a, gb.generators)
-        if rem.is_zero():
-            return a, _lift_cofactors(cof_gb, gb)
-    raise ValueError(f"{v} is not nilpotent: {v}^{D} is not in the "
-                     f"ideal, whose quotient has dimension D = {D}")
+    cof_gb, r = _divide(x, gens, leads)
+    a = 1
+    while not r.is_zero():
+        if a >= D:
+            raise ValueError(f"{v} is not nilpotent: {v}^{D} is not in the "
+                             f"ideal, whose quotient has dimension D = {D}")
+        a += 1
+        r = _divide(x * r, gens, leads)[1]
+    if a > 1:
+        cof_gb, _ = _divide(x ** a, gens, leads)
+    return a, _lift_cofactors(cof_gb, gb)

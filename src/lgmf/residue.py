@@ -11,7 +11,10 @@ Groebner basis, the power-membership certificates and det(C) for one
 denominator tuple, and the plan then reads each residue off the
 coefficients of det(C), forming no product.  Loops that take many residues
 over one tuple build one plan; ``grothendieck_residue`` builds a plan and
-applies it once.
+applies it once.  A caller that already holds the Groebner basis of the
+denominators (a Jacobi ring holds that of dW) builds the plan from it with
+``_plan_from_basis``, skipping the basis.  Power membership finds each a_i
+by a chain of normal forms and divides x_i^{a_i} with cofactors once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import polymat
-from .ideal import groebner, power_membership
+from .ideal import GroebnerBasis, groebner, power_membership
 from .ring import Poly, RingContext, _restrict, divided_difference, embed
 
 
@@ -50,11 +53,9 @@ class DenominatorError(ValueError):
 def residue_plan(denominators, integration_vars) -> Callable[[Poly], Poly]:
     """g -> Res[g dx / (f)] for one denominator tuple f.
 
-    Runs the Groebner basis, the power membership of every integration
-    variable (certified by the quotient dimension) and det(C) once.  With
-    exponents a_i and det(C) = sum_e d_e x^e, a term c x^e t^f of g (t the
-    parameter variables) contributes c d_{a-1-e} t^f.  With no integration
-    variables the plan is the identity.
+    Restricts the denominators to the integration variables, runs their
+    Groebner basis and hands it to ``_plan_from_basis``.  With no
+    integration variables the plan is the identity.
     """
     names = list(integration_vars)
     if len(denominators) != len(names):
@@ -67,16 +68,33 @@ def residue_plan(denominators, integration_vars) -> Callable[[Poly], Poly]:
             raise DenominatorError(
                 f"denominator {d} touches parameter variables")
         fs.append(f)
+    return _plan_from_basis(groebner(fs) if names else None, names)
+
+
+def _plan_from_basis(gb: GroebnerBasis | None,
+                     names) -> Callable[[Poly], Poly]:
+    """g -> Res[g dx / (f)] for the denominators f with Groebner basis gb.
+
+    ``gb`` lives over exactly the integration variables ``names``, in that
+    order; None stands for no variables (the plan is then the identity).
+    Runs the power membership of every integration variable (certified by
+    the quotient dimension) and det(C) once.  With exponents a_i and det(C)
+    = sum_e d_e x^e, a term c x^e t^f of g (t the parameter variables)
+    contributes c d_{a-1-e} t^f.
+    """
+    names = list(names)
+    sub = RingContext([]) if gb is None else gb.ctx
+    if list(sub.names) != names:
+        raise ValueError(f"basis over {sub} for the integration variables "
+                         f"{names}")
     tops, C = [], []
-    if names:
-        gb = groebner(fs)
-        for name in names:
-            try:
-                a, cof = power_membership(name, gb)
-            except ValueError as exc:
-                raise DenominatorError(str(exc)) from None
-            tops.append(a - 1)
-            C.append(cof)
+    for name in names:
+        try:
+            a, cof = power_membership(name, gb)
+        except ValueError as exc:
+            raise DenominatorError(str(exc)) from None
+        tops.append(a - 1)
+        C.append(cof)
     det = polymat.det(C, sub).terms
 
     def plan(numerator: Poly) -> Poly:

@@ -17,7 +17,7 @@ from .adjunction import AdjointData, _project
 from .ideal import check_potential, normal_form
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
                  _dicts_to_vectors, str_matrix)
-from .residue import residue, residue_plan
+from .residue import _plan_from_basis
 from .ring import Poly, embed, partial_derivative
 
 
@@ -46,6 +46,14 @@ class JacobiRing:
     @property
     def dimension(self) -> int:
         return self.basis.dimension
+
+    def residue_plan(self):
+        """A new plan g -> Res[g dx / dW], built from this ring's Groebner
+        basis of dW (the identity when W has no variables).
+
+        The plan is not kept on the ring: each call makes its own.
+        """
+        return _plan_from_basis(self.gb, self.ctx.names)
 
     def reduce(self, p) -> "JacobiElement":
         if isinstance(p, JacobiElement):
@@ -223,12 +231,16 @@ def _defect_rings(data: AdjointData):
     return JacobiRing(data.source_potential), JacobiRing(data.target_potential)
 
 
-def _defect_wrap(data: AdjointData, integrand: Poly, names,
-                 over: JacobiRing, onto: JacobiRing, k: int, fields) -> list:
-    """(-1)^{C(k+1,2)} Res_names[f integrand / d(over)] in ``onto``, per f."""
+def _defect_wrap(data: AdjointData, integrand: Poly, over: JacobiRing,
+                 onto: JacobiRing, k: int, fields) -> list:
+    """(-1)^{C(k+1,2)} Res[f integrand dx / d(over)] in ``onto``, per f.
+
+    The residue runs over the variables of ``over``: the source (target)
+    names of ``data`` when over is the source (target) ring.
+    """
     ctx = data.base.ctx
     sign = Fraction(signs.minus_one_to(signs.binom2(k + 1)))
-    plan = residue_plan([embed(p, ctx) for p in over.partials], names)
+    plan = over.residue_plan()
     return [onto.reduce(_project(plan(embed(f, ctx) * integrand), onto.ctx)
                         * sign) for f in fields]
 
@@ -238,9 +250,8 @@ def defect_operator_right(data: AdjointData, Phi=None,
     """Wrapping the defect around a source bulk insertion: Jac(W) -> Jac(V)."""
     _parity_warn(data)
     src, tgt = rings if rings is not None else _defect_rings(data)
-    images = _defect_wrap(data, defect_supertrace(data, Phi),
-                          data.source_names, src, tgt, data.m,
-                          [b.rep for b in src.basis_elements()])
+    images = _defect_wrap(data, defect_supertrace(data, Phi), src, tgt,
+                          data.m, [b.rep for b in src.basis_elements()])
     return DefectOperator(src, tgt, images)
 
 
@@ -249,9 +260,8 @@ def defect_operator_left(data: AdjointData, Phi=None,
     """The mirrored wrap on target bulk insertions: Jac(V) -> Jac(W)."""
     _parity_warn(data)
     src, tgt = rings if rings is not None else _defect_rings(data)
-    images = _defect_wrap(data, defect_supertrace(data, Phi),
-                          data.target_names, tgt, src, data.n,
-                          [b.rep for b in tgt.basis_elements()])
+    images = _defect_wrap(data, defect_supertrace(data, Phi), tgt, src,
+                          data.n, [b.rep for b in tgt.basis_elements()])
     return DefectOperator(tgt, src, images)
 
 
@@ -283,12 +293,11 @@ def _act_on_field(data: AdjointData, side: str, field) -> JacobiElement:
     """The wrap of the chosen side on ``field`` (reduced first), or on 1."""
     src, tgt = _defect_rings(data)
     if side == "right":
-        over, onto, names, k = src, tgt, data.source_names, data.m
+        over, onto, k = src, tgt, data.m
     else:
-        over, onto, names, k = tgt, src, data.target_names, data.n
+        over, onto, k = tgt, src, data.n
     f = over.ctx.one() if field is None else over.reduce(field).rep
-    return _defect_wrap(data, defect_supertrace(data), names, over, onto, k,
-                        [f])[0]
+    return _defect_wrap(data, defect_supertrace(data), over, onto, k, [f])[0]
 
 
 def dual_defect(data: AdjointData) -> AdjointData:
@@ -341,8 +350,8 @@ def _constant(p: Poly) -> Fraction:
 def bulk_pairing(phi1, phi2, W) -> Fraction:
     """The two-point bulk correlator Res[phi1 phi2 dx / dW]."""
     ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
-    p = _rep(phi1, ring) * embed(_rep(phi2, ring), ring.ctx)
-    return _constant(residue(p, ring.partials, ring.ctx.names))
+    p = embed(_rep(phi1, ring), ring.ctx) * embed(_rep(phi2, ring), ring.ctx)
+    return _constant(ring.residue_plan()(p))
 
 
 def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
@@ -355,13 +364,13 @@ def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
     prod = polymat.mat_mul([[embed(e, ctx) for e in r] for r in m1],
                            [[embed(e, ctx) for e in r] for r in m2])
     num = _str_with_derivatives(prod, X, ring.ctx.names)
-    return _constant(residue(num, ring.partials, ring.ctx.names))
+    return _constant(ring.residue_plan()(num))
 
 
 def bulk_gram_matrix(W) -> list:
     """The bulk pairing on the monomial basis of the Jacobi ring."""
     ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
-    plan = residue_plan(ring.partials, ring.ctx.names)
+    plan = ring.residue_plan()
     els = [b.rep for b in ring.basis_elements()]
     return [[_constant(plan(a * b)) for b in els] for a in els]
 
@@ -559,5 +568,5 @@ def generalized_boundary_bulk(data: AdjointData, psi) -> JacobiElement:
     # not the even-only _insertion_matrix: psi may be odd
     num = _str_with_derivatives(psi.mat, data.base,
                                 data.source_names + data.target_names)
-    return _defect_wrap(data, num, data.target_names, target_ring, ring,
-                        data.m, [data.base.ctx.one()])[0]
+    return _defect_wrap(data, num, target_ring, ring, data.m,
+                        [data.base.ctx.one()])[0]

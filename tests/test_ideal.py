@@ -375,3 +375,57 @@ def test_division_and_normal_form_leave_their_inputs_alone(args):
         normal_form(g, groebner(divisors))
     _unchanged(before)
     assert g.ctx.zero().is_zero()
+
+
+# -- power membership against its first-written form -------------------------
+
+def _reference_power_membership(v, gb):
+    """The first-written loop: divide v, v^2, ..., v^D in full until the
+    remainder vanishes."""
+    q = gb.quotient
+    if not q.finite:
+        raise ValueError(f"infinite quotient: no power of {q.witness} "
+                         f"lies in the ideal")
+    D = q.dimension
+    x = gb.ctx.gen(v)
+    for a in range(1, max(D, 1) + 1):
+        cof_gb, rem = division(x ** a, gb.generators)
+        if rem.is_zero():
+            cof = [gb.ctx.zero() for _ in gb.original_gens]
+            for c, row in zip(cof_gb, gb.cofactor_log):
+                for j, r in enumerate(row):
+                    cof[j] = cof[j] + c * r
+            return a, cof
+    raise ValueError(f"{v} is not nilpotent: {v}^{D} is not in the "
+                     f"ideal, whose quotient has dimension D = {D}")
+
+
+def _outcome(fn, v, gb):
+    try:
+        return fn(v, gb)
+    except ValueError as exc:
+        return str(exc)
+
+
+_CX = RingContext(["x"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(ideals())
+@example([parse_poly("x^2 - y^2", _CXY), parse_poly("x*y", _CXY)])
+@example([parse_poly("x^2 - 1", _CXY), parse_poly("y", _CXY)])
+@example([parse_poly("x^3", _CXY)])
+@example([parse_poly("x - x^2", _CX)])
+@example([parse_poly(f, RingContext(["x", "y", "z"]))
+          for f in ("3*x^2*y + z^3", "3*y^2*z + x^3", "3*z^2*x + y^3")])
+def test_power_membership_matches_the_reference(gens):
+    gb = groebner(gens)
+    for v in gb.ctx.names:
+        got = _outcome(power_membership, v, gb)
+        want = _outcome(_reference_power_membership, v, gb)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got[0] == want[0] and len(got[1]) == len(want[1])
+        for c, w in zip(got[1], want[1]):
+            _same_terms(c.terms, w.terms)

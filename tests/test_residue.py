@@ -1,6 +1,7 @@
 """Grothendieck residues: defining property, transformation rule, duality,
 and residue plans against the product form of the transformation rule."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgmf import adjunction, polymat, residue as residue_module, tft
+from lgmf import adjunction, ideal, mf, polymat, residue as residue_module, tft
 from lgmf.ideal import groebner, normal_form, power_membership
 from lgmf.residue import (DenominatorError, ResidueQuery, grothendieck_residue,
                           jacobian_delta, monomial_residue, residue,
@@ -208,15 +209,29 @@ def test_plan_build_rejects_bad_denominators():
 # -- one plan per loop --------------------------------------------------------
 
 def _count_groebner(monkeypatch):
-    """Count the Groebner bases that residue plans build."""
+    """Count the Groebner bases built through any lgmf module's binding."""
     calls = []
-    real = residue_module.groebner
+    real = ideal.groebner
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(residue_module, "groebner", wrapper)
+    for module in (ideal, residue_module, adjunction, mf):
+        monkeypatch.setattr(module, "groebner", wrapper)
+    return calls
+
+
+def _count_plans(monkeypatch):
+    """Count the residue plans built from a Jacobi ring's own basis."""
+    calls = []
+    real = tft.JacobiRing.residue_plan
+
+    def wrapper(ring):
+        calls.append(ring)
+        return real(ring)
+
+    monkeypatch.setattr(tft.JacobiRing, "residue_plan", wrapper)
     return calls
 
 
@@ -233,16 +248,75 @@ def test_zorro_composite_builds_one_plan_per_variant(monkeypatch):
 def test_defect_operator_builds_one_plan(monkeypatch):
     data = line_defect(3)
     calls = _count_groebner(monkeypatch)
+    plans = _count_plans(monkeypatch)
     with pytest.warns(tft.ParityWarning):
         op = tft.defect_operator_right(data)
-    assert len(op.images) == 2 and len(calls) == 1
+    # the two bases are the rings' own; the plan reuses the source ring's
+    assert len(op.images) == 2 and len(calls) == 2
+    assert plans == [op.source]
 
 
 def test_bulk_gram_matrix_builds_one_plan(monkeypatch):
     cxy = RingContext(["x", "y"])
     ring = tft.JacobiRing(cxy.gen("x") ** 4 + cxy.gen("y") ** 3)
     calls = _count_groebner(monkeypatch)
+    plans = _count_plans(monkeypatch)
     gram = tft.bulk_gram_matrix(ring)
-    assert len(gram) == ring.dimension == 6 and len(calls) == 1
+    assert len(gram) == ring.dimension == 6
+    assert calls == [] and plans == [ring]
     els = ring.basis_elements()
     assert gram == [[tft.bulk_pairing(a, b, ring) for b in els] for a in els]
+
+
+# -- plans from a Jacobi ring's own basis -------------------------------------
+
+_C3 = RingContext(["x", "y", "z"])
+_X, _Y, _Z = (_C3.gen(n) for n in _C3.names)
+_CXY = RingContext(["x", "y"])
+_CX = RingContext(["x"])
+
+# potential -> dim Jac(W), which local duality makes Res[det Hess(W) dx / dW]
+JACOBI_POTENTIALS = {
+    "Klein quartic": (_X ** 3 * _Y + _Y ** 3 * _Z + _Z ** 3 * _X, 27),
+    "Fermat cubic": (_X ** 3 + _Y ** 3 + _Z ** 3, 8),
+    "x^4+y^3": (_CXY.gen("x") ** 4 + _CXY.gen("y") ** 3, 6),
+    "x^5": (_CX.gen("x") ** 5, 4),
+    "no variables": (RingContext([]).const(Fraction(2)), 1),
+}
+
+
+@functools.cache
+def _jacobi_ring(key):
+    return tft.JacobiRing(JACOBI_POTENTIALS[key][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(sorted(JACOBI_POTENTIALS)), with_t=st.booleans(),
+       data=st.data())
+def test_ring_plan_equals_the_plan_of_its_partials(key, with_t, data):
+    ring = _jacobi_ring(key)
+    names = list(ring.ctx.names)
+    ctx = RingContext(names + ["t"]) if with_t else ring.ctx
+    num = data.draw(poly_strategy(ctx, max_deg=7, max_terms=6))
+    want = residue_plan([embed(p, ctx) for p in ring.partials], names)(num)
+    assert ring.residue_plan()(num) == want
+
+
+@pytest.mark.parametrize("key", sorted(JACOBI_POTENTIALS))
+def test_local_duality_certifies_the_ring_plan(key):
+    """Res[det Hess(W) dx / dW] = dim Jac(W)."""
+    ring = _jacobi_ring(key)
+    W, dim = JACOBI_POTENTIALS[key]
+    hess = polymat.det([[partial_derivative(partial_derivative(W, a), b)
+                         for b in W.ctx.names] for a in W.ctx.names], W.ctx)
+    assert ring.dimension == dim
+    assert ring.residue_plan()(hess) == W.ctx.const(Fraction(dim))
+    assert tft.bulk_pairing(hess, ring.one(), ring) == dim
+
+
+def test_plan_from_a_basis_over_other_variables_is_rejected():
+    gb = _jacobi_ring("x^4+y^3").gb
+    with pytest.raises(ValueError, match="integration variables"):
+        residue_module._plan_from_basis(gb, ["y", "x"])
+    with pytest.raises(ValueError, match="integration variables"):
+        residue_module._plan_from_basis(None, ["x"])

@@ -14,6 +14,7 @@ from lgmf.signs import binom2
 
 from conftest import (boundary_defect, corpus_boundary_mfs, corpus_potentials,
                       delta_defect, line_defect)
+from test_residue import _count_groebner
 
 
 def _x3_setup():
@@ -65,6 +66,36 @@ def test_bulk_pairing_values():
     x = W.ctx.gen("x")
     assert tft.bulk_pairing(r.one(), x, r) == Fraction(1, 3)
     assert tft.bulk_pairing(r.one(), r.one(), r) == 0
+
+
+def test_bulk_pairing_embeds_both_fields():
+    W = corpus_potentials()["x^3-y^3"]
+    ring = tft.JacobiRing(W)
+    xy = W.ctx.gen("x") * W.ctx.gen("y")
+    one_x = RingContext(["x"]).one()
+    assert tft.bulk_pairing(xy, one_x, ring) == Fraction(-1, 9)
+    assert tft.bulk_pairing(one_x, xy, ring) == Fraction(-1, 9)
+
+
+def test_pairings_and_wraps_reuse_the_rings_bases(monkeypatch):
+    """Past building their Jacobi rings, pairings and defect actions make
+    no Groebner basis: every residue plan comes from a ring's own."""
+    X, x, eta = _x3_setup()
+    ring = tft.JacobiRing(X.potential)
+    data = line_defect(3)
+    bases = _count_groebner(monkeypatch)
+    rings = _counting(monkeypatch, tft, "check_potential")
+    tft.bulk_gram_matrix(ring)
+    tft.bulk_pairing(x, x, ring)
+    tft.kapustin_li_pairing(eta, eta, X, ring=ring)
+    assert bases == [] and rings == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tft.ParityWarning)
+        for side, W in (("right", data.source_potential),
+                        ("left", data.target_potential)):
+            tft.quantum_dim(data, side)
+            tft.defect_act(data, W.ctx.gen(W.ctx.names[0]), side)
+    assert len(rings) == 8 and len(bases) == len(rings)
 
 
 def test_bulk_gram_invertible_for_all_corpus_potentials():
