@@ -19,13 +19,12 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  NullHomotopySet, _commutator_mismatch, _solve_boundary,
                  default_null_homotopies, dual, dual_morphism, mf_rename,
                  null_homotopy_search, shift, tensor)
-from .residue import residue_plan
+from .residue import JacobiRing, residue_plan
 from .ring import (ContextMismatch, Poly, RingContext, _restrict,
                    divided_difference, embed, partial_derivative, primed_name,
                    rename, substitute)
-from .unit import (KoszulUnit, _require_potential, fresh_names, koszul_unit,
-                   rho_inverse, lambda_inverse, unit_action_left,
-                   unit_action_right)
+from .unit import (KoszulUnit, fresh_names, koszul_unit, rho_inverse,
+                   lambda_inverse, unit_action_left, unit_action_right)
 
 
 class AdjointData:
@@ -65,12 +64,21 @@ class AdjointData:
                 dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
                 labels=dl.labels, validate=False)
         if validate:
-            _require_potential(source_potential)
-            _require_potential(target_potential)
+            self.source_ring, self.target_ring     # certify both potentials
         clash = {primed_name(nm) for nm in self.source_names
                  + self.target_names} & set(ctx.names)
         if clash:
             raise ValueError(f"primed copies collide with base names: {clash}")
+
+    @cached_property
+    def source_ring(self) -> JacobiRing:
+        """Jac(W) of the source potential."""
+        return JacobiRing(self.source_potential)
+
+    @cached_property
+    def target_ring(self) -> JacobiRing:
+        """Jac(V) of the target potential."""
+        return JacobiRing(self.target_potential)
 
     # The Koszul units are read only by ev/coev and the Zorro moves; each is
     # built on first use, its potential already certified above.

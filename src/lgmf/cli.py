@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import tft
 from .adjunction import KoszulValuedMap, ev_coev_maps, zorro_check
-from .ideal import check_potential
-from .residue import DenominatorError, ResidueQuery, grothendieck_residue
+from .residue import (DenominatorError, NotAPotential, ResidueQuery,
+                      grothendieck_residue)
 from .ring import Poly, RingContext, embed
 from .unit import koszul_unit, psi_phi_is_identity
 from .workspace import WorkspaceError, load_workspace, parse_poly
@@ -94,14 +94,15 @@ def _capture_warnings(report):
 
 def cmd_check_potential(ws, args, report):
     W = ws.potential(args.name)
-    cert = check_potential(W)
     report.outputs["potential"] = W
-    report.outputs["is_potential"] = cert.is_potential
-    if cert.is_potential:
-        report.outputs["jacobi_dimension"] = cert.jacobi_dimension
-    else:
-        report.outputs["unbounded_variable"] = cert.quotient.witness
-        raise MathFailure(f"{args.name} is not a potential")
+    try:
+        ring = tft.JacobiRing(W)
+    except NotAPotential as exc:
+        report.outputs["is_potential"] = False
+        report.outputs["unbounded_variable"] = exc.witness
+        raise MathFailure(f"{args.name} is not a potential") from None
+    report.outputs["is_potential"] = True
+    report.outputs["jacobi_dimension"] = ring.dimension
 
 
 def cmd_validate(ws, args, report):
@@ -219,7 +220,10 @@ def cmd_pair_kl(ws, args, report):
     X = ws.factorisation(args.name)
     f = ws.morphism(args.psi1)
     g = ws.morphism(args.psi2)
-    report.outputs["pairing"] = tft.kapustin_li_pairing(f, g, X)
+    try:
+        report.outputs["pairing"] = tft.kapustin_li_pairing(f, g, X)
+    except ValueError as exc:       # a morphism of another factorisation
+        raise WorkspaceError(str(exc)) from None
 
 
 def cmd_defect_act(ws, args, report):
@@ -238,7 +242,10 @@ def cmd_cardy(ws, args, report):
     Y = ws.factorisation(args.Y)
     phi = ws.morphism(args.phi) if args.phi else None
     psi = ws.morphism(args.psi) if args.psi else None
-    rep = tft.cardy_check(X, Y, phi, psi, degree_bound=args.degree_bound)
+    try:
+        rep = tft.cardy_check(X, Y, phi, psi, degree_bound=args.degree_bound)
+    except ValueError as exc:       # different potentials, or a bad phi/psi
+        raise WorkspaceError(str(exc)) from None
     report.outputs["lhs"] = rep.lhs
     report.outputs["rhs"] = rep.rhs
     report.outputs["equal"] = rep.equal
@@ -310,7 +317,7 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.workspace)
         args.fn(ws, args, report)
-    except (WorkspaceError, OSError, DenominatorError) as exc:
+    except (WorkspaceError, OSError, DenominatorError, NotAPotential) as exc:
         report.outputs["error"] = str(exc)
         code = 2
     except MathFailure as exc:

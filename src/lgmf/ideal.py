@@ -1,8 +1,8 @@
 """Groebner-basis engine with cofactor tracking, in graded-lex order.
 
 Buchberger's algorithm (sugar strategy, leading coefficients normalised to 1),
-division with remainder and cofactors, finite quotient monomial bases, the
-potential certificate (finite Jacobi colength over Q), and power membership
+division with remainder and cofactors, finite quotient monomial bases (with
+an unbounded-variable witness when infinite), and power membership
 (certified by the quotient dimension) used by the residue transformation
 rule.  The one monomial order is ``ring.grlex_key``, the order of
 ``Poly.sorted_terms``.  Buchberger, normal forms and power membership reduce
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 
-from .ring import (ContextMismatch, Poly, RingContext, _poly, grlex_key,
-                   partial_derivative)
+from .ring import ContextMismatch, Poly, RingContext, _poly, grlex_key
 
 
 def leading_term(p: Poly):
@@ -266,35 +265,6 @@ def _lift_cofactors(cof_gb, gb: GroebnerBasis):
 def quotient_monomial_basis(gb: GroebnerBasis) -> QuotientBasis:
     """Standard monomials under the leading-term ideal, or an infinity witness."""
     return gb.quotient
-
-
-@dataclass
-class PotentialCertificate:
-    W: Poly
-    ctx: RingContext
-    partials: list
-    gb: GroebnerBasis | None    # None when W has no variables
-    quotient: QuotientBasis
-
-    @property
-    def is_potential(self) -> bool:
-        return self.quotient.finite
-
-    @property
-    def jacobi_dimension(self) -> int:
-        return self.quotient.dimension
-
-
-def check_potential(W: Poly) -> PotentialCertificate:
-    """Certify that W has a finite-colength Jacobi ideal (over Q this is the
-    full potential condition); rejection carries an unbounded-monomial witness.
-    With no variables the Jacobi ring is Q itself."""
-    ctx = W.ctx
-    partials = [partial_derivative(W, n) for n in ctx.names]
-    gb = groebner(partials) if partials else None
-    quotient = gb.quotient if gb is not None else QuotientBasis([()])
-    return PotentialCertificate(W=W, ctx=ctx, partials=partials, gb=gb,
-                                quotient=quotient)
 
 
 def power_membership(v: str, gb: GroebnerBasis):

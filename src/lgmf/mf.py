@@ -261,9 +261,9 @@ def mf_rename(X: MatrixFactorisation, mapping) -> MatrixFactorisation:
                                validate=False)
 
 
-def tensor(Y: MatrixFactorisation, X: MatrixFactorisation,
-           validate: bool = False) -> MatrixFactorisation:
-    """Tensor product factorisation with Koszul signs.
+def tensor(Y: MatrixFactorisation,
+           X: MatrixFactorisation) -> MatrixFactorisation:
+    """Tensor product factorisation with Koszul signs (not validated).
 
     Basis is the flat row-major pair basis (a, b) -> a * rank(X) + b with
     parity sums; shared middle variables are identified by name through the
@@ -289,7 +289,7 @@ def tensor(Y: MatrixFactorisation, X: MatrixFactorisation,
     pot = embed(Y.potential, ctx) + embed(X.potential, ctx)
     labels = tuple(f"{ly}(x){lx}" for ly in Y.labels for lx in X.labels)
     return MatrixFactorisation(ctx, pot, parity, d, labels=labels,
-                               validate=validate, factors=(Y, X))
+                               validate=False, factors=(Y, X))
 
 
 def tensor_morphism(f: Morphism, g: Morphism) -> Morphism:

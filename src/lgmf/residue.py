@@ -12,19 +12,22 @@ denominator tuple, and the plan then reads each residue off the
 coefficients of det(C), forming no product.  Loops that take many residues
 over one tuple build one plan; ``grothendieck_residue`` builds a plan and
 applies it once.  A caller that already holds the Groebner basis of the
-denominators (a Jacobi ring holds that of dW) builds the plan from it with
-``_plan_from_basis``, skipping the basis.  Power membership finds each a_i
-by a chain of normal forms and divides x_i^{a_i} with cofactors once.
+denominators builds the plan from it with ``_plan_from_basis``, skipping
+the basis, as ``JacobiRing`` does with that of dW.  Power membership finds
+each a_i by a chain of normal forms and divides x_i^{a_i} with cofactors once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import polymat
-from .ideal import GroebnerBasis, groebner, power_membership
-from .ring import Poly, RingContext, _restrict, divided_difference, embed
+from .ideal import (GroebnerBasis, QuotientBasis, groebner, normal_form,
+                    power_membership)
+from .ring import (Poly, RingContext, _restrict, divided_difference, embed,
+                   partial_derivative)
 
 
 @dataclass
@@ -145,3 +148,127 @@ def jacobian_delta(fs, pairs) -> Poly:
            for i in range(n)]
     return polymat.det(mat)
 
+
+# -- Jacobi rings ------------------------------------------------------------
+
+class NotAPotential(ValueError):
+    """Jac(W) is infinite; ``witness`` is a variable with no power in (dW)."""
+
+    def __init__(self, W: Poly, witness: str):
+        self.witness = witness
+        super().__init__(f"W = {W} is not a potential: its Jacobi ideal has "
+                         f"infinite colength (unbounded in {witness})")
+
+
+class JacobiRing:
+    """k[x]/(dW/dx_1, ..., dW/dx_n) with its standard-monomial basis.
+
+    The one certificate that W is a potential (over Q: a finite quotient).
+    """
+
+    def __init__(self, W: Poly):
+        ctx = W.ctx
+        partials = [partial_derivative(W, n) for n in ctx.names]
+        gb = groebner(partials) if partials else None
+        basis = gb.quotient if gb is not None else QuotientBasis([()])
+        if not basis.finite:
+            raise NotAPotential(W, basis.witness)
+        self.potential = W
+        self.ctx = ctx
+        self.partials = tuple(partials)
+        self.gb = gb                # None when W has no variables
+        self.basis = basis
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.dimension
+
+    def residue_plan(self):
+        """A new plan g -> Res[g dx / dW], built from this ring's Groebner
+        basis of dW (the identity when W has no variables).
+
+        The plan is not kept on the ring: each call makes its own.
+        """
+        return _plan_from_basis(self.gb, self.ctx.names)
+
+    def reduce(self, p) -> "JacobiElement":
+        if isinstance(p, JacobiElement):
+            if p.ring.ctx != self.ctx:
+                raise ValueError("element of a different Jacobi ring")
+            p = p.rep
+        p = embed(p, self.ctx) if p.ctx != self.ctx else p
+        rep = p if self.gb is None else normal_form(p, self.gb)
+        return JacobiElement(self, rep)
+
+    def one(self) -> "JacobiElement":
+        return JacobiElement(self, self.ctx.one())
+
+    def zero(self) -> "JacobiElement":
+        return JacobiElement(self, self.ctx.zero())
+
+    def coordinates(self, el: "JacobiElement"):
+        """Coefficient vector of a (normal-form) element over the basis."""
+        vec = []
+        seen = dict(el.rep.terms)
+        for mono in self.basis.monomials:
+            vec.append(seen.pop(mono, Fraction(0)))
+        if seen:
+            raise ValueError("representative is not in normal form")
+        return vec
+
+    def basis_elements(self):
+        return [JacobiElement(self, self.ctx.poly({m: Fraction(1)}))
+                for m in self.basis.monomials]
+
+    def __eq__(self, other):
+        return (isinstance(other, JacobiRing)
+                and self.ctx == other.ctx
+                and self.potential == other.potential)
+
+    def __repr__(self):
+        return (f"JacobiRing({self.potential!r}, dim={self.dimension})")
+
+
+@dataclass(frozen=True)
+class JacobiElement:
+    """A bulk field: the normal form of a polynomial modulo (dW)."""
+
+    ring: JacobiRing
+    rep: Poly
+
+    def __add__(self, other):
+        return self.ring.reduce(self.rep + _rep(other, self.ring))
+
+    def __sub__(self, other):
+        return self.ring.reduce(self.rep - _rep(other, self.ring))
+
+    def __neg__(self):
+        return JacobiElement(self.ring, -self.rep)
+
+    def __mul__(self, other):
+        return self.ring.reduce(self.rep * _rep(other, self.ring))
+
+    def scale(self, c):
+        return JacobiElement(self.ring, self.rep * Fraction(c))
+
+    def is_zero(self) -> bool:
+        return self.rep.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, JacobiElement):
+            return self.ring == other.ring and self.rep == other.rep
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rep)
+
+    def __repr__(self):
+        return f"[{self.rep!r}]"
+
+
+def _rep(other, ring: JacobiRing) -> Poly:
+    if isinstance(other, JacobiElement):
+        return other.rep
+    if isinstance(other, Poly):
+        return other
+    return ring.ctx.const(Fraction(other))

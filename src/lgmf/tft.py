@@ -1,9 +1,10 @@
 """Topological invariants of Landau-Ginzburg models.
 
-Jacobi rings of bulk fields, defect operators with field insertions, quantum
-dimensions and Chern characters, the bulk and boundary (Kapustin-Li)
-pairings, truncated morphism cohomology, the Cardy identity, and the shadow
-and generalised boundary-bulk maps.  Everything is exact over the rationals.
+Jacobi rings of bulk fields (re-exported from ``residue``), defect operators
+with field insertions, quantum dimensions and Chern characters, the bulk and
+boundary (Kapustin-Li) pairings, truncated morphism cohomology, the Cardy
+identity, and the shadow and generalised boundary-bulk maps.  Everything is
+exact over the rationals.
 """
 
 from __future__ import annotations
@@ -14,128 +15,15 @@ from fractions import Fraction
 
 from . import linalg, polymat, signs
 from .adjunction import AdjointData, _project
-from .ideal import check_potential, normal_form
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
-                 _dicts_to_vectors, str_matrix)
-from .residue import _plan_from_basis
+                 _dicts_to_vectors, dual, shift, str_matrix)
+from .residue import JacobiElement, JacobiRing, _rep
 from .ring import Poly, embed, partial_derivative
 
 
 class ParityWarning(UserWarning):
     """The closed defect formulas are asserted only for even variable counts;
     the raw residue is still computed and flagged."""
-
-
-# -- Jacobi rings ------------------------------------------------------------
-
-class JacobiRing:
-    """k[x]/(dW/dx_1, ..., dW/dx_n) with its standard-monomial basis."""
-
-    def __init__(self, W: Poly):
-        cert = check_potential(W)
-        if not cert.is_potential:
-            raise ValueError(
-                f"Jacobi ideal has infinite colength "
-                f"(unbounded in {cert.quotient.witness})")
-        self.potential = W
-        self.ctx = W.ctx
-        self.partials = tuple(cert.partials)
-        self.gb = cert.gb           # None when W has no variables
-        self.basis = cert.quotient
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
-
-    def residue_plan(self):
-        """A new plan g -> Res[g dx / dW], built from this ring's Groebner
-        basis of dW (the identity when W has no variables).
-
-        The plan is not kept on the ring: each call makes its own.
-        """
-        return _plan_from_basis(self.gb, self.ctx.names)
-
-    def reduce(self, p) -> "JacobiElement":
-        if isinstance(p, JacobiElement):
-            if p.ring.ctx != self.ctx:
-                raise ValueError("element of a different Jacobi ring")
-            p = p.rep
-        p = embed(p, self.ctx) if p.ctx != self.ctx else p
-        rep = p if self.gb is None else normal_form(p, self.gb)
-        return JacobiElement(self, rep)
-
-    def one(self) -> "JacobiElement":
-        return JacobiElement(self, self.ctx.one())
-
-    def zero(self) -> "JacobiElement":
-        return JacobiElement(self, self.ctx.zero())
-
-    def coordinates(self, el: "JacobiElement"):
-        """Coefficient vector of a (normal-form) element over the basis."""
-        vec = []
-        seen = dict(el.rep.terms)
-        for mono in self.basis.monomials:
-            vec.append(seen.pop(mono, Fraction(0)))
-        if seen:
-            raise ValueError("representative is not in normal form")
-        return vec
-
-    def basis_elements(self):
-        return [JacobiElement(self, self.ctx.poly({m: Fraction(1)}))
-                for m in self.basis.monomials]
-
-    def __eq__(self, other):
-        return (isinstance(other, JacobiRing)
-                and self.ctx == other.ctx
-                and self.potential == other.potential)
-
-    def __repr__(self):
-        return (f"JacobiRing({self.potential!r}, dim={self.dimension})")
-
-
-@dataclass(frozen=True)
-class JacobiElement:
-    """A bulk field: the normal form of a polynomial modulo (dW)."""
-
-    ring: JacobiRing
-    rep: Poly
-
-    def __add__(self, other):
-        return self.ring.reduce(self.rep + _rep(other, self.ring))
-
-    def __sub__(self, other):
-        return self.ring.reduce(self.rep - _rep(other, self.ring))
-
-    def __neg__(self):
-        return JacobiElement(self.ring, -self.rep)
-
-    def __mul__(self, other):
-        return self.ring.reduce(self.rep * _rep(other, self.ring))
-
-    def scale(self, c):
-        return JacobiElement(self.ring, self.rep * Fraction(c))
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, JacobiElement):
-            return self.ring == other.ring and self.rep == other.rep
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __repr__(self):
-        return f"[{self.rep!r}]"
-
-
-def _rep(other, ring: JacobiRing) -> Poly:
-    if isinstance(other, JacobiElement):
-        return other.rep
-    if isinstance(other, Poly):
-        return other
-    return ring.ctx.const(Fraction(other))
 
 
 # -- defect operators --------------------------------------------------------
@@ -227,10 +115,6 @@ def _parity_warn(data: AdjointData):
             f"only for even counts", ParityWarning, stacklevel=3)
 
 
-def _defect_rings(data: AdjointData):
-    return JacobiRing(data.source_potential), JacobiRing(data.target_potential)
-
-
 def _defect_wrap(data: AdjointData, integrand: Poly, over: JacobiRing,
                  onto: JacobiRing, k: int, fields) -> list:
     """(-1)^{C(k+1,2)} Res[f integrand dx / d(over)] in ``onto``, per f.
@@ -245,21 +129,19 @@ def _defect_wrap(data: AdjointData, integrand: Poly, over: JacobiRing,
                         * sign) for f in fields]
 
 
-def defect_operator_right(data: AdjointData, Phi=None,
-                          rings=None) -> DefectOperator:
+def defect_operator_right(data: AdjointData, Phi=None) -> DefectOperator:
     """Wrapping the defect around a source bulk insertion: Jac(W) -> Jac(V)."""
     _parity_warn(data)
-    src, tgt = rings if rings is not None else _defect_rings(data)
+    src, tgt = data.source_ring, data.target_ring
     images = _defect_wrap(data, defect_supertrace(data, Phi), src, tgt,
                           data.m, [b.rep for b in src.basis_elements()])
     return DefectOperator(src, tgt, images)
 
 
-def defect_operator_left(data: AdjointData, Phi=None,
-                         rings=None) -> DefectOperator:
+def defect_operator_left(data: AdjointData, Phi=None) -> DefectOperator:
     """The mirrored wrap on target bulk insertions: Jac(V) -> Jac(W)."""
     _parity_warn(data)
-    src, tgt = rings if rings is not None else _defect_rings(data)
+    src, tgt = data.source_ring, data.target_ring
     images = _defect_wrap(data, defect_supertrace(data, Phi), tgt, src,
                           data.n, [b.rep for b in tgt.basis_elements()])
     return DefectOperator(tgt, src, images)
@@ -291,24 +173,21 @@ def _check_side(side: str):
 
 def _act_on_field(data: AdjointData, side: str, field) -> JacobiElement:
     """The wrap of the chosen side on ``field`` (reduced first), or on 1."""
-    src, tgt = _defect_rings(data)
     if side == "right":
-        over, onto, k = src, tgt, data.m
+        over, onto, k = data.source_ring, data.target_ring, data.m
     else:
-        over, onto, k = tgt, src, data.n
+        over, onto, k = data.target_ring, data.source_ring, data.n
     f = over.ctx.one() if field is None else over.reduce(field).rep
     return _defect_wrap(data, defect_supertrace(data), over, onto, k, [f])[0]
 
 
 def dual_defect(data: AdjointData) -> AdjointData:
     """The dual factorisation read as a defect in the opposite direction."""
-    from .mf import dual
     return AdjointData(dual(data.base), data.target_potential,
                        data.source_potential, validate=False)
 
 
 def shifted_defect(data: AdjointData, k: int = 1) -> AdjointData:
-    from .mf import shift
     return AdjointData(shift(data.base, k), data.source_potential,
                        data.target_potential, validate=False)
 
@@ -354,9 +233,22 @@ def bulk_pairing(phi1, phi2, W) -> Fraction:
     return _constant(ring.residue_plan()(p))
 
 
+def _require_endomorphism(f: Morphism, X: MatrixFactorisation, name: str,
+                          even: bool = False):
+    """Raise ValueError unless f maps X to X (and is even, if asked)."""
+    if f.source is not X or f.target is not X:
+        raise ValueError(f"{name} is not an endomorphism of {X!r}")
+    if even and f.parity:
+        raise ValueError(f"{name} must be even")
+
+
 def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
                         ring=None) -> Fraction:
-    """The boundary correlator Res[str(psi1 psi2 dd...dd) dx / dW]."""
+    """The boundary correlator Res[str(psi1 psi2 dd...dd) dx / dW] of two
+    endomorphisms of X (or bare matrices over X's basis)."""
+    for name, psi in (("psi1", psi1), ("psi2", psi2)):
+        if isinstance(psi, Morphism):
+            _require_endomorphism(psi, X, name)
     ring = JacobiRing(X.potential) if ring is None else ring
     m1 = psi1.mat if isinstance(psi1, Morphism) else psi1
     m2 = psi2.mat if isinstance(psi2, Morphism) else psi2
@@ -519,10 +411,12 @@ def cardy_check(X: MatrixFactorisation, Y: MatrixFactorisation,
 
     lhs: the supertrace of alpha -> psi o alpha o phi on the cohomology of
     the morphism complex.  rhs: (-1)^{C(n+1,2)} Res[beta_X(phi) beta_Y(psi)
-    dx / dW].
+    dx / dW].  phi and psi must be even endomorphisms of X and of Y.
     """
     phi = X.identity() if phi is None else phi
     psi = Y.identity() if psi is None else psi
+    _require_endomorphism(phi, X, "phi", even=True)
+    _require_endomorphism(psi, Y, "psi", even=True)
     ring = JacobiRing(X.potential)
     n = len(ring.ctx.names)
     coh = hom_cohomology(X, Y, degree_bound)
@@ -561,12 +455,10 @@ def shadow_of_unit(W: Poly) -> ShadowDescription:
 
 def generalized_boundary_bulk(data: AdjointData, psi) -> JacobiElement:
     """(-1)^{C(m+1,2)} Res_z[str(psi dd/dx...dd/dz...) dz / dV] in Jac(W)."""
-    ring = JacobiRing(data.source_potential)
-    target_ring = JacobiRing(data.target_potential)
     if not isinstance(psi, Morphism):
         psi = Morphism(data.base, data.base, 0, psi)
     # not the even-only _insertion_matrix: psi may be odd
     num = _str_with_derivatives(psi.mat, data.base,
                                 data.source_names + data.target_names)
-    return _defect_wrap(data, num, target_ring, ring, data.m,
-                        [data.base.ctx.one()])[0]
+    return _defect_wrap(data, num, data.target_ring, data.source_ring,
+                        data.m, [data.base.ctx.one()])[0]

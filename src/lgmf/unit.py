@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polymat, signs
-from .ideal import check_potential
-from .mf import (FactorisationError, MatrixFactorisation, Morphism, mf_rename,
-                 tensor)
+from .mf import MatrixFactorisation, Morphism, mf_rename, tensor
+from .residue import JacobiRing
 from .ring import (Poly, RingContext, _restrict, divided_difference,
                    divided_difference_ordered, embed, primed_name, substitute)
 
@@ -72,27 +71,17 @@ def _divided(p: Poly, i: int, pairs, sigma):
     return divided_difference_ordered(p, i, sigma, pairs=pairs)
 
 
-def _require_potential(W: Poly):
-    """Raise FactorisationError unless W has a finite-dimensional Jacobi ring."""
-    if not W.ctx.names:
-        return
-    cert = check_potential(W)
-    if not cert.is_potential:
-        raise FactorisationError(
-            f"W = {W} is not a potential (unbounded monomials in "
-            f"{cert.quotient.witness})")
-
-
 def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUnit:
     """Build Delta_W over the doubled context of W's variables.
 
     ``sigma`` (1-based permutation sequence) selects the variable ordering
     used in the difference quotients, producing the alternative unit.
+    ``require_potential`` certifies W by building its Jacobi ring.
     """
     base = W.ctx.names
     n = len(base)
     if require_potential:
-        _require_potential(W)
+        JacobiRing(W)
     dctx = W.ctx.doubled()
     primes = tuple(primed_name(nm) for nm in base)
     pairs = list(zip(base, primes))

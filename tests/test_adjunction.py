@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from lgmf import adjunction, mf, polymat, unit
+from lgmf import adjunction, mf, polymat
 from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
                              kernel_homotopy_search, kvm_difference,
                              left_dual_morphism, right_dual_morphism,
                              zorro_check)
 from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
                      default_null_homotopies, identity_morphism)
+from lgmf.residue import JacobiRing
 from lgmf.ring import RingContext, embed
 
 from conftest import boundary_defect, corpus_boundary_mfs, line_defect
@@ -197,13 +198,14 @@ def test_adjoint_data_rejects_potential_mismatch():
 def test_units_are_built_once_on_first_use(monkeypatch):
     d = line_defect(3)
     certified = []
-    real = unit.check_potential
-    monkeypatch.setattr(unit, "check_potential",
-                        lambda W: certified.append(W) or real(W))
+    real = JacobiRing.__init__
+    monkeypatch.setattr(JacobiRing, "__init__",
+                        lambda self, W: certified.append(W) or real(self, W))
     assert "unit_source" not in vars(d) and "unit_target" not in vars(d)
+    # both potentials were certified, by building their rings, with d
+    assert "source_ring" in vars(d) and "target_ring" in vars(d)
     u, v = d.unit_source, d.unit_target
     assert d.unit_source is u and d.unit_target is v
-    # both potentials were certified when d was built
     assert certified == []
     assert u.base_names == ("y",) and v.base_names == ("x",)
 

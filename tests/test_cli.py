@@ -253,6 +253,40 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+MORE = GOOD + """potential W4 on R1 = x^4
+mf X4a on W4 = ([x], [x^3])
+mf X4b on W4 = ([x^2], [x^2])
+morphism eta4 : X4a -> X4a parity 1 = [[0, -x^2], [1, 0]]
+morphism x4 : X4a -> X4a parity 0 = [[x, 0], [0, x]]
+ring Rd = [p, q]
+potential Bad1 on Rd = p^2*q
+"""
+NOT_A_POTENTIAL = ("W = p^2*q is not a potential: its Jacobi ideal has "
+                   "infinite colength (unbounded in q)")
+X3 = "MatrixFactorisation(rank 1+1 over ('x',), W = x^3)"
+X4 = "MatrixFactorisation(rank 1+1 over ('x',), W = x^4)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["unit", "Bad1"], NOT_A_POTENTIAL),
+    (["pair-bulk", "Bad1", "p", "q"], NOT_A_POTENTIAL),
+    (["cardy", "Xc", "X4a"], "factorisations of different potentials"),
+    (["cardy", "Xc", "Xc", "--psi", "eta"], "psi must be even"),
+    (["cardy", "X4a", "X4b", "--phi", "x4", "--psi", "x4"],
+     f"psi is not an endomorphism of {X4}"),
+    (["pair-kl", "Xc", "idX", "eta4"],
+     f"psi2 is not an endomorphism of {X3}"),
+    (["cardy", "Xc", "X4a", "--phi", "nope"], "unknown morphism 'nope'"),
+], ids=["unit-Bad1", "pair-bulk-Bad1", "cardy-potentials", "cardy-odd-psi",
+        "cardy-foreign-psi", "pair-kl-foreign", "cardy-unknown-phi"])
+def test_inconsistent_inputs_exit_two(tmp_path, capsys, argv, message):
+    path = tmp_path / "more.lg"
+    path.write_text(MORE)
+    code, rep = run_json(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert rep["outputs"]["error"] == message
+
+
 # -- report format ------------------------------------------------------------
 
 def test_json_reports_are_deterministic(ws, capsys):

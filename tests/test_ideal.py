@@ -1,4 +1,8 @@
-"""Groebner bases, normal forms, Jacobi quotients, potential certification."""
+"""Groebner bases, normal forms, Jacobi quotients, potential certification.
+
+A potential is certified by building its ``JacobiRing``, which holds the
+Groebner basis and quotient monomials of its partials.
+"""
 
 from fractions import Fraction
 
@@ -7,9 +11,9 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgmf.ideal import (check_potential, division, groebner,
-                        membership_with_cofactors, normal_form,
-                        power_membership, quotient_monomial_basis)
+from lgmf.ideal import (division, groebner, membership_with_cofactors,
+                        normal_form, power_membership, quotient_monomial_basis)
+from lgmf.residue import JacobiRing, NotAPotential
 from lgmf.ring import ContextMismatch, Poly, RingContext, grlex_key, parse_poly
 
 from conftest import corpus_potentials
@@ -59,28 +63,28 @@ def test_membership_with_cofactors_reconstructs(p):
 def test_jacobi_dimensions_of_corpus():
     expected = {"x^3": 2, "x^4": 3, "xy": 1, "x^2-y^2": 1, "x^3-y^3": 4}
     for key, W in corpus_potentials().items():
-        cert = check_potential(W)
-        assert cert.is_potential, key
-        assert cert.jacobi_dimension == expected[key], key
+        assert JacobiRing(W).dimension == expected[key], key
 
 
 def test_non_potential_rejected_with_witness():
     x, y = CTX.gen("x"), CTX.gen("y")
-    cert = check_potential(x ** 2 * y)
-    assert not cert.is_potential
-    assert cert.quotient.witness in ("x", "y")
+    # (dW) = (2xy, x^2): no power of y is a leading monomial
+    with pytest.raises(NotAPotential) as err:
+        JacobiRing(x ** 2 * y)
+    assert err.value.witness == "y"
+    assert str(err.value) == ("W = x^2*y is not a potential: its Jacobi "
+                              "ideal has infinite colength (unbounded in y)")
 
 
 def test_quotient_basis_x3_y3():
     W = corpus_potentials()["x^3-y^3"]
-    cert = check_potential(W)
-    monos = cert.quotient.monomials
+    monos = JacobiRing(W).basis.monomials
     assert sorted(monos) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_power_membership_in_jacobi_ideal():
     W = corpus_potentials()["x^3"]
-    gb = check_potential(W).gb
+    gb = JacobiRing(W).gb
     k, cof = power_membership("x", gb)
     x = W.ctx.gen("x")
     assert k >= 1
@@ -113,10 +117,9 @@ def test_groebner_requires_matching_contexts():
 
 
 def test_zero_variable_potential_has_a_one_dimensional_quotient():
-    cert = check_potential(RingContext([]).one())
-    assert cert.partials == [] and cert.gb is None
-    assert cert.is_potential and cert.jacobi_dimension == 1
-    assert cert.quotient.monomials == [()]
+    ring = JacobiRing(RingContext([]).one())
+    assert ring.partials == () and ring.gb is None
+    assert ring.dimension == 1 and ring.basis.monomials == [()]
 
 
 # -- differential tests: a reference Buchberger and a sympy oracle -----------

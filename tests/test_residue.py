@@ -251,9 +251,10 @@ def test_defect_operator_builds_one_plan(monkeypatch):
     plans = _count_plans(monkeypatch)
     with pytest.warns(tft.ParityWarning):
         op = tft.defect_operator_right(data)
-    # the two bases are the rings' own; the plan reuses the source ring's
-    assert len(op.images) == 2 and len(calls) == 2
-    assert plans == [op.source]
+    # the rings are the defect's own, built with it; the plan is the
+    # source ring's
+    assert len(op.images) == 2 and calls == []
+    assert plans == [op.source] and op.source is data.source_ring
 
 
 def test_bulk_gram_matrix_builds_one_plan(monkeypatch):

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from lgmf import linalg, polymat, tft
+from lgmf import linalg, polymat, residue, tft
 from lgmf.adjunction import AdjointData
-from lgmf.ideal import check_potential
+from lgmf.ideal import groebner
 from lgmf.mf import Morphism, mf_rename, new_mf, null_homotopy_search
-from lgmf.ring import RingContext, rename
+from lgmf.ring import RingContext, partial_derivative, rename
 from lgmf.signs import binom2
 
 from conftest import (boundary_defect, corpus_boundary_mfs, corpus_potentials,
@@ -79,12 +79,13 @@ def test_bulk_pairing_embeds_both_fields():
 
 def test_pairings_and_wraps_reuse_the_rings_bases(monkeypatch):
     """Past building their Jacobi rings, pairings and defect actions make
-    no Groebner basis: every residue plan comes from a ring's own."""
+    no Groebner basis: every residue plan comes from a ring's own, and a
+    defect's rings are the two it built when it certified its potentials."""
     X, x, eta = _x3_setup()
     ring = tft.JacobiRing(X.potential)
     data = line_defect(3)
     bases = _count_groebner(monkeypatch)
-    rings = _counting(monkeypatch, tft, "check_potential")
+    rings = _counting(monkeypatch, tft.JacobiRing, "__init__")
     tft.bulk_gram_matrix(ring)
     tft.bulk_pairing(x, x, ring)
     tft.kapustin_li_pairing(eta, eta, X, ring=ring)
@@ -95,7 +96,10 @@ def test_pairings_and_wraps_reuse_the_rings_bases(monkeypatch):
                         ("left", data.target_potential)):
             tft.quantum_dim(data, side)
             tft.defect_act(data, W.ctx.gen(W.ctx.names[0]), side)
-    assert len(rings) == 8 and len(bases) == len(rings)
+        tft.defect_operator_right(data)
+        tft.defect_operator_left(data)
+        tft.generalized_boundary_bulk(data, data.base.identity())
+    assert rings == [] and bases == []
 
 
 def test_bulk_gram_invertible_for_all_corpus_potentials():
@@ -106,13 +110,14 @@ def test_bulk_gram_invertible_for_all_corpus_potentials():
 
 def test_jacobi_ring_is_the_potential_certificate_quotient():
     for W in list(corpus_potentials().values()) + [RingContext([]).one()]:
-        cert = check_potential(W)
+        partials = [partial_derivative(W, n) for n in W.ctx.names]
         r = tft.JacobiRing(W)
-        assert r.partials == tuple(cert.partials)
-        assert r.basis.monomials == cert.quotient.monomials
-        assert r.dimension == cert.jacobi_dimension
+        assert r.partials == tuple(partials)
+        monos = groebner(partials).quotient.monomials if partials else [()]
+        assert r.basis.monomials == monos
+        assert r.dimension == len(monos)
     xy = RingContext(["x", "y"])
-    with pytest.raises(ValueError, match="infinite colength"):
+    with pytest.raises(residue.NotAPotential, match="infinite colength"):
         tft.JacobiRing(xy.gen("x") ** 2 * xy.gen("y"))
 
 
@@ -427,3 +432,26 @@ def test_defect_act_is_the_operator_on_one_field(make, monkeypatch):
                 del calls[:]
                 assert tft.defect_act(d, f, side) == op.apply(f)
                 assert len(calls) == 1 and len(calls[0][-1]) == 1
+
+
+def test_pairings_take_only_endomorphisms_of_their_factorisations():
+    X, x, eta = _x3_setup()
+    cx = X.ctx
+    Y = new_mf(cx, x ** 3, [[x]], [[x ** 2]])      # equal to X, not X
+    eta_y = Morphism(Y, Y, 1, eta.mat)
+    id_y = Y.identity()
+    with pytest.raises(ValueError, match="psi2 is not an endomorphism"):
+        tft.kapustin_li_pairing(X.identity(), eta_y, X)
+    with pytest.raises(ValueError, match="psi1 is not an endomorphism"):
+        tft.kapustin_li_pairing(id_y, eta, X)
+    # a bare matrix is read over X's basis
+    assert tft.kapustin_li_pairing(X.identity().mat, eta, X) == -1
+    with pytest.raises(ValueError, match="phi is not an endomorphism"):
+        tft.cardy_check(X, Y, id_y, id_y)
+    with pytest.raises(ValueError, match="psi is not an endomorphism"):
+        tft.cardy_check(X, Y, X.identity(), X.identity())
+    with pytest.raises(ValueError, match="phi must be even"):
+        tft.cardy_check(X, X, eta)
+    with pytest.raises(ValueError, match="psi must be even"):
+        tft.cardy_check(X, X, None, eta)
+    assert tft.cardy_check(X, Y, X.identity(), id_y).equal
