@@ -52,23 +52,35 @@ class AdjointData:
                 "base potential is not (target) - (source)")
         self.n = len(self.source_names)
         self.m = len(self.target_names)
-        # right adjoint R[n] (x) Xv: the suspension sits on the left, so the
-        # differential picks up (-1)^n; left adjoint Xv (x) S[m]: suspension
-        # on the right, parity flips but the differential is unchanged
-        dl = dual(base)
-        self.right_adjoint = shift(dl, self.n)
-        if self.m % 2 == 0:
-            self.left_adjoint = dl
-        else:
-            self.left_adjoint = MatrixFactorisation(
-                dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
-                labels=dl.labels, validate=False)
         if validate:
             self.source_ring, self.target_ring     # certify both potentials
         clash = {primed_name(nm) for nm in self.source_names
                  + self.target_names} & set(ctx.names)
         if clash:
             raise ValueError(f"primed copies collide with base names: {clash}")
+
+    # The adjoints are read only by ev/coev, the Zorro moves and the
+    # adjunction maps; each is built on first use from one shared dual.
+    @cached_property
+    def _dual(self) -> MatrixFactorisation:
+        return dual(self.base)
+
+    @cached_property
+    def right_adjoint(self) -> MatrixFactorisation:
+        """R[n] (x) Xv: the suspension sits on the left, so the differential
+        picks up (-1)^n."""
+        return shift(self._dual, self.n)
+
+    @cached_property
+    def left_adjoint(self) -> MatrixFactorisation:
+        """Xv (x) S[m]: the suspension sits on the right, so the parity flips
+        with m but the differential is unchanged."""
+        dl = self._dual
+        if self.m % 2 == 0:
+            return dl
+        return MatrixFactorisation(
+            dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
+            labels=dl.labels, validate=False)
 
     @cached_property
     def source_ring(self) -> JacobiRing:

@@ -216,14 +216,24 @@ def cmd_pair_bulk(ws, args, report):
     report.outputs["pairing"] = tft.bulk_pairing(p1, p2, ring)
 
 
+def _endomorphism(ws, name, of, even=False):
+    """The morphism ``name``; an input error unless it is an endomorphism of
+    the factorisation ``of`` (and even, if asked).  The errors name both by
+    their workspace names."""
+    f = ws.morphism(name)
+    X = ws.factorisation(of)
+    if f.source is not X or f.target is not X:
+        raise WorkspaceError(f"{name} is not an endomorphism of {of}")
+    if even and f.parity:
+        raise WorkspaceError(f"{name} must be even")
+    return f
+
+
 def cmd_pair_kl(ws, args, report):
     X = ws.factorisation(args.name)
-    f = ws.morphism(args.psi1)
-    g = ws.morphism(args.psi2)
-    try:
-        report.outputs["pairing"] = tft.kapustin_li_pairing(f, g, X)
-    except ValueError as exc:       # a morphism of another factorisation
-        raise WorkspaceError(str(exc)) from None
+    f = _endomorphism(ws, args.psi1, args.name)
+    g = _endomorphism(ws, args.psi2, args.name)
+    report.outputs["pairing"] = tft.kapustin_li_pairing(f, g, X)
 
 
 def cmd_defect_act(ws, args, report):
@@ -240,11 +250,11 @@ def cmd_defect_act(ws, args, report):
 def cmd_cardy(ws, args, report):
     X = ws.factorisation(args.X)
     Y = ws.factorisation(args.Y)
-    phi = ws.morphism(args.phi) if args.phi else None
-    psi = ws.morphism(args.psi) if args.psi else None
+    phi = _endomorphism(ws, args.phi, args.X, even=True) if args.phi else None
+    psi = _endomorphism(ws, args.psi, args.Y, even=True) if args.psi else None
     try:
         rep = tft.cardy_check(X, Y, phi, psi, degree_bound=args.degree_bound)
-    except ValueError as exc:       # different potentials, or a bad phi/psi
+    except ValueError as exc:       # factorisations of different potentials
         raise WorkspaceError(str(exc)) from None
     report.outputs["lhs"] = rep.lhs
     report.outputs["rhs"] = rep.rhs
@@ -260,6 +270,15 @@ def cmd_cardy(ws, args, report):
 
 
 # -- dispatch ----------------------------------------------------------------
+#
+# One parser serves every ``main`` call of a process; argparse fills a fresh
+# namespace per call.  The parser holds no command function: ``main`` looks
+# ``cmd_<command>`` up in this module when it runs, so a function replaced on
+# the module after the parser was built (a test double, a tracing wrapper and
+# its removal) is the one that runs.
+
+_parser = None
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -272,51 +291,53 @@ def build_parser():
                              "deterministically; currently single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *specs):
+    def add(name, *specs):
         p = sub.add_parser(name)
         p.add_argument("workspace", help="workspace file")
         for spec in specs:
             p.add_argument(*spec[0], **spec[1])
-        p.set_defaults(fn=fn)
         return p
 
-    add("check-potential", cmd_check_potential, (("name",), {}))
-    add("validate", cmd_validate)
-    add("unit", cmd_unit, (("name",), {}))
-    add("residue", cmd_residue,
+    add("check-potential", (("name",), {}))
+    add("validate")
+    add("unit", (("name",), {}))
+    add("residue",
         (("--ring",), {"required": True}),
         (("--numerator",), {"required": True}),
         (("--denominators",), {"required": True,
          "help": "semicolon-separated, one per variable"}))
-    add("evcoev-dump", cmd_evcoev_dump, (("name",), {}))
-    add("zorro-check", cmd_zorro_check, (("name",), {}),
+    add("evcoev-dump", (("name",), {}))
+    add("zorro-check", (("name",), {}),
         (("--degree-bound",), {"type": int, "default": None}))
-    add("qdim", cmd_qdim, (("name",), {}),
+    add("qdim", (("name",), {}),
         (("--side",), {"choices": ["left", "right"], "default": "right"}))
-    add("chern", cmd_chern, (("name",), {}))
-    add("pair-bulk", cmd_pair_bulk, (("potential",), {}),
+    add("chern", (("name",), {}))
+    add("pair-bulk", (("potential",), {}),
         (("phi1",), {}), (("phi2",), {}))
-    add("pair-kl", cmd_pair_kl, (("name",), {}),
+    add("pair-kl", (("name",), {}),
         (("psi1",), {}), (("psi2",), {}))
-    add("defect-act", cmd_defect_act, (("name",), {}),
+    add("defect-act", (("name",), {}),
         (("--field",), {"required": True}),
         (("--side",), {"choices": ["left", "right"], "default": "right"}))
-    add("cardy", cmd_cardy, (("X",), {}), (("Y",), {}),
+    add("cardy", (("X",), {}), (("Y",), {}),
         (("--phi",), {"default": None}), (("--psi",), {"default": None}),
         (("--degree-bound",), {"type": int, "default": None}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     report = Report(args.command, {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("fn", "json") and v is not None})
+        if k != "json" and v is not None})
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     code = 0
     try:
         ws = load_workspace(args.workspace)
-        args.fn(ws, args, report)
+        command(ws, args, report)
     except (WorkspaceError, OSError, DenominatorError, NotAPotential) as exc:
         report.outputs["error"] = str(exc)
         code = 2

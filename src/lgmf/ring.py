@@ -78,7 +78,10 @@ class RingContext:
         return name in self._lookup
 
     def extend(self, extra_names) -> "RingContext":
+        """This context with the new names appended; itself if none is new."""
         new = [n for n in extra_names if n not in self._lookup]
+        if not new:
+            return self
         return RingContext(self.names + tuple(new))
 
     def doubled(self, subset=None) -> "RingContext":
@@ -596,6 +599,9 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
             if peek() == "-":
                 raise ParseError("negative exponents are not supported")
             k = int(take("int"))
+            if k and len(base) == 1:        # a monomial: scale its exponent
+                (exp, c), = base.items()
+                return {tuple(e * k for e in exp): c ** k}
             out = None                      # base^0 = 1, also for base 0
             while k:
                 if k & 1:
@@ -611,12 +617,18 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
         while peek() in ("*", "var", "("):
             if peek() == "*":
                 take()
-            p = _terms_mul(p, parse_power())
+            q = parse_power()
+            if len(p) == 1 and len(q) == 1:     # monomial times monomial
+                (ep, cp), = p.items()
+                (eq, cq), = q.items()
+                p = {tuple(map(add, ep, eq)): cp * cq}
+            else:
+                p = _terms_mul(p, q)
         return p
 
     def signed_product(negative) -> dict:
         p = parse_product()
-        return _terms_scale(p, Fraction(-1)) if negative else p
+        return {exp: -c for exp, c in p.items()} if negative else p
 
     def parse_sum() -> dict:
         negative = False

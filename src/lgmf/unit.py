@@ -436,7 +436,8 @@ def permute_unit(sigma, W: Poly):
     Returns (xi, unit, unit_sigma); xi is closed and a homotopy equivalence.
     """
     unit = koszul_unit(W)
-    unit_sigma = koszul_unit(W, sigma=tuple(sigma))
+    unit_sigma = koszul_unit(W, sigma=tuple(sigma),
+                             require_potential=False)   # certified just above
     act = unit_action_left(unit, unit_sigma)
     li = lambda_inverse(unit, unit_sigma, action=act)
     # contract the right-hand Delta_W factor of Delta^sigma (x) Delta_W

@@ -113,6 +113,9 @@ class Workspace:
     defects: dict = field(default_factory=dict)
     morphisms: dict = field(default_factory=dict)
     positions: dict = field(default_factory=dict)  # name -> line number
+    # plain factorisations read as boundary defects, built once per name
+    _boundaries: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def _declare(self, kind, name, value, line):
         for table in (self.rings, self.potentials, self.mfs,
@@ -141,9 +144,12 @@ class Workspace:
             return self.defects[name]
         if name in self.mfs:
             # a plain factorisation is a boundary defect from the empty theory
-            X = self.mfs[name]
-            empty = RingContext([])
-            return AdjointData(X, empty.zero(), X.potential)
+            data = self._boundaries.get(name)
+            if data is None:
+                X = self.mfs[name]
+                data = self._boundaries[name] = AdjointData(
+                    X, RingContext([]).zero(), X.potential)
+            return data
         raise WorkspaceError(f"unknown defect {name!r}")
 
     def morphism(self, name) -> Morphism:

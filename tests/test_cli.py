@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from lgmf import adjunction, tft
+from lgmf import adjunction, cli, mf, tft
 from lgmf.cli import main
 from lgmf.workspace import WorkspaceError, load_workspace, parse_poly
 
@@ -77,6 +77,53 @@ def test_workspace_errors(tmp_path, snippet, needle):
     with pytest.raises(WorkspaceError) as err:
         load_workspace(str(path))
     assert needle.lower() in str(err.value).lower()
+
+
+def test_loading_builds_no_adjoint(ws, monkeypatch):
+    duals = []
+
+    def counting(real):
+        def dual(X):
+            duals.append(X)
+            return real(X)
+        return dual
+
+    monkeypatch.setattr(adjunction, "dual", counting(adjunction.dual))
+    monkeypatch.setattr(mf, "dual", counting(mf.dual))
+    w = load_workspace(ws)
+    assert duals == []
+    w.defect("D").right_adjoint, w.defect("D").left_adjoint
+    assert len(duals) == 1      # both adjoints share one dual
+
+
+@pytest.mark.parametrize("name", ["D", "Xc", "Xxy"])
+def test_adjoints_built_on_first_use_equal_the_eager_ones(ws, name):
+    data = load_workspace(ws).defect(name)
+    dl = mf.dual(data.base)
+    right = mf.shift(dl, data.n)
+    flip = data.m % 2
+    for got, parity, d in (
+            (data.right_adjoint, right.parity, right.d),
+            (data.left_adjoint, tuple(p ^ flip for p in dl.parity), dl.d)):
+        assert got.parity == parity
+        assert got.potential == dl.potential
+        assert got.d == d
+        assert not got.validation_failures()
+
+
+def test_a_factorisation_read_as_a_defect_is_built_once(ws, monkeypatch):
+    w = load_workspace(ws)
+    first = w.defect("Xc")
+    built = []
+    real = tft.JacobiRing.__init__
+
+    def counting(self, W):
+        built.append(W)
+        real(self, W)
+
+    monkeypatch.setattr(tft.JacobiRing, "__init__", counting)
+    assert w.defect("Xc") is first
+    assert built == []
 
 
 def test_misfactored_mf_reports_witness(tmp_path):
@@ -263,19 +310,16 @@ potential Bad1 on Rd = p^2*q
 """
 NOT_A_POTENTIAL = ("W = p^2*q is not a potential: its Jacobi ideal has "
                    "infinite colength (unbounded in q)")
-X3 = "MatrixFactorisation(rank 1+1 over ('x',), W = x^3)"
-X4 = "MatrixFactorisation(rank 1+1 over ('x',), W = x^4)"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["unit", "Bad1"], NOT_A_POTENTIAL),
     (["pair-bulk", "Bad1", "p", "q"], NOT_A_POTENTIAL),
     (["cardy", "Xc", "X4a"], "factorisations of different potentials"),
-    (["cardy", "Xc", "Xc", "--psi", "eta"], "psi must be even"),
+    (["cardy", "Xc", "Xc", "--psi", "eta"], "eta must be even"),
     (["cardy", "X4a", "X4b", "--phi", "x4", "--psi", "x4"],
-     f"psi is not an endomorphism of {X4}"),
-    (["pair-kl", "Xc", "idX", "eta4"],
-     f"psi2 is not an endomorphism of {X3}"),
+     "x4 is not an endomorphism of X4b"),
+    (["pair-kl", "Xc", "idX", "eta4"], "eta4 is not an endomorphism of Xc"),
     (["cardy", "Xc", "X4a", "--phi", "nope"], "unknown morphism 'nope'"),
 ], ids=["unit-Bad1", "pair-bulk-Bad1", "cardy-potentials", "cardy-odd-psi",
         "cardy-foreign-psi", "pair-kl-foreign", "cardy-unknown-phi"])
@@ -300,3 +344,61 @@ def test_human_report_mentions_command(ws, capsys):
     code, out = run(capsys, "check-potential", ws, "Wc")
     assert code == 0
     assert "check-potential" in out
+
+
+# -- one parser per process ---------------------------------------------------
+
+def test_successive_calls_are_independent(ws, capsys):
+    code, rep = run_json(capsys, "qdim", ws, "D", "--side", "left")
+    assert (code, rep["outputs"]["side"]) == (0, "left")
+    code, rep = run_json(capsys, "qdim", ws, "D")
+    assert (code, rep["outputs"]["side"]) == (0, "right")
+    assert rep["inputs"] == {"command": "qdim", "jobs": 1, "name": "D",
+                             "side": "right", "workspace": ws}
+    code, out = run(capsys, "check-potential", ws, "Wc")
+    assert code == 0 and out.startswith("check-potential:\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["qdim", ws, "D", "--side", "up"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, rep = run_json(capsys, "chern", ws, "Xxy")
+    assert code == 0 and rep["command"] == "chern"
+
+
+def test_the_parser_is_built_once(ws, capsys, monkeypatch):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["unit", ws, "Wc"], ["chern", ws, "Xc"],
+                 ["qdim", ws, "D"]):
+        assert run_json(capsys, *argv)[0] == 0
+    assert len(builds) == 1
+
+
+def test_commands_are_looked_up_when_called(ws, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    calls = []
+
+    def wrapped(ws_, args, report):
+        calls.append(args.name)
+        report.outputs["chern_character"] = "stub"
+
+    # a replacement installed before the parser is built, then removed, is
+    # not reachable from the parser (as a tracing wrapper must not be)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "cmd_chern", wrapped)
+        code, rep = run_json(capsys, "chern", ws, "Xc")
+        assert rep["outputs"]["chern_character"] == "stub"
+    code, rep = run_json(capsys, "chern", ws, "Xc")
+    assert rep["outputs"]["chern_character"] != "stub"
+    # a replacement installed after the parser is built is the one that runs
+    monkeypatch.setattr(cli, "cmd_chern", wrapped)
+    code, rep = run_json(capsys, "chern", ws, "Xxy")
+    assert (code, rep["outputs"]["chern_character"]) == (0, "stub")
+    assert calls == ["Xc", "Xxy"]

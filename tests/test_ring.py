@@ -543,6 +543,15 @@ def test_each_context_has_one_zero():
     assert RingContext(["x"]).zero() == _CX.zero()
 
 
+def test_extending_by_known_names_keeps_the_context():
+    ctx = RingContext(["x", "y"])
+    assert ctx.extend(["y", "x"]) is ctx
+    assert ctx.merge(RingContext(["y"])) is ctx
+    assert ctx.merge(RingContext(["x", "y"])) is ctx
+    wider = ctx.merge(RingContext(["z", "x"]))
+    assert wider.names == ("x", "y", "z") and wider.zero() is not ctx.zero()
+
+
 def _snapshot(*polys):
     return [(p.terms, list(p.terms.items())) for p in polys]
 

@@ -7,6 +7,7 @@ import pytest
 from lgmf import polymat, signs
 from lgmf.mf import (Morphism, homotopic, identity_morphism, mf_rename,
                      null_homotopy_search)
+from lgmf.residue import JacobiRing
 from lgmf.ring import RingContext, embed, rename, substitute
 from lgmf.unit import (KoszulElement, epsilon, koszul_unit, lambda_inverse,
                        lift_to_diagonal, permute_unit, phi, psi,
@@ -181,3 +182,18 @@ def test_permute_unit_comparison_is_closed_and_respects_pi():
         want = embed(W.ctx.one() if unit.subsets[j] == () else W.ctx.zero(),
                      got.ctx)
         assert got == want
+
+
+def test_permute_unit_certifies_its_potential_once(monkeypatch):
+    built = []
+    real = JacobiRing.__init__
+
+    def counting(self, W):
+        built.append(W)
+        real(self, W)
+
+    monkeypatch.setattr(JacobiRing, "__init__", counting)
+    cxy = ctx_of("x", "y")
+    W = cxy.gen("x") ** 3 + cxy.gen("y") ** 3
+    permute_unit((2, 1), W)
+    assert built == [W]         # the second unit reuses the certificate
