@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, ge, sub
 
 from . import polymat, signs
 from .ideal import groebner, normal_form
@@ -19,10 +20,10 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  NullHomotopySet, _commutator_mismatch, _solve_boundary,
                  default_null_homotopies, dual, dual_morphism, mf_rename,
                  null_homotopy_search, shift, tensor)
-from .residue import JacobiRing, residue_plan
-from .ring import (ContextMismatch, Poly, RingContext, _restrict,
-                   divided_difference, embed, partial_derivative, primed_name,
-                   rename, substitute)
+from .residue import JacobiRing
+from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
+                   _terms_add, _terms_mul, divided_difference, embed,
+                   partial_derivative, primed_name, rename, substitute)
 from .unit import (KoszulUnit, fresh_names, koszul_unit, rho_inverse,
                    lambda_inverse, unit_action_left, unit_action_right)
 
@@ -450,9 +451,17 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     variant='right': lambda o (ev_tilde (x) 1) o (1 (x) coev_tilde) o rho^{-1};
     variant='left':  rho o (1 (x) ev) o (coev (x) 1) o lambda^{-1}.
     The middle copies are contracted only at the final unit-action stage, and
-    the residues are evaluated over the shared middle source copy, all with
-    one residue plan.  The unit action keeps theta-degree 0 only, so of the
-    evaluation just its row theta_{} (+-Lambda) and denominators are formed.
+    the residues are taken over the shared middle source copy with the
+    residue functional of the defect's own Jacobi ring (the source ring for
+    'right', the target ring for 'left'), read over the middle names.  The
+    unit action keeps theta-degree 0 only, so of the evaluation just its row
+    theta_{} (+-Lambda) is formed.
+
+    The contraction forms only the terms the functional reads.  Every factor
+    is split by its exponent on the middle variables; a coev-times-section
+    term is formed only if its middle exponent can still reach the
+    functional's support through some term of the evaluation entry it meets,
+    and an evaluation term only if the product lands on the support.
     """
     if variant not in ("right", "left"):
         raise ValueError("variant must be 'right' or 'left'")
@@ -460,12 +469,12 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     r = X.rank
     src, tgt = data.source_names, data.target_names
     if variant == "right":
-        unit, others = data.unit_source, tgt
+        unit, others, ring = data.unit_source, tgt, data.source_ring
         act = unit_action_right(X, unit)
         P = rho_inverse(X, unit, action=act)
         C = coev_tilde(data)
         hs = default_null_homotopies(X, src, side="source")
-        ev_row, W = _ev_tilde_row, data.source_potential
+        ev_row = _ev_tilde_row
         mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
         emap = dict(zip(src, mids))
@@ -473,56 +482,92 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
         def route(x, i, j):                 # (ev index, output row)
             return x * r + i, j
     else:
-        unit, others = data.unit_target, src
+        unit, others, ring = data.unit_target, src, data.target_ring
         act = unit_action_left(X, unit)
         P = lambda_inverse(X, unit, action=act)
         C = coev(data)
         hs = default_null_homotopies(X, tgt, side="target")
-        ev_row, W = _ev_row, data.target_potential
+        ev_row = _ev_row
         mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(unit.prime_names + src, mids + w))
         emap = dict(zip(src + tgt, w + mids))
 
         def route(x, i, j):
             return j * r + x, i
+    # the ring's support is positional: its variables must be the unit's,
+    # in the order the middles copy them
+    if tuple(ring.ctx.names) != tuple(unit.base_names):
+        raise ContextMismatch(f"unit variables {unit.base_names} are not "
+                              f"those of {ring}")
+    plan = ring.residue_plan().over(mids)
+    support = plan.support
     ctx = X.ctx.extend(mids).extend(w)
-    Pm = [[embed(e, ctx) for e in row] for row in P.mat]
-    Cm = [[rename(e, cmap, target_ctx=ctx) for e in row] for row in C.mat]
+    mpos = [ctx.index(n) for n in mids]
+    Pm = [[_by_middle(embed(e, ctx), mpos) for e in row] for row in P.mat]
+    Cm = [[_by_middle(rename(e, cmap, target_ctx=ctx), mpos) for e in row]
+          for row in C.mat]
     K0 = [X.ctx.zero()] * (r * r)
     ev_row(data, K0, hs.product(), None, ())
-    K0 = [rename(e, emap, target_ctx=ctx) for e in K0]
-    to_mids = dict(zip(unit.base_names, mids))
-    denoms = [rename(f, to_mids, target_ctx=ctx) for f in _partials(W)]
+    K0 = [_by_middle(rename(e, emap, target_ctx=ctx), mpos) for e in K0]
+    # reach[e]: the middle exponents from which a term of K0[e] lands on the
+    # support
+    reach = [{tuple(map(sub, m, k)) for k in k0 for m in support
+              if all(map(ge, m, k))} for k0 in K0]
     back = dict(zip(w, others))
-    plan = residue_plan(denoms, mids)
     # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
     # coev pair (i, j) is the coev row i*r + j
-    Zm = polymat.zeros(ctx, r, r)
+    out = polymat.zeros(X.ctx, r, r)
     for q in range(r):
         colQ = {}
         for t, row in enumerate(Pm):
             p = row[q]
-            if p.is_zero():
+            if not p:
                 continue
             x, s = act._component(t)
             for pair in range(r * r):
                 ce = Cm[pair][s]
-                if not ce.is_zero():
-                    key = route(x, *divmod(pair, r))
-                    colQ[key] = colQ.get(key, ctx.zero()) + ce * p
-        acc = [ctx.zero()] * r
+                if not ce:
+                    continue
+                key = route(x, *divmod(pair, r))
+                wanted = reach[key[0]]
+                if wanted:
+                    _contract(colQ.setdefault(key, {}), ce, p, wanted)
+        acc = [{} for _ in range(r)]
         for (e, o), val in colQ.items():
-            k = K0[e]
-            if not k.is_zero():
-                acc[o] = acc[o] + k * val
+            _contract(acc[o], K0[e], val, support)
         for o in range(r):
-            num = substitute(acc[o], back, target_ctx=ctx)
-            Zm[o][q] = plan(num)
-    out = polymat.zeros(X.ctx, r, r)
-    for i in range(r):
-        for j in range(r):
-            out[i][j] = _project(Zm[i][j], X.ctx)
+            terms = {}
+            for group in acc[o].values():
+                terms.update(group)
+            num = substitute(_poly(ctx, terms), back, target_ctx=ctx)
+            out[o][q] = _project(plan(num), X.ctx)
     return Morphism(X, X, 0, out)
+
+
+def _by_middle(p: Poly, pos) -> dict:
+    """p's terms grouped by their exponent on the variables at ``pos``."""
+    out = {}
+    for exp, c in p.terms.items():
+        key = tuple([exp[i] for i in pos])
+        group = out.get(key)
+        if group is None:
+            out[key] = {exp: c}
+        else:
+            group[exp] = c
+    return out
+
+
+def _contract(out, a, b, wanted):
+    """Add to ``out`` the part of a * b whose middle exponent is in
+    ``wanted``; a, b and out are grouped by middle exponent (``_by_middle``),
+    and no other product term is formed."""
+    for ma, ta in a.items():
+        for mb, tb in b.items():
+            m = tuple(map(add, ma, mb))
+            if m in wanted:
+                prod = _terms_mul(ta, tb)
+                have = out.get(m)
+                out[m] = prod if have is None else _terms_add(have, prod)
 
 
 def _snake_names(X, act, unit, others):

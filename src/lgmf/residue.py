@@ -8,18 +8,24 @@ the parameters (rationals when there are none).
 
 A residue plan does the denominator work once: ``residue_plan`` runs the
 Groebner basis, the power-membership certificates and det(C) for one
-denominator tuple, and the plan then reads each residue off the
-coefficients of det(C), forming no product.  Loops that take many residues
-over one tuple build one plan; ``grothendieck_residue`` builds a plan and
-applies it once.  A caller that already holds the Groebner basis of the
-denominators builds the plan from it with ``_plan_from_basis``, skipping
-the basis, as ``JacobiRing`` does with that of dW.  Power membership finds
-each a_i by a chain of normal forms and divides x_i^{a_i} with cofactors once.
+denominator tuple.  The plan is the residue functional as data: its
+``support`` maps each monomial x^m with a nonzero residue to
+Res[x^m dx/(f)] = d_{a-1-m}, d_e the coefficients of det(C), and a call reads
+each residue off that map, forming no product.  The support is keyed by
+exponent tuples in integration-variable order, free of the names, so a
+caller may read it over renamed variables (``ResiduePlan.over``) or contract
+toward it without forming the terms it ignores, as the Zorro composites do.
+Loops that take many residues over one tuple build one plan;
+``grothendieck_residue`` builds a plan and applies it once.  A caller that
+already holds the Groebner basis of the denominators builds the plan from it
+with ``_plan_from_basis``, skipping the basis, as ``JacobiRing`` does with
+that of dW.  Power membership finds each a_i by a chain of normal forms and
+divides x_i^{a_i} with cofactors once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,7 +59,7 @@ class DenominatorError(ValueError):
     pass
 
 
-def residue_plan(denominators, integration_vars) -> Callable[[Poly], Poly]:
+def residue_plan(denominators, integration_vars) -> ResiduePlan:
     """g -> Res[g dx / (f)] for one denominator tuple f.
 
     Restricts the denominators to the integration variables, runs their
@@ -74,16 +80,14 @@ def residue_plan(denominators, integration_vars) -> Callable[[Poly], Poly]:
     return _plan_from_basis(groebner(fs) if names else None, names)
 
 
-def _plan_from_basis(gb: GroebnerBasis | None,
-                     names) -> Callable[[Poly], Poly]:
-    """g -> Res[g dx / (f)] for the denominators f with Groebner basis gb.
+def _plan_from_basis(gb: GroebnerBasis | None, names) -> ResiduePlan:
+    """The residue functional of the denominators with Groebner basis gb.
 
     ``gb`` lives over exactly the integration variables ``names``, in that
-    order; None stands for no variables (the plan is then the identity).
-    Runs the power membership of every integration variable (certified by
-    the quotient dimension) and det(C) once.  With exponents a_i and det(C)
-    = sum_e d_e x^e, a term c x^e t^f of g (t the parameter variables)
-    contributes c d_{a-1-e} t^f.
+    order; None stands for no variables (the plan is then the identity, with
+    support {(): 1}).  Runs the power membership of every integration
+    variable (certified by the quotient dimension) and det(C) once.  With
+    exponents a_i and det(C) = sum_e d_e x^e, Res[x^m dx / (f)] = d_{a-1-m}.
     """
     names = list(names)
     sub = RingContext([]) if gb is None else gb.ctx
@@ -98,14 +102,44 @@ def _plan_from_basis(gb: GroebnerBasis | None,
             raise DenominatorError(str(exc)) from None
         tops.append(a - 1)
         C.append(cof)
-    det = polymat.det(C, sub).terms
+    support = {}
+    for e, d in polymat.det(C, sub).terms.items():
+        m = tuple(map(operator.sub, tops, e))
+        if min(m, default=0) >= 0:
+            support[m] = d
+    return ResiduePlan(names, support)
 
-    def plan(numerator: Poly) -> Poly:
+
+class ResiduePlan:
+    """The residue functional g -> Res[g dx / (f)] of one denominator tuple.
+
+    ``support`` maps each exponent tuple m (ordered like ``names``) whose
+    monomial x^m has a nonzero residue to Res[x^m dx / (f)]; every other
+    monomial has residue 0.  A term c x^m t^f of g (t the parameter
+    variables) contributes c Res[x^m dx / (f)] t^f.
+    """
+
+    __slots__ = ("names", "support")
+
+    def __init__(self, names, support: dict):
+        self.names = tuple(names)
+        self.support = support
+
+    def over(self, names) -> ResiduePlan:
+        """The same functional read over other variables, position by
+        position (the denominators renamed to ``names``)."""
+        if len(names) != len(self.names):
+            raise ValueError(f"{names} do not match the integration "
+                             f"variables {self.names}")
+        return ResiduePlan(names, self.support)
+
+    def __call__(self, numerator: Poly) -> Poly:
         ctx = numerator.ctx
-        pos = [ctx.index(n) for n in names]
+        pos = [ctx.index(n) for n in self.names]
+        get = self.support.get
         out = {}
         for exp, c in numerator.terms.items():
-            d = det.get(tuple(a - exp[p] for a, p in zip(tops, pos)))
+            d = get(tuple([exp[p] for p in pos]))
             if d is None:
                 continue
             rest = list(exp)
@@ -115,8 +149,6 @@ def _plan_from_basis(gb: GroebnerBasis | None,
             s = out.get(rest)
             out[rest] = c * d if s is None else s + c * d
         return Poly(ctx, out)
-
-    return plan
 
 
 def grothendieck_residue(q: ResidueQuery) -> Poly:

@@ -8,13 +8,16 @@ from lgmf import adjunction, mf, polymat
 from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
                              kernel_homotopy_search, kvm_difference,
                              left_dual_morphism, right_dual_morphism,
-                             zorro_check)
+                             zorro_check, zorro_composite)
 from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
                      default_null_homotopies, identity_morphism)
-from lgmf.residue import JacobiRing
-from lgmf.ring import RingContext, embed
+from lgmf.residue import JacobiRing, residue_plan
+from lgmf.ring import RingContext, embed, rename, substitute
+from lgmf.unit import (lambda_inverse, rho_inverse, unit_action_left,
+                       unit_action_right)
 
-from conftest import boundary_defect, corpus_boundary_mfs, line_defect
+from conftest import (boundary_defect, corpus_boundary_mfs, delta_defect,
+                      line_defect)
 
 
 def _defects():
@@ -90,6 +93,133 @@ def test_zorro_composites_have_identity_class(defect):
         assert comp.parity == 0
         if report[side]["exact"]:
             assert comp == identity_morphism(comp.source)
+
+
+# -- the snake contraction against the full product ---------------------------
+
+def _reference_zorro_composite(data, variant):
+    """The snake composite formed in full, as an independent oracle.
+
+    Forms every product term of K0 * (C * P), then takes the residue with a
+    plan built afresh from the renamed partials of the side's potential.
+    """
+    X = data.base
+    r = X.rank
+    src, tgt = data.source_names, data.target_names
+    if variant == "right":
+        unit, others = data.unit_source, tgt
+        act = unit_action_right(X, unit)
+        P = rho_inverse(X, unit, action=act)
+        C = adjunction.coev_tilde(data)
+        hs = default_null_homotopies(X, src, side="source")
+        ev_row, W = adjunction._ev_tilde_row, data.source_potential
+        mids, w = adjunction._snake_names(X, act, unit, others)
+        cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
+        emap = dict(zip(src, mids))
+
+        def route(x, i, j):
+            return x * r + i, j
+    else:
+        unit, others = data.unit_target, src
+        act = unit_action_left(X, unit)
+        P = lambda_inverse(X, unit, action=act)
+        C = adjunction.coev(data)
+        hs = default_null_homotopies(X, tgt, side="target")
+        ev_row, W = adjunction._ev_row, data.target_potential
+        mids, w = adjunction._snake_names(X, act, unit, others)
+        cmap = dict(zip(unit.prime_names + src, mids + w))
+        emap = dict(zip(src + tgt, w + mids))
+
+        def route(x, i, j):
+            return j * r + x, i
+    ctx = X.ctx.extend(mids).extend(w)
+    Pm = [[embed(e, ctx) for e in row] for row in P.mat]
+    Cm = [[rename(e, cmap, target_ctx=ctx) for e in row] for row in C.mat]
+    K0 = [X.ctx.zero()] * (r * r)
+    ev_row(data, K0, hs.product(), None, ())
+    K0 = [rename(e, emap, target_ctx=ctx) for e in K0]
+    to_mids = dict(zip(unit.base_names, mids))
+    denoms = [rename(f, to_mids, target_ctx=ctx)
+              for f in adjunction._partials(W)]
+    back = dict(zip(w, others))
+    plan = residue_plan(denoms, mids)
+    out = polymat.zeros(X.ctx, r, r)
+    for q in range(r):
+        colQ = {}
+        for t, row in enumerate(Pm):
+            p = row[q]
+            if p.is_zero():
+                continue
+            x, s = act._component(t)
+            for pair in range(r * r):
+                ce = Cm[pair][s]
+                if not ce.is_zero():
+                    key = route(x, *divmod(pair, r))
+                    colQ[key] = colQ.get(key, ctx.zero()) + ce * p
+        acc = [ctx.zero()] * r
+        for (e, o), val in colQ.items():
+            if not K0[e].is_zero():
+                acc[o] = acc[o] + K0[e] * val
+        for o in range(r):
+            num = substitute(acc[o], back, target_ctx=ctx)
+            out[o][q] = adjunction._project(plan(num), X.ctx)
+    return Morphism(X, X, 0, out)
+
+
+_C1 = RingContext(["x"])
+_C2 = RingContext(["x", "y"])
+_C3 = RingContext(["x", "y", "z"])
+
+
+def _klein(a, b, c):
+    x, y, z = (_C3.gen(n) for n in _C3.names)
+    return a * x ** 3 * y + b * y ** 3 * z + c * z ** 3 * x
+
+
+def _fermat(a, b, c):
+    x, y, z = (_C3.gen(n) for n in _C3.names)
+    return a * x ** 3 + b * y ** 3 + c * z ** 3
+
+
+SNAKE_DEFECTS = {
+    "boundary x^3": lambda: _defects()["boundary x^3"],
+    "boundary x^3-y^3": lambda: boundary_defect(
+        corpus_boundary_mfs()["x^3-y^3:(x-y,x^2+x*y+y^2)"]),
+    "line y^2->x^2": lambda: _defects()["line y^2->x^2"],
+    "line y^3->x^3": lambda: _defects()["line y^3->x^3"],
+    "Delta x^3": lambda: delta_defect(_C1.gen("x") ** 3),
+    "Delta x^3+y^3": lambda: delta_defect(
+        _C2.gen("x") ** 3 + _C2.gen("y") ** 3),
+    "Delta x^4+y^3": lambda: delta_defect(
+        _C2.gen("x") ** 4 + _C2.gen("y") ** 3),
+    "Delta Klein +++": lambda: delta_defect(_klein(1, 1, 1)),
+    "Delta Klein +-+": lambda: delta_defect(_klein(1, -1, 1)),
+    "Delta Fermat +++": lambda: delta_defect(_fermat(1, 1, 1)),
+    "Delta Fermat --+": lambda: delta_defect(_fermat(-1, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("variant", ["right", "left"])
+@pytest.mark.parametrize("key", list(SNAKE_DEFECTS))
+def test_snake_contraction_equals_the_full_product(key, variant):
+    data = SNAKE_DEFECTS[key]()
+    got = zorro_composite(data, variant)
+    want = _reference_zorro_composite(data, variant)
+    assert got.source is want.source and got.parity == want.parity
+    for got_row, want_row in zip(got.mat, want.mat, strict=True):
+        for g, h in zip(got_row, want_row, strict=True):
+            assert g.ctx == h.ctx and g.terms == h.terms
+
+
+def test_zorro_composite_checks_the_ring_order():
+    data = delta_defect(_C2.gen("x") ** 3 + _C2.gen("y") ** 3)
+    # a ring over the same potential with its variables swapped
+    swapped = RingContext(["ys", "xs"])
+    data.source_ring = JacobiRing(embed(data.source_potential, swapped))
+    with pytest.raises(adjunction.ContextMismatch, match="not those of"):
+        zorro_composite(data, "right")
+    assert zorro_composite(data, "left") == _reference_zorro_composite(
+        data, "left")
 
 
 # -- independence of the homotopy choices -------------------------------------

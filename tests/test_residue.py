@@ -2,6 +2,7 @@
 and residue plans against the product form of the transformation rule."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -239,10 +240,13 @@ def test_zorro_composite_builds_one_plan_per_variant(monkeypatch):
     cxy = RingContext(["x", "y"])
     data = delta_defect(cxy.gen("x") ** 3 + cxy.gen("y") ** 3)
     calls = _count_groebner(monkeypatch)
-    for variant in ("right", "left"):
-        del calls[:]
+    plans = _count_plans(monkeypatch)
+    # the functional is the defect's own ring's: no basis is built
+    for variant, ring in (("right", data.source_ring),
+                          ("left", data.target_ring)):
+        del plans[:]
         adjunction.zorro_composite(data, variant)
-        assert len(calls) == 1
+        assert calls == [] and len(plans) == 1 and plans[0] is ring
 
 
 def test_defect_operator_builds_one_plan(monkeypatch):
@@ -313,6 +317,47 @@ def test_local_duality_certifies_the_ring_plan(key):
     assert ring.dimension == dim
     assert ring.residue_plan()(hess) == W.ctx.const(Fraction(dim))
     assert tft.bulk_pairing(hess, ring.one(), ring) == dim
+
+
+@pytest.mark.parametrize("key", sorted(JACOBI_POTENTIALS))
+def test_plan_support_is_its_functional(key):
+    """plan(x^m) = support[m] on the box 0 <= m <= a, and the support of a
+    plan does not depend on the names of the integration variables."""
+    ring = _jacobi_ring(key)
+    names = list(ring.ctx.names)
+    plan = ring.residue_plan()
+    tops = [power_membership(n, ring.gb)[0] for n in names]
+    assert all(all(k < a for k, a in zip(m, tops)) and d
+               for m, d in plan.support.items())
+    for m in itertools.product(*(range(a + 1) for a in tops)):
+        mono = ring.ctx.poly({m: Fraction(1)})
+        want = plan.support.get(m, Fraction(0))
+        assert plan(mono) == ring.ctx.const(want)
+    renamed = [n + "r" for n in names]
+    rctx = RingContext(renamed)
+    partials = [rename(p, dict(zip(names, renamed)), rctx)
+                for p in ring.partials]
+    other = residue_plan(partials, renamed)
+    assert other.support == plan.support
+    assert other.names == tuple(renamed)
+    # read over the renamed variables, the ring's plan is the other plan
+    g = sum((ring.ctx.poly({m: Fraction(i + 1)}) for i, m in
+             enumerate(itertools.product(*(range(a) for a in tops)))),
+            ring.ctx.zero())
+    g_renamed = rename(g, dict(zip(names, renamed)), rctx)
+    assert plan.over(renamed)(g_renamed) == other(g_renamed)
+    assert _restrict(other(g_renamed), RingContext([])) == _restrict(
+        plan(g), RingContext([]))
+
+
+def test_plan_without_integration_variables_is_the_identity():
+    plan = residue_plan([], [])
+    assert plan.support == {(): 1} and plan.names == ()
+    assert _jacobi_ring("no variables").residue_plan().support == {(): 1}
+    p = PCTX.gen("t") ** 2 + PCTX.const(Fraction(3))
+    assert plan(p) == p
+    with pytest.raises(ValueError, match="integration variables"):
+        plan.over(["x"])
 
 
 def test_plan_from_a_basis_over_other_variables_is_rejected():

@@ -173,6 +173,28 @@ def test_diagonal_defect_acts_as_identity_two_variables():
     assert tft.quantum_dim(dd, "left").rep.constant_value() == 1
 
 
+_C3 = RingContext(["x", "y", "z"])
+_X, _Y, _Z = (_C3.gen(n) for n in _C3.names)
+
+
+@pytest.mark.parametrize("W, dim", [
+    (_X ** 3 * _Y + _Y ** 3 * _Z + _Z ** 3 * _X, 27),
+    (_X ** 3 + _Y ** 3 + _Z ** 3, 8),
+    (_X ** 3 + _Y ** 3 + _Z ** 2, 4),
+    (_X ** 3 + _Y ** 2 + _Z ** 2, 2),
+], ids=["Klein quartic", "Fermat cubic", "x^3+y^3+z^2", "x^3+y^2+z^2"])
+def test_diagonal_defect_acts_as_identity_three_variables(W, dim):
+    dd = delta_defect(W)
+    assert dd.source_ring.dimension == dd.target_ring.dimension == dim
+    with pytest.warns(tft.ParityWarning):
+        assert tft.defect_operator_right(dd).is_identity()
+    with pytest.warns(tft.ParityWarning):
+        assert tft.defect_operator_left(dd).is_identity()
+    for side in ("right", "left"):
+        with pytest.warns(tft.ParityWarning):
+            assert tft.quantum_dim(dd, side).rep.constant_value() == 1
+
+
 @pytest.mark.parametrize("make", [
     lambda: line_defect(3),
     lambda: delta_defect(corpus_potentials()["x^3-y^3"]),
