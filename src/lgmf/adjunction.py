@@ -22,10 +22,11 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  null_homotopy_search, shift, tensor)
 from .residue import JacobiRing
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
-                   _terms_add, _terms_mul, divided_difference, embed,
-                   partial_derivative, primed_name, rename, substitute)
-from .unit import (KoszulUnit, fresh_names, koszul_unit, rho_inverse,
-                   lambda_inverse, unit_action_left, unit_action_right)
+                   _terms_add, _terms_mul, embed, partial_derivative,
+                   primed_name, rename, substitute)
+from .unit import (KoszulUnit, UnitAction, _lambda_inverse, _rho_inverse,
+                   _subset_products, difference_quotients, fresh_names,
+                   koszul_unit, unit_action_left, unit_action_right)
 
 
 class AdjointData:
@@ -34,6 +35,16 @@ class AdjointData:
     ``source_potential`` W lives in the source variables, ``target_potential``
     V in the target variables; the base factorisation must satisfy
     d^2 = (V - W) * Id over the joint context.
+
+    The rest is built once, on first use, and kept: the two Jacobi rings
+    (at once when validating), the adjoints, the Koszul units, and per side
+    (source W, target V) the ingredients its structure maps share.  Those
+    are the difference quotients of d_X between the side's unit variables
+    and their primes, the verified default null-homotopies, and the side's
+    coevaluation (coev_tilde for the source, coev for the target).
+    ``coev_tilde(data)``, ``coev(data)`` and every ``EvCoevMaps`` of this
+    defect hold the same kept objects, and a Zorro check only reads them;
+    callers must not change their matrices or homotopy entries either.
     """
 
     def __init__(self, base: MatrixFactorisation, source_potential: Poly,
@@ -103,15 +114,57 @@ class AdjointData:
     def unit_target(self) -> KoszulUnit:
         return koszul_unit(self.target_potential, require_potential=False)
 
+    # The shared ingredients of the structure maps, one set per side.
+    @cached_property
+    def _quotients_source(self) -> list:
+        return _unit_quotients(self.base, self.unit_source)
+
+    @cached_property
+    def _quotients_target(self) -> list:
+        return _unit_quotients(self.base, self.unit_target)
+
+    @cached_property
+    def _homotopies_source(self) -> NullHomotopySet:
+        return default_null_homotopies(self.base, self.source_names,
+                                       side="source")
+
+    @cached_property
+    def _homotopies_target(self) -> NullHomotopySet:
+        return default_null_homotopies(self.base, self.target_names,
+                                       side="target")
+
+    @cached_property
+    def _coev_tilde(self) -> "KoszulValuedMap":
+        return _build_coev_tilde(self)
+
+    @cached_property
+    def _coev(self) -> "KoszulValuedMap":
+        return _build_coev(self)
+
     @property
     def rank(self) -> int:
         return self.base.rank
 
 
-def _divided_copies(mat, ctx, pairs, i):
-    """Entrywise difference quotient between two variable copies, 1-based i."""
-    return [[divided_difference(embed(e, ctx), i, pairs=pairs) for e in row]
-            for row in mat]
+def _unit_quotients(X: MatrixFactorisation, unit: KoszulUnit) -> list:
+    """The difference quotients of d_X between the unit's variables and their
+    primes, in the context of X followed by those primes in X's order (the
+    context of every tensor of X, or an adjoint, with a primed copy)."""
+    prime = dict(unit.pairs)
+    ctx = X.ctx.extend([prime[n] for n in X.ctx.names if n in prime])
+    d = [[embed(e, ctx) for e in row] for row in X.d]
+    return difference_quotients(d, unit.pairs)
+
+
+def _onto_action(D, unit: KoszulUnit, act: UnitAction) -> list:
+    """The quotients of ``_unit_quotients`` renamed onto the action's copy of
+    the unit: what ``unit._section_quotients`` would build afresh."""
+    umf = act.unit_mf
+    onto = dict(zip(unit.base_names + unit.prime_names,
+                    umf.base_names + umf.prime_names))
+    ctx = act.tensor_mf.ctx
+    return [[[rename(e, onto, target_ctx=ctx) for e in row] for row in M]
+            for M in D]
 
 
 @dataclass
@@ -191,9 +244,10 @@ class EvCoevMaps:
 
 def _verify_homotopies(data: AdjointData, hs: NullHomotopySet | None,
                        side: str, var_names) -> NullHomotopySet:
-    """A supplied set, re-verified, or else the (self-verifying) default."""
+    """A supplied set, re-verified, or else the defect's verified default."""
     if hs is None:
-        return default_null_homotopies(data.base, var_names, side=side)
+        return (data._homotopies_source if side == "source"
+                else data._homotopies_target)
     if tuple(hs.order) != tuple(var_names):
         raise ValueError(f"homotopy set order must be {var_names}")
     sgn = Fraction(-1) if side == "source" else Fraction(1)
@@ -212,7 +266,12 @@ def coev_tilde(data: AdjointData) -> KoszulValuedMap:
     sign s from theta_S ^ theta_B = (-1)^s theta_top, maps to
     sum_{i,j} (-1)^{(l+1)|e_j| + s} {del_[b_l] d ... del_[b_1] d}_{ji}
     e_i^* (x) e_j, interpolating the source variables against their primes.
+    The map is built once per defect and kept (see ``AdjointData``).
     """
+    return data._coev_tilde
+
+
+def _build_coev_tilde(data: AdjointData) -> KoszulValuedMap:
     X = data.base
     unit = data.unit_source
     Xd = data.right_adjoint
@@ -220,16 +279,14 @@ def coev_tilde(data: AdjointData) -> KoszulValuedMap:
     T = tensor(Xd, Xp)
     ctx = T.ctx
     r = X.rank
-    pairs = list(zip(unit.base_names, unit.prime_names))
-    D = [None] + [_divided_copies(X.d, ctx, pairs, i + 1)
-                  for i in range(data.n)]
+    # del_[b_l] ... del_[b_1] for every complement B
+    prods = _subset_products(unit.subsets, polymat.identity(ctx, r),
+                             data._quotients_source, left=True)
     mat = polymat.zeros(ctx, T.rank, unit.rank)
     for c, S in enumerate(unit.subsets):
         s, comp = signs.wedge_complement_sign(S, data.n)
         l = len(comp)
-        prod = polymat.identity(ctx, r)
-        for b in comp:                      # del_[b_l] ... del_[b_1]: ascending
-            prod = polymat.mat_mul(D[b + 1], prod)    # applied on the right
+        prod = prods[comp]
         for i in range(r):
             for j in range(r):
                 if prod[j][i].is_zero():
@@ -246,7 +303,12 @@ def coev(data: AdjointData) -> KoszulValuedMap:
     theta_S with complement b_1 < ... < b_l and sign s maps to
     sum_{i,j} (-1)^{binom(l+1,2) + s + m + ml}
     {del_[b_1] d ... del_[b_l] d}_{ij} e_i (x) e_j^*.
+    The map is built once per defect and kept (see ``AdjointData``).
     """
+    return data._coev
+
+
+def _build_coev(data: AdjointData) -> KoszulValuedMap:
     X = data.base
     unit = data.unit_target
     Xl = mf_rename(data.left_adjoint,
@@ -254,16 +316,14 @@ def coev(data: AdjointData) -> KoszulValuedMap:
     T = tensor(X, Xl)
     ctx = T.ctx
     r = X.rank
-    pairs = list(zip(unit.base_names, unit.prime_names))
-    D = [None] + [_divided_copies(X.d, ctx, pairs, i + 1)
-                  for i in range(data.m)]
+    # del_[b_1] ... del_[b_l] for every complement B
+    prods = _subset_products(unit.subsets, polymat.identity(ctx, r),
+                             data._quotients_target, left=False)
     mat = polymat.zeros(ctx, T.rank, unit.rank)
     for c, S in enumerate(unit.subsets):
         s, comp = signs.wedge_complement_sign(S, data.m)
         l = len(comp)
-        prod = polymat.identity(ctx, r)
-        for b in comp:                      # del_[b_1] ... del_[b_l]
-            prod = polymat.mat_mul(prod, D[b + 1])
+        prod = prods[comp]
         for i in range(r):
             for j in range(r):
                 if prod[i][j].is_zero():
@@ -282,6 +342,8 @@ def ev_tilde(data: AdjointData,
     g e_j (x) e_i^* goes to sum over subsets i_1 < ... < i_l of
     (-1)^{l + (n+1)|e_j|} theta_{i_1}...theta_{i_l} times the x-residue of
     {del_[i_l] d ... del_[i_1] d Lambda^(x)}_{ij} g against the partials of W.
+    Without ``homotopies`` it uses the defect's kept default set; a supplied
+    set is verified on every call.
     """
     hs = _verify_homotopies(data, homotopies, "source", data.source_names)
     return _ev_tilde(data, hs)
@@ -295,28 +357,26 @@ def _ev_tilde(data: AdjointData,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xd)
     ctx = T.ctx
-    pairs = list(zip(unit.base_names, unit.prime_names))
-    D = [None] + [_divided_copies(X.d, ctx, pairs, i + 1)
-                  for i in range(data.m)]
     Lam = [[embed(e, ctx) for e in row] for row in homotopies.product()]
+    # del_[i_l] ... del_[i_1] Lambda for every subset
+    prods = _subset_products(unit.subsets, Lam, data._quotients_target,
+                             left=True)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
-        _ev_tilde_row(data, mat[row], Lam, D, S)
+        _ev_tilde_row(data, mat[row], prods[S], len(S))
     return KoszulValuedMap(kind="ev_tilde", source=T, target=unit, unit=unit,
                            parity=0, mat=mat,
                            integration_names=data.source_names,
                            denominators=_partials(data.source_potential))
 
 
-def _ev_tilde_row(data: AdjointData, out, Lam, D, S):
-    """Fill ``out`` (column j*r + i) with the theta_S row of ev_tilde."""
+def _ev_tilde_row(data: AdjointData, out, prod, l):
+    """Fill ``out`` (column j*r + i) with the theta_S row of ev_tilde, for
+    |S| = l and prod = del_[i_l] ... del_[i_1] Lambda."""
     X = data.base
     r = X.rank
-    prod = Lam
-    for i in S:                             # del_[i_l] ... del_[i_1] Lambda
-        prod = polymat.mat_mul(D[i + 1], prod)
     for j in range(r):
-        sgn = signs.minus_one_to(len(S) + (data.n + 1) * X.parity[j])
+        sgn = signs.minus_one_to(l + (data.n + 1) * X.parity[j])
         for i in range(r):
             if not prod[i][j].is_zero():
                 out[j * r + i] = prod[i][j] * Fraction(sgn)
@@ -334,7 +394,7 @@ def ev(data: AdjointData,
     e_i^* (x) g e_j goes to sum over subsets i_1 < ... < i_l of
     (-1)^{binom(l,2) + l|e_j| + m} theta_{i_1}...theta_{i_l} times the
     z-residue of {Lambda^(z) del_[i_1] d ... del_[i_l] d}_{ij} g against the
-    partials of V.
+    partials of V.  Homotopies as for ``ev_tilde``.
     """
     hs = _verify_homotopies(data, homotopies, "target", data.target_names)
     return _ev(data, hs)
@@ -346,27 +406,24 @@ def _ev(data: AdjointData, homotopies: NullHomotopySet) -> KoszulValuedMap:
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(data.left_adjoint, Xp)
     ctx = T.ctx
-    pairs = list(zip(unit.base_names, unit.prime_names))
-    D = [None] + [_divided_copies(X.d, ctx, pairs, i + 1)
-                  for i in range(data.n)]
     Lam = [[embed(e, ctx) for e in row] for row in homotopies.product()]
+    # Lambda del_[i_1] ... del_[i_l] for every subset
+    prods = _subset_products(unit.subsets, Lam, data._quotients_source,
+                             left=False)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
-        _ev_row(data, mat[row], Lam, D, S)
+        _ev_row(data, mat[row], prods[S], len(S))
     return KoszulValuedMap(kind="ev", source=T, target=unit, unit=unit,
                            parity=0, mat=mat,
                            integration_names=data.target_names,
                            denominators=_partials(data.target_potential))
 
 
-def _ev_row(data: AdjointData, out, Lam, D, S):
-    """Fill ``out`` (column i*r + j) with the theta_S row of ev."""
+def _ev_row(data: AdjointData, out, prod, l):
+    """Fill ``out`` (column i*r + j) with the theta_S row of ev, for |S| = l
+    and prod = Lambda del_[i_1] ... del_[i_l]."""
     X = data.base
     r = X.rank
-    l = len(S)
-    prod = Lam
-    for i in S:                             # Lambda del_[i_1] ... del_[i_l]
-        prod = polymat.mat_mul(prod, D[i + 1])
     for j in range(r):
         sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[j] + data.m)
         for i in range(r):
@@ -375,8 +432,8 @@ def _ev_row(data: AdjointData, out, Lam, D, S):
 
 
 def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
-    hs = default_null_homotopies(data.base, data.source_names, side="source")
-    ht = default_null_homotopies(data.base, data.target_names, side="target")
+    """The four structure maps from the defect's kept ingredients."""
+    hs, ht = data._homotopies_source, data._homotopies_target
     return EvCoevMaps(coev_tilde=coev_tilde(data), coev=coev(data),
                       ev_tilde=_ev_tilde(data, hs), ev=_ev(data, ht),
                       homotopies_source=hs, homotopies_target=ht)
@@ -471,9 +528,10 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     if variant == "right":
         unit, others, ring = data.unit_source, tgt, data.source_ring
         act = unit_action_right(X, unit)
-        P = rho_inverse(X, unit, action=act)
+        P = _rho_inverse(X, unit, act,
+                         _onto_action(data._quotients_source, unit, act))
         C = coev_tilde(data)
-        hs = default_null_homotopies(X, src, side="source")
+        hs = data._homotopies_source
         ev_row = _ev_tilde_row
         mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
@@ -484,9 +542,10 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     else:
         unit, others, ring = data.unit_target, src, data.target_ring
         act = unit_action_left(X, unit)
-        P = lambda_inverse(X, unit, action=act)
+        P = _lambda_inverse(X, unit, act,
+                            _onto_action(data._quotients_target, unit, act))
         C = coev(data)
-        hs = default_null_homotopies(X, tgt, side="target")
+        hs = data._homotopies_target
         ev_row = _ev_row
         mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(unit.prime_names + src, mids + w))
@@ -507,7 +566,7 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     Cm = [[_by_middle(rename(e, cmap, target_ctx=ctx), mpos) for e in row]
           for row in C.mat]
     K0 = [X.ctx.zero()] * (r * r)
-    ev_row(data, K0, hs.product(), None, ())
+    ev_row(data, K0, hs.product(), 0)
     K0 = [_by_middle(rename(e, emap, target_ctx=ctx), mpos) for e in K0]
     # reach[e]: the middle exponents from which a term of K0[e] lands on the
     # support

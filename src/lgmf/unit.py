@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import polymat, signs
 from .mf import MatrixFactorisation, Morphism, mf_rename, tensor
 from .residue import JacobiRing
-from .ring import (Poly, RingContext, _restrict, divided_difference,
-                   divided_difference_ordered, embed, primed_name, substitute)
+from .ring import (Poly, RingContext, _restrict, embed, exact_div_linear,
+                   primed_name, rename, substitute)
 
 
 class KoszulUnit(MatrixFactorisation):
@@ -64,11 +64,45 @@ class KoszulUnit(MatrixFactorisation):
         return u
 
 
-def _divided(p: Poly, i: int, pairs, sigma):
-    """The unit's difference quotient: permuted pair order when sigma is set."""
+def _pair_order(pairs, sigma):
+    """The 0-based pair indices in the order the unit primes them."""
+    n = len(pairs)
     if sigma is None:
-        return divided_difference(p, i, pairs=pairs)
-    return divided_difference_ordered(p, i, sigma, pairs=pairs)
+        return range(n)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"{list(sigma)} is not a permutation of 1..{n}")
+    return [s - 1 for s in sigma]
+
+
+def _telescope(p: Poly, pairs, order) -> list:
+    """Every difference quotient of p, by priming one pair at a time.
+
+    With p_0 = p and p_k = p_(k-1) with the k-th pair of ``order`` primed,
+    the quotient of that pair is (p_(k-1) - p_k) / (u - u').
+    """
+    out = [None] * len(pairs)
+    prev = p
+    for k in order:
+        u, v = pairs[k]
+        cur = substitute(prev, {u: v})
+        out[k] = exact_div_linear(prev - cur, u, v)
+        prev = cur
+    return out
+
+
+def difference_quotients(mat, pairs, sigma=None) -> list:
+    """The entrywise difference quotients of a polynomial matrix.
+
+    Entry i of the result is the matrix of quotients in the pair
+    ``pairs[i]``: divided_difference(e, i + 1, pairs) of each entry e, or
+    divided_difference_ordered(e, i + 1, sigma, pairs) when ``sigma``
+    (1-based, as for koszul_unit) is set.  Each entry is primed pair by pair
+    once, in sigma's order, and every quotient is read off that one pass.
+    """
+    order = _pair_order(pairs, sigma)
+    per_entry = [[_telescope(e, pairs, order) for e in row] for row in mat]
+    return [[[q[i] for q in row] for row in per_entry]
+            for i in range(len(pairs))]
 
 
 def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUnit:
@@ -89,7 +123,7 @@ def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUn
     subsets = signs.subsets_ordered(n)
     pos = {s: k for k, s in enumerate(subsets)}
     parity = tuple(len(s) % 2 for s in subsets)
-    w = [_divided(Wd, i + 1, pairs, sigma) for i in range(n)]
+    w = _telescope(Wd, pairs, _pair_order(pairs, sigma))
     lin = [dctx.gen(u) - dctx.gen(p) for u, p in pairs]
     d = polymat.zeros(dctx, len(subsets), len(subsets))
     for col, S in enumerate(subsets):
@@ -152,11 +186,13 @@ def psi(word, unit: KoszulUnit) -> KoszulElement:
     el = KoszulElement()
     if p > unit.n:
         return el
-    # divided differences of each word entry at each position
+    # the difference quotients of each word entry, at every position
+    order = _pair_order(unit.pairs, unit.sigma)
+    quotients = [_telescope(f, unit.pairs, order) for f in word]
     for subset in itertools.combinations(range(unit.n), p):
         coeff = None
         for k, i in enumerate(subset):
-            dk = _divided(word[k], i + 1, unit.pairs, unit.sigma)
+            dk = quotients[k][i]
             coeff = dk if coeff is None else coeff * dk
         if coeff is None:
             coeff = dctx.one()
@@ -322,10 +358,36 @@ def unit_action_left(X: MatrixFactorisation, unit: KoszulUnit) -> UnitAction:
                       contraction=dict(zip(mids, unit.base_names)))
 
 
-def _divided_matrix(X: MatrixFactorisation, ctx, pairs, sigma, i):
-    """Entrywise difference quotient of d_X in the given doubled context."""
-    return [[_divided(embed(e, ctx), i, pairs, sigma) for e in row]
-            for row in X.d]
+def _subset_products(subsets, start, D, left: bool) -> dict:
+    """For every subset S = (i_1 < ... < i_l): D[i_l] ... D[i_1] start when
+    ``left``, else start D[i_1] ... D[i_l].
+
+    ``subsets`` holds, with each subset, the subset without its last element,
+    and lists it first (as the unit's subsets do); each product extends that
+    one, so every subset costs one matrix product.
+    """
+    prods = {(): start}
+    for S in subsets:
+        if S:
+            prev, d = prods[S[:-1]], D[S[-1]]
+            prods[S] = (polymat.mat_mul(d, prev) if left
+                        else polymat.mat_mul(prev, d))
+    return prods
+
+
+def _section_quotients(X: MatrixFactorisation, unit: KoszulUnit,
+                       act: UnitAction) -> list:
+    """The difference quotients of d_X that a section of ``act`` reads.
+
+    d_X is written over the action's copy of the unit (its base block for
+    the unit's variables) and interpolated toward that copy's primed block,
+    in the tensor's context.
+    """
+    umf = act.unit_mf
+    ctx = act.tensor_mf.ctx
+    onto = dict(zip(unit.base_names, umf.base_names))
+    d = [[rename(e, onto, target_ctx=ctx) for e in row] for row in X.d]
+    return difference_quotients(d, umf.pairs, unit.sigma)
 
 
 def rho_inverse(X: MatrixFactorisation, unit: KoszulUnit,
@@ -337,24 +399,20 @@ def rho_inverse(X: MatrixFactorisation, unit: KoszulUnit,
     quotients of d_X in the unit's variables.
     """
     act = action if action is not None else unit_action_right(X, unit)
+    return _rho_inverse(X, unit, act, _section_quotients(X, unit, act))
+
+
+def _rho_inverse(X, unit, act, D) -> Morphism:
+    """rho_inverse from the quotients D of ``_section_quotients``."""
     T = act.tensor_mf
-    umf = act.unit_mf
     ctx = T.ctx
-    # interpolate d_X between the shared middles (the unit's base block after
-    # renaming) and the retained source variables (the unit's primed block)
-    Xr = T.factors[0]
-    pairs = list(zip(umf.base_names, umf.prime_names))
-    D = [None] + [
-        _divided_matrix(Xr, ctx, pairs, unit.sigma, i + 1)
-        for i in range(unit.n)
-    ]
-    nsub = umf.rank
+    nsub = act.unit_mf.rank
+    prods = _subset_products(unit.subsets, polymat.identity(ctx, X.rank), D,
+                             left=False)
     mat = polymat.zeros(ctx, T.rank, X.rank)
     for s, S in enumerate(unit.subsets):
         l = len(S)
-        prod = polymat.identity(ctx, X.rank)
-        for i in S:
-            prod = polymat.mat_mul(prod, D[i + 1])
+        prod = prods[S]
         for i in range(X.rank):
             sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[i])
             for j in range(X.rank):
@@ -371,20 +429,19 @@ def lambda_inverse(X: MatrixFactorisation, unit: KoszulUnit,
     descending subset order.
     """
     act = action if action is not None else unit_action_left(X, unit)
+    return _lambda_inverse(X, unit, act, _section_quotients(X, unit, act))
+
+
+def _lambda_inverse(X, unit, act, D) -> Morphism:
+    """lambda_inverse from the quotients D of ``_section_quotients``."""
     T = act.tensor_mf
-    umf = act.unit_mf
     ctx = T.ctx
-    pairs = list(zip(unit.base_names, umf.prime_names))
-    D = [None] + [
-        _divided_matrix(X, ctx, pairs, unit.sigma, i + 1)
-        for i in range(unit.n)
-    ]
     rx = X.rank
+    prods = _subset_products(unit.subsets, polymat.identity(ctx, rx), D,
+                             left=True)
     mat = polymat.zeros(ctx, T.rank, X.rank)
     for s, S in enumerate(unit.subsets):
-        prod = polymat.identity(ctx, rx)
-        for i in reversed(S):
-            prod = polymat.mat_mul(prod, D[i + 1])
+        prod = prods[S]
         for i in range(rx):
             for j in range(rx):
                 if not prod[j][i].is_zero():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lgmf import adjunction, mf, polymat
+from lgmf import unit as unit_module
 from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
                              kernel_homotopy_search, kvm_difference,
                              left_dual_morphism, right_dual_morphism,
@@ -136,7 +137,7 @@ def _reference_zorro_composite(data, variant):
     Pm = [[embed(e, ctx) for e in row] for row in P.mat]
     Cm = [[rename(e, cmap, target_ctx=ctx) for e in row] for row in C.mat]
     K0 = [X.ctx.zero()] * (r * r)
-    ev_row(data, K0, hs.product(), None, ())
+    ev_row(data, K0, hs.product(), 0)
     K0 = [rename(e, emap, target_ctx=ctx) for e in K0]
     to_mids = dict(zip(unit.base_names, mids))
     denoms = [rename(f, to_mids, target_ctx=ctx)
@@ -211,6 +212,67 @@ def test_snake_contraction_equals_the_full_product(key, variant):
             assert g.ctx == h.ctx and g.terms == h.terms
 
 
+@pytest.mark.parametrize("key", list(SNAKE_DEFECTS))
+def test_section_quotients_are_the_defects_renamed(key):
+    """The sections of a Zorro composite read the defect's kept quotients,
+    renamed onto the unit action; they equal those built afresh."""
+    data = SNAKE_DEFECTS[key]()
+    X = data.base
+    for unit, kept, action in (
+            (data.unit_source, data._quotients_source, unit_action_right),
+            (data.unit_target, data._quotients_target, unit_action_left)):
+        act = action(X, unit)
+        assert (adjunction._onto_action(kept, unit, act)
+                == unit_module._section_quotients(X, unit, act))
+
+
+def _same_report(a, b):
+    for variant in ("right", "left"):
+        ra, rb = a[variant], b[variant]
+        assert ra["matrix"] == rb["matrix"]
+        assert ra["exact"] == rb["exact"] and ra["ok"] == rb["ok"]
+        wa, wb = ra["witness"], rb["witness"]
+        assert (wa is None) == (wb is None)
+        assert wa is None or wa.mat == wb.mat
+    assert a["ok"] == b["ok"]
+
+
+@pytest.mark.parametrize("key", list(SNAKE_DEFECTS))
+def test_kept_ingredients_change_no_output(key):
+    """zorro_check then ev_coev_maps on one defect equal each call on a
+    defect of its own, which shares nothing."""
+    data = SNAKE_DEFECTS[key]()
+    report, maps = zorro_check(data), ev_coev_maps(data)
+    _same_report(report, zorro_check(SNAKE_DEFECTS[key]()))
+    fresh = ev_coev_maps(SNAKE_DEFECTS[key]())
+    for kind in ("coev_tilde", "coev", "ev_tilde", "ev"):
+        got, want = getattr(maps, kind), getattr(fresh, kind)
+        assert got.mat == want.mat and got.parity == want.parity
+        assert got.integration_names == want.integration_names
+        assert got.denominators == want.denominators
+    for side in ("homotopies_source", "homotopies_target"):
+        got, want = getattr(maps, side), getattr(fresh, side)
+        assert got.order == want.order
+        assert all(got.entries[n].mat == want.entries[n].mat
+                   for n in got.order)
+
+
+@pytest.mark.parametrize("key", ["line y^3->x^3", "Delta x^3+y^3",
+                                 "Delta Fermat --+"])
+def test_zorro_check_leaves_the_kept_coevaluations_alone(key):
+    data = SNAKE_DEFECTS[key]()
+    maps = ev_coev_maps(data)
+    before = {kind: [[dict(e.terms) for e in row]
+                     for row in getattr(maps, kind).mat]
+              for kind in ("coev_tilde", "coev")}
+    zorro_check(data)
+    assert adjunction.coev_tilde(data) is maps.coev_tilde
+    assert adjunction.coev(data) is maps.coev
+    for kind, terms in before.items():
+        assert [[e.terms for e in row]
+                for row in getattr(maps, kind).mat] == terms
+
+
 def test_zorro_composite_checks_the_ring_order():
     data = delta_defect(_C2.gen("x") ** 3 + _C2.gen("y") ** 3)
     # a ring over the same potential with its variables swapped
@@ -260,16 +322,33 @@ def test_invalid_homotopies_are_rejected():
 
 
 def test_ev_coev_maps_verifies_each_homotopy_once(monkeypatch):
-    calls = []
+    calls, built = [], []
     check = mf._commutator_mismatch
+    quotients = adjunction.difference_quotients
 
     def counting(*args):
         calls.append(args[2])
         return check(*args)
+
+    def building(mat, pairs, sigma=None):
+        built.append(tuple(pairs))
+        return quotients(mat, pairs, sigma)
     monkeypatch.setattr(mf, "_commutator_mismatch", counting)
     monkeypatch.setattr(adjunction, "_commutator_mismatch", counting)
-    ev_coev_maps(line_defect(3))
-    assert sorted(calls) == ["x", "y"]
+    monkeypatch.setattr(adjunction, "difference_quotients", building)
+    # each side's homotopies are verified, and its quotients built, once
+    # per defect, whichever call comes first and however many follow
+    for first in (ev_coev_maps, zorro_check):
+        calls.clear()
+        built.clear()
+        data = line_defect(3)
+        first(data)
+        zorro_check(data)
+        ev_coev_maps(data)
+        ev_tilde(data)
+        ev(data)
+        assert sorted(calls) == ["x", "y"]
+        assert sorted(built) == [(("x", "x'"),), (("y", "y'"),)]
 
 
 @pytest.mark.parametrize("side", ["source", "target"])

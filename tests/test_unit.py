@@ -1,5 +1,6 @@
 """The stabilised diagonal, its splitting maps and the unit actions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,16 @@ from lgmf import polymat, signs
 from lgmf.mf import (Morphism, homotopic, identity_morphism, mf_rename,
                      null_homotopy_search)
 from lgmf.residue import JacobiRing
-from lgmf.ring import RingContext, embed, rename, substitute
-from lgmf.unit import (KoszulElement, epsilon, koszul_unit, lambda_inverse,
-                       lift_to_diagonal, permute_unit, phi, psi,
-                       psi_of_words, psi_phi_is_identity, rho_inverse,
-                       stab_pi, unit_action_left, unit_action_right)
+from lgmf.ring import (RingContext, divided_difference,
+                       divided_difference_ordered, embed, rename, substitute)
+from lgmf.unit import (KoszulElement, difference_quotients, epsilon,
+                       koszul_unit, lambda_inverse, lift_to_diagonal,
+                       permute_unit, phi, psi, psi_of_words,
+                       psi_phi_is_identity, rho_inverse, stab_pi,
+                       unit_action_left, unit_action_right)
 
-from conftest import corpus_boundary_mfs, corpus_potentials, ctx_of
+from conftest import (boundary_defect, corpus_boundary_mfs,
+                      corpus_potentials, ctx_of, delta_defect, line_defect)
 
 
 THREE_VARS = ctx_of("x", "y", "z")
@@ -149,6 +153,49 @@ def test_rho_reversed_composite_fixes_morphism_classes(power):
     X, unit, act = _right_setup(power)
     ri = rho_inverse(X, unit, action=act)
     _reversed_composite_acts_as_identity(X, act, ri)
+
+
+# -- the difference-quotient primitive ---------------------------------------
+
+QUOTIENT_DEFECTS = {
+    "boundary x^3": lambda: boundary_defect(
+        corpus_boundary_mfs()["x^3:(x,x^2)"]),
+    "boundary x^3-y^3": lambda: boundary_defect(
+        corpus_boundary_mfs()["x^3-y^3:(x-y,x^2+x*y+y^2)"]),
+    "line y^3->x^3": lambda: line_defect(3),
+    "Delta x^3-y^3": lambda: delta_defect(corpus_potentials()["x^3-y^3"]),
+    "Delta x^3+y^3+z^3": lambda: delta_defect(W3),
+}
+
+
+@pytest.mark.parametrize("key", list(QUOTIENT_DEFECTS))
+def test_difference_quotients_match_the_single_quotients(key):
+    """The telescoping pass gives divided_difference (identity order) and
+    divided_difference_ordered (every order) of each entry of d_X, on both
+    sides of the defect: n = 0 (a boundary's source) up to n = 3."""
+    data = QUOTIENT_DEFECTS[key]()
+    X = data.base
+    for unit in (data.unit_source, data.unit_target):
+        pairs = unit.pairs
+        ctx = X.ctx.extend(unit.prime_names)
+        d = [[embed(e, ctx) for e in row] for row in X.d]
+        got = difference_quotients(d, pairs)
+        assert len(got) == unit.n
+        for i, mat in enumerate(got):
+            assert mat == [[divided_difference(e, i + 1, pairs) for e in row]
+                           for row in d]
+        for sigma in itertools.permutations(range(1, unit.n + 1)):
+            got = difference_quotients(d, pairs, sigma)
+            for i, mat in enumerate(got):
+                assert mat == [[divided_difference_ordered(e, i + 1, sigma,
+                                                           pairs)
+                                for e in row] for row in d]
+
+
+def test_difference_quotients_reject_a_non_permutation():
+    unit = koszul_unit(corpus_potentials()["x^3-y^3"])
+    with pytest.raises(ValueError, match="not a permutation"):
+        difference_quotients(unit.d, unit.pairs, (1, 1))
 
 
 # -- lifting and variable permutation ----------------------------------------
