@@ -22,8 +22,9 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  null_homotopy_search, shift, tensor)
 from .residue import JacobiRing
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
-                   _terms_add, _terms_mul, embed, partial_derivative,
-                   primed_name, rename, substitute)
+                   _terms_add, _terms_mul, embed, embed_matrix,
+                   partial_derivative, primed_name, rename_matrix,
+                   substitute)
 from .unit import (KoszulUnit, UnitAction, _lambda_inverse, _rho_inverse,
                    _subset_products, difference_quotients, fresh_names,
                    koszul_unit, unit_action_left, unit_action_right)
@@ -152,7 +153,7 @@ def _unit_quotients(X: MatrixFactorisation, unit: KoszulUnit) -> list:
     context of every tensor of X, or an adjoint, with a primed copy)."""
     prime = dict(unit.pairs)
     ctx = X.ctx.extend([prime[n] for n in X.ctx.names if n in prime])
-    d = [[embed(e, ctx) for e in row] for row in X.d]
+    d = embed_matrix(X.d, ctx)
     return difference_quotients(d, unit.pairs)
 
 
@@ -163,8 +164,7 @@ def _onto_action(D, unit: KoszulUnit, act: UnitAction) -> list:
     onto = dict(zip(unit.base_names + unit.prime_names,
                     umf.base_names + umf.prime_names))
     ctx = act.tensor_mf.ctx
-    return [[[rename(e, onto, target_ctx=ctx) for e in row] for row in M]
-            for M in D]
+    return [rename_matrix(M, onto, target_ctx=ctx) for M in D]
 
 
 @dataclass
@@ -207,9 +207,9 @@ class KoszulValuedMap:
     def boundary_matrix(self, ctx: RingContext | None = None):
         """d_target o K - (-1)^parity K o d_source on the stored entries."""
         ctx = self._joint_ctx() if ctx is None else ctx
-        K = [[embed(e, ctx) for e in row] for row in self.mat]
-        dT = [[embed(e, ctx) for e in row] for row in self.target.d]
-        dS = [[embed(e, ctx) for e in row] for row in self.source.d]
+        K = embed_matrix(self.mat, ctx)
+        dT = embed_matrix(self.target.d, ctx)
+        dS = embed_matrix(self.source.d, ctx)
         left = polymat.mat_mul(dT, K)
         right = polymat.mat_mul(K, dS)
         if self.parity % 2 == 0:
@@ -357,7 +357,7 @@ def _ev_tilde(data: AdjointData,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xd)
     ctx = T.ctx
-    Lam = [[embed(e, ctx) for e in row] for row in homotopies.product()]
+    Lam = embed_matrix(homotopies.product(), ctx)
     # del_[i_l] ... del_[i_1] Lambda for every subset
     prods = _subset_products(unit.subsets, Lam, data._quotients_target,
                              left=True)
@@ -406,7 +406,7 @@ def _ev(data: AdjointData, homotopies: NullHomotopySet) -> KoszulValuedMap:
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(data.left_adjoint, Xp)
     ctx = T.ctx
-    Lam = [[embed(e, ctx) for e in row] for row in homotopies.product()]
+    Lam = embed_matrix(homotopies.product(), ctx)
     # Lambda del_[i_1] ... del_[i_l] for every subset
     prods = _subset_products(unit.subsets, Lam, data._quotients_source,
                              left=False)
@@ -492,8 +492,7 @@ def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
             or len(a.mat) != len(b.mat)):
         raise ValueError("maps have incompatible shapes")
     ctx = a._joint_ctx().merge(b._joint_ctx())
-    mat = [[embed(x, ctx) - embed(y, ctx) for x, y in zip(r1, r2)]
-           for r1, r2 in zip(a.mat, b.mat)]
+    mat = polymat.mat_sub(embed_matrix(a.mat, ctx), embed_matrix(b.mat, ctx))
     return KoszulValuedMap(kind=f"{a.kind}-diff", source=a.source,
                            target=a.target, unit=a.unit, parity=a.parity,
                            mat=mat, integration_names=a.integration_names,
@@ -562,12 +561,14 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     support = plan.support
     ctx = X.ctx.extend(mids).extend(w)
     mpos = [ctx.index(n) for n in mids]
-    Pm = [[_by_middle(embed(e, ctx), mpos) for e in row] for row in P.mat]
-    Cm = [[_by_middle(rename(e, cmap, target_ctx=ctx), mpos) for e in row]
-          for row in C.mat]
+    Pm = [[_by_middle(e, mpos) for e in row]
+          for row in embed_matrix(P.mat, ctx)]
+    Cm = [[_by_middle(e, mpos) for e in row]
+          for row in rename_matrix(C.mat, cmap, target_ctx=ctx)]
     K0 = [X.ctx.zero()] * (r * r)
     ev_row(data, K0, hs.product(), 0)
-    K0 = [_by_middle(rename(e, emap, target_ctx=ctx), mpos) for e in K0]
+    K0 = [_by_middle(e, mpos)
+          for e in rename_matrix([K0], emap, target_ctx=ctx)[0]]
     # reach[e]: the middle exponents from which a term of K0[e] lands on the
     # support
     reach = [{tuple(map(sub, m, k)) for k in k0 for m in support

@@ -18,7 +18,7 @@ from . import tft
 from .adjunction import KoszulValuedMap, ev_coev_maps, zorro_check
 from .residue import (DenominatorError, NotAPotential, ResidueQuery,
                       grothendieck_residue)
-from .ring import Poly, RingContext, embed
+from .ring import Poly, RingContext, embed, embed_matrix
 from .unit import koszul_unit, psi_phi_is_identity
 from .workspace import WorkspaceError, load_workspace, parse_poly
 
@@ -149,7 +149,8 @@ def _dump_kvm(kvm: KoszulValuedMap):
         "kind": kvm.kind,
         "parity": kvm.parity,
         "context": list(ctx.names),
-        "matrix": [[str(embed(e, ctx)) for e in row] for row in kvm.mat],
+        "matrix": [[str(e) for e in row]
+                   for row in embed_matrix(kvm.mat, ctx)],
         "integration": list(kvm.integration_names),
         "denominators": [str(embed(d, ctx)) for d in kvm.denominators],
     }

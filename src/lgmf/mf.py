@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from . import linalg, polymat
 from .ideal import groebner, normal_form, quotient_monomial_basis
-from .ring import Poly, RingContext, embed, partial_derivative, rename
+from .ring import (Poly, RingContext, embed, embed_matrix, partial_derivative,
+                   rename, rename_matrix)
 
 
 class FactorisationError(ValueError):
@@ -29,7 +30,7 @@ class MatrixFactorisation:
         self.ctx = ctx
         self.potential = embed(potential, ctx)
         self.parity = tuple(parity)
-        self.d = [[embed(e, ctx) for e in row] for row in d]
+        self.d = embed_matrix(d, ctx)
         r = len(self.parity)
         if len(self.d) != r or any(len(row) != r for row in self.d):
             raise FactorisationError("differential shape does not match rank")
@@ -100,8 +101,8 @@ class MatrixFactorisation:
 
 def new_mf(ctx: RingContext, W: Poly, d0, d1, labels=None) -> MatrixFactorisation:
     """Build a factorisation from its two blocks (even basis listed first)."""
-    d0 = [[embed(p, ctx) for p in row] for row in d0]
-    d1 = [[embed(p, ctx) for p in row] for row in d1]
+    d0 = embed_matrix(d0, ctx)
+    d1 = embed_matrix(d1, ctx)
     re = len(d0[0]) if d0 else (len(d1) if d1 else 0)
     ro = len(d0)
     parity = (0,) * re + (1,) * ro
@@ -136,7 +137,7 @@ class Morphism:
     def __post_init__(self):
         ctx = self.target.ctx.merge(self.source.ctx)
         self.ctx = ctx
-        self.mat = [[embed(e, ctx) for e in row] for row in self.mat]
+        self.mat = embed_matrix(self.mat, ctx)
         if len(self.mat) != self.target.rank or any(
                 len(r) != self.source.rank for r in self.mat):
             raise ValueError("morphism shape mismatch")
@@ -144,8 +145,8 @@ class Morphism:
     def boundary(self) -> "Morphism":
         """delta(f) = d_T f - (-1)^{|f|} f d_S (zero iff f is closed)."""
         ctx = self.ctx
-        dT = [[embed(e, ctx) for e in row] for row in self.target.d]
-        dS = [[embed(e, ctx) for e in row] for row in self.source.d]
+        dT = embed_matrix(self.target.d, ctx)
+        dS = embed_matrix(self.source.d, ctx)
         out = polymat.mat_sub(
             polymat.mat_mul(dT, self.mat),
             polymat.mat_scale(polymat.mat_mul(self.mat, dS),
@@ -182,17 +183,18 @@ class Morphism:
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other (other: A -> B, self: B -> C)."""
-        a = [[embed(e, self.ctx.merge(other.ctx)) for e in row] for row in self.mat]
-        b = [[embed(e, self.ctx.merge(other.ctx)) for e in row] for row in other.mat]
+        ctx = self.ctx.merge(other.ctx)
+        a = embed_matrix(self.mat, ctx)
+        b = embed_matrix(other.mat, ctx)
         return Morphism(other.source, self.target,
                         (self.parity + other.parity) % 2, polymat.mat_mul(a, b))
 
     def __eq__(self, other):
-        return (isinstance(other, Morphism)
-                and self.parity == other.parity
-                and polymat.mat_eq(
-                    [[embed(e, self.ctx.merge(other.ctx)) for e in r] for r in self.mat],
-                    [[embed(e, self.ctx.merge(other.ctx)) for e in r] for r in other.mat]))
+        if not (isinstance(other, Morphism) and self.parity == other.parity):
+            return False
+        ctx = self.ctx.merge(other.ctx)
+        return polymat.mat_eq(embed_matrix(self.mat, ctx),
+                              embed_matrix(other.mat, ctx))
 
 
 def identity_morphism(X: MatrixFactorisation) -> Morphism:
@@ -255,7 +257,7 @@ def mf_rename(X: MatrixFactorisation, mapping) -> MatrixFactorisation:
     """Rename the context variables of a factorisation (injective by name)."""
     new_names = [mapping.get(n, n) for n in X.ctx.names]
     ctx = RingContext(new_names)
-    d = [[rename(e, mapping, target_ctx=ctx) for e in row] for row in X.d]
+    d = rename_matrix(X.d, mapping, target_ctx=ctx)
     pot = rename(X.potential, mapping, target_ctx=ctx)
     return MatrixFactorisation(ctx, pot, X.parity, d, labels=X.labels,
                                validate=False)
@@ -268,24 +270,35 @@ def tensor(Y: MatrixFactorisation,
     Basis is the flat row-major pair basis (a, b) -> a * rank(X) + b with
     parity sums; shared middle variables are identified by name through the
     merged context; the potential is the sum of the two potentials.
+
+    d(e_a (x) e_b) = d_Y e_a (x) e_b + (-1)^|a| e_a (x) d_X e_b: each entry
+    of d_Y (embedded once) and of d_X (embedded once, negated once if Y has
+    an odd basis vector) is placed into its cells as the same immutable
+    Poly, and only a cell that both terms reach holds a sum.
     """
     ctx = Y.ctx.merge(X.ctx)
     ry, rx = Y.rank, X.rank
     parity = tuple((Y.parity[a] + X.parity[b]) % 2
                    for a in range(ry) for b in range(rx))
-    dY = [[embed(e, ctx) for e in row] for row in Y.d]
-    dX = [[embed(e, ctx) for e in row] for row in X.d]
+    dY = embed_matrix(Y.d, ctx)
+    dX = [(j, b, e) for j, row in enumerate(embed_matrix(X.d, ctx))
+          for b, e in enumerate(row) if e.terms]
+    negated = ([(j, b, -e) for j, b, e in dX]
+               if any(p % 2 for p in Y.parity) else None)
+    zero = ctx.zero()
     d = polymat.zeros(ctx, ry * rx, ry * rx)
     for a in range(ry):
-        for b in range(rx):
-            col = a * rx + b
-            for i in range(ry):
-                if not dY[i][a].is_zero():
-                    d[i * rx + b][col] = d[i * rx + b][col] + dY[i][a]
-            sgn = Fraction(-1) ** Y.parity[a]
-            for j in range(rx):
-                if not dX[j][b].is_zero():
-                    d[a * rx + j][col] = d[a * rx + j][col] + dX[j][b] * sgn
+        for i in range(ry):
+            e = dY[i][a]
+            if e.terms:
+                for b in range(rx):
+                    d[i * rx + b][a * rx + b] = e
+    for a in range(ry):
+        base = a * rx
+        for j, b, e in (negated if Y.parity[a] % 2 else dX):
+            row = d[base + j]
+            cell = row[base + b]
+            row[base + b] = e if cell is zero else cell + e
     pot = embed(Y.potential, ctx) + embed(X.potential, ctx)
     labels = tuple(f"{ly}(x){lx}" for ly in Y.labels for lx in X.labels)
     return MatrixFactorisation(ctx, pot, parity, d, labels=labels,
@@ -356,8 +369,8 @@ def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
     domain = [(i, j, m) for i in range(target.rank) for j in range(source.rank)
               if (target.parity[i] + source.parity[j]) % 2 == parity
               for m in monos]
-    dT = [[embed(e, ctx) for e in row] for row in target.d]
-    dS = [[embed(e, ctx) for e in row] for row in source.d]
+    dT = embed_matrix(target.d, ctx)
+    dS = embed_matrix(source.d, ctx)
     sgn = Fraction(-1) ** parity
     columns = []
     for (i, j, m) in domain:

@@ -6,7 +6,8 @@ from .ring import ContextMismatch, Poly, RingContext
 
 
 def zeros(ctx: RingContext, rows: int, cols: int):
-    return [[ctx.zero() for _ in range(cols)] for _ in range(rows)]
+    z = ctx.zero()
+    return [[z] * cols for _ in range(rows)]
 
 
 def identity(ctx: RingContext, n: int):

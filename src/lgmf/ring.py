@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from itertools import repeat
 from operator import add
 
 PRIME_SUFFIX = "'"
@@ -178,7 +179,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.ctx, _terms_scale(self.terms, Fraction(-1)))
+        return _poly(self.ctx, _terms_scale(self.terms, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -190,7 +191,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _poly(self.ctx, _terms_scale(self.terms, Fraction(other)))
+            return _poly(self.ctx, _terms_scale(self.terms, other))
         self._check(other)
         return _poly(self.ctx, _terms_mul(self.terms, other.terms))
 
@@ -332,51 +333,126 @@ def _terms_mul(a, b):
 
 
 def _terms_scale(a, c):
-    """Scalar multiple of a term dict."""
+    """Scalar multiple of a term dict by an int or Fraction c.
+
+    For c = 1 the result is a copy and for c = -1 each term is negated, so
+    that Koszul signs cost no Fraction product.
+    """
     if not c:
         return {}
+    if c == 1:
+        return dict(a)
+    if c == -1:
+        return {exp: -ca for exp, ca in a.items()}
     return {exp: ca * c for exp, ca in a.items()}
 
 
 # -- context-changing maps --------------------------------------------------
 
-def _remap(p: Poly, ctx: RingContext, positions) -> Poly | None:
-    """Rebuild p's exponent tuples in ``ctx``: variable k moves to positions[k].
+def _remap(ctx: RingContext, positions):
+    """The map p -> p rebuilt in ``ctx``, variable k of p moving to
+    positions[k].
 
+    The positions are worked out once, for every p of one source context.
     Variables sharing a position merge: their exponents add up, and so do the
     coefficients of monomials that meet.  A position of None drops the
-    variable; the result is None when a dropped variable occurs in p.
+    variable; the map gives None for a p in which a dropped variable occurs,
+    and the context's shared zero for a zero p.  Terms keep p's order.
     """
-    if not p.terms:
-        return ctx.zero()
+    zero = ctx.zero()
+    n, width = len(positions), len(ctx.names)
     dropped = [k for k, pos in enumerate(positions) if pos is None]
-    if dropped and any(exp[k] for exp in p.terms for k in dropped):
-        return None
     kept = [(k, pos) for k, pos in enumerate(positions) if pos is not None]
-    width = len(ctx.names)
+    # when p's variables come first, in order, a new exponent is the old one
+    # padded with zeros; otherwise each is built slot by slot
+    pad = (0,) * (width - n)
+    padding = list(positions) == list(range(n))
+
+    def remap(p: Poly) -> Poly | None:
+        terms = p.terms
+        if not terms:
+            return zero
+        if dropped and any(exp[k] for exp in terms for k in dropped):
+            return None
+        if padding:
+            exps = map(add, terms, repeat(pad)) if pad else terms
+            return _poly(ctx, dict(zip(exps, terms.values())))
+        return _poly(ctx, _moved_terms(terms, kept, width))
+
+    return remap
+
+
+def _moved_terms(terms, kept, width):
+    """The terms with variable k moved to position pos for each (k, pos) of
+    ``kept``.  Where positions are shared, exponents and the coefficients of
+    monomials that meet add up, and cancelled monomials are dropped."""
     out = {}
-    for exp, c in p.terms.items():
+    for exp, c in terms.items():
         new = [0] * width
         for k, pos in kept:
             new[pos] += exp[k]
         key = tuple(new)
         s = out.get(key)
         out[key] = c if s is None else s + c
-    if len(out) < len(p.terms):     # monomials merged: drop cancellations
+    if len(out) < len(terms):       # monomials merged: drop cancellations
         out = {exp: c for exp, c in out.items() if c}
-    return _poly(ctx, out)
+    return out
+
+
+def _remap_matrix(mat, remap_for):
+    """Each entry p of ``mat`` mapped by remap_for(p.ctx), a function of the
+    source context that is called once per context met (row-major, so a bad
+    context raises at the entry that a per-entry map would raise at)."""
+    maps = {}
+    last = f = None
+    out = []
+    for row in mat:
+        new = []
+        for p in row:
+            c = p.ctx
+            if c is not last:
+                f = maps.get(id(c))
+                if f is None:
+                    f = maps[id(c)] = remap_for(c)
+                last = c
+            new.append(p if f is _same else f(p))
+        out.append(new)
+    return out
+
+
+def _same(p: Poly) -> Poly:
+    return p
 
 
 def _restrict(p: Poly, ctx: RingContext) -> Poly | None:
     """p in ``ctx``, dropping the variables ctx lacks; None if p uses one."""
-    return _remap(p, ctx, [ctx._lookup.get(n) for n in p.ctx.names])
+    return _remap(ctx, [ctx._lookup.get(n) for n in p.ctx.names])(p)
+
+
+def _embedding(src: RingContext, ctx: RingContext):
+    if src is ctx or src == ctx:
+        return _same
+    return _remap(ctx, [ctx.index(n) for n in src.names])
 
 
 def embed(p: Poly, ctx: RingContext) -> Poly:
     """Reinterpret p in a larger (or reordered) context, matching by name."""
     if p.ctx is ctx or p.ctx == ctx:
         return p
-    return _remap(p, ctx, [ctx.index(n) for n in p.ctx.names])
+    return _embedding(p.ctx, ctx)(p)
+
+
+def embed_matrix(mat, ctx: RingContext) -> list:
+    """A new matrix of ``embed(e, ctx)`` for the entries e of ``mat``."""
+    return _remap_matrix(mat, lambda src: _embedding(src, ctx))
+
+
+def _renaming(src: RingContext, mapping, target_ctx: RingContext | None):
+    images = [mapping.get(n, n) for n in src.names]
+    if len(set(images)) != len(images):
+        raise ValueError(f"rename map not injective on {src.names}: {mapping}")
+    ctx = target_ctx if target_ctx is not None else src
+    return _remap(ctx, [ctx.index(n) for n in images])
 
 
 def rename(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
@@ -386,17 +462,32 @@ def rename(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     name.  The target context defaults to the source context (which must then
     contain every image name).
     """
-    images = [mapping.get(n, n) for n in p.ctx.names]
-    if len(set(images)) != len(images):
-        raise ValueError(f"rename map not injective on {p.ctx.names}: {mapping}")
-    ctx = target_ctx if target_ctx is not None else p.ctx
-    return _remap(p, ctx, [ctx.index(n) for n in images])
+    return _renaming(p.ctx, mapping, target_ctx)(p)
+
+
+def rename_matrix(mat, mapping, target_ctx: RingContext | None = None) -> list:
+    """A new matrix of ``rename(e, mapping, target_ctx)`` for the entries e
+    of ``mat``."""
+    return _remap_matrix(
+        mat, lambda src: _renaming(src, mapping, target_ctx))
+
+
+def _substitution(src: RingContext, mapping, target_ctx: RingContext | None):
+    ctx = target_ctx if target_ctx is not None else src
+    return _remap(ctx, [ctx.index(mapping.get(n, n)) for n in src.names])
 
 
 def substitute(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     """Variable-for-variable substitution, merges allowed (e.g. x' -> x)."""
-    ctx = target_ctx if target_ctx is not None else p.ctx
-    return _remap(p, ctx, [ctx.index(mapping.get(n, n)) for n in p.ctx.names])
+    return _substitution(p.ctx, mapping, target_ctx)(p)
+
+
+def substitute_matrix(mat, mapping,
+                      target_ctx: RingContext | None = None) -> list:
+    """A new matrix of ``substitute(e, mapping, target_ctx)`` for the
+    entries e of ``mat``."""
+    return _remap_matrix(
+        mat, lambda src: _substitution(src, mapping, target_ctx))
 
 
 def partial_derivative(p: Poly, name: str) -> Poly:

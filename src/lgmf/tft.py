@@ -18,7 +18,7 @@ from .adjunction import AdjointData, _project
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
                  _dicts_to_vectors, dual, shift, str_matrix)
 from .residue import JacobiElement, JacobiRing, _rep
-from .ring import Poly, embed, partial_derivative
+from .ring import Poly, embed, embed_matrix, partial_derivative
 
 
 class ParityWarning(UserWarning):
@@ -84,7 +84,7 @@ class DefectOperator:
 
 def _str_with_derivatives(M, X: MatrixFactorisation, names) -> Poly:
     """str(M dd/dv_1 ... dd/dv_k) for d = d_X, with M embedded in X's ring."""
-    prod = [[embed(e, X.ctx) for e in row] for row in M]
+    prod = embed_matrix(M, X.ctx)
     for name in names:
         D = [[partial_derivative(e, name) for e in row] for row in X.d]
         prod = polymat.mat_mul(prod, D)
@@ -253,8 +253,7 @@ def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
     m1 = psi1.mat if isinstance(psi1, Morphism) else psi1
     m2 = psi2.mat if isinstance(psi2, Morphism) else psi2
     ctx = X.ctx
-    prod = polymat.mat_mul([[embed(e, ctx) for e in r] for r in m1],
-                           [[embed(e, ctx) for e in r] for r in m2])
+    prod = polymat.mat_mul(embed_matrix(m1, ctx), embed_matrix(m2, ctx))
     num = _str_with_derivatives(prod, X, ring.ctx.names)
     return _constant(ring.residue_plan()(num))
 

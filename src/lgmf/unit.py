@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import polymat, signs
 from .mf import MatrixFactorisation, Morphism, mf_rename, tensor
 from .residue import JacobiRing
-from .ring import (Poly, RingContext, _restrict, embed, exact_div_linear,
-                   primed_name, rename, substitute)
+from .ring import (Poly, RingContext, _restrict, embed, embed_matrix,
+                   exact_div_linear, primed_name, rename_matrix, substitute,
+                   substitute_matrix)
 
 
 class KoszulUnit(MatrixFactorisation):
@@ -319,8 +320,7 @@ class UnitAction:
                 rhs[r][c] = self.X.d[r][xi]
         ctx = self.X.ctx.merge(self.tensor_mf.ctx)
         return polymat.is_zero_matrix(
-            polymat.mat_sub([[embed(e, ctx) for e in row] for row in lhs],
-                            [[embed(e, ctx) for e in row] for row in rhs]))
+            polymat.mat_sub(embed_matrix(lhs, ctx), embed_matrix(rhs, ctx)))
 
 
 def _try_restrict(p: Poly, ctx: RingContext) -> Poly:
@@ -386,7 +386,7 @@ def _section_quotients(X: MatrixFactorisation, unit: KoszulUnit,
     umf = act.unit_mf
     ctx = act.tensor_mf.ctx
     onto = dict(zip(unit.base_names, umf.base_names))
-    d = [[rename(e, onto, target_ctx=ctx) for e in row] for row in X.d]
+    d = rename_matrix(X.d, onto, target_ctx=ctx)
     return difference_quotients(d, umf.pairs, unit.sigma)
 
 
@@ -521,7 +521,7 @@ def permute_unit(sigma, W: Poly):
     # express in the standard (x, x') slots of Delta^sigma: umf has slots
     # (base, mids); rename mids back to the standard primes.
     back = dict(zip(mids, unit_sigma.prime_names))
-    xi_mat = [[substitute(e, back, target_ctx=ctx) for e in row] for row in mat]
+    xi_mat = substitute_matrix(mat, back, target_ctx=ctx)
     xi_mat = [[_try_restrict(e, unit_sigma.ctx) for e in row] for row in xi_mat]
     xi = Morphism(unit, unit_sigma, 0, xi_mat)
     return xi, unit, unit_sigma

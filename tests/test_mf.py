@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgmf import linalg, polymat
+from lgmf import adjunction, linalg, polymat, ring, unit
 from lgmf.mf import (FactorisationError, MatrixFactorisation, Morphism,
                      NullHomotopySet, _monomials_up_to,
                      default_null_homotopies, dual,
@@ -14,7 +14,8 @@ from lgmf.mf import (FactorisationError, MatrixFactorisation, Morphism,
                      tensor_morphism, trivial_mf)
 from lgmf.ring import RingContext, embed, partial_derivative
 
-from conftest import corpus_boundary_mfs, corpus_potentials, ctx_of
+from conftest import (corpus_boundary_mfs, corpus_potentials, ctx_of,
+                      delta_defect, line_defect)
 
 
 def _d_squared_is_potential(X):
@@ -99,6 +100,156 @@ def test_tensor_associative_on_the_nose():
             for row in right.d]
     assert polymat.mat_eq(lmat, rmat)
     assert left.parity == right.parity
+
+
+# -- the tensor product against its first-written form ----------------------
+
+def _reference_tensor(Y, X):
+    """The first-written tensor: every entry accumulated onto a zero, with
+    the Koszul sign as a Fraction product."""
+    ctx = Y.ctx.merge(X.ctx)
+    ry, rx = Y.rank, X.rank
+    parity = tuple((Y.parity[a] + X.parity[b]) % 2
+                   for a in range(ry) for b in range(rx))
+    dY = [[embed(e, ctx) for e in row] for row in Y.d]
+    dX = [[embed(e, ctx) for e in row] for row in X.d]
+    d = polymat.zeros(ctx, ry * rx, ry * rx)
+    for a in range(ry):
+        for b in range(rx):
+            col = a * rx + b
+            for i in range(ry):
+                if not dY[i][a].is_zero():
+                    d[i * rx + b][col] = d[i * rx + b][col] + dY[i][a]
+            sgn = Fraction(-1) ** Y.parity[a]
+            for j in range(rx):
+                if not dX[j][b].is_zero():
+                    d[a * rx + j][col] = d[a * rx + j][col] + dX[j][b] * sgn
+    pot = embed(Y.potential, ctx) + embed(X.potential, ctx)
+    labels = tuple(f"{ly}(x){lx}" for ly in Y.labels for lx in X.labels)
+    return MatrixFactorisation(ctx, pot, parity, d, labels=labels,
+                               validate=False, factors=(Y, X))
+
+
+def _structure_map_factors(data):
+    """The factors of the six tensors a defect's structure maps build: both
+    unit actions, and the tensors of coev_tilde, coev, ev_tilde and ev."""
+    X = data.base
+    tensors = [unit.unit_action_right(X, data.unit_source).tensor_mf,
+               unit.unit_action_left(X, data.unit_target).tensor_mf,
+               adjunction.coev_tilde(data).target,
+               adjunction.coev(data).target,
+               adjunction.ev_tilde(data).source,
+               adjunction.ev(data).source]
+    return [T.factors for T in tensors]
+
+
+CTX_XYZ = RingContext(["x", "y", "z"])
+
+
+def _klein(a, b, c):
+    x, y, z = (CTX_XYZ.gen(n) for n in CTX_XYZ.names)
+    return a * x ** 3 * y + b * y ** 3 * z + c * z ** 3 * x
+
+
+def _fermat(a, b, c):
+    x, y, z = (CTX_XYZ.gen(n) for n in CTX_XYZ.names)
+    return a * x ** 3 + b * y ** 3 + c * z ** 3
+
+
+def _odd_both_sides():
+    X = corpus_boundary_mfs()["x^3-y^3:(x-y,x^2+x*y+y^2)"]
+    return [(mf_rename(X, {"x": "u", "y": "v"}), shift(X)),
+            (shift(X), mf_rename(X, {"x": "u"}))]
+
+
+def _rank_one():
+    X = corpus_boundary_mfs()["x^3:(x,x^2)"]
+    cx = X.ctx
+    odd_one = shift(trivial_mf(cx))
+    return [(trivial_mf(cx), X), (X, trivial_mf(ctx_of("z"))),
+            (odd_one, X), (X, odd_one)]
+
+
+def _meeting_cells():
+    """Unvalidated factors with diagonal entries, so that both terms of the
+    differential reach the same cell (and cancel in one of them)."""
+    cx = ctx_of("x")
+    x = cx.gen("x")
+    Y = MatrixFactorisation(cx, cx.zero(), (1, 0), [[x, x], [cx.one(), x]],
+                            validate=False)
+    X = MatrixFactorisation(cx, cx.zero(), (0, 1), [[x, -x], [x ** 2, x]],
+                            validate=False)
+    return [(Y, X), (X, Y)]
+
+
+TENSOR_CASES = {
+    "Delta Klein": lambda: _structure_map_factors(
+        delta_defect(_klein(1, 1, 1))),
+    "Delta Fermat": lambda: _structure_map_factors(
+        delta_defect(_fermat(1, -1, 1))),
+    "line y^2->x^2": lambda: _structure_map_factors(line_defect(2)),
+    "line y^3->x^3": lambda: _structure_map_factors(line_defect(3)),
+    "odd basis vectors on both sides": _odd_both_sides,
+    "rank one": _rank_one,
+}
+
+
+def _same_tensor(got, want):
+    assert got.ctx == want.ctx and got.parity == want.parity
+    assert got.labels == want.labels
+    assert got.factors[0] is want.factors[0]
+    assert got.factors[1] is want.factors[1]
+    assert (list(got.potential.terms.items())
+            == list(want.potential.terms.items()))
+    for grow, wrow in zip(got.d, want.d, strict=True):
+        for g, w in zip(grow, wrow, strict=True):
+            assert g.ctx == w.ctx
+            assert list(g.terms.items()) == list(w.terms.items())
+
+
+@pytest.mark.parametrize("key", list(TENSOR_CASES))
+def test_tensor_matches_the_accumulating_reference(key):
+    for Y, X in TENSOR_CASES[key]():
+        assert not Y.validation_failures() and not X.validation_failures()
+        T = tensor(Y, X)
+        _same_tensor(T, _reference_tensor(Y, X))
+        assert not T.validation_failures()
+
+
+def test_tensor_adds_only_where_both_terms_meet():
+    for Y, X in _meeting_cells():
+        T = tensor(Y, X)
+        _same_tensor(T, _reference_tensor(Y, X))
+    # (x, x): the cell (0, 0) holds dY[0][0] - dX[0][0] = x - x = 0
+    Y, X = _meeting_cells()[0]
+    assert tensor(Y, X).d[0][0].is_zero()
+
+
+def test_tensor_signs_cost_no_fraction_product(monkeypatch):
+    """The Klein quartic's Delta with the right unit's factor: the Koszul
+    signs negate each entry of d_X once and multiply by no Fraction."""
+    data = delta_defect(_klein(1, 1, 1))
+    Y, X = unit.unit_action_right(data.base,
+                                  data.unit_source).tensor_mf.factors
+    assert any(Y.parity) and X.rank == 8
+    scalars, products = [], []
+    scale, mul = ring._terms_scale, Fraction.__mul__
+
+    def counting_scale(a, c):
+        scalars.append(c)
+        return scale(a, c)
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(ring, "_terms_scale", counting_scale)
+    monkeypatch.setattr(Fraction, "__mul__", counting_mul)
+    T = tensor(Y, X)
+    monkeypatch.undo()
+    assert [c for c in scalars if not (type(c) is int and c == -1)] == []
+    assert len(scalars) == sum(1 for row in X.d for e in row if e.terms)
+    assert products == []
+    _same_tensor(T, _reference_tensor(Y, X))
 
 
 def test_tensor_morphism_functorial_up_to_sign(eta_x3):

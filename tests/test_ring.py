@@ -13,8 +13,9 @@ from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
                        UnknownVariable, _remap, _restrict, _terms_add,
                        _terms_mul, _terms_scale, _tokenize,
                        divided_difference, divided_difference_ordered, embed,
-                       format_poly, parse_poly, partial_derivative, rename,
-                       substitute)
+                       embed_matrix, format_poly, parse_poly,
+                       partial_derivative, rename, rename_matrix, substitute,
+                       substitute_matrix)
 from lgmf.unit import _try_restrict
 
 
@@ -494,7 +495,7 @@ def remaps(draw):
           RingContext(["x1", "x2"]), [0, 1, 0, 1]))
 def test_remap_matches_the_reference_in_value_and_order(args):
     p, ctx, positions = args
-    got, want = _remap(p, ctx, positions), _reference_remap(p, ctx, positions)
+    got, want = _remap(ctx, positions)(p), _reference_remap(p, ctx, positions)
     if want is None:
         assert got is None
         return
@@ -505,7 +506,7 @@ def test_remap_matches_the_reference_in_value_and_order(args):
 def test_remap_of_zero_is_the_shared_zero():
     ctx2, _, _, pairs = doubled(2)
     small = RingContext(["x1", "x2"])
-    assert _remap(ctx2.zero(), small, [0, 1, None, None]) is small.zero()
+    assert _remap(small, [0, 1, None, None])(ctx2.zero()) is small.zero()
     merge = {pr: u for u, pr in pairs}
     assert substitute(Poly(ctx2, {}), merge) is ctx2.zero()
     assert embed(small.zero(), ctx2) is ctx2.zero()
@@ -513,6 +514,91 @@ def test_remap_of_zero_is_the_shared_zero():
     # a merge that cancels every monomial: x1 - x1' under x1' -> x1
     p = ctx2.gen("x1") - ctx2.gen("x1'")
     assert substitute(p, {"x1'": "x1"}).is_zero()
+
+
+# the scalars 1 and -1 (int or Fraction) and 0 take the kernel's shortcuts
+_SCALARS = st.one_of(
+    st.sampled_from([1, -1, 0, Fraction(1), Fraction(-1), Fraction(0)]),
+    st.integers(-3, 3),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs(), _SCALARS)
+def test_terms_scale_matches_term_by_term_products(pq, c):
+    p = pq[0]
+    got = _terms_scale(p.terms, c)
+    want = {exp: v * c for exp, v in p.terms.items()} if c else {}
+    assert got is not p.terms
+    _same_terms(got, want)
+    _same_terms((p * c).terms, want)
+    if c == -1:
+        _same_terms((-p).terms, want)
+
+
+# entries of one matrix in several source contexts, zeros among them
+_SOURCES = [RingContext(["x"]), RingContext(["x", "y"]),
+            RingContext(["y", "x"]), RingContext(["x", "y", "x'", "y'"])]
+_XY, _DOUBLED = RingContext(["x", "y"]), RingContext(["y'", "x", "x'", "y"])
+# (per-entry map, matrix map, arguments): mappings that hold on some
+# sources and raise on others (unknown names, non-injective renamings)
+_MATRIX_MAPS = [
+    (embed, embed_matrix, (_DOUBLED,)),
+    (embed, embed_matrix, (_XY,)),
+    (rename, rename_matrix, ({"x": "x'", "y": "y'"}, _DOUBLED)),
+    (rename, rename_matrix, ({"x": "y", "y": "x"},)),
+    (rename, rename_matrix, ({"x": "y"},)),
+    (substitute, substitute_matrix, ({"x'": "x", "y'": "y"}, _XY)),
+    (substitute, substitute_matrix, ({"x": "y", "x'": "y'"},)),
+]
+
+
+@st.composite
+def mixed_matrices(draw):
+    def entry():
+        ctx = draw(st.sampled_from(_SOURCES))
+        kind = draw(st.sampled_from(["poly", "shared zero", "fresh zero"]))
+        if kind == "shared zero":
+            return ctx.zero()
+        if kind == "fresh zero":
+            return Poly(ctx, {})
+        return draw(rational_polys(ctx))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices(), st.sampled_from(range(len(_MATRIX_MAPS))))
+def test_matrix_remap_equals_the_per_entry_maps(mat, which):
+    one, many, args = _MATRIX_MAPS[which]
+    want = _outcome(lambda: [[one(e, *args) for e in row] for row in mat])
+    got = _outcome(lambda: many(mat, *args))
+    if isinstance(want, tuple):         # the same exception, same text
+        assert got == want
+        return
+    assert got is not mat and len(got) == len(want)
+    for src, grow, wrow in zip(mat, got, want, strict=True):
+        assert grow is not src
+        for e, g, w in zip(src, grow, wrow, strict=True):
+            assert g.ctx == w.ctx and (g is e) == (w is e)
+            _same_terms(g.terms, w.terms)
+
+
+def test_matrix_rename_refuses_a_non_injective_map():
+    mat = [[_XY.gen("x"), _XY.zero()]]
+    with pytest.raises(ValueError) as per_entry:
+        rename(_XY.zero(), {"x": "y"})
+    with pytest.raises(ValueError) as whole:
+        rename_matrix(mat, {"x": "y"})
+    assert str(whole.value) == str(per_entry.value)
+    assert "not injective" in str(whole.value)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS)
