@@ -41,8 +41,9 @@ class AdjointData:
     (at once when validating), the adjoints, the Koszul units, and per side
     (source W, target V) the ingredients its structure maps share.  Those
     are the difference quotients of d_X between the side's unit variables
-    and their primes, the verified default null-homotopies, and the side's
-    coevaluation (coev_tilde for the source, coev for the target).
+    and their primes, the verified default null-homotopies, their product
+    Lambda, and the side's coevaluation (coev_tilde for the source, coev for
+    the target).
     ``coev_tilde(data)``, ``coev(data)`` and every ``EvCoevMaps`` of this
     defect hold the same kept objects, and a Zorro check only reads them;
     callers must not change their matrices or homotopy entries either.
@@ -133,6 +134,14 @@ class AdjointData:
     def _homotopies_target(self) -> NullHomotopySet:
         return default_null_homotopies(self.base, self.target_names,
                                        side="target")
+
+    @cached_property
+    def _lambda_source(self) -> list:
+        return self._homotopies_source.product()
+
+    @cached_property
+    def _lambda_target(self) -> list:
+        return self._homotopies_target.product()
 
     @cached_property
     def _coev_tilde(self) -> "KoszulValuedMap":
@@ -242,12 +251,9 @@ class EvCoevMaps:
     homotopies_target: NullHomotopySet
 
 
-def _verify_homotopies(data: AdjointData, hs: NullHomotopySet | None,
-                       side: str, var_names) -> NullHomotopySet:
-    """A supplied set, re-verified, or else the defect's verified default."""
-    if hs is None:
-        return (data._homotopies_source if side == "source"
-                else data._homotopies_target)
+def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
+                       var_names) -> None:
+    """Raise unless a supplied set is null-homotopies of the defect."""
     if tuple(hs.order) != tuple(var_names):
         raise ValueError(f"homotopy set order must be {var_names}")
     sgn = Fraction(-1) if side == "source" else Fraction(1)
@@ -256,7 +262,6 @@ def _verify_homotopies(data: AdjointData, hs: NullHomotopySet | None,
                                 sgn) is not None:
             raise FactorisationError(
                 f"supplied homotopy for {name} fails verification")
-    return hs
 
 
 def coev_tilde(data: AdjointData) -> KoszulValuedMap:
@@ -345,19 +350,21 @@ def ev_tilde(data: AdjointData,
     Without ``homotopies`` it uses the defect's kept default set; a supplied
     set is verified on every call.
     """
-    hs = _verify_homotopies(data, homotopies, "source", data.source_names)
-    return _ev_tilde(data, hs)
+    if homotopies is None:
+        return _ev_tilde(data, data._lambda_source)
+    _verify_homotopies(data, homotopies, "source", data.source_names)
+    return _ev_tilde(data, homotopies.product())
 
 
-def _ev_tilde(data: AdjointData,
-              homotopies: NullHomotopySet) -> KoszulValuedMap:
+def _ev_tilde(data: AdjointData, Lam) -> KoszulValuedMap:
+    """ev_tilde from Lam, the product of the source side's homotopies."""
     X = data.base
     unit = data.unit_target
     Xd = mf_rename(data.right_adjoint,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xd)
     ctx = T.ctx
-    Lam = embed_matrix(homotopies.product(), ctx)
+    Lam = embed_matrix(Lam, ctx)
     # del_[i_l] ... del_[i_1] Lambda for every subset
     prods = _subset_products(unit.subsets, Lam, data._quotients_target,
                              left=True)
@@ -396,17 +403,20 @@ def ev(data: AdjointData,
     z-residue of {Lambda^(z) del_[i_1] d ... del_[i_l] d}_{ij} g against the
     partials of V.  Homotopies as for ``ev_tilde``.
     """
-    hs = _verify_homotopies(data, homotopies, "target", data.target_names)
-    return _ev(data, hs)
+    if homotopies is None:
+        return _ev(data, data._lambda_target)
+    _verify_homotopies(data, homotopies, "target", data.target_names)
+    return _ev(data, homotopies.product())
 
 
-def _ev(data: AdjointData, homotopies: NullHomotopySet) -> KoszulValuedMap:
+def _ev(data: AdjointData, Lam) -> KoszulValuedMap:
+    """ev from Lam, the product of the target side's homotopies."""
     X = data.base
     unit = data.unit_source
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(data.left_adjoint, Xp)
     ctx = T.ctx
-    Lam = embed_matrix(homotopies.product(), ctx)
+    Lam = embed_matrix(Lam, ctx)
     # Lambda del_[i_1] ... del_[i_l] for every subset
     prods = _subset_products(unit.subsets, Lam, data._quotients_source,
                              left=False)
@@ -435,7 +445,8 @@ def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
     """The four structure maps from the defect's kept ingredients."""
     hs, ht = data._homotopies_source, data._homotopies_target
     return EvCoevMaps(coev_tilde=coev_tilde(data), coev=coev(data),
-                      ev_tilde=_ev_tilde(data, hs), ev=_ev(data, ht),
+                      ev_tilde=_ev_tilde(data, data._lambda_source),
+                      ev=_ev(data, data._lambda_target),
                       homotopies_source=hs, homotopies_target=ht)
 
 
@@ -530,7 +541,7 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
         P = _rho_inverse(X, unit, act,
                          _onto_action(data._quotients_source, unit, act))
         C = coev_tilde(data)
-        hs = data._homotopies_source
+        Lam = data._lambda_source
         ev_row = _ev_tilde_row
         mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
@@ -544,7 +555,7 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
         P = _lambda_inverse(X, unit, act,
                             _onto_action(data._quotients_target, unit, act))
         C = coev(data)
-        hs = data._homotopies_target
+        Lam = data._lambda_target
         ev_row = _ev_row
         mids, w = _snake_names(X, act, unit, others)
         cmap = dict(zip(unit.prime_names + src, mids + w))
@@ -566,7 +577,7 @@ def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
     Cm = [[_by_middle(e, mpos) for e in row]
           for row in rename_matrix(C.mat, cmap, target_ctx=ctx)]
     K0 = [X.ctx.zero()] * (r * r)
-    ev_row(data, K0, hs.product(), 0)
+    ev_row(data, K0, Lam, 0)
     K0 = [_by_middle(e, mpos)
           for e in rename_matrix([K0], emap, target_ctx=ctx)[0]]
     # reach[e]: the middle exponents from which a term of K0[e] lands on the

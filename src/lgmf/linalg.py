@@ -1,30 +1,66 @@
 """Exact linear algebra over Q: solving, rank, nullspace, span membership.
 
-One sparse engine, ``Span``, does all elimination: its rows are
-``{column: Fraction}`` dicts in reduced row echelon form, keyed by their pivot
-(leftmost nonzero, scaled to 1).  Pivots follow column order, so every result
-comes from the unique reduced form.  Matrices and vectors are dense lists.
+One sparse engine, ``Span``, does all elimination, without ``Fraction``
+arithmetic.  Its rows are primitive integer rows ``{column: int}``: content
+(the gcd of the entries) 1 and a positive pivot entry (the leftmost nonzero).
+Each stands for the reduced row ``row / row[pivot]``, and the rows are kept
+in reduced row echelon form: no row has an entry in another row's pivot
+column.  Pivots follow column order, so every result comes from the unique
+reduced form, whatever the integer scalings on the way.
+
+An input vector is scaled by the lcm of its denominators.  Eliminating pivot
+p from v with row r is the fraction-free step v <- (a/g) v - (b/g) r, with
+a = r[p], b = v[p] and g = gcd(a, b), after which v's content is divided out
+(Bareiss 1968 keeps integers the same way).  Results are ``Fraction``s
+formed only at the end.  Matrices and vectors are dense lists of ints or
+``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def _integral(d):
+    """{column: int | Fraction} -> ({column: int}, den): den * d, integral.
+
+    Every value must be nonzero.
+    """
+    den = lcm(*[x.denominator for x in d.values()])
+    if den == 1:
+        return {c: x.numerator for c, x in d.items()}, 1
+    return {c: x.numerator * (den // x.denominator)
+            for c, x in d.items()}, den
 
 
 def _sparse(vec):
-    return {c: x if type(x) is Fraction else Fraction(x)
-            for c, x in enumerate(vec) if x}
+    return _integral({c: x for c, x in enumerate(vec) if x})
 
 
-def _axpy(v, f, row):
-    """v -= f * row, in place, dropping entries that cancel."""
-    f = -f
-    for c, a in row.items():
-        x = v[c] + f * a if c in v else f * a
-        if x:
-            v[c] = x
+def _eliminate(v, row, p):
+    """v <- (a/g) v - (b/g) row for a = row[p], b = v[p], g = gcd(a, b),
+    dividing out the content; returns (v, the factor a/g, the content)."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for c in v:
+            v[c] *= a
+    for c, x in row.items():
+        if c in v:
+            y = v[c] - b * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
         else:
-            del v[c]
+            v[c] = -b * x
+    g = gcd(*v.values())
+    if g > 1:
+        v = {c: x // g for c, x in v.items()}
+    return v, a, g
 
 
 class Span:
@@ -32,38 +68,51 @@ class Span:
 
     def __init__(self, width: int):
         self.width = width
-        self._rows = {}     # pivot column -> reduced row, pivot entry 1
+        self._rows = {}     # pivot column -> primitive row, pivot entry > 0
 
     def _reduce(self, v):
-        for p in [c for c in v if c in self._rows]:
-            _axpy(v, v[p], self._rows[p])
-        return v
+        """Reduce an integer row against the span; returns (w, num, den)
+        with v's reduced vector equal to w * num / den."""
+        rows = self._rows
+        num = den = 1
+        for p in [c for c in v if c in rows]:
+            v, a, g = _eliminate(v, rows[p], p)
+            den *= a
+            num *= g
+        return v, num, den
 
     def _insert(self, v):
-        """Insert a sparse row (consumed); its new pivot column, or None."""
-        v = self._reduce(v)
+        """Insert an integer row (consumed); its new pivot column, or None."""
+        v = self._reduce(v)[0]
         if not v:
             return None
         p = min(v)
-        if v[p] != 1:
-            inv = 1 / v[p]
-            v = {c: x * inv for c, x in v.items()}
-        for row in self._rows.values():
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        if g != 1:
+            v = {c: x // g for c, x in v.items()}
+        rows = self._rows
+        for q, row in rows.items():
             if p in row:
-                _axpy(row, row[p], v)
-        self._rows[p] = v
+                rows[q] = _eliminate(row, v, p)[0]
+        rows[p] = v
         return p
 
     def reduce(self, vec):
-        v, zero = self._reduce(_sparse(vec)), Fraction(0)
-        return [v.get(c, zero) for c in range(len(vec))]
+        v, den = _sparse(vec)
+        v, num, d = self._reduce(v)
+        den *= d
+        zero = Fraction(0)
+        return [Fraction(v[c] * num, den) if c in v else zero
+                for c in range(len(vec))]
 
     def contains(self, vec) -> bool:
-        return not self._reduce(_sparse(vec))
+        return not self._reduce(_sparse(vec)[0])[0]
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        return self._insert(_sparse(vec)) is not None
+        return self._insert(_sparse(vec)[0]) is not None
 
     @property
     def dim(self) -> int:
@@ -73,7 +122,7 @@ class Span:
 def _span(matrix, width):
     span = Span(width)
     for row in matrix:
-        span._insert(_sparse(row))
+        span._insert(_sparse(row)[0])
     return span
 
 
@@ -91,13 +140,14 @@ def solve(matrix, rhs):
     n = len(matrix[0])
     span = Span(n + 1)
     for row, b in zip(matrix, rhs):
-        v = _sparse(row)
+        v = {c: x for c, x in enumerate(row) if x}
         if b:
-            v[n] = Fraction(b)
-        if span._insert(v) == n:
+            v[n] = b
+        if span._insert(_integral(v)[0]) == n:
             return None
     rows, zero = span._rows, Fraction(0)
-    return [rows[c].get(n, zero) if c in rows else zero for c in range(n)]
+    return [Fraction(rows[c][n], rows[c][c])
+            if c in rows and n in rows[c] else zero for c in range(n)]
 
 
 def nullspace(matrix, n=None):
@@ -105,14 +155,15 @@ def nullspace(matrix, n=None):
     if n is None:
         n = len(matrix[0]) if matrix else 0
     rows = _span(matrix, n)._rows
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for free in range(n):
         if free not in rows:
-            v = [Fraction(0)] * n
-            v[free] = Fraction(1)
+            v = [zero] * n
+            v[free] = one
             for c, row in rows.items():
                 if free in row:
-                    v[c] = -row[free]
+                    v[c] = Fraction(-row[free], row[c])
             basis.append(v)
     return basis
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg, polymat
 from .ideal import groebner, normal_form, quotient_monomial_basis
@@ -371,18 +372,29 @@ def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
               for m in monos]
     dT = embed_matrix(target.d, ctx)
     dS = embed_matrix(source.d, ctx)
-    sgn = Fraction(-1) ** parity
+    # the terms of column i of d_T and of row j of d_S, the latter signed
+    # by -(-1)^{|h|}
+    left = [[(r, exp, c) for r in range(target.rank)
+             for exp, c in dT[r][i].terms.items()]
+            for i in range(target.rank)]
+    right = [[(b, exp, c if parity else -c) for b in range(source.rank)
+              for exp, c in dS[j][b].terms.items()]
+             for j in range(source.rank)]
     columns = []
     for (i, j, m) in domain:
         col = {}
-        for r in range(target.rank):
-            for exp, c in dT[r][i].terms.items():
-                key = (r, j, tuple(x + y for x, y in zip(exp, m)))
-                col[key] = col.get(key, 0) + c
-        for b in range(source.rank):
-            for exp, c in dS[j][b].terms.items():
-                key = (i, b, tuple(x + y for x, y in zip(exp, m)))
-                col[key] = col.get(key, 0) - sgn * c
+        for r, exp, c in left[i]:
+            key = (r, j, tuple(map(add, exp, m)))
+            if key in col:
+                col[key] += c
+            else:
+                col[key] = c
+        for b, exp, c in right[j]:
+            key = (i, b, tuple(map(add, exp, m)))
+            if key in col:
+                col[key] += c
+            else:
+                col[key] = c
         if reduce is not None:
             entries = {}
             for (r, b, exp), c in col.items():
@@ -394,12 +406,13 @@ def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
 
 
 def _dicts_to_vectors(dicts):
-    """Dense vectors over the sorted union of the dicts' keys."""
+    """Dense vectors over the sorted union of the dicts' keys, padded with
+    the int 0 (``linalg`` skips it at C speed)."""
     keys = sorted({k for d in dicts for k in d})
     index = {k: r for r, k in enumerate(keys)}
     vecs = []
     for d in dicts:
-        v = [Fraction(0)] * len(keys)
+        v = [0] * len(keys)
         for k, c in d.items():
             v[index[k]] = c
         vecs.append(v)

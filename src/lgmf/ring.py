@@ -167,7 +167,7 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "Poly"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
@@ -221,7 +221,8 @@ class Poly:
             other = self.ctx.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.terms == other.terms)
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")

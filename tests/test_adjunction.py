@@ -351,6 +351,28 @@ def test_ev_coev_maps_verifies_each_homotopy_once(monkeypatch):
         assert sorted(built) == [(("x", "x'"),), (("y", "y'"),)]
 
 
+def test_each_sides_lambda_is_formed_once(monkeypatch):
+    """zorro_check and ev_coev_maps on one Delta defect share each side's
+    Lambda; a supplied homotopy set is verified and gets its own product."""
+    sides = []
+    product = NullHomotopySet.product
+
+    def counting(self):
+        sides.append(self.side)
+        return product(self)
+    monkeypatch.setattr(NullHomotopySet, "product", counting)
+    data = SNAKE_DEFECTS["Delta x^3+y^3"]()
+    zorro_check(data)
+    ev_coev_maps(data)
+    assert sorted(sides) == ["source", "target"]
+    ev_tilde(data)
+    ev(data)
+    assert sorted(sides) == ["source", "target"]
+    hs = default_null_homotopies(data.base, data.source_names, side="source")
+    assert ev_tilde(data, hs).mat == ev_tilde(data).mat
+    assert sorted(sides) == ["source", "source", "target"]
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_tampered_supplied_homotopies_are_reverified(side):
     data = line_defect(3)

@@ -1,11 +1,16 @@
 """Exact rational linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgmf import linalg
+from lgmf import linalg, polymat
+from lgmf.mf import _boundary_columns, _dicts_to_vectors
+
+from conftest import line_defect
 
 frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
 
@@ -237,3 +242,197 @@ def test_span_membership(vectors):
     for v in vectors:
         assert span.contains(list(v))
         assert all(c == 0 for c in span.reduce(list(v)))
+
+
+# -- the sparse Fraction-row reference: the engine before integer rows --------
+
+def _reference_axpy(v, f, row):
+    f = -f
+    for c, a in row.items():
+        x = v[c] + f * a if c in v else f * a
+        if x:
+            v[c] = x
+        else:
+            del v[c]
+
+
+class _ReferenceSpan:
+    """Rows {column: Fraction} in reduced row echelon form, pivot entry 1."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = {}
+
+    def reduce_sparse(self, v):
+        for p in [c for c in v if c in self.rows]:
+            _reference_axpy(v, v[p], self.rows[p])
+        return v
+
+    def insert(self, v):
+        v = self.reduce_sparse(v)
+        if not v:
+            return None
+        p = min(v)
+        if v[p] != 1:
+            inv = 1 / v[p]
+            v = {c: x * inv for c, x in v.items()}
+        for row in self.rows.values():
+            if p in row:
+                _reference_axpy(row, row[p], v)
+        self.rows[p] = v
+        return p
+
+    def add(self, vec):
+        return self.insert(_reference_sparse(vec)) is not None
+
+    def reduce(self, vec):
+        v = self.reduce_sparse(_reference_sparse(vec))
+        return [v.get(c, Fraction(0)) for c in range(len(vec))]
+
+    def contains(self, vec):
+        return not self.reduce_sparse(_reference_sparse(vec))
+
+
+def _reference_sparse(vec):
+    return {c: Fraction(x) for c, x in enumerate(vec) if x}
+
+
+def _reference_span(matrix, width):
+    span = _ReferenceSpan(width)
+    for row in matrix:
+        span.insert(_reference_sparse(row))
+    return span
+
+
+def _reference_solve(matrix, rhs):
+    if not matrix:
+        return []
+    n = len(matrix[0])
+    span = _ReferenceSpan(n + 1)
+    for row, b in zip(matrix, rhs):
+        v = _reference_sparse(row)
+        if b:
+            v[n] = Fraction(b)
+        if span.insert(v) == n:
+            return None
+    rows = span.rows
+    return [rows[c].get(n, Fraction(0)) if c in rows else Fraction(0)
+            for c in range(n)]
+
+
+def _reference_nullspace(matrix, n):
+    rows = _reference_span(matrix, n).rows
+    basis = []
+    for free in range(n):
+        if free not in rows:
+            v = [Fraction(0)] * n
+            v[free] = Fraction(1)
+            for c, row in rows.items():
+                if free in row:
+                    v[c] = -row[free]
+            basis.append(v)
+    return basis
+
+
+def _check_rows(span):
+    """The engine's invariant: integer rows with content 1 and a positive
+    leftmost (pivot) entry, and no entry in another row's pivot column."""
+    for p, row in span._rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert not (row.keys() & span._rows.keys()) - {p}
+
+
+# -- large numerators, mixed denominators, negative leading entries ----------
+
+big_entry = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.just(0), st.just(Fraction(0)),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 50)))
+
+
+@st.composite
+def big_matrices(draw, max_rows=7, max_cols=7):
+    """Rows over big_entry; a drawn half of them negated, so that leading
+    entries of either sign occur, plus zero and repeated rows."""
+    n = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(big_entry, min_size=n, max_size=n),
+                         max_size=max_rows))
+    rows = [[-x for x in row] if draw(st.booleans()) else row
+            for row in rows]
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+        rows.append([0] * n)
+    return n, rows
+
+
+@given(big_matrices(), st.data())
+def test_solve_nullspace_rank_match_both_references(nm, data):
+    n, A = nm
+    got = linalg.nullspace(A, n=n)
+    assert got == _reference_nullspace(A, n) == dense_nullspace(A, n=n)
+    assert all_fractions(got)
+    assert linalg.rank(A) == len(_reference_span(A, n).rows) == dense_rank(A)
+    x = data.draw(st.lists(big_entry, min_size=n, max_size=n))
+    consistent = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in A]
+    arbitrary = data.draw(st.lists(big_entry, min_size=len(A),
+                                   max_size=len(A)))
+    for b in (consistent, arbitrary):
+        got = linalg.solve(A, b)
+        assert got == _reference_solve(A, b) == dense_solve(A, b)
+        if got is not None:
+            assert all_fractions([got])
+    span = linalg._span(A, n)
+    _check_rows(span)
+
+
+@given(big_matrices(), big_matrices())
+def test_span_matches_both_references(added, probes):
+    n, vectors = added
+    probes = [row[:n] + [0] * (n - len(row)) for row in probes[1]]
+    span, ref, dense = linalg.Span(n), _ReferenceSpan(n), DenseSpan(n)
+    for v in vectors:
+        grew = span.add(v)
+        assert grew == ref.add(v) == dense.add(v)
+        _check_rows(span)
+    for v in vectors + probes:
+        got = span.reduce(v)
+        assert got == ref.reduce(v) == dense.reduce(v)
+        assert all_fractions([got])
+        assert span.contains(v) == ref.contains(v) == (not any(got))
+
+
+# -- the boundary systems of the x^p - y^p line defects ----------------------
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_line_defect_boundary_systems_match_the_reference(p):
+    """What hom_cohomology and the Cardy supertrace ask of the engine, on
+    the real systems at the cohomology bound 2p: cocycles, coboundary
+    spans with reductions, and solves."""
+    X = line_defect(p).base
+    systems = [_boundary_columns(X, X, parity, 2 * p, X.ctx)[1]
+               for parity in (0, 1)]
+    for parity, cols in enumerate(systems):
+        cob = systems[parity ^ 1]
+        keys, vecs = _dicts_to_vectors(cols + cob)
+        matrix = polymat.transpose(vecs[:len(cols)])
+        n = len(cols)
+        got = linalg.nullspace(matrix, n=n)
+        assert got == _reference_nullspace(matrix, n)
+        assert got and all_fractions(got)
+        span, ref = linalg.Span(len(keys)), _ReferenceSpan(len(keys))
+        for v in vecs[len(cols):]:
+            assert span.add(v) == ref.add(v)
+        _check_rows(span)
+        for v in vecs[:len(cols)]:
+            got = span.reduce(v)
+            assert got == ref.reduce(v) and all_fractions([got])
+        # the boundary of the sum of every other unknown, halved: consistent
+        rhs = [Fraction(sum(row[::2]), 2) for row in matrix]
+        got = linalg.solve(matrix, rhs)
+        assert got is not None and got == _reference_solve(matrix, rhs)
+        assert all_fractions([got])
+        bad = list(rhs)
+        bad[0] += 1
+        assert linalg.solve(matrix, bad) == _reference_solve(matrix, bad)

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from lgmf import adjunction, linalg, polymat, ring, unit
+from lgmf.ideal import groebner, normal_form
 from lgmf.mf import (FactorisationError, MatrixFactorisation, Morphism,
-                     NullHomotopySet, _monomials_up_to,
+                     NullHomotopySet, _boundary_columns, _monomials_up_to,
                      default_null_homotopies, dual,
                      dual_morphism, homotopic, identity_morphism, mf_rename,
                      new_mf, null_homotopy_search, shift, supertrace, tensor,
                      tensor_morphism, trivial_mf)
-from lgmf.ring import RingContext, embed, partial_derivative
+from lgmf.ring import RingContext, embed, embed_matrix, partial_derivative
 
 from conftest import (corpus_boundary_mfs, corpus_potentials, ctx_of,
                       delta_defect, line_defect)
@@ -369,3 +370,81 @@ def test_monomials_up_to_matches_filtered_product(n):
                                                        repeat=n)
                           if sum(e) <= bound)
         assert _monomials_up_to(ctx, bound) == filtered
+
+
+# -- the boundary system against its first-written loop ---------------------
+
+def _reference_boundary_columns(source, target, parity, bound, ctx,
+                                reduce=None):
+    """The first-written builder: exponents added in a generator, every
+    term accumulated onto a default 0 and the sign a Fraction product."""
+    monos = _monomials_up_to(ctx, bound)
+    domain = [(i, j, m) for i in range(target.rank) for j in range(source.rank)
+              if (target.parity[i] + source.parity[j]) % 2 == parity
+              for m in monos]
+    dT = embed_matrix(target.d, ctx)
+    dS = embed_matrix(source.d, ctx)
+    sgn = Fraction(-1) ** parity
+    columns = []
+    for (i, j, m) in domain:
+        col = {}
+        for r in range(target.rank):
+            for exp, c in dT[r][i].terms.items():
+                key = (r, j, tuple(x + y for x, y in zip(exp, m)))
+                col[key] = col.get(key, 0) + c
+        for b in range(source.rank):
+            for exp, c in dS[j][b].terms.items():
+                key = (i, b, tuple(x + y for x, y in zip(exp, m)))
+                col[key] = col.get(key, 0) - sgn * c
+        if reduce is not None:
+            entries = {}
+            for (r, b, exp), c in col.items():
+                entries.setdefault((r, b), {})[exp] = c
+            col = {(r, b, exp): c for (r, b), terms in entries.items()
+                   for exp, c in reduce(ring.Poly(ctx, terms)).terms.items()}
+        columns.append({k: v for k, v in col.items() if v})
+    return domain, columns
+
+
+def _boundary_cases():
+    """(name, source, target, ctx, Groebner basis of a normal-form hook).
+
+    The corpus line defects as endomorphism systems and coev_tilde's
+    unit -> tensor system, each with the hook kernel_homotopy_search passes
+    for the defect's ev_tilde; and factors with diagonal entries, where
+    both terms of the boundary reach one cell and some cancel."""
+    out = []
+    for p in (2, 3):
+        data = line_defect(p)
+        X = data.base
+        out.append((f"line {p}", X, X, X.ctx,
+                    adjunction.ev_tilde(data).denominator_gb(X.ctx)))
+    data = line_defect(2)
+    C = adjunction.coev_tilde(data)
+    ctx = C._joint_ctx()
+    out.append(("coev_tilde line 2", C.source, C.target, ctx,
+                adjunction.ev_tilde(data).denominator_gb(ctx)))
+    X = _meeting_cells()[0][1]
+    out.append(("meeting cells", X, X, X.ctx,
+                groebner([X.ctx.gen("x") ** 2])))
+    return out
+
+
+@pytest.mark.parametrize("case", _boundary_cases(), ids=lambda c: c[0])
+def test_boundary_columns_match_the_reference_loop(case):
+    _, S, T, ctx, gb = case
+    for reduce in (None, lambda q: normal_form(q, gb)):
+        for parity in (0, 1):
+            for bound in (0, 2, 4):
+                dom, cols = _boundary_columns(S, T, parity, bound, ctx,
+                                              reduce)
+                rdom, rcols = _reference_boundary_columns(
+                    S, T, parity, bound, ctx, reduce)
+                assert dom == rdom
+                assert cols == rcols
+                assert all(type(c) is Fraction
+                           for col in cols for c in col.values())
+    # the hook changes some column
+    assert (_boundary_columns(S, T, 0, 4, ctx)[1]
+            != _boundary_columns(S, T, 0, 4, ctx,
+                                 lambda q: normal_form(q, gb))[1])

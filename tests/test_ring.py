@@ -638,6 +638,32 @@ def test_extending_by_known_names_keeps_the_context():
     assert wider.names == ("x", "y", "z") and wider.zero() is not ctx.zero()
 
 
+def test_contexts_compare_by_identity_then_by_names(monkeypatch):
+    """Operands holding one context object skip the name comparison;
+    equal but distinct contexts still combine, unequal ones raise."""
+    a, b = RingContext(["x", "y"]), RingContext(["x", "y"])
+    p, q = a.gen("x") + 1, b.gen("y") * 2
+    assert (p + q).ctx is a and (p * q).ctx is a and p - q == p + (-q)
+    assert p == a.gen("x") + b.const(1)
+    with pytest.raises(ContextMismatch):
+        p + RingContext(["y", "x"]).gen("y")
+    with pytest.raises(ContextMismatch):
+        p * RingContext(["x"]).gen("x")
+    assert p != RingContext(["y", "x"]).gen("x") + 1
+    compared = []
+    eq = RingContext.__eq__
+
+    def counting(self, other):
+        compared.append(other)
+        return eq(self, other)
+    monkeypatch.setattr(RingContext, "__eq__", counting)
+    r = p * p + p - p
+    assert r == p * p and r.ctx is a
+    assert compared == []
+    assert p + q == q + p
+    assert compared
+
+
 def _snapshot(*polys):
     return [(p.terms, list(p.terms.items())) for p in polys]
 
