@@ -94,7 +94,7 @@ class AdjointData:
             return dl
         return MatrixFactorisation(
             dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
-            labels=dl.labels, validate=False)
+            validate=False)
 
     @cached_property
     def source_ring(self) -> JacobiRing:
@@ -247,8 +247,6 @@ class EvCoevMaps:
     coev: KoszulValuedMap
     ev_tilde: KoszulValuedMap
     ev: KoszulValuedMap
-    homotopies_source: NullHomotopySet
-    homotopies_target: NullHomotopySet
 
 
 def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
@@ -443,11 +441,9 @@ def _ev_row(data: AdjointData, out, prod, l):
 
 def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
     """The four structure maps from the defect's kept ingredients."""
-    hs, ht = data._homotopies_source, data._homotopies_target
     return EvCoevMaps(coev_tilde=coev_tilde(data), coev=coev(data),
                       ev_tilde=_ev_tilde(data, data._lambda_source),
-                      ev=_ev(data, data._lambda_target),
-                      homotopies_source=hs, homotopies_target=ht)
+                      ev=_ev(data, data._lambda_target))
 
 
 # -- dual morphisms -----------------------------------------------------------
@@ -476,21 +472,20 @@ def left_dual_morphism(phi: Morphism, data_src: AdjointData,
 
 # -- kernel homotopies --------------------------------------------------------
 
-def kernel_homotopy_search(delta: KoszulValuedMap,
-                           degree_bound: int | None = None):
+def kernel_homotopy_search(delta: KoszulValuedMap):
     """A matrix H with boundary(H) = delta modulo the denominator ideal.
 
-    H has parity delta.parity + 1; returns the entry matrix or None.  For
-    maps without integration data this is plain exact null-homotopy search.
+    H has parity delta.parity + 1 and entries of degree at most the largest
+    of delta's plus the largest of the two differentials'; returns the entry
+    matrix or None.  For maps without integration data this is plain exact
+    null-homotopy search.
     """
     ctx = delta._joint_ctx()
     gb = delta.denominator_gb(ctx)
-    if degree_bound is None:
-        degs = [e.total_degree() for row in delta.mat for e in row
-                if not e.is_zero()]
-        base = max(degs) if degs else 0
-        degree_bound = base + max(
-            delta.source.max_entry_degree(), delta.target.max_entry_degree())
+    degs = [e.total_degree() for row in delta.mat for e in row
+            if not e.is_zero()]
+    degree_bound = (max(degs) if degs else 0) + max(
+        delta.source.max_entry_degree(), delta.target.max_entry_degree())
     return _solve_boundary(delta.source, delta.target, (delta.parity + 1) % 2,
                            degree_bound, ctx, delta.mat,
                            reduce=None if gb is None

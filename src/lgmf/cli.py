@@ -206,7 +206,8 @@ def cmd_qdim(ws, args, report):
 
 def cmd_chern(ws, args, report):
     X = ws.factorisation(args.name)
-    report.outputs["chern_character"] = tft.chern_character(X)
+    report.outputs["chern_character"] = tft.chern_character(
+        X, tft.JacobiRing(X.potential))
 
 
 def cmd_pair_bulk(ws, args, report):
@@ -234,7 +235,8 @@ def cmd_pair_kl(ws, args, report):
     X = ws.factorisation(args.name)
     f = _endomorphism(ws, args.psi1, args.name)
     g = _endomorphism(ws, args.psi2, args.name)
-    report.outputs["pairing"] = tft.kapustin_li_pairing(f, g, X)
+    report.outputs["pairing"] = tft.kapustin_li_pairing(
+        f, g, X, tft.JacobiRing(X.potential))
 
 
 def cmd_defect_act(ws, args, report):

@@ -262,11 +262,6 @@ def _lift_cofactors(cof_gb, gb: GroebnerBasis):
                     zip(cof_gb, gb.cofactor_log))
 
 
-def quotient_monomial_basis(gb: GroebnerBasis) -> QuotientBasis:
-    """Standard monomials under the leading-term ideal, or an infinity witness."""
-    return gb.quotient
-
-
 def power_membership(v: str, gb: GroebnerBasis):
     """Minimal a with v^a in the ideal, plus cofactors over the original gens.
 

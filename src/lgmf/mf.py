@@ -14,7 +14,6 @@ from fractions import Fraction
 from operator import add
 
 from . import linalg, polymat
-from .ideal import groebner, normal_form, quotient_monomial_basis
 from .ring import (Poly, RingContext, embed, embed_matrix, partial_derivative,
                    rename, rename_matrix)
 
@@ -27,7 +26,7 @@ class MatrixFactorisation:
     """A finite-rank Z2-graded free module with odd differential d, d^2 = W."""
 
     def __init__(self, ctx: RingContext, potential: Poly, parity, d,
-                 labels=None, validate: bool = True, factors=None):
+                 validate: bool = True, factors=None):
         self.ctx = ctx
         self.potential = embed(potential, ctx)
         self.parity = tuple(parity)
@@ -35,8 +34,6 @@ class MatrixFactorisation:
         r = len(self.parity)
         if len(self.d) != r or any(len(row) != r for row in self.d):
             raise FactorisationError("differential shape does not match rank")
-        self.labels = tuple(labels) if labels is not None else tuple(
-            f"e{i}" for i in range(r))
         self.factors = factors  # (Y, X) for tensor products, else None
         if validate:
             failures = self.validation_failures()
@@ -57,22 +54,6 @@ class MatrixFactorisation:
     @property
     def rank_odd(self) -> int:
         return sum(1 for p in self.parity if p == 1)
-
-    def even_indices(self):
-        return [i for i, p in enumerate(self.parity) if p == 0]
-
-    def odd_indices(self):
-        return [i for i, p in enumerate(self.parity) if p == 1]
-
-    @property
-    def d0(self):
-        """The even-to-odd block (rows odd, columns even)."""
-        return [[self.d[i][j] for j in self.even_indices()] for i in self.odd_indices()]
-
-    @property
-    def d1(self):
-        """The odd-to-even block (rows even, columns odd)."""
-        return [[self.d[i][j] for j in self.odd_indices()] for i in self.even_indices()]
 
     def validation_failures(self):
         """Offending entries of d^2 - W*Id (empty iff valid)."""
@@ -100,7 +81,7 @@ class MatrixFactorisation:
                 f"over {self.ctx.names}, W = {self.potential})")
 
 
-def new_mf(ctx: RingContext, W: Poly, d0, d1, labels=None) -> MatrixFactorisation:
+def new_mf(ctx: RingContext, W: Poly, d0, d1) -> MatrixFactorisation:
     """Build a factorisation from its two blocks (even basis listed first)."""
     d0 = embed_matrix(d0, ctx)
     d1 = embed_matrix(d1, ctx)
@@ -114,7 +95,7 @@ def new_mf(ctx: RingContext, W: Poly, d0, d1, labels=None) -> MatrixFactorisatio
     for a in range(re):
         for b in range(ro):
             d[a][re + b] = d1[a][b]
-    return MatrixFactorisation(ctx, W, parity, d, labels=labels)
+    return MatrixFactorisation(ctx, W, parity, d)
 
 
 def trivial_mf(ctx: RingContext) -> MatrixFactorisation:
@@ -198,20 +179,9 @@ class Morphism:
                               embed_matrix(other.mat, ctx))
 
 
-def identity_morphism(X: MatrixFactorisation) -> Morphism:
-    return X.identity()
-
-
-def supertrace(phi) -> Poly:
-    """Supertrace of an even endomorphism (Morphism or (matrix, parity))."""
-    if isinstance(phi, Morphism):
-        if phi.source is not phi.target and phi.source.parity != phi.target.parity:
-            raise ValueError("supertrace needs an endomorphism")
-        if phi.parity != 0:
-            raise ValueError("supertrace needs an even morphism")
-        mat, parity = phi.mat, phi.source.parity
-    else:
-        mat, parity = phi
+def str_matrix(mat, parity) -> Poly:
+    """sum_i (-1)^{parity_i} mat[i][i]; None for a rank-0 matrix, which
+    names no context."""
     acc = None
     for i, p in enumerate(parity):
         t = mat[i][i] if p == 0 else -mat[i][i]
@@ -219,8 +189,15 @@ def supertrace(phi) -> Poly:
     return acc
 
 
-def str_matrix(mat, parity) -> Poly:
-    return supertrace((mat, parity))
+def supertrace(phi: Morphism) -> Poly:
+    """Supertrace of an even endomorphism (0 of its context at rank 0)."""
+    if phi.source is not phi.target and phi.source.parity != phi.target.parity:
+        raise ValueError("supertrace needs an endomorphism")
+    if phi.parity != 0:
+        raise ValueError("supertrace needs an even morphism")
+    if not phi.source.rank:
+        return phi.ctx.zero()
+    return str_matrix(phi.mat, phi.source.parity)
 
 
 # -- functors ----------------------------------------------------------------
@@ -229,9 +206,7 @@ def dual(X: MatrixFactorisation) -> MatrixFactorisation:
     """The dual factorisation of -W on the dual basis e_i^*."""
     d = [[(X.d[j][i] if X.parity[i] == 0 else -X.d[j][i])
           for j in range(X.rank)] for i in range(X.rank)]
-    return MatrixFactorisation(
-        X.ctx, -X.potential, X.parity, d,
-        labels=tuple(f"{l}*" for l in X.labels))
+    return MatrixFactorisation(X.ctx, -X.potential, X.parity, d)
 
 
 def dual_morphism(phi: Morphism) -> Morphism:
@@ -247,11 +222,10 @@ def shift(X: MatrixFactorisation, k: int = 1) -> MatrixFactorisation:
     """Parity flip with negated differential, applied k mod 2 times."""
     if k % 2 == 0:
         return MatrixFactorisation(X.ctx, X.potential, X.parity, X.d,
-                                   labels=X.labels, validate=False,
-                                   factors=X.factors)
+                                   validate=False, factors=X.factors)
     return MatrixFactorisation(
         X.ctx, X.potential, tuple(p ^ 1 for p in X.parity),
-        polymat.mat_scale(X.d, Fraction(-1)), labels=X.labels, validate=False)
+        polymat.mat_scale(X.d, Fraction(-1)), validate=False)
 
 
 def mf_rename(X: MatrixFactorisation, mapping) -> MatrixFactorisation:
@@ -260,8 +234,7 @@ def mf_rename(X: MatrixFactorisation, mapping) -> MatrixFactorisation:
     ctx = RingContext(new_names)
     d = rename_matrix(X.d, mapping, target_ctx=ctx)
     pot = rename(X.potential, mapping, target_ctx=ctx)
-    return MatrixFactorisation(ctx, pot, X.parity, d, labels=X.labels,
-                               validate=False)
+    return MatrixFactorisation(ctx, pot, X.parity, d, validate=False)
 
 
 def tensor(Y: MatrixFactorisation,
@@ -301,9 +274,8 @@ def tensor(Y: MatrixFactorisation,
             cell = row[base + b]
             row[base + b] = e if cell is zero else cell + e
     pot = embed(Y.potential, ctx) + embed(X.potential, ctx)
-    labels = tuple(f"{ly}(x){lx}" for ly in Y.labels for lx in X.labels)
-    return MatrixFactorisation(ctx, pot, parity, d, labels=labels,
-                               validate=False, factors=(Y, X))
+    return MatrixFactorisation(ctx, pot, parity, d, validate=False,
+                               factors=(Y, X))
 
 
 def tensor_morphism(f: Morphism, g: Morphism) -> Morphism:
@@ -337,7 +309,6 @@ class Homotopy:
     target: MatrixFactorisation
     parity: int
     mat: list
-    degree_bound: int
 
     def as_morphism(self) -> Morphism:
         return Morphism(self.source, self.target, self.parity, self.mat)
@@ -468,15 +439,15 @@ def null_homotopy_search(phi: Morphism, degree_bound: int | None = None):
                            phi.ctx, phi.mat)
     if hmat is None:
         return None
-    h = Homotopy(phi.source, phi.target, hpar, hmat, degree_bound)
+    h = Homotopy(phi.source, phi.target, hpar, hmat)
     if not h.verifies(phi):
         raise RuntimeError("homotopy witness failed exact re-verification")
     return h
 
 
-def homotopic(f: Morphism, g: Morphism, degree_bound: int | None = None):
-    """A homotopy witness for f - g, or None."""
-    return null_homotopy_search(f - g, degree_bound)
+def homotopic(f: Morphism, g: Morphism):
+    """A homotopy witness for f - g at the default bound, or None."""
+    return null_homotopy_search(f - g)
 
 
 @dataclass
@@ -538,64 +509,3 @@ def default_null_homotopies(X: MatrixFactorisation, var_names,
     return NullHomotopySet(mf=X, side=side, entries=entries,
                            order=tuple(var_names))
 
-
-# -- finite-rank reduction ----------------------------------------------------
-
-def finite_rank_reduction(Z: MatrixFactorisation, fs,
-                          homotopies=None, degree_bound: int | None = None,
-                          check: bool = True):
-    """Z (x) R/(fs): basis = standard monomials x basis of Z, entries reduced.
-
-    Requires the quotient by (fs) to be finite-dimensional and (when check is
-    set) each f to act null-homotopically on Z, via supplied or searched
-    homotopies.  Returns (Zbar, reduction_info).
-    """
-    ctx = Z.ctx
-    fs = [embed(f, ctx) for f in fs]
-    gb = groebner(fs)
-    qb = quotient_monomial_basis(gb)
-    if not qb.finite:
-        raise FactorisationError(
-            f"quotient by (fs) infinite (unbounded variable {qb.witness})")
-    if check:
-        for f in fs:
-            phi = Morphism(Z, Z, 0, polymat.mat_scale(
-                polymat.identity(ctx, Z.rank), f))
-            if homotopies is not None and f in homotopies:
-                h = homotopies[f]
-                if not (h.as_morphism().boundary() == phi):
-                    raise FactorisationError(
-                        f"supplied homotopy for {f} fails verification")
-            else:
-                if null_homotopy_search(phi, degree_bound) is None:
-                    raise FactorisationError(
-                        f"{f} does not act null-homotopically up to the bound")
-    monos = qb.monomials
-    mono_pos = {m: a for a, m in enumerate(monos)}
-    r = Z.rank
-    qctx = RingContext(())
-    rank = len(monos) * r
-    parity = tuple(Z.parity[i] for _a in monos for i in range(r))
-    dbar = polymat.zeros(qctx, rank, rank)
-    for a, m in enumerate(monos):
-        g_a = Poly(ctx, {m: Fraction(1)})
-        for i in range(r):
-            for j in range(r):
-                if Z.d[j][i].is_zero():
-                    continue
-                nf = normal_form(g_a * Z.d[j][i], gb)
-                for exp, c in nf.terms.items():
-                    if exp not in mono_pos:
-                        raise FactorisationError(
-                            "normal form left the standard-monomial basis")
-                    b = mono_pos[exp]
-                    dbar[b * r + j][a * r + i] = dbar[b * r + j][a * r + i] + qctx.const(c)
-    potbar = normal_form(Z.potential, gb)
-    if not potbar.is_constant():
-        raise FactorisationError(
-            f"potential does not reduce to a constant: {potbar}")
-    zbar = MatrixFactorisation(qctx, qctx.const(potbar.constant_value()),
-                               parity, dbar, validate=True)
-    info = {"monomials": monos, "ideal": [str(f) for f in fs],
-            "source_rank": r}
-    return zbar, info

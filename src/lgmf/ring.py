@@ -85,12 +85,9 @@ class RingContext:
             return self
         return RingContext(self.names + tuple(new))
 
-    def doubled(self, subset=None) -> "RingContext":
-        """Append primed partners of ``subset`` (default: all names)."""
-        subset = self.names if subset is None else tuple(subset)
-        for n in subset:
-            self.index(n)
-        return self.extend(primed_name(n) for n in subset)
+    def doubled(self) -> "RingContext":
+        """Append a primed partner of every name."""
+        return self.extend(primed_name(n) for n in self.names)
 
     def merge(self, other: "RingContext") -> "RingContext":
         return self.extend(other.names)
@@ -444,8 +441,13 @@ def embed(p: Poly, ctx: RingContext) -> Poly:
 
 
 def embed_matrix(mat, ctx: RingContext) -> list:
-    """A new matrix of ``embed(e, ctx)`` for the entries e of ``mat``."""
-    return _remap_matrix(mat, lambda src: _embedding(src, ctx))
+    """``mat`` itself when every entry's context is ``ctx``, else a new
+    matrix of ``embed(e, ctx)`` for the entries e of ``mat``."""
+    for row in mat:
+        for e in row:
+            if e.ctx is not ctx:
+                return _remap_matrix(mat, lambda src: _embedding(src, ctx))
+    return mat
 
 
 def _renaming(src: RingContext, mapping, target_ctx: RingContext | None):

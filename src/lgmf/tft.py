@@ -83,7 +83,10 @@ class DefectOperator:
 
 
 def _str_with_derivatives(M, X: MatrixFactorisation, names) -> Poly:
-    """str(M dd/dv_1 ... dd/dv_k) for d = d_X, with M embedded in X's ring."""
+    """str(M dd/dv_1 ... dd/dv_k) for d = d_X, with M embedded in X's ring
+    (0 of that ring at rank 0)."""
+    if not X.rank:
+        return X.ctx.zero()
     prod = embed_matrix(M, X.ctx)
     for name in names:
         D = [[partial_derivative(e, name) for e in row] for row in X.d]
@@ -91,14 +94,12 @@ def _str_with_derivatives(M, X: MatrixFactorisation, names) -> Poly:
     return str_matrix(prod, X.parity)
 
 
-def _insertion_matrix(data: AdjointData, Phi):
+def _insertion_matrix(data: AdjointData, Phi: Morphism | None):
     if Phi is None:
         return polymat.identity(data.base.ctx, data.base.rank)
-    if isinstance(Phi, Morphism):
-        if Phi.parity != 0:
-            raise ValueError("field insertion must be even")
-        return Phi.mat
-    return Phi
+    if Phi.parity != 0:
+        raise ValueError("field insertion must be even")
+    return Phi.mat
 
 
 def defect_supertrace(data: AdjointData, Phi=None) -> Poly:
@@ -129,11 +130,11 @@ def _defect_wrap(data: AdjointData, integrand: Poly, over: JacobiRing,
                         * sign) for f in fields]
 
 
-def defect_operator_right(data: AdjointData, Phi=None) -> DefectOperator:
+def defect_operator_right(data: AdjointData) -> DefectOperator:
     """Wrapping the defect around a source bulk insertion: Jac(W) -> Jac(V)."""
     _parity_warn(data)
     src, tgt = data.source_ring, data.target_ring
-    images = _defect_wrap(data, defect_supertrace(data, Phi), src, tgt,
+    images = _defect_wrap(data, defect_supertrace(data), src, tgt,
                           data.m, [b.rep for b in src.basis_elements()])
     return DefectOperator(src, tgt, images)
 
@@ -187,25 +188,25 @@ def dual_defect(data: AdjointData) -> AdjointData:
                        data.source_potential, validate=False)
 
 
-def shifted_defect(data: AdjointData, k: int = 1) -> AdjointData:
-    return AdjointData(shift(data.base, k), data.source_potential,
+def shifted_defect(data: AdjointData) -> AdjointData:
+    return AdjointData(shift(data.base), data.source_potential,
                        data.target_potential, validate=False)
 
 
 # -- boundary-bulk and bulk-boundary -----------------------------------------
 
-def boundary_bulk(X: MatrixFactorisation, psi, ring=None) -> JacobiElement:
-    """The boundary-bulk map: (-1)^{C(n+1,2)} str(psi dd/dx_1...dd/dx_n)."""
-    ring = JacobiRing(X.potential) if ring is None else ring
+def boundary_bulk(X: MatrixFactorisation, psi,
+                  ring: JacobiRing) -> JacobiElement:
+    """The boundary-bulk map: (-1)^{C(n+1,2)} str(psi dd/dx_1...dd/dx_n)
+    in ``ring``, the Jacobi ring of X's potential."""
     n = len(ring.ctx.names)
-    mat = psi.mat if isinstance(psi, Morphism) else psi
     sign = signs.minus_one_to(signs.binom2(n + 1))
-    return ring.reduce(_str_with_derivatives(mat, X, ring.ctx.names)
+    return ring.reduce(_str_with_derivatives(psi.mat, X, ring.ctx.names)
                        * Fraction(sign))
 
 
-def chern_character(X: MatrixFactorisation, ring=None) -> JacobiElement:
-    return boundary_bulk(X, X.identity(), ring=ring)
+def chern_character(X: MatrixFactorisation, ring: JacobiRing) -> JacobiElement:
+    return boundary_bulk(X, X.identity(), ring)
 
 
 def bulk_boundary(X: MatrixFactorisation, phi) -> Morphism:
@@ -226,9 +227,8 @@ def _constant(p: Poly) -> Fraction:
     return p.constant_value()
 
 
-def bulk_pairing(phi1, phi2, W) -> Fraction:
-    """The two-point bulk correlator Res[phi1 phi2 dx / dW]."""
-    ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
+def bulk_pairing(phi1, phi2, ring: JacobiRing) -> Fraction:
+    """The two-point bulk correlator Res[phi1 phi2 dx / dW] on Jac(W)."""
     p = embed(_rep(phi1, ring), ring.ctx) * embed(_rep(phi2, ring), ring.ctx)
     return _constant(ring.residue_plan()(p))
 
@@ -243,13 +243,13 @@ def _require_endomorphism(f: Morphism, X: MatrixFactorisation, name: str,
 
 
 def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
-                        ring=None) -> Fraction:
+                        ring: JacobiRing) -> Fraction:
     """The boundary correlator Res[str(psi1 psi2 dd...dd) dx / dW] of two
-    endomorphisms of X (or bare matrices over X's basis)."""
+    endomorphisms of X (or bare matrices over X's basis), with ``ring`` the
+    Jacobi ring of W."""
     for name, psi in (("psi1", psi1), ("psi2", psi2)):
         if isinstance(psi, Morphism):
             _require_endomorphism(psi, X, name)
-    ring = JacobiRing(X.potential) if ring is None else ring
     m1 = psi1.mat if isinstance(psi1, Morphism) else psi1
     m2 = psi2.mat if isinstance(psi2, Morphism) else psi2
     ctx = X.ctx
@@ -258,9 +258,8 @@ def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
     return _constant(ring.residue_plan()(num))
 
 
-def bulk_gram_matrix(W) -> list:
+def bulk_gram_matrix(ring: JacobiRing) -> list:
     """The bulk pairing on the monomial basis of the Jacobi ring."""
-    ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
     plan = ring.residue_plan()
     els = [b.rep for b in ring.basis_elements()]
     return [[_constant(plan(a * b)) for b in els] for a in els]
@@ -420,8 +419,8 @@ def cardy_check(X: MatrixFactorisation, Y: MatrixFactorisation,
     n = len(ring.ctx.names)
     coh = hom_cohomology(X, Y, degree_bound)
     lhs = _cohomology_supertrace(coh, phi, psi)
-    bx = boundary_bulk(X, phi, ring=ring)
-    by = boundary_bulk(Y, psi, ring=ring)
+    bx = boundary_bulk(X, phi, ring)
+    by = boundary_bulk(Y, psi, ring)
     sign = signs.minus_one_to(signs.binom2(n + 1))
     rhs = Fraction(sign) * bulk_pairing(bx, by, ring)
     return CardyReport(lhs=lhs, rhs=rhs, equal=(lhs == rhs),
@@ -442,20 +441,14 @@ class ShadowDescription:
     def dimension(self) -> int:
         return self.ring.dimension
 
-    @property
-    def monomials(self):
-        return self.ring.basis.monomials
 
-
-def shadow_of_unit(W: Poly) -> ShadowDescription:
-    ring = W if isinstance(W, JacobiRing) else JacobiRing(W)
+def shadow_of_unit(ring: JacobiRing) -> ShadowDescription:
     return ShadowDescription(ring=ring, parity=len(ring.ctx.names) % 2)
 
 
-def generalized_boundary_bulk(data: AdjointData, psi) -> JacobiElement:
+def generalized_boundary_bulk(data: AdjointData,
+                              psi: Morphism) -> JacobiElement:
     """(-1)^{C(m+1,2)} Res_z[str(psi dd/dx...dd/dz...) dz / dV] in Jac(W)."""
-    if not isinstance(psi, Morphism):
-        psi = Morphism(data.base, data.base, 0, psi)
     # not the even-only _insertion_matrix: psi may be odd
     num = _str_with_derivatives(psi.mat, data.base,
                                 data.source_names + data.target_names)

@@ -48,9 +48,6 @@ class KoszulUnit(MatrixFactorisation):
     def pairs(self):
         return list(zip(self.base_names, self.prime_names))
 
-    def subset_index(self, subset) -> int:
-        return self.subsets.index(tuple(subset))
-
     def renamed(self, mapping) -> "KoszulUnit":
         plain = mf_rename(self, mapping)
         u = KoszulUnit.__new__(KoszulUnit)
@@ -151,7 +148,7 @@ class KoszulElement(dict):
             s = self[subset] + coeff
         else:
             s = coeff
-        if isinstance(s, Poly) and s.is_zero():
+        if s.is_zero():
             self.pop(subset, None)
         else:
             self[subset] = s
@@ -160,19 +157,15 @@ class KoszulElement(dict):
 def stab_pi(unit: KoszulUnit):
     """The stabilisation map: project to theta-degree 0, then set x' = x.
 
-    Returns a function on KoszulElements (or on vectors over the unit basis)
-    with values in k[x].
+    Returns a function on KoszulElements with values in k[x].
     """
     contraction = dict(zip(unit.prime_names, unit.base_names))
 
-    def pi(el):
-        if isinstance(el, KoszulElement) or isinstance(el, dict):
-            coeff = el.get((), None)
-            if coeff is None:
-                return unit.ctx.zero()
-            return substitute(embed(coeff, unit.ctx), contraction)
-        # vector over the unit basis
-        return substitute(embed(el[0], unit.ctx), contraction)
+    def pi(el: KoszulElement):
+        coeff = el.get((), None)
+        if coeff is None:
+            return unit.ctx.zero()
+        return substitute(embed(coeff, unit.ctx), contraction)
 
     return pi
 

@@ -87,14 +87,14 @@ def _block_to_matrix(block, ctx):
     return [[parse_poly(e, ctx) for e in row] for row in block]
 
 
-def _split_top(text, sep=","):
+def _split_top(text):
     depth, buf, items = 0, "", []
     for ch in text:
         if ch in "[(":
             depth += 1
         elif ch in "])":
             depth -= 1
-        if ch == sep and depth == 0:
+        if ch == "," and depth == 0:
             items.append(buf)
             buf = ""
         else:
@@ -253,6 +253,12 @@ def parse_workspace(text: str) -> Workspace:
             except ValueError as exc:
                 raise WorkspaceError(f"morphism {name!r}: {exc}",
                                      lineno) from None
+            for i, row in enumerate(f.mat):
+                for j, e in enumerate(row):
+                    if e.terms and (Y.parity[i] ^ X.parity[j]) != f.parity:
+                        raise WorkspaceError(
+                            f"morphism {name!r}: entry [{i}][{j}] = {e} is "
+                            f"not of parity {parity}", lineno)
             ws._declare("morphisms", name, f, lineno)
             continue
         raise WorkspaceError(f"unrecognised declaration: {line!r}", lineno)

@@ -16,8 +16,7 @@ from lgmf.adjunction import (AdjointData, ev_coev_maps, ev_tilde,
                              zorro_check)
 from lgmf.ideal import groebner, normal_form
 from lgmf.mf import (Morphism, NullHomotopySet, default_null_homotopies,
-                     homotopic, identity_morphism, new_mf,
-                     null_homotopy_search)
+                     homotopic, new_mf, null_homotopy_search)
 from lgmf.residue import ResidueQuery, grothendieck_residue, jacobian_delta
 from lgmf.ring import (Poly, RingContext, divided_difference, embed, rename,
                        substitute)
@@ -186,14 +185,14 @@ def test_criterion_5_unit_inverses():
         unit = koszul_unit(data.source_potential)
         act = unit_action_right(X, unit)
         ri = rho_inverse(X, unit, action=act)
-        assert act.compose(ri) == identity_morphism(X)
+        assert act.compose(ri) == X.identity()
         reversed_fixes_classes(X, act, ri)
     for key in ("x^3:(x,x^2)", "xy:(x,y)"):
         X = corpus_boundary_mfs()[key]
         unit = koszul_unit(X.potential)
         act = unit_action_left(X, unit)
         li = lambda_inverse(X, unit, action=act)
-        assert act.compose(li) == identity_morphism(X)
+        assert act.compose(li) == X.identity()
         reversed_fixes_classes(X, act, li)
 
 
@@ -256,10 +255,11 @@ def test_criterion_9_kapustin_li():
     ctx = X.ctx
     x = ctx.gen("x")
     eta = Morphism(X, X, 1, [[ctx.zero(), -x], [ctx.one(), ctx.zero()]])
-    assert tft.kapustin_li_pairing(X.identity(), eta, X) == Fraction(-1)
+    r = tft.JacobiRing(X.potential)
+    assert tft.kapustin_li_pairing(X.identity(), eta, X, r) == Fraction(-1)
     coh = tft.hom_cohomology(X, X)
     basis = coh.h0 + coh.h1
-    G = [[tft.kapustin_li_pairing(a, b, X) for b in basis] for a in basis]
+    G = [[tft.kapustin_li_pairing(a, b, X, r) for b in basis] for a in basis]
     assert linalg.invertible(G)
 
 

@@ -70,6 +70,10 @@ def test_workspace_loads_all_declarations(ws):
     ("ring P = [p, q]\npotential Wp on P = p^2*q\nring T = [t]\n"
      "potential Vt on T = t^2\ndefect D from Wp to Vt = ([t^2 - p^2*q], [1])\n",
      "line 5: defect 'D': W = p^2*q is not a potential"),
+    # an even morphism with odd entries
+    ("ring R = [x]\npotential W on R = x^3\nmf Xc on W = ([x], [x^2])\n"
+     "morphism f : Xc -> Xc parity 0 = [[0, -x], [1, 0]]\n",
+     "line 4: morphism 'f': entry [0][1] = -x is not of parity 0"),
 ])
 def test_workspace_errors(tmp_path, snippet, needle):
     path = tmp_path / "bad.lg"

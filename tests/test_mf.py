@@ -10,7 +10,7 @@ from lgmf.ideal import groebner, normal_form
 from lgmf.mf import (FactorisationError, MatrixFactorisation, Morphism,
                      NullHomotopySet, _boundary_columns, _monomials_up_to,
                      default_null_homotopies, dual,
-                     dual_morphism, homotopic, identity_morphism, mf_rename,
+                     dual_morphism, homotopic, mf_rename,
                      new_mf, null_homotopy_search, shift, supertrace, tensor,
                      tensor_morphism, trivial_mf)
 from lgmf.ring import RingContext, embed, embed_matrix, partial_derivative
@@ -126,9 +126,8 @@ def _reference_tensor(Y, X):
                 if not dX[j][b].is_zero():
                     d[a * rx + j][col] = d[a * rx + j][col] + dX[j][b] * sgn
     pot = embed(Y.potential, ctx) + embed(X.potential, ctx)
-    labels = tuple(f"{ly}(x){lx}" for ly in Y.labels for lx in X.labels)
-    return MatrixFactorisation(ctx, pot, parity, d, labels=labels,
-                               validate=False, factors=(Y, X))
+    return MatrixFactorisation(ctx, pot, parity, d, validate=False,
+                               factors=(Y, X))
 
 
 def _structure_map_factors(data):
@@ -197,7 +196,6 @@ TENSOR_CASES = {
 
 def _same_tensor(got, want):
     assert got.ctx == want.ctx and got.parity == want.parity
-    assert got.labels == want.labels
     assert got.factors[0] is want.factors[0]
     assert got.factors[1] is want.factors[1]
     assert (list(got.potential.terms.items())
@@ -258,8 +256,8 @@ def test_tensor_morphism_functorial_up_to_sign(eta_x3):
     Y = mf_rename(X, {"x": "y"})
     ey = Morphism(Y, Y, 1, [[embed(e, Y.ctx) for e in row]
                             for row in mf_rename_mat(eta_x3, {"x": "y"})])
-    idX = identity_morphism(X)
-    idY = identity_morphism(Y)
+    idX = X.identity()
+    idY = Y.identity()
     f = tensor_morphism(ey, idX)
     g = tensor_morphism(idY, eta_x3)
     # (ey (x) 1)(1 (x) eta) = -(1 (x) eta)(ey (x) 1) for odd eta, ey
@@ -318,7 +316,7 @@ def test_homotopy_order_flips_pairing_sign(boundary_mfs):
     ctx = X.ctx
     hs = default_null_homotopies(X, ctx.names, side="source")
     dens = [partial_derivative(X.potential, n) for n in ctx.names]
-    alphas = [identity_morphism(X),
+    alphas = [X.identity(),
               Morphism(X, X, 0, polymat.mat_scale(
                   polymat.identity(ctx, X.rank), Fraction(1)))]
     y = ctx.gen("y")

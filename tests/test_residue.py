@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgmf import adjunction, ideal, mf, polymat, residue as residue_module, tft
+from lgmf import adjunction, ideal, polymat, residue as residue_module, tft
 from lgmf.ideal import groebner, normal_form, power_membership
 from lgmf.residue import (DenominatorError, ResidueQuery, grothendieck_residue,
                           jacobian_delta, monomial_residue, residue,
@@ -218,7 +218,7 @@ def _count_groebner(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (ideal, residue_module, adjunction, mf):
+    for module in (ideal, residue_module, adjunction):
         monkeypatch.setattr(module, "groebner", wrapper)
     return calls
 

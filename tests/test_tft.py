@@ -8,7 +8,8 @@ import pytest
 from lgmf import linalg, polymat, residue, tft
 from lgmf.adjunction import AdjointData
 from lgmf.ideal import groebner
-from lgmf.mf import Morphism, mf_rename, new_mf, null_homotopy_search
+from lgmf.mf import (MatrixFactorisation, Morphism, mf_rename, new_mf,
+                     null_homotopy_search, supertrace)
 from lgmf.ring import RingContext, partial_derivative, rename
 from lgmf.signs import binom2
 
@@ -29,16 +30,18 @@ def _x3_setup():
 
 def test_boundary_bulk_values():
     X, x, eta = _x3_setup()
+    r = tft.JacobiRing(X.potential)
     assert eta.is_closed()
-    assert tft.boundary_bulk(X, eta).rep == 3 * x
+    assert tft.boundary_bulk(X, eta, r).rep == 3 * x
     # the identity maps to zero when the variable count is odd
-    assert tft.boundary_bulk(X, X.identity()).is_zero()
+    assert tft.boundary_bulk(X, X.identity(), r).is_zero()
 
 
 def test_kapustin_li_pairing_values():
     X, x, eta = _x3_setup()
-    assert tft.kapustin_li_pairing(X.identity(), X.identity(), X) == 0
-    assert tft.kapustin_li_pairing(X.identity(), eta, X) == Fraction(-1)
+    r = tft.JacobiRing(X.potential)
+    assert tft.kapustin_li_pairing(X.identity(), X.identity(), X, r) == 0
+    assert tft.kapustin_li_pairing(X.identity(), eta, X, r) == Fraction(-1)
 
 
 def test_kapustin_li_descends_to_homotopy_classes():
@@ -47,8 +50,9 @@ def test_kapustin_li_descends_to_homotopy_classes():
     alpha = Morphism(X, X, 0, [[x, ctx.zero()], [ctx.zero(), ctx.zero()]])
     shifted = eta + alpha.boundary()
     assert shifted.is_closed()
-    assert (tft.kapustin_li_pairing(X.identity(), shifted, X)
-            == tft.kapustin_li_pairing(X.identity(), eta, X))
+    r = tft.JacobiRing(X.potential)
+    assert (tft.kapustin_li_pairing(X.identity(), shifted, X, r)
+            == tft.kapustin_li_pairing(X.identity(), eta, X, r))
 
 
 def test_kapustin_li_gram_nondegenerate_on_cohomology():
@@ -56,7 +60,8 @@ def test_kapustin_li_gram_nondegenerate_on_cohomology():
     coh = tft.hom_cohomology(X, X)
     assert coh.dimensions == (1, 1)
     basis = coh.h0 + coh.h1
-    G = [[tft.kapustin_li_pairing(a, b, X) for b in basis] for a in basis]
+    r = tft.JacobiRing(X.potential)
+    G = [[tft.kapustin_li_pairing(a, b, X, r) for b in basis] for a in basis]
     assert linalg.invertible(G)
 
 
@@ -88,7 +93,7 @@ def test_pairings_and_wraps_reuse_the_rings_bases(monkeypatch):
     rings = _counting(monkeypatch, tft.JacobiRing, "__init__")
     tft.bulk_gram_matrix(ring)
     tft.bulk_pairing(x, x, ring)
-    tft.kapustin_li_pairing(eta, eta, X, ring=ring)
+    tft.kapustin_li_pairing(eta, eta, X, ring)
     assert bases == [] and rings == []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
@@ -137,7 +142,7 @@ def test_chern_character_of_linear_factorisation():
     ctx = RingContext(["x", "y"])
     x, y = ctx.gen("x"), ctx.gen("y")
     X = new_mf(ctx, x * y, [[x]], [[y]])
-    ch = tft.chern_character(X)
+    ch = tft.chern_character(X, tft.JacobiRing(X.potential))
     assert ch.rep.is_constant()
     assert abs(ch.rep.constant_value()) == 1
     # cross-check through the Cardy identity: both sides reduce to ch^2
@@ -148,9 +153,23 @@ def test_chern_character_of_linear_factorisation():
 def test_chern_character_additive_under_shift_sum():
     from lgmf.mf import shift
     X = corpus_boundary_mfs()["x^3-y^3:(x-y,x^2+x*y+y^2)"]
-    ch = tft.chern_character(X)
-    chs = tft.chern_character(shift(X))
+    r = tft.JacobiRing(X.potential)
+    ch = tft.chern_character(X, r)
+    chs = tft.chern_character(shift(X), r)
     assert (ch.rep + chs.rep).is_zero()
+
+
+def test_the_zero_factorisation_has_zero_invariants():
+    """Rank 0: every supertrace is the zero of the factorisation's context."""
+    X, x, eta = _x3_setup()
+    Z = MatrixFactorisation(X.ctx, x ** 3, (), [])
+    r = tft.JacobiRing(X.potential)
+    assert supertrace(Z.identity()) == X.ctx.zero()
+    assert tft.chern_character(Z, r).is_zero()
+    assert tft.kapustin_li_pairing(Z.identity(), Z.identity(), Z, r) == 0
+    for A, B in ((Z, X), (X, Z)):
+        rep = tft.cardy_check(A, B)
+        assert rep.lhs == rep.rhs == 0 and rep.equal
 
 
 # -- defect operators ---------------------------------------------------------
@@ -265,8 +284,8 @@ def test_simultaneous_variable_permutation_invariance():
     X = corpus_boundary_mfs()["x^3-y^3:(x-y,x^2+x*y+y^2)"]
     swap = {"x": "y", "y": "x"}
     Xs = mf_rename(X, swap)
-    ch = tft.chern_character(X)
-    chs = tft.chern_character(Xs)
+    ch = tft.chern_character(X, tft.JacobiRing(X.potential))
+    chs = tft.chern_character(Xs, tft.JacobiRing(Xs.potential))
     assert chs.rep == rename(ch.rep, swap, Xs.ctx)
     # the defect operator of a renamed line defect is the renamed operator
     d = line_defect(3)
@@ -381,8 +400,8 @@ def test_bulk_boundary_is_module_map_for_pairings():
     # bulk-boundary and boundary-bulk are mutually adjoint for the two
     # pairings, up to the fixed sign (-1)^(binom(n+1,2)); n = 1 here
     for phi in (r.one().rep, x, x * x):
-        lhs = tft.kapustin_li_pairing(tft.bulk_boundary(X, phi), eta, X)
-        rhs = tft.bulk_pairing(phi, tft.boundary_bulk(X, eta).rep, r)
+        lhs = tft.kapustin_li_pairing(tft.bulk_boundary(X, phi), eta, X, r)
+        rhs = tft.bulk_pairing(phi, tft.boundary_bulk(X, eta, r).rep, r)
         assert lhs == -rhs
 
 
@@ -393,7 +412,7 @@ def test_generalized_boundary_bulk_collapses_for_boundaries():
     ddb = AdjointData(X, RingContext([]).zero(), X.potential)
     g = tft.generalized_boundary_bulk(ddb, eta)
     r = tft.JacobiRing(X.potential)
-    pair = tft.bulk_pairing(r.one(), tft.boundary_bulk(X, eta).rep, r)
+    pair = tft.bulk_pairing(r.one(), tft.boundary_bulk(X, eta, r).rep, r)
     assert g.rep.constant_value() == pair
     tripled = Morphism(X, X, 1,
                        [[e * Fraction(3) for e in row] for row in eta.mat])
@@ -430,7 +449,7 @@ def test_generalized_boundary_bulk_is_the_left_wrap_of_one(make):
 def test_shadow_dimensions_and_parities():
     cases = {"x^3": (2, 1), "xy": (1, 0), "x^3-y^3": (4, 0)}
     for key, want in cases.items():
-        s = tft.shadow_of_unit(corpus_potentials()[key])
+        s = tft.shadow_of_unit(tft.JacobiRing(corpus_potentials()[key]))
         assert (s.dimension, s.parity) == want
 
 
@@ -462,12 +481,13 @@ def test_pairings_take_only_endomorphisms_of_their_factorisations():
     Y = new_mf(cx, x ** 3, [[x]], [[x ** 2]])      # equal to X, not X
     eta_y = Morphism(Y, Y, 1, eta.mat)
     id_y = Y.identity()
+    r = tft.JacobiRing(X.potential)
     with pytest.raises(ValueError, match="psi2 is not an endomorphism"):
-        tft.kapustin_li_pairing(X.identity(), eta_y, X)
+        tft.kapustin_li_pairing(X.identity(), eta_y, X, r)
     with pytest.raises(ValueError, match="psi1 is not an endomorphism"):
-        tft.kapustin_li_pairing(id_y, eta, X)
+        tft.kapustin_li_pairing(id_y, eta, X, r)
     # a bare matrix is read over X's basis
-    assert tft.kapustin_li_pairing(X.identity().mat, eta, X) == -1
+    assert tft.kapustin_li_pairing(X.identity().mat, eta, X, r) == -1
     with pytest.raises(ValueError, match="phi is not an endomorphism"):
         tft.cardy_check(X, Y, id_y, id_y)
     with pytest.raises(ValueError, match="psi is not an endomorphism"):

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lgmf import polymat, signs
-from lgmf.mf import (Morphism, homotopic, identity_morphism, mf_rename,
-                     null_homotopy_search)
+from lgmf.mf import Morphism, homotopic, mf_rename, null_homotopy_search
 from lgmf.residue import JacobiRing
 from lgmf.ring import (RingContext, divided_difference,
                        divided_difference_ordered, embed, rename, substitute)
@@ -91,7 +90,7 @@ def test_lambda_section_exact(key):
     assert act.is_closed()
     li = lambda_inverse(X, unit, action=act)
     assert li.is_closed()
-    assert act.compose(li) == identity_morphism(X)
+    assert act.compose(li) == X.identity()
 
 
 def _widen(X, ctx):
@@ -145,7 +144,7 @@ def test_rho_section_exact_on_defects(power):
     assert act.is_closed()
     ri = rho_inverse(X, unit, action=act)
     assert ri.is_closed()
-    assert act.compose(ri) == identity_morphism(X)
+    assert act.compose(ri) == X.identity()
 
 
 @pytest.mark.parametrize("power", [2, 3])
