@@ -10,7 +10,6 @@ as executable identity-up-to-homotopy checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add, ge, sub
 
@@ -254,7 +253,7 @@ def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
     """Raise unless a supplied set is null-homotopies of the defect."""
     if tuple(hs.order) != tuple(var_names):
         raise ValueError(f"homotopy set order must be {var_names}")
-    sgn = Fraction(-1) if side == "source" else Fraction(1)
+    sgn = -1 if side == "source" else 1
     for name in var_names:
         if _commutator_mismatch(data.base, hs.entries[name].mat, name,
                                 sgn) is not None:
@@ -295,7 +294,7 @@ def _build_coev_tilde(data: AdjointData) -> KoszulValuedMap:
                 if prod[j][i].is_zero():
                     continue
                 sgn = signs.minus_one_to((l + 1) * X.parity[j] + s)
-                mat[i * r + j][c] = prod[j][i] * Fraction(sgn)
+                mat[i * r + j][c] = prod[j][i] * sgn
     return KoszulValuedMap(kind="coev_tilde", source=unit, target=T,
                            unit=unit, parity=0, mat=mat)
 
@@ -332,8 +331,7 @@ def _build_coev(data: AdjointData) -> KoszulValuedMap:
                 if prod[i][j].is_zero():
                     continue
                 e = signs.binom2(l + 1) + s + data.m + data.m * l
-                mat[i * r + j][c] = prod[i][j] * Fraction(
-                    signs.minus_one_to(e))
+                mat[i * r + j][c] = prod[i][j] * signs.minus_one_to(e)
     return KoszulValuedMap(kind="coev", source=unit, target=T,
                            unit=unit, parity=0, mat=mat)
 
@@ -384,7 +382,7 @@ def _ev_tilde_row(data: AdjointData, out, prod, l):
         sgn = signs.minus_one_to(l + (data.n + 1) * X.parity[j])
         for i in range(r):
             if not prod[i][j].is_zero():
-                out[j * r + i] = prod[i][j] * Fraction(sgn)
+                out[j * r + i] = prod[i][j] * sgn
 
 
 def _partials(W: Poly) -> tuple:
@@ -436,7 +434,7 @@ def _ev_row(data: AdjointData, out, prod, l):
         sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[j] + data.m)
         for i in range(r):
             if not prod[i][j].is_zero():
-                out[i * r + j] = prod[i][j] * Fraction(sgn)
+                out[i * r + j] = prod[i][j] * sgn
 
 
 def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
@@ -453,7 +451,7 @@ def right_dual_morphism(phi: Morphism, data_src: AdjointData,
     """phi^dagger: Y^dagger -> X^dagger for phi: X -> Y (same W, V)."""
     dv = dual_morphism(phi)
     n = data_src.n
-    mat = [[e * Fraction(signs.minus_one_to(n * phi.parity))
+    mat = [[e * signs.minus_one_to(n * phi.parity)
             for e in row] for row in dv.mat]
     return Morphism(data_tgt.right_adjoint, data_src.right_adjoint,
                     phi.parity, mat)
@@ -464,7 +462,7 @@ def left_dual_morphism(phi: Morphism, data_src: AdjointData,
     """dagger-phi: dagger-Y -> dagger-X for phi: X -> Y (same W, V)."""
     dv = dual_morphism(phi)
     m = data_src.m
-    mat = [[e * Fraction(signs.minus_one_to(m * phi.parity))
+    mat = [[e * signs.minus_one_to(m * phi.parity)
             for e in row] for row in dv.mat]
     return Morphism(data_tgt.left_adjoint, data_src.left_adjoint,
                     phi.parity, mat)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 
-from .ring import ContextMismatch, Poly, RingContext, _poly, grlex_key
+from .ring import ContextMismatch, Poly, RingContext, _canon, _poly, grlex_key
 
 
 def leading_term(p: Poly):
@@ -40,7 +40,7 @@ def _exp_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _mono(ctx: RingContext, exp, coeff=Fraction(1)) -> Poly:
+def _mono(ctx: RingContext, exp, coeff=1) -> Poly:
     return Poly(ctx, {tuple(exp): coeff})
 
 
@@ -63,7 +63,11 @@ def _divide(g: Poly, divisors, leads):
 
     The dividend is one working term dict, reduced in place (p -= q * x^m *
     d_j term by term); the leading exponent strictly decreases, so each
-    cofactor and the remainder gain their terms in that order.
+    cofactor and the remainder gain their terms in that order.  A working
+    coefficient may be an integral Fraction, so each leading coefficient is
+    made canonical before it becomes a quotient or a remainder term; the
+    quotient by a leading coefficient other than 1 is taken as a Fraction,
+    since int / int would be a float.
     """
     ctx = g.ctx
     lts = [None if lt is None else (lt[0], lt[1], d.terms)
@@ -74,12 +78,12 @@ def _divide(g: Poly, divisors, leads):
     get = p.get
     while p:
         exp = max(p, key=grlex_key)
-        c = p[exp]
+        c = _canon(p[exp])
         for j, lt in enumerate(lts):
             if lt is not None and _divides(lt[0], exp):
                 lexp, lc, dterms = lt
                 m = tuple(map(sub, exp, lexp))
-                q = c / lc
+                q = c if lc == 1 else _canon(Fraction(c, lc))
                 cof[j][m] = q
                 for eb, cb in dterms.items():
                     key = tuple(map(add, m, eb))
@@ -178,7 +182,7 @@ def groebner(gens) -> GroebnerBasis:
     def append(rem, row, terms):
         """Add rem / lc(rem), with cofactor row (row + sum c*r) / lc(rem)."""
         exp, c = leading_term(rem)
-        inv = Fraction(1) / c
+        inv = c if c == 1 or c == -1 else Fraction(1, c)
         k = len(polys)
         polys.append(rem * inv)
         leads.append((exp, polys[k].terms[exp]))

@@ -10,7 +10,6 @@ degree-bounded linear solves over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from . import linalg, polymat
@@ -123,6 +122,12 @@ class Morphism:
         if len(self.mat) != self.target.rank or any(
                 len(r) != self.source.rank for r in self.mat):
             raise ValueError("morphism shape mismatch")
+        tp, sp = self.target.parity, self.source.parity
+        for i, row in enumerate(self.mat):
+            for j, e in enumerate(row):
+                if e.terms and (tp[i] ^ sp[j]) != self.parity:
+                    raise ValueError(f"entry [{i}][{j}] = {e} is not of "
+                                     f"parity {self.parity}")
 
     def boundary(self) -> "Morphism":
         """delta(f) = d_T f - (-1)^{|f|} f d_S (zero iff f is closed)."""
@@ -132,7 +137,7 @@ class Morphism:
         out = polymat.mat_sub(
             polymat.mat_mul(dT, self.mat),
             polymat.mat_scale(polymat.mat_mul(self.mat, dS),
-                              Fraction(-1) ** self.parity))
+                              (-1) ** self.parity))
         return Morphism(self.source, self.target, self.parity ^ 1, out)
 
     def is_closed(self) -> bool:
@@ -157,7 +162,7 @@ class Morphism:
                         polymat.mat_sub(self.mat, other.mat))
 
     def __neg__(self) -> "Morphism":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "Morphism":
         return Morphism(self.source, self.target, self.parity,
@@ -213,7 +218,7 @@ def dual_morphism(phi: Morphism) -> Morphism:
     """The dual of a morphism: phi^v(nu) = (-1)^{|phi||nu|} nu o phi."""
     rows = phi.source.rank
     cols = phi.target.rank
-    mat = [[phi.mat[j][i] * (Fraction(-1) ** (phi.parity * phi.target.parity[j]))
+    mat = [[phi.mat[j][i] * (-1) ** (phi.parity * phi.target.parity[j])
             for j in range(cols)] for i in range(rows)]
     return Morphism(dual(phi.target), dual(phi.source), phi.parity, mat)
 
@@ -225,7 +230,7 @@ def shift(X: MatrixFactorisation, k: int = 1) -> MatrixFactorisation:
                                    validate=False, factors=X.factors)
     return MatrixFactorisation(
         X.ctx, X.potential, tuple(p ^ 1 for p in X.parity),
-        polymat.mat_scale(X.d, Fraction(-1)), validate=False)
+        polymat.mat_scale(X.d, -1), validate=False)
 
 
 def mf_rename(X: MatrixFactorisation, mapping) -> MatrixFactorisation:
@@ -286,7 +291,7 @@ def tensor_morphism(f: Morphism, g: Morphism) -> Morphism:
     rxs, rxt = g.source.rank, g.target.rank
     mat = polymat.zeros(ctx, T.rank, S.rank)
     for a in range(f.source.rank):
-        sgn = Fraction(-1) ** (g.parity * f.source.parity[a])
+        sgn = (-1) ** (g.parity * f.source.parity[a])
         for i in range(f.target.rank):
             fe = embed(f.mat[i][a], ctx)
             if fe.is_zero():
@@ -496,7 +501,7 @@ def default_null_homotopies(X: MatrixFactorisation, var_names,
     """
     if side not in ("source", "target"):
         raise ValueError("side must be 'source' or 'target'")
-    sgn = Fraction(-1) if side == "source" else Fraction(1)
+    sgn = -1 if side == "source" else 1
     entries = {}
     for name in var_names:
         lam = polymat.mat_scale(

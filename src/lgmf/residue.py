@@ -243,13 +243,13 @@ class JacobiRing:
         vec = []
         seen = dict(el.rep.terms)
         for mono in self.basis.monomials:
-            vec.append(seen.pop(mono, Fraction(0)))
+            vec.append(Fraction(seen.pop(mono, 0)))
         if seen:
             raise ValueError("representative is not in normal form")
         return vec
 
     def basis_elements(self):
-        return [JacobiElement(self, self.ctx.poly({m: Fraction(1)}))
+        return [JacobiElement(self, self.ctx.poly({m: 1}))
                 for m in self.basis.monomials]
 
     def __eq__(self, other):

@@ -1,9 +1,10 @@
 """Exact multivariate polynomial arithmetic over Q.
 
 Provides ordered variable contexts (including doubled alphabets x, x'),
-sparse polynomials with Fraction coefficients, a small expression parser,
-and the difference quotient operators together with their variable-ordering
-variants.
+sparse polynomials with exact rational coefficients (an ``int`` where the
+coefficient is integral, a ``Fraction`` only where it has a denominator), a
+small expression parser, and the difference quotient operators together with
+their variable-ordering variants.
 """
 
 from __future__ import annotations
@@ -102,15 +103,15 @@ class RingContext:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _canon(c)
         if not c:
             return self._zero
-        return Poly(self, {(0,) * len(self.names): c})
+        return _poly(self, {(0,) * len(self.names): c})
 
     def gen(self, name: str) -> "Poly":
         exp = [0] * len(self.names)
         exp[self.index(name)] = 1
-        return Poly(self, {tuple(exp): Fraction(1)})
+        return _poly(self, {tuple(exp): 1})
 
 
 def grlex_key(exp):
@@ -121,7 +122,12 @@ def grlex_key(exp):
 class Poly:
     """A sparse multivariate polynomial over Q in a fixed context.
 
-    Immutable value type; terms map exponent tuples to nonzero Fractions.
+    Immutable value type; terms map exponent tuples to nonzero rationals in
+    canonical form: an ``int`` where the coefficient is integral, else a
+    ``Fraction`` with denominator > 1 (never a float, a bool or Fraction(n)).
+    Since Fraction(n) == n and hash(Fraction(n)) == hash(n), equality and
+    hashing do not depend on the form; scalar results such as
+    ``constant_value`` are always ``Fraction``s.
     """
 
     __slots__ = ("ctx", "terms", "_hash")
@@ -130,7 +136,7 @@ class Poly:
         clean = {}
         width = len(ctx.names)
         for exp, c in terms.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = _canon(c)
             if len(exp) != width:
                 raise ValueError(f"exponent {exp} has wrong arity for {ctx}")
             if c:
@@ -154,7 +160,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -245,7 +251,7 @@ class Poly:
         for exp, c in self.terms.items():
             if all(exp[i] == e for i, e in idx.items()):
                 new = tuple(0 if i in idx else e for i, e in enumerate(exp))
-                out[new] = out.get(new, Fraction(0)) + c
+                out[new] = out.get(new, 0) + c
         return Poly(self.ctx, out)
 
     def __repr__(self):
@@ -260,8 +266,8 @@ def _poly(ctx: RingContext, terms: dict) -> Poly:
     """A Poly that takes ownership of ``terms`` without validating it.
 
     Only for fresh dicts that nothing else holds, already in canonical form
-    (exponent tuples of the context's arity, nonzero Fractions): the results
-    of the term kernels below.
+    (exponent tuples of the context's arity, nonzero ints or Fractions with
+    a denominator > 1): the results of the term kernels below.
     """
     p = _new(Poly)
     _set(p, "ctx", ctx)
@@ -272,14 +278,29 @@ def _poly(ctx: RingContext, terms: dict) -> Poly:
 
 # -- sparse-term kernels ----------------------------------------------------
 #
-# Terms are dicts mapping exponent tuples to nonzero Fractions.  These are the
-# hot loops of the whole library (Groebner reduction, matrix composites,
-# residue numerators).  The product runs its inner loop on integers: each
-# factor is scaled by the lcm of its denominators, and each output coefficient
-# becomes a Fraction once.  Division (``ideal.division``) reduces one working
-# dict in place.  Every context owns one immutable zero, so the terms dict of
-# a zero result may be shared; nothing may mutate a Poly's terms.  Each kernel
-# visits terms in a fixed order, so results keep a reproducible term order.
+# Terms are dicts mapping exponent tuples to nonzero coefficients in canonical
+# form: an int where the value is integral, a Fraction only where there is a
+# denominator.  Nearly every coefficient of the library (Atiyah classes,
+# difference quotients, Koszul signs) is an integer, so most arithmetic stays
+# on ints; a kernel turns an integral Fraction it produces back into an int.
+# These are the hot loops of the whole library (Groebner reduction, matrix
+# composites, residue numerators).  The product runs its inner loop on
+# integers: each factor is scaled by the lcm of its denominators, and only an
+# output coefficient with a denominator becomes a Fraction.  Division
+# (``ideal.division``) reduces one working dict in place.  Every context owns
+# one immutable zero, so the terms dict of a zero result may be shared;
+# nothing may mutate a Poly's terms.  Each kernel visits terms in a fixed
+# order, so results keep a reproducible term order.
+
+def _canon(c):
+    """A rational (int, Fraction, bool, float) as a coefficient in canonical
+    form: an int if it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
 
 def _terms_add(a, b):
     """Sum of two term dicts, zero coefficients dropped."""
@@ -291,6 +312,9 @@ def _terms_add(a, b):
         else:
             s = s + c
             if s:
+                # only two Fractions can sum to an integer
+                if type(s) is Fraction and s.denominator == 1:
+                    s = s.numerator
                 out[exp] = s
             else:
                 del out[exp]
@@ -302,17 +326,20 @@ def _terms_mul(a, b):
 
     Coefficients are summed as integers over the common denominator
     la * lb; a monomial whose sum cancels is deleted, and re-inserted at the
-    end if a later product brings it back.
+    end if a later product brings it back.  With integer factors the integer
+    sums are the result.
     """
     if len(a) > len(b):
         a, b = b, a
     la = lcm(*[c.denominator for c in a.values()])
     lb = lcm(*[c.denominator for c in b.values()])
-    ib = [(eb, cb.numerator * (lb // cb.denominator)) for eb, cb in b.items()]
+    ib = (list(b.items()) if lb == 1 else
+          [(eb, cb.numerator * (lb // cb.denominator))
+           for eb, cb in b.items()])
     out = {}
     get = out.get
     for ea, ca in a.items():
-        na = ca.numerator * (la // ca.denominator)
+        na = ca if la == 1 else ca.numerator * (la // ca.denominator)
         for eb, nb in ib:
             exp = tuple(map(add, ea, eb))
             s = get(exp)
@@ -326,15 +353,16 @@ def _terms_mul(a, b):
                     del out[exp]
     den = la * lb
     if den == 1:
-        return {exp: Fraction(n) for exp, n in out.items()}
-    return {exp: Fraction(n, den) for exp, n in out.items()}
+        return out
+    return {exp: Fraction(n, den) if n % den else n // den
+            for exp, n in out.items()}
 
 
 def _terms_scale(a, c):
     """Scalar multiple of a term dict by an int or Fraction c.
 
     For c = 1 the result is a copy and for c = -1 each term is negated, so
-    that Koszul signs cost no Fraction product.
+    that Koszul signs cost no product.
     """
     if not c:
         return {}
@@ -342,7 +370,7 @@ def _terms_scale(a, c):
         return dict(a)
     if c == -1:
         return {exp: -ca for exp, ca in a.items()}
-    return {exp: ca * c for exp, ca in a.items()}
+    return {exp: _canon(ca * c) for exp, ca in a.items()}
 
 
 # -- context-changing maps --------------------------------------------------
@@ -391,7 +419,7 @@ def _moved_terms(terms, kept, width):
             new[pos] += exp[k]
         key = tuple(new)
         s = out.get(key)
-        out[key] = c if s is None else s + c
+        out[key] = c if s is None else _canon(s + c)
     if len(out) < len(terms):       # monomials merged: drop cancellations
         out = {exp: c for exp, c in out.items() if c}
     return out
@@ -501,7 +529,7 @@ def partial_derivative(p: Poly, name: str) -> Poly:
         e = exp[i]
         if e:
             new = exp[:i] + (e - 1,) + exp[i + 1:]
-            out[new] = out.get(new, Fraction(0)) + c * e
+            out[new] = out.get(new, 0) + c * e
     return Poly(p.ctx, out)
 
 
@@ -527,13 +555,13 @@ def exact_div_linear(p: Poly, uname: str, pname: str) -> Poly:
         qexp = list(best)
         qexp[ui] -= 1
         qexp = tuple(qexp)
-        q[qexp] = q.get(qexp, Fraction(0)) + c
+        q[qexp] = q.get(qexp, 0) + c
         # subtract c * x^qexp * (u - u')
         del rem[best]
         shifted = list(qexp)
         shifted[pi] += 1
         shifted = tuple(shifted)
-        prev = rem.get(shifted, Fraction(0)) + c
+        prev = rem.get(shifted, 0) + c
         if prev:
             rem[shifted] = prev
         elif shifted in rem:
@@ -642,9 +670,9 @@ def _tokenize(text: str):
 def parse_poly(text: str, ctx: RingContext) -> Poly:
     """Parse the CLI polynomial grammar: signed sums of c * v1^e1 * ... terms.
 
-    Also accepts parentheses and rational coefficients p/q.  Subexpressions
-    are term dicts combined by the sparse-term kernels; the result is wrapped
-    in a Poly once.
+    Also accepts parentheses and rational coefficients p/q (an int when q
+    divides p).  Subexpressions are term dicts combined by the sparse-term
+    kernels; the result is wrapped in a Poly once.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -671,14 +699,14 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
                 den = int(take("int"))
                 if not den:
                     raise ParseError(f"zero denominator in {num}/{den}")
-            return {zero_exp: Fraction(num, den)} if num else {}
+            return {zero_exp: _canon(Fraction(num, den))} if num else {}
         if k == "var":
             name = take()
             if not ctx.contains(name):
                 raise ParseError(f"unknown variable {name!r} in context {ctx.names}")
             exp = [0] * width
             exp[ctx.index(name)] = 1
-            return {tuple(exp): Fraction(1)}
+            return {tuple(exp): 1}
         if k == "(":
             take()
             p = parse_sum()
@@ -703,7 +731,7 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
                 k >>= 1
                 if k:
                     base = _terms_mul(base, base)
-            return {zero_exp: Fraction(1)} if out is None else out
+            return {zero_exp: 1} if out is None else out
         return base
 
     def parse_product() -> dict:
@@ -715,7 +743,7 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
             if len(p) == 1 and len(q) == 1:     # monomial times monomial
                 (ep, cp), = p.items()
                 (eq, cq), = q.items()
-                p = {tuple(map(add, ep, eq)): cp * cq}
+                p = {tuple(map(add, ep, eq)): _canon(cp * cq)}
             else:
                 p = _terms_mul(p, q)
         return p

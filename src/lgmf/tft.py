@@ -124,7 +124,7 @@ def _defect_wrap(data: AdjointData, integrand: Poly, over: JacobiRing,
     names of ``data`` when over is the source (target) ring.
     """
     ctx = data.base.ctx
-    sign = Fraction(signs.minus_one_to(signs.binom2(k + 1)))
+    sign = signs.minus_one_to(signs.binom2(k + 1))
     plan = over.residue_plan()
     return [onto.reduce(_project(plan(embed(f, ctx) * integrand), onto.ctx)
                         * sign) for f in fields]
@@ -202,7 +202,7 @@ def boundary_bulk(X: MatrixFactorisation, psi,
     n = len(ring.ctx.names)
     sign = signs.minus_one_to(signs.binom2(n + 1))
     return ring.reduce(_str_with_derivatives(psi.mat, X, ring.ctx.names)
-                       * Fraction(sign))
+                       * sign)
 
 
 def chern_character(X: MatrixFactorisation, ring: JacobiRing) -> JacobiElement:

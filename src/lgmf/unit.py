@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polymat, signs
 from .mf import MatrixFactorisation, Morphism, mf_rename, tensor
@@ -205,7 +204,7 @@ def phi(el, unit: KoszulUnit):
         gens = [unit.ctx.gen(unit.base_names[i]) for i in subset]
         for perm in itertools.permutations(range(len(subset))):
             sgn = signs.perm_sign(perm)
-            words.append((coeff * Fraction(sgn), [gens[k] for k in perm]))
+            words.append((coeff * sgn, [gens[k] for k in perm]))
     return words
 
 
@@ -410,7 +409,7 @@ def _rho_inverse(X, unit, act, D) -> Morphism:
             sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[i])
             for j in range(X.rank):
                 if not prod[j][i].is_zero():
-                    mat[j * nsub + s][i] = prod[j][i] * Fraction(sgn)
+                    mat[j * nsub + s][i] = prod[j][i] * sgn
     return Morphism(X, T, 0, mat)
 
 
@@ -469,7 +468,7 @@ def lift_to_diagonal(phi_values, Y: MatrixFactorisation,
                 el = psi(word, unit)
                 sgn = signs.minus_one_to(l * Y.parity[j] + l)
                 for subset, c in el.items():
-                    acc.accumulate(subset, embed(c, ctx) * tail * Fraction(sgn))
+                    acc.accumulate(subset, embed(c, ctx) * tail * sgn)
             if l < unit.n:
                 for nxt in range(r):
                     e = embed(Y.d[nxt][last], ctx)

@@ -47,32 +47,16 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
 
 
 def _parse_matrix_literal(text: str):
-    """Nested bracket lists with arbitrary expression leaves, kept as text."""
-    depth, buf, items = 0, "", []
+    """Nested bracket lists with arbitrary expression leaves, kept as text;
+    a blank item after the last comma is dropped."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise WorkspaceError(f"expected a bracket list, got {text!r}")
-    inner = text[1:-1]
-    for ch in inner:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append(buf)
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip() or not items:
-        items.append(buf)
-    out = []
-    for item in items:
-        item = item.strip()
-        if item.startswith("["):
-            out.append(_parse_matrix_literal(item))
-        else:
-            out.append(item)
-    return out
+    items = _split_top(text[1:-1])
+    if len(items) > 1 and not items[-1]:
+        items.pop()
+    return [_parse_matrix_literal(i) if i.startswith("[") else i
+            for i in items]
 
 
 def _block_to_matrix(block, ctx):
@@ -88,6 +72,7 @@ def _block_to_matrix(block, ctx):
 
 
 def _split_top(text):
+    """The stripped items of ``text`` between commas outside brackets."""
     depth, buf, items = 0, "", []
     for ch in text:
         if ch in "[(":
@@ -253,12 +238,6 @@ def parse_workspace(text: str) -> Workspace:
             except ValueError as exc:
                 raise WorkspaceError(f"morphism {name!r}: {exc}",
                                      lineno) from None
-            for i, row in enumerate(f.mat):
-                for j, e in enumerate(row):
-                    if e.terms and (Y.parity[i] ^ X.parity[j]) != f.parity:
-                        raise WorkspaceError(
-                            f"morphism {name!r}: entry [{i}][{j}] = {e} is "
-                            f"not of parity {parity}", lineno)
             ws._declare("morphisms", name, f, lineno)
             continue
         raise WorkspaceError(f"unrecognised declaration: {line!r}", lineno)

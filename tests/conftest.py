@@ -10,6 +10,14 @@ from lgmf.ring import RingContext, rename
 from lgmf.unit import koszul_unit
 
 
+def canonical_coefficient(c) -> bool:
+    """The one form of a polynomial coefficient: a nonzero int, or a
+    Fraction with denominator > 1 (so never a float, a bool or
+    Fraction(n))."""
+    return ((type(c) is int and c != 0)
+            or (type(c) is Fraction and c.denominator > 1))
+
+
 def ctx_of(*names) -> RingContext:
     return RingContext(list(names))
 

@@ -178,6 +178,13 @@ def test_residue(ws, capsys):
     assert rep["outputs"]["residue"] == "1/3"
 
 
+def test_an_integral_residue_prints_as_a_rational(ws, capsys):
+    code, rep = run_json(capsys, "residue", ws, "--ring", "R1",
+                         "--numerator", "x", "--denominators", "x^2")
+    assert code == 0
+    assert rep["outputs"]["residue"] == "1/1"
+
+
 def test_residue_bad_denominator_count_fails_cleanly(ws, capsys):
     code, rep = run_json(capsys, "residue", ws, "--ring", "R2",
                          "--numerator", "u", "--denominators", "u")

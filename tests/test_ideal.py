@@ -16,7 +16,7 @@ from lgmf.ideal import (division, groebner, membership_with_cofactors,
 from lgmf.residue import JacobiRing, NotAPotential
 from lgmf.ring import ContextMismatch, Poly, RingContext, grlex_key, parse_poly
 
-from conftest import corpus_potentials
+from conftest import canonical_coefficient, corpus_potentials
 from test_ring import (CONTEXTS, _reference_terms_mul, _same_terms,
                        _snapshot, _unchanged, poly_strategy, rational_polys)
 
@@ -361,6 +361,51 @@ def test_division_matches_the_reference_in_value_and_order(args):
     for c, d in zip(cof, divisors):
         acc = acc + c * d
     assert acc == g
+
+
+def _integral(p: Poly, lead=None) -> Poly:
+    """p with each coefficient replaced by its numerator, and the leading
+    coefficient by ``lead`` if given."""
+    terms = {e: Fraction(c).numerator for e, c in p.terms.items()}
+    if lead is not None and terms:
+        terms[max(terms, key=grlex_key)] = lead
+    return Poly(p.ctx, terms)
+
+
+def _all_canonical(polys) -> bool:
+    return all(canonical_coefficient(c)
+               for p in polys for c in p.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(), st.data())
+def test_leading_coefficients_2_and_3_keep_division_exact(gens, data):
+    """Integer generators led by 2 or 3: the quotients by those leading
+    coefficients are Fractions (int / int would be a float), and every
+    cofactor, remainder and basis coefficient is exact and canonical."""
+    gens = [_integral(g, 2 + k % 2) for k, g in enumerate(gens)]
+    ctx = gens[0].ctx
+    g = _integral(data.draw(poly_strategy(ctx, max_terms=4)))
+    cof, rem = division(g, gens)
+    assert _all_canonical(cof + [rem])
+    acc = rem
+    for c, d in zip(cof, gens):
+        acc = acc + c * d
+    assert acc == g
+    for d in gens:
+        if not d.is_zero():
+            exp = max(d.terms, key=grlex_key)
+            (q,), r = division(Poly(ctx, {exp: 1}), [d])
+            assert q.terms == {(0,) * len(exp): Fraction(1, d.terms[exp])}
+            assert type(q.terms[(0,) * len(exp)]) is Fraction
+            assert _all_canonical([r])
+    gb = groebner(gens)
+    assert _all_canonical(gb.generators)
+    assert _all_canonical([c for row in gb.cofactor_log for c in row])
+    assert all(type(lc) is int and lc == 1 for _, lc in gb.leading)
+    nf = normal_form(g, gb)
+    assert _all_canonical([nf])
+    assert nf == division(g, gb.generators)[1]
 
 
 def test_division_rejects_a_divisor_from_another_context():

@@ -15,8 +15,8 @@ from lgmf.mf import (FactorisationError, MatrixFactorisation, Morphism,
                      tensor_morphism, trivial_mf)
 from lgmf.ring import RingContext, embed, embed_matrix, partial_derivative
 
-from conftest import (corpus_boundary_mfs, corpus_potentials, ctx_of,
-                      delta_defect, line_defect)
+from conftest import (canonical_coefficient, corpus_boundary_mfs,
+                      corpus_potentials, ctx_of, delta_defect, line_defect)
 
 
 def _d_squared_is_potential(X):
@@ -347,6 +347,20 @@ def test_adding_morphisms_of_different_parity_raises(eta_x3):
         even - eta_x3
 
 
+def test_a_morphism_refuses_entries_of_the_wrong_parity(boundary_mfs):
+    X = boundary_mfs["x^3:(x,x^2)"]
+    cx = X.ctx
+    x = cx.gen("x")
+    with pytest.raises(ValueError,
+                       match=r"^entry \[0\]\[1\] = -x is not of parity 0$"):
+        Morphism(X, X, 0, [[cx.zero(), -x], [cx.one(), cx.zero()]])
+    with pytest.raises(ValueError, match=r"entry \[0\]\[0\] = 1 is not "
+                                         r"of parity 1"):
+        Morphism(X, X, 1, [[cx.one(), cx.zero()], [cx.zero(), cx.one()]])
+    # zero entries may sit anywhere
+    assert Morphism(X, X, 0, polymat.zeros(cx, 2, 2)).is_zero()
+
+
 def test_wrong_solver_output_fails_witness_verification(monkeypatch):
     cx = ctx_of("x")
     x = cx.gen("x")
@@ -440,7 +454,7 @@ def test_boundary_columns_match_the_reference_loop(case):
                     S, T, parity, bound, ctx, reduce)
                 assert dom == rdom
                 assert cols == rcols
-                assert all(type(c) is Fraction
+                assert all(canonical_coefficient(c)
                            for col in cols for c in col.values())
     # the hook changes some column
     assert (_boundary_columns(S, T, 0, 4, ctx)[1]

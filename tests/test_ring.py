@@ -18,6 +18,8 @@ from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
                        substitute_matrix)
 from lgmf.unit import _try_restrict
 
+from conftest import canonical_coefficient
+
 
 def doubled(n):
     names = [f"x{i}" for i in range(1, n + 1)]
@@ -75,7 +77,7 @@ def test_arithmetic_results_are_canonical(p, q, c, k):
         assert r == Poly(r.ctx, r.terms)
         assert all(type(e) is tuple and len(e) == len(r.ctx.names)
                    for e in r.terms)
-        assert all(type(v) is Fraction and v for v in r.terms.values())
+        assert all(canonical_coefficient(v) for v in r.terms.values())
         assert r.terms is not p.terms and r.terms is not q.terms
 
 
@@ -211,8 +213,24 @@ def test_parse_poly_agrees_with_poly_built_reference(text):
         return
     got = parse_poly(text, CTX3)
     assert got == want
+    assert all(canonical_coefficient(c) for c in got.terms.values())
     # same term order, so every downstream column order is unchanged too
     assert list(got.terms) == list(want.terms)
+
+
+def test_integral_coefficients_are_ints_and_scalars_are_fractions():
+    x = CTX3.gen("x")
+    cases = [CTX3.const(Fraction(4, 2)), CTX3.const(True), CTX3.const(2.0),
+             Poly(CTX3, {(0, 0, 0): Fraction(6, 3)}), parse_poly("6/3", CTX3),
+             parse_poly("2/3*x * 3/2", CTX3), x * Fraction(1, 2) * 4,
+             x * Fraction(1, 2) + x * Fraction(3, 2),
+             (x + Fraction(1, 2)) * (x - Fraction(1, 2)) + Fraction(1, 4)]
+    for p in cases:
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+    assert CTX3.const(Fraction(5, 2)).terms[(0, 0, 0)] == Fraction(5, 2)
+    for c in (0, 3, -1, Fraction(1, 2)):
+        v = CTX3.const(c).constant_value()
+        assert type(v) is Fraction and v == c
 
 
 # -- difference quotients ----------------------------------------------------
@@ -422,9 +440,9 @@ def _reference_pow(p, k):
 
 
 def _same_terms(got, want):
-    """Equal values and identical term order, with Fraction coefficients."""
+    """Equal values and identical term order, with canonical coefficients."""
     assert list(got.items()) == list(want.items())
-    assert all(type(c) is Fraction and c for c in got.values())
+    assert all(canonical_coefficient(c) for c in got.values())
 
 
 def rational_polys(ctx, max_deg=2, max_terms=6):
