@@ -1,19 +1,21 @@
 """Exact linear algebra over Q: solving, rank, nullspace, span membership.
 
 One sparse engine, ``Span``, does all elimination, without ``Fraction``
-arithmetic.  Its rows are primitive integer rows ``{column: int}``: content
-(the gcd of the entries) 1 and a positive pivot entry (the leftmost nonzero).
+arithmetic.  Its rows are primitive integer rows ``{key: int}``: content
+(the gcd of the entries) 1 and a positive pivot entry (at the least key).
 Each stands for the reduced row ``row / row[pivot]``, and the rows are kept
 in reduced row echelon form: no row has an entry in another row's pivot
-column.  Pivots follow column order, so every result comes from the unique
+column.  Pivots follow key order, so every result comes from the unique
 reduced form, whatever the integer scalings on the way.
 
 An input vector is scaled by the lcm of its denominators.  Eliminating pivot
 p from v with row r is the fraction-free step v <- (a/g) v - (b/g) r, with
 a = r[p], b = v[p] and g = gcd(a, b), after which v's content is divided out
 (Bareiss 1968 keeps integers the same way).  Results are ``Fraction``s
-formed only at the end.  Matrices and vectors are dense lists of ints or
-``Fraction``s.
+formed only at the end.  A vector is a sparse dict ``{key: value}`` of ints
+or ``Fraction``s with no zero entry, over any totally ordered keys; a matrix
+is a list of such rows over the column indices, and every result holds only
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ def _integral(d):
         return {c: x.numerator for c, x in d.items()}, 1
     return {c: x.numerator * (den // x.denominator)
             for c, x in d.items()}, den
-
-
-def _sparse(vec):
-    return _integral({c: x for c, x in enumerate(vec) if x})
 
 
 def _eliminate(v, row, p):
@@ -64,11 +62,13 @@ def _eliminate(v, row, p):
 
 
 class Span:
-    """An incrementally built row space with exact membership/reduction."""
+    """An incrementally built row space with exact membership/reduction.
 
-    def __init__(self, width: int):
-        self.width = width
-        self._rows = {}     # pivot column -> primitive row, pivot entry > 0
+    Vectors are sparse dicts over any totally ordered keys; a row's pivot is
+    its least key."""
+
+    def __init__(self):
+        self._rows = {}     # pivot key -> primitive row, pivot entry > 0
 
     def _reduce(self, v):
         """Reduce an integer row against the span; returns (w, num, den)
@@ -99,75 +99,79 @@ class Span:
         rows[p] = v
         return p
 
-    def reduce(self, vec):
-        v, den = _sparse(vec)
+    def reduce(self, vec) -> dict:
+        """vec reduced against the span: its nonzero ``Fraction`` entries."""
+        v, den = _integral(vec)
         v, num, d = self._reduce(v)
         den *= d
-        zero = Fraction(0)
-        return [Fraction(v[c] * num, den) if c in v else zero
-                for c in range(len(vec))]
+        return {c: Fraction(x * num, den) for c, x in v.items()}
 
     def contains(self, vec) -> bool:
-        return not self._reduce(_sparse(vec)[0])[0]
+        return not self._reduce(_integral(vec)[0])[0]
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
-        return self._insert(_sparse(vec)[0]) is not None
+        return self._insert(_integral(vec)[0]) is not None
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
 
-def _span(matrix, width):
-    span = Span(width)
-    for row in matrix:
-        span._insert(_sparse(row)[0])
+def _span(rows):
+    span = Span()
+    for row in rows:
+        span._insert(_integral(row)[0])
     return span
 
 
-def rank(matrix) -> int:
-    return _span(matrix, len(matrix[0]) if matrix else 0).dim
+def _require_columns(rows, n):
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= n):
+            raise ValueError(f"row {row} has a column outside range({n})")
 
 
-def solve(matrix, rhs):
-    """One solution of matrix @ x = rhs, or None if inconsistent.
+def rank(rows) -> int:
+    return _span(rows).dim
 
-    Free variables are set to zero (deterministically).
+
+def solve(rows, rhs):
+    """One solution x of the equations sum_c row[c] x[c] = rhs[i], as its
+    nonzero entries {column: Fraction}, or None if they are inconsistent.
+
+    Free variables are zero (deterministically).
     """
-    if not matrix:
-        return []
-    n = len(matrix[0])
-    span = Span(n + 1)
-    for row, b in zip(matrix, rhs):
-        v = {c: x for c, x in enumerate(row) if x}
-        if b:
-            v[n] = b
-        if span._insert(_integral(v)[0]) == n:
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    # the right-hand side is the column after every unknown
+    n = 1 + max((max(row) for row in rows if row), default=-1)
+    span = Span()
+    for row, b in zip(rows, rhs):
+        if span._insert(_integral({**row, n: b} if b else row)[0]) == n:
             return None
-    rows, zero = span._rows, Fraction(0)
-    return [Fraction(rows[c][n], rows[c][c])
-            if c in rows and n in rows[c] else zero for c in range(n)]
+    return {c: Fraction(row[n], row[c])
+            for c, row in sorted(span._rows.items()) if n in row}
 
 
-def nullspace(matrix, n=None):
-    """Basis of the kernel of matrix (m x n); returns list of vectors."""
-    if n is None:
-        n = len(matrix[0]) if matrix else 0
-    rows = _span(matrix, n)._rows
-    zero, one = Fraction(0), Fraction(1)
+def nullspace(rows, n):
+    """Basis of the kernel of the rows, over the columns range(n): one vector
+    per free column, as its nonzero entries {column: Fraction}."""
+    _require_columns(rows, n)
+    rows = _span(rows)._rows
+    pivots = sorted(rows)
+    one = Fraction(1)
     basis = []
     for free in range(n):
         if free not in rows:
-            v = [zero] * n
+            # only rows with a smaller pivot have an entry at ``free``
+            v = {c: Fraction(-rows[c][free], rows[c][c])
+                 for c in pivots if free in rows[c]}
             v[free] = one
-            for c, row in rows.items():
-                if free in row:
-                    v[c] = Fraction(-row[free], row[c])
             basis.append(v)
     return basis
 
 
-def invertible(matrix) -> bool:
-    m = len(matrix)
-    return m == 0 or (len(matrix[0]) == m and rank(matrix) == m)
+def invertible(rows, n) -> bool:
+    """Whether the rows form an invertible n x n matrix."""
+    _require_columns(rows, n)
+    return len(rows) == n and rank(rows) == n

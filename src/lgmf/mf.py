@@ -381,18 +381,44 @@ def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
     return domain, columns
 
 
-def _dicts_to_vectors(dicts):
-    """Dense vectors over the sorted union of the dicts' keys, padded with
-    the int 0 (``linalg`` skips it at C speed)."""
-    keys = sorted({k for d in dicts for k in d})
-    index = {k: r for r, k in enumerate(keys)}
-    vecs = []
-    for d in dicts:
-        v = [0] * len(keys)
-        for k, c in d.items():
-            v[index[k]] = c
-        vecs.append(v)
-    return keys, vecs
+def _equations(columns, rhs=None):
+    """The system sum_k x_k columns[k] = rhs on the sorted keys of the columns
+    and of rhs: one sparse row {k: coefficient} per key, and each row's
+    right-hand side (0 where rhs has no entry)."""
+    rhs = {} if rhs is None else rhs
+    rows = {key: {} for key in rhs}
+    for k, col in enumerate(columns):
+        for key, c in col.items():
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {k: c}
+            else:
+                row[k] = c
+    keys = sorted(rows)
+    return [rows[key] for key in keys], [rhs.get(key, 0) for key in keys]
+
+
+def _matrix_vector(mat, ctx, reduce=None):
+    """A matrix of Poly as the sparse vector {(i, j, exp): coefficient},
+    with ``reduce`` applied to every entry first."""
+    out = {}
+    for i, row in enumerate(mat):
+        for j, e in enumerate(row):
+            e = embed(e, ctx)
+            if reduce is not None:
+                e = reduce(e)
+            for exp, c in e.terms.items():
+                out[(i, j, exp)] = c
+    return out
+
+
+def _vector_matrix(vec, rows: int, cols: int, ctx: RingContext):
+    """The rows x cols matrix of Poly with the sparse vector's terms."""
+    entries = {}
+    for (i, j, exp), c in vec.items():
+        entries.setdefault((i, j), {})[exp] = c
+    return [[Poly(ctx, entries[(i, j)]) if (i, j) in entries else ctx.zero()
+             for j in range(cols)] for i in range(rows)]
 
 
 def _solve_boundary(source: MatrixFactorisation, target: MatrixFactorisation,
@@ -405,23 +431,12 @@ def _solve_boundary(source: MatrixFactorisation, target: MatrixFactorisation,
     """
     domain, columns = _boundary_columns(source, target, parity, bound, ctx,
                                         reduce)
-    b = {}
-    for i, row in enumerate(rhs):
-        for j, e in enumerate(row):
-            e = embed(e, ctx) if reduce is None else reduce(embed(e, ctx))
-            for exp, c in e.terms.items():
-                b[(i, j, exp)] = c
-    keys, vecs = _dicts_to_vectors(columns + [b])
-    # with no unknowns the system still has one (empty) row per key
-    matrix = polymat.transpose(vecs[:-1]) or [[] for _ in keys]
-    sol = linalg.solve(matrix, vecs[-1])
+    rows, b = _equations(columns, _matrix_vector(rhs, ctx, reduce))
+    sol = linalg.solve(rows, b)
     if sol is None:
         return None
-    h = polymat.zeros(ctx, target.rank, source.rank)
-    for val, (i, j, m) in zip(sol, domain):
-        if val:
-            h[i][j] = h[i][j] + Poly(ctx, {m: val})
-    return h
+    return _vector_matrix({domain[k]: c for k, c in sol.items()},
+                          target.rank, source.rank, ctx)
 
 
 def default_homotopy_bound(phi: Morphism) -> int:

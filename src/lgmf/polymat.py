@@ -40,8 +40,10 @@ def mat_mul(a, b):
     if not cols:
         return [[] for _ in range(rows)]
     ctx = a[0][0].ctx
-    if (any(row[k].ctx != ctx for row in a for k in range(inner))
-            or any(row[j].ctx != ctx for row in b for j in range(cols))):
+    if (any(row[k].ctx is not ctx and row[k].ctx != ctx
+            for row in a for k in range(inner))
+            or any(row[j].ctx is not ctx and row[j].ctx != ctx
+                   for row in b for j in range(cols))):
         raise ContextMismatch("matrix entries in different contexts")
     b_nonzero = [[(j, row[j]) for j in range(cols) if not row[j].is_zero()]
                  for row in b]

@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import linalg, polymat, signs
 from .adjunction import AdjointData, _project
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
-                 _dicts_to_vectors, dual, shift, str_matrix)
+                 _equations, _matrix_vector, _vector_matrix, dual, shift,
+                 str_matrix)
 from .residue import JacobiElement, JacobiRing, _rep
 from .ring import Poly, embed, embed_matrix, partial_derivative
 
@@ -287,32 +288,11 @@ class HomCohomology:
         return (len(self.h0), len(self.h1))
 
 
-def _morphism_vector(phi: Morphism, ctx):
-    out = {}
-    for i, row in enumerate(phi.mat):
-        for j, e in enumerate(row):
-            for exp, c in embed(e, ctx).terms.items():
-                out[(i, j, exp)] = c
-    return out
-
-
 def _select_classes(reps, coboundaries):
-    keys, vecs = _dicts_to_vectors(list(coboundaries) + list(reps))
-    span = linalg.Span(len(keys))
-    for v in vecs[:len(coboundaries)]:
+    span = linalg.Span()
+    for v in coboundaries:
         span.add(v)
-    chosen = []
-    for d, v in zip(reps, vecs[len(coboundaries):]):
-        if span.add(v):
-            chosen.append(d)
-    return chosen
-
-
-def _dict_to_morphism(d, X, Y, parity, ctx):
-    mat = [[ctx.zero() for _ in range(X.rank)] for _ in range(Y.rank)]
-    for (i, j, exp), c in d.items():
-        mat[i][j] = mat[i][j] + ctx.poly({exp: c})
-    return Morphism(X, Y, parity, mat)
+    return [d for d in reps if span.add(d)]
 
 
 def _classes_at(X, Y, bound, ctx):
@@ -326,9 +306,8 @@ def _classes_at(X, Y, bound, ctx):
     coboundaries = (systems[1][1], systems[0][1])
     classes = []
     for parity, (dom, cols) in enumerate(systems):
-        _, vecs = _dicts_to_vectors(cols)
-        cocycles = linalg.nullspace(polymat.transpose(vecs), n=len(dom))
-        reps = [{key: c for key, c in zip(dom, vec) if c} for vec in cocycles]
+        cocycles = linalg.nullspace(_equations(cols)[0], n=len(dom))
+        reps = [{dom[k]: c for k, c in vec.items()} for vec in cocycles]
         classes.append(_select_classes(reps, coboundaries[parity]))
     return classes, coboundaries
 
@@ -347,8 +326,8 @@ def hom_cohomology(X: MatrixFactorisation, Y: MatrixFactorisation,
     classes, coboundaries = _classes_at(X, Y, bound, ctx)
     stable = ([len(c) for c in classes]
               == [len(c) for c in _classes_at(X, Y, bound + 1, ctx)[0]])
-    h0 = [_dict_to_morphism(d, X, Y, 0, ctx) for d in classes[0]]
-    h1 = [_dict_to_morphism(d, X, Y, 1, ctx) for d in classes[1]]
+    h0, h1 = [[Morphism(X, Y, parity, _vector_matrix(d, Y.rank, X.rank, ctx))
+               for d in reps] for parity, reps in enumerate(classes)]
     return HomCohomology(X=X, Y=Y, bound=bound, h0=h0, h1=h1, stable=stable,
                          coboundaries=coboundaries)
 
@@ -384,21 +363,16 @@ def _cohomology_supertrace(coh: HomCohomology, phi: Morphism,
             cob = coh.coboundaries[parity]
         else:
             _, cob = _boundary_columns(X, Y, parity ^ 1, deg, ctx)
-        dicts = (list(cob)
-                 + [_morphism_vector(b, ctx) for b in basis]
-                 + [_morphism_vector(im, ctx) for im in images])
-        keys, vecs = _dicts_to_vectors(dicts)
-        span = linalg.Span(len(keys))
-        for v in vecs[:len(cob)]:
+        span = linalg.Span()
+        for v in cob:
             span.add(v)
-        bas = [span.reduce(v) for v in vecs[len(cob):len(cob) + len(basis)]]
-        ims = [span.reduce(v) for v in vecs[len(cob) + len(basis):]]
-        matrix = polymat.transpose(bas)
+        bas = [span.reduce(_matrix_vector(b.mat, ctx)) for b in basis]
+        ims = [span.reduce(_matrix_vector(im.mat, ctx)) for im in images]
         for k, im in enumerate(ims):
-            sol = linalg.solve(matrix, im)
+            sol = linalg.solve(*_equations(bas, im))
             if sol is None:
                 raise ValueError("composite class escapes the truncated basis")
-            total += (Fraction(1) if parity == 0 else Fraction(-1)) * sol[k]
+            total += (1 if parity == 0 else -1) * sol.get(k, 0)
     return total
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lgmf import linalg
 from lgmf.adjunction import AdjointData
 from lgmf.mf import MatrixFactorisation, Morphism, mf_rename, new_mf
 from lgmf.ring import RingContext, rename
@@ -16,6 +17,13 @@ def canonical_coefficient(c) -> bool:
     Fraction(n))."""
     return ((type(c) is int and c != 0)
             or (type(c) is Fraction and c.denominator > 1))
+
+
+def dense_invertible(matrix) -> bool:
+    """Whether a square matrix given as dense lists is invertible."""
+    return linalg.invertible(
+        [{c: x for c, x in enumerate(row) if x} for row in matrix],
+        len(matrix))
 
 
 def ctx_of(*names) -> RingContext:

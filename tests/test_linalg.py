@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lgmf import linalg, polymat
-from lgmf.mf import _boundary_columns, _dicts_to_vectors
+from lgmf.mf import _boundary_columns, _equations
 
 from conftest import line_defect
 
@@ -121,6 +121,72 @@ class DenseSpan:
         return False
 
 
+# -- the dense face of the sparse API: the one adapter the dense tests use ----
+
+def sparse(vec):
+    return {c: x for c, x in enumerate(vec) if x}
+
+
+def densify(vec, n):
+    return [vec.get(c, Fraction(0)) for c in range(n)]
+
+
+def no_zero_entry(vectors):
+    return all(x for v in vectors for x in v.values())
+
+
+class dense_linalg:
+    """linalg on dense lists: rows are sparsified on the way in, results
+    padded with Fraction(0) on the way out."""
+
+    @staticmethod
+    def solve(matrix, rhs):
+        sol = linalg.solve([sparse(row) for row in matrix], rhs)
+        assert sol is None or no_zero_entry([sol])
+        return (None if sol is None
+                else densify(sol, len(matrix[0]) if matrix else 0))
+
+    @staticmethod
+    def nullspace(matrix, n=None):
+        if n is None:
+            n = len(matrix[0]) if matrix else 0
+        null = linalg.nullspace([sparse(row) for row in matrix], n)
+        assert no_zero_entry(null)
+        return [densify(v, n) for v in null]
+
+    @staticmethod
+    def rank(matrix):
+        return linalg.rank([sparse(row) for row in matrix])
+
+    @staticmethod
+    def invertible(matrix):
+        return linalg.invertible([sparse(row) for row in matrix],
+                                 len(matrix[0]) if matrix else 0)
+
+    @staticmethod
+    def _span(matrix, n):
+        return linalg._span([sparse(row) for row in matrix])
+
+    class Span:
+        def __init__(self, width):
+            self.span = linalg.Span()
+
+        def add(self, vec):
+            return self.span.add(sparse(vec))
+
+        def reduce(self, vec):
+            got = self.span.reduce(sparse(vec))
+            assert no_zero_entry([got])
+            return densify(got, len(vec))
+
+        def contains(self, vec):
+            return self.span.contains(sparse(vec))
+
+        @property
+        def dim(self):
+            return self.span.dim
+
+
 # -- mostly-zero rectangular matrices with zero and duplicate rows ------------
 
 sparse_entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
@@ -155,7 +221,7 @@ def test_solve_matches_dense_reference(nm, data):
     arbitrary = data.draw(st.lists(sparse_entry, min_size=len(A),
                                    max_size=len(A)))
     for b in (consistent, arbitrary):
-        got = linalg.solve(A, b)
+        got = dense_linalg.solve(A, b)
         assert got == dense_solve(A, b)
         if got is not None:
             assert all_fractions([got])
@@ -164,18 +230,18 @@ def test_solve_matches_dense_reference(nm, data):
 @given(sparse_matrices())
 def test_nullspace_and_rank_match_dense_reference(nm):
     n, A = nm
-    got = linalg.nullspace(A, n=n)
+    got = dense_linalg.nullspace(A, n=n)
     assert got == dense_nullspace(A, n=n)
     assert all_fractions(got)
-    assert linalg.nullspace(A) == dense_nullspace(A)
-    assert linalg.rank(A) == dense_rank(A)
+    assert dense_linalg.nullspace(A) == dense_nullspace(A)
+    assert dense_linalg.rank(A) == dense_rank(A)
 
 
 @given(sparse_matrices(), sparse_matrices())
 def test_span_matches_dense_reference(added, probes):
     n, vectors = added
     probes = [row[:n] + [0] * (n - len(row)) for row in probes[1]]
-    span, dense = linalg.Span(n), DenseSpan(n)
+    span, dense = dense_linalg.Span(n), DenseSpan(n)
     for v in vectors:
         assert span.add(v) == dense.add(v)
         assert span.dim == len(dense.rows)
@@ -190,19 +256,19 @@ def test_nullspace_keeps_pivots_in_column_order():
     # Sparsest-column-first pivoting would pick columns 1 and 2 and return
     # [[1, -1, -1]]; pivots in column order free column 2.
     A = [[1, 1, 0], [1, 0, 1]]
-    assert linalg.nullspace(A) == [[-1, 1, 1]]
-    assert linalg.solve(A, [1, 1]) == [1, 0, 0]
+    assert dense_linalg.nullspace(A) == [[-1, 1, 1]]
+    assert dense_linalg.solve(A, [1, 1]) == [1, 0, 0]
 
 
 def test_nullspace_of_no_rows_is_the_standard_basis():
-    assert linalg.nullspace([], n=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert linalg.nullspace([]) == []
+    assert dense_linalg.nullspace([], n=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert dense_linalg.nullspace([]) == []
 
 
 @given(matrix_strategy(), st.lists(frac, min_size=3, max_size=3))
 def test_solve_reproduces_known_solution(A, x):
     b = [sum(A[i][j] * x[j] for j in range(3)) for i in range(3)]
-    sol = linalg.solve(A, b)
+    sol = dense_linalg.solve(A, b)
     assert sol is not None
     got = [sum(A[i][j] * sol[j] for j in range(3)) for i in range(3)]
     assert got == b
@@ -210,35 +276,35 @@ def test_solve_reproduces_known_solution(A, x):
 
 @given(matrix_strategy(3, 4))
 def test_nullspace_annihilates_and_rank_nullity(A):
-    null = linalg.nullspace(A, n=4)
+    null = dense_linalg.nullspace(A, n=4)
     for v in null:
         assert all(sum(A[i][j] * v[j] for j in range(4)) == 0
                    for i in range(3))
-    assert linalg.rank(A) + len(null) == 4
+    assert dense_linalg.rank(A) + len(null) == 4
 
 
 def test_inconsistent_system_returns_none():
     A = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve(A, [Fraction(0), Fraction(1)]) is None
-    assert linalg.solve([[0, 0]], [5]) is None
-    assert linalg.solve([[], []], [0, 2]) is None
-    assert linalg.solve([[], []], [0, 0]) == []
+    assert dense_linalg.solve(A, [Fraction(0), Fraction(1)]) is None
+    assert dense_linalg.solve([[0, 0]], [5]) is None
+    assert dense_linalg.solve([[], []], [0, 2]) is None
+    assert dense_linalg.solve([[], []], [0, 0]) == []
 
 
 @given(matrix_strategy())
 def test_invertible_iff_full_rank(A):
-    assert linalg.invertible(A) == (linalg.rank(A) == 3)
+    assert dense_linalg.invertible(A) == (dense_linalg.rank(A) == 3)
 
 
 @given(st.lists(st.lists(frac, min_size=4, max_size=4), min_size=1,
                 max_size=5))
 def test_span_membership(vectors):
-    span = linalg.Span(4)
+    span = dense_linalg.Span(4)
     added = []
     for v in vectors:
         if span.add(list(v)):
             added.append(v)
-    assert span.dim == linalg.rank(added) if added else span.dim == 0
+    assert span.dim == dense_linalg.rank(added) if added else span.dim == 0
     for v in vectors:
         assert span.contains(list(v))
         assert all(c == 0 for c in span.reduce(list(v)))
@@ -370,20 +436,21 @@ def big_matrices(draw, max_rows=7, max_cols=7):
 @given(big_matrices(), st.data())
 def test_solve_nullspace_rank_match_both_references(nm, data):
     n, A = nm
-    got = linalg.nullspace(A, n=n)
+    got = dense_linalg.nullspace(A, n=n)
     assert got == _reference_nullspace(A, n) == dense_nullspace(A, n=n)
     assert all_fractions(got)
-    assert linalg.rank(A) == len(_reference_span(A, n).rows) == dense_rank(A)
+    assert (dense_linalg.rank(A) == len(_reference_span(A, n).rows)
+            == dense_rank(A))
     x = data.draw(st.lists(big_entry, min_size=n, max_size=n))
     consistent = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in A]
     arbitrary = data.draw(st.lists(big_entry, min_size=len(A),
                                    max_size=len(A)))
     for b in (consistent, arbitrary):
-        got = linalg.solve(A, b)
+        got = dense_linalg.solve(A, b)
         assert got == _reference_solve(A, b) == dense_solve(A, b)
         if got is not None:
             assert all_fractions([got])
-    span = linalg._span(A, n)
+    span = dense_linalg._span(A, n)
     _check_rows(span)
 
 
@@ -391,11 +458,11 @@ def test_solve_nullspace_rank_match_both_references(nm, data):
 def test_span_matches_both_references(added, probes):
     n, vectors = added
     probes = [row[:n] + [0] * (n - len(row)) for row in probes[1]]
-    span, ref, dense = linalg.Span(n), _ReferenceSpan(n), DenseSpan(n)
+    span, ref, dense = dense_linalg.Span(n), _ReferenceSpan(n), DenseSpan(n)
     for v in vectors:
         grew = span.add(v)
         assert grew == ref.add(v) == dense.add(v)
-        _check_rows(span)
+        _check_rows(span.span)
     for v in vectors + probes:
         got = span.reduce(v)
         assert got == ref.reduce(v) == dense.reduce(v)
@@ -403,36 +470,105 @@ def test_span_matches_both_references(added, probes):
         assert span.contains(v) == ref.contains(v) == (not any(got))
 
 
+# -- the sparse API on keys of any order -------------------------------------
+
+key = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                st.tuples(st.integers(0, 3), st.integers(0, 3)))
+nonzero = st.one_of(st.integers(-9, 9), frac).filter(bool)
+tuple_vectors = st.lists(st.dictionaries(key, nonzero, max_size=6),
+                         max_size=7)
+
+
+@given(tuple_vectors, tuple_vectors)
+def test_span_over_tuple_keys_agrees_with_span_over_their_ranks(added,
+                                                                probes):
+    """Pivots are least keys, so a span over (i, j, exp) keys chooses the
+    pivots of a span over the keys' ranks in sorted order."""
+    keys = sorted({k for v in added + probes for k in v})
+    rank = {k: r for r, k in enumerate(keys)}
+    by_key, by_rank = linalg.Span(), linalg.Span()
+    for v in added:
+        assert by_key.add(v) == by_rank.add({rank[k]: x for k, x in v.items()})
+        assert by_key.dim == by_rank.dim
+        _check_rows(by_key)
+    for v in added + probes:
+        got = by_key.reduce(v)
+        assert no_zero_entry([got]) and all_fractions([got.values()])
+        assert got == {keys[r]: x for r, x in by_rank.reduce(
+            {rank[k]: x for k, x in v.items()}).items()}
+        assert by_key.contains(v) == (not got)
+
+
+@given(sparse_matrices(), st.data())
+def test_kernel_vectors_and_solutions_hold_no_zero_entry(nm, data):
+    n, A = nm
+    rows = [sparse(row) for row in A]
+    null = linalg.nullspace(rows, n)
+    assert no_zero_entry(null) and all(v for v in null)
+    b = data.draw(st.lists(sparse_entry, min_size=len(A), max_size=len(A)))
+    for rhs in (b, [0] * len(A)):
+        sol = linalg.solve(rows, rhs)
+        assert sol is None or no_zero_entry([sol])
+    assert linalg.solve(rows, [0] * len(A)) == {}
+
+
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError, match="1 rows but 2 right-hand sides"):
+        linalg.solve([{0: 1}], [1, 5])
+
+
+def test_nullspace_refuses_a_column_outside_its_width():
+    with pytest.raises(ValueError, match=r"outside range\(2\)"):
+        linalg.nullspace([{2: 1}], n=2)
+    with pytest.raises(ValueError, match=r"outside range\(2\)"):
+        linalg.nullspace([{0: 1}, {-1: 1}], n=2)
+
+
 # -- the boundary systems of the x^p - y^p line defects ----------------------
+
+def _dense_system(dicts):
+    """The dicts as dense vectors over their sorted keys: the references'
+    input, built apart from the engine's sparse path."""
+    keys = sorted({k for d in dicts for k in d})
+    return keys, [[d.get(k, 0) for k in keys] for d in dicts]
+
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_line_defect_boundary_systems_match_the_reference(p):
     """What hom_cohomology and the Cardy supertrace ask of the engine, on
     the real systems at the cohomology bound 2p: cocycles, coboundary
-    spans with reductions, and solves."""
+    spans with reductions, and solves.  The engine takes _boundary_columns
+    output through mf._equations and spans over its (i, j, exp) keys."""
     X = line_defect(p).base
     systems = [_boundary_columns(X, X, parity, 2 * p, X.ctx)[1]
                for parity in (0, 1)]
     for parity, cols in enumerate(systems):
         cob = systems[parity ^ 1]
-        keys, vecs = _dicts_to_vectors(cols + cob)
+        keys, vecs = _dense_system(cols + cob)
         matrix = polymat.transpose(vecs[:len(cols)])
         n = len(cols)
-        got = linalg.nullspace(matrix, n=n)
-        assert got == _reference_nullspace(matrix, n)
-        assert got and all_fractions(got)
-        span, ref = linalg.Span(len(keys)), _ReferenceSpan(len(keys))
-        for v in vecs[len(cols):]:
-            assert span.add(v) == ref.add(v)
+        got = linalg.nullspace(_equations(cols)[0], n=n)
+        assert [densify(v, n) for v in got] == _reference_nullspace(matrix, n)
+        assert got and all_fractions(v.values() for v in got)
+        assert no_zero_entry(got)
+        span, ref = linalg.Span(), _ReferenceSpan(len(keys))
+        for d, v in zip(cob, vecs[len(cols):]):
+            assert span.add(d) == ref.add(v)
         _check_rows(span)
-        for v in vecs[:len(cols)]:
-            got = span.reduce(v)
-            assert got == ref.reduce(v) and all_fractions([got])
+        for d, v in zip(cols, vecs[:len(cols)]):
+            got = span.reduce(d)
+            assert [got.get(k, Fraction(0)) for k in keys] == ref.reduce(v)
+            assert all_fractions([got.values()]) and no_zero_entry([got])
         # the boundary of the sum of every other unknown, halved: consistent
         rhs = [Fraction(sum(row[::2]), 2) for row in matrix]
-        got = linalg.solve(matrix, rhs)
-        assert got is not None and got == _reference_solve(matrix, rhs)
-        assert all_fractions([got])
+        got = linalg.solve(*_equations(
+            cols, {k: b for k, b in zip(keys, rhs) if b}))
+        assert got is not None
+        assert densify(got, n) == _reference_solve(matrix, rhs)
+        assert all_fractions([got.values()]) and no_zero_entry([got])
         bad = list(rhs)
         bad[0] += 1
-        assert linalg.solve(matrix, bad) == _reference_solve(matrix, bad)
+        got = linalg.solve(*_equations(
+            cols, {k: b for k, b in zip(keys, bad) if b}))
+        assert (got if got is None else densify(got, n)) == _reference_solve(
+            matrix, bad)

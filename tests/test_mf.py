@@ -368,8 +368,8 @@ def test_wrong_solver_output_fails_witness_verification(monkeypatch):
     alpha = Morphism(X, X, 1, [[cx.zero(), x], [cx.one(), cx.zero()]])
     phi = alpha.boundary()
     solve = linalg.solve
-    monkeypatch.setattr(linalg, "solve", lambda matrix, rhs: [
-        v + 1 for v in solve(matrix, rhs)])
+    monkeypatch.setattr(linalg, "solve", lambda rows, rhs: {
+        c: v + 1 for c, v in solve(rows, rhs).items()})
     with pytest.raises(RuntimeError):
         null_homotopy_search(phi)
 
