@@ -16,9 +16,9 @@ from operator import add, ge, sub
 from . import polymat, signs
 from .ideal import groebner, normal_form
 from .mf import (FactorisationError, MatrixFactorisation, Morphism,
-                 NullHomotopySet, _commutator_mismatch, _solve_boundary,
-                 default_null_homotopies, dual, dual_morphism, mf_rename,
-                 null_homotopy_search, shift, tensor)
+                 NullHomotopySet, _check_bound, _commutator_mismatch,
+                 _solve_boundary, default_null_homotopies, dual,
+                 dual_morphism, mf_rename, null_homotopy_search, shift, tensor)
 from .residue import JacobiRing
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
                    _terms_add, _terms_mul, embed, embed_matrix,
@@ -652,6 +652,7 @@ def _project(p: Poly, ctx: RingContext) -> Poly:
 
 def zorro_check(data: AdjointData, degree_bound: int | None = None) -> dict:
     """Both snake composites with identity-up-to-homotopy witnesses."""
+    _check_bound(degree_bound)
     X = data.base
     ident = Morphism(X, X, 0, polymat.identity(X.ctx, X.rank))
     report = {}

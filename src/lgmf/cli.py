@@ -259,6 +259,8 @@ def cmd_cardy(ws, args, report):
         rep = tft.cardy_check(X, Y, phi, psi, degree_bound=args.degree_bound)
     except ValueError as exc:       # factorisations of different potentials
         raise WorkspaceError(str(exc)) from None
+    except RuntimeError as exc:     # a class escapes the truncated basis
+        raise MathFailure(str(exc)) from None
     report.outputs["lhs"] = rep.lhs
     report.outputs["rhs"] = rep.rhs
     report.outputs["equal"] = rep.equal
@@ -270,6 +272,12 @@ def cmd_cardy(ws, args, report):
             "cohomology dimensions not stable at this degree bound")
     if not rep.equal:
         raise MathFailure("Cardy identity failed")
+
+
+def _degree_bound(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"negative degree bound {text}")
+    return int(text)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -311,7 +319,7 @@ def build_parser():
          "help": "semicolon-separated, one per variable"}))
     add("evcoev-dump", (("name",), {}))
     add("zorro-check", (("name",), {}),
-        (("--degree-bound",), {"type": int, "default": None}))
+        (("--degree-bound",), {"type": _degree_bound, "default": None}))
     add("qdim", (("name",), {}),
         (("--side",), {"choices": ["left", "right"], "default": "right"}))
     add("chern", (("name",), {}))
@@ -324,7 +332,7 @@ def build_parser():
         (("--side",), {"choices": ["left", "right"], "default": "right"}))
     add("cardy", (("X",), {}), (("Y",), {}),
         (("--phi",), {"default": None}), (("--psi",), {"default": None}),
-        (("--degree-bound",), {"type": int, "default": None}))
+        (("--degree-bound",), {"type": _degree_bound, "default": None}))
     return parser
 
 

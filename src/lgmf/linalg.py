@@ -67,8 +67,10 @@ class Span:
     Vectors are sparse dicts over any totally ordered keys; a row's pivot is
     its least key."""
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self._rows = {}     # pivot key -> primitive row, pivot entry > 0
+        for vec in vectors:
+            self.add(vec)
 
     def _reduce(self, v):
         """Reduce an integer row against the span; returns (w, num, den)
@@ -153,22 +155,23 @@ def solve(rows, rhs):
             for c, row in sorted(span._rows.items()) if n in row}
 
 
-def nullspace(rows, n):
-    """Basis of the kernel of the rows, over the columns range(n): one vector
-    per free column, as its nonzero entries {column: Fraction}."""
+def nullspace(rows, n, m):
+    """The rank of the rows over the columns range(n), and the basis of their
+    kernel on range(m): one vector per free column below m, as its nonzero
+    entries {column: Fraction}, the same whatever columns follow m."""
     _require_columns(rows, n)
     rows = _span(rows)._rows
     pivots = sorted(rows)
     one = Fraction(1)
     basis = []
-    for free in range(n):
+    for free in range(m):
         if free not in rows:
             # only rows with a smaller pivot have an entry at ``free``
             v = {c: Fraction(-rows[c][free], rows[c][c])
                  for c in pivots if free in rows[c]}
             v[free] = one
             basis.append(v)
-    return basis
+    return len(rows), basis
 
 
 def invertible(rows, n) -> bool:

@@ -331,6 +331,12 @@ def _monomials_up_to(ctx: RingContext, bound: int):
     return out
 
 
+def _check_bound(bound):
+    """Refuse a negative degree bound; None stands for a default."""
+    if bound is not None and bound < 0:
+        raise ValueError(f"negative degree bound {bound}")
+
+
 def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
                       parity: int, bound: int, ctx: RingContext, reduce=None):
     """The boundary delta(h) = d_T h - (-1)^{|h|} h d_S as sparse columns.
@@ -452,6 +458,7 @@ def null_homotopy_search(phi: Morphism, degree_bound: int | None = None):
     The linear system on the unknown coefficients is solved over Q; a found
     witness is re-verified exactly before being returned.
     """
+    _check_bound(degree_bound)
     if degree_bound is None:
         degree_bound = default_homotopy_bound(phi)
     hpar = phi.parity ^ 1

@@ -16,8 +16,8 @@ from fractions import Fraction
 from . import linalg, polymat, signs
 from .adjunction import AdjointData, _project
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
-                 _equations, _matrix_vector, _vector_matrix, dual, shift,
-                 str_matrix)
+                 _check_bound, _equations, _matrix_vector, _vector_matrix,
+                 dual, shift, str_matrix)
 from .residue import JacobiElement, JacobiRing, _rep
 from .ring import Poly, embed, embed_matrix, partial_derivative
 
@@ -280,36 +280,39 @@ class HomCohomology:
     stable: bool                # dimensions agree at bound + 1
     # per parity p, the coboundary columns at ``bound`` (boundaries of
     # parity p ^ 1 maps), kept for the Cardy supertrace
-    coboundaries: tuple | None = field(default=None, repr=False,
-                                       compare=False)
+    coboundaries: tuple = field(repr=False, compare=False)
 
     @property
     def dimensions(self):
         return (len(self.h0), len(self.h1))
 
 
-def _select_classes(reps, coboundaries):
-    span = linalg.Span()
-    for v in coboundaries:
-        span.add(v)
-    return [d for d in reps if span.add(d)]
-
-
 def _classes_at(X, Y, bound, ctx):
-    """Cocycle representatives of H^0 and H^1 on entries of degree <= bound,
-    and the coboundary columns they were selected against, per parity.
-
-    Each parity's boundary system is built once: its nullspace gives that
-    parity's cocycles, and its columns are the other parity's coboundaries.
-    """
-    systems = [_boundary_columns(X, Y, p, bound, ctx) for p in (0, 1)]
-    coboundaries = (systems[1][1], systems[0][1])
-    classes = []
-    for parity, (dom, cols) in enumerate(systems):
-        cocycles = linalg.nullspace(_equations(cols)[0], n=len(dom))
-        reps = [{dom[k]: c for k, c in vec.items()} for vec in cocycles]
-        classes.append(_select_classes(reps, coboundaries[parity]))
-    return classes, coboundaries
+    """Per parity: cocycle representatives of the classes on entries of
+    degree <= bound, the coboundary columns they were selected against, and
+    the class count at bound + 1.  Each boundary system is built once, at
+    bound + 1, with the unknowns of degree <= bound first, so their kernel
+    vectors and columns are those at the bound.  As delta^2 = 0, the count
+    at bound + 1 is dim Z - dim B + rank(B's parts above bound + 1)."""
+    top = bound + 1
+    systems = []
+    for p in (0, 1):
+        dom, cols = _boundary_columns(X, Y, p, top, ctx)
+        order = sorted(range(len(dom)), key=lambda k: sum(dom[k][2]) == top)
+        systems.append(([dom[k] for k in order], [cols[k] for k in order],
+                        sum(sum(m) < top for _, _, m in dom)))
+    coboundaries = tuple(cols[:low] for _, cols, low in reversed(systems))
+    classes, ranks = [], []
+    for (dom, cols, low), cob in zip(systems, coboundaries):
+        rank, cocycles = linalg.nullspace(_equations(cols)[0], len(dom), low)
+        reps = ({dom[k]: c for k, c in vec.items()} for vec in cocycles)
+        span = linalg.Span(cob)
+        classes.append([d for d in reps if span.add(d)])
+        ranks.append(rank)
+    counts = [len(systems[p][0]) - ranks[p] - ranks[p ^ 1] + linalg.rank(
+        _equations([{k: c for k, c in col.items() if sum(k[2]) > top}
+                    for col in systems[p ^ 1][1]])[0]) for p in (0, 1)]
+    return classes, coboundaries, counts
 
 
 def default_cohomology_bound(X: MatrixFactorisation) -> int:
@@ -321,11 +324,11 @@ def hom_cohomology(X: MatrixFactorisation, Y: MatrixFactorisation,
     """Cocycles modulo coboundaries on entries of degree <= degree_bound."""
     if X.potential != Y.potential:
         raise ValueError("factorisations of different potentials")
+    _check_bound(degree_bound)
     bound = default_cohomology_bound(X) if degree_bound is None else degree_bound
     ctx = Y.ctx.merge(X.ctx)
-    classes, coboundaries = _classes_at(X, Y, bound, ctx)
-    stable = ([len(c) for c in classes]
-              == [len(c) for c in _classes_at(X, Y, bound + 1, ctx)[0]])
+    classes, coboundaries, counts = _classes_at(X, Y, bound, ctx)
+    stable = [len(c) for c in classes] == counts
     h0, h1 = [[Morphism(X, Y, parity, _vector_matrix(d, Y.rank, X.rank, ctx))
                for d in reps] for parity, reps in enumerate(classes)]
     return HomCohomology(X=X, Y=Y, bound=bound, h0=h0, h1=h1, stable=stable,
@@ -359,19 +362,15 @@ def _cohomology_supertrace(coh: HomCohomology, phi: Morphism,
         deg = max([coh.bound] + [e.total_degree() for im in images
                                  for row in im.mat for e in row
                                  if not e.is_zero()])
-        if deg == coh.bound and coh.coboundaries is not None:
-            cob = coh.coboundaries[parity]
-        else:
-            _, cob = _boundary_columns(X, Y, parity ^ 1, deg, ctx)
-        span = linalg.Span()
-        for v in cob:
-            span.add(v)
+        span = linalg.Span(
+            coh.coboundaries[parity] if deg == coh.bound
+            else _boundary_columns(X, Y, parity ^ 1, deg, ctx)[1])
         bas = [span.reduce(_matrix_vector(b.mat, ctx)) for b in basis]
         ims = [span.reduce(_matrix_vector(im.mat, ctx)) for im in images]
         for k, im in enumerate(ims):
             sol = linalg.solve(*_equations(bas, im))
             if sol is None:
-                raise ValueError("composite class escapes the truncated basis")
+                raise RuntimeError("composite class escapes the truncated basis")
             total += (1 if parity == 0 else -1) * sol.get(k, 0)
     return total
 

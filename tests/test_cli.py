@@ -291,6 +291,33 @@ def test_zorro_check(ws, capsys):
     assert rep["outputs"]["ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["cardy", "Xc", "Xc", "--degree-bound", "-3"],
+    ["zorro-check", "D", "--degree-bound", "-1"]])
+def test_a_negative_degree_bound_exits_two(ws, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", argv[0], ws] + argv[1:])
+    assert exc.value.code == 2
+    assert f"negative degree bound {argv[-1]}" in capsys.readouterr().err
+
+
+def test_a_class_escaping_the_truncation_exits_one(tmp_path, capsys):
+    """At bound 0 the composite u . Id of Xq leaves the truncated basis:
+    the bound is too small, a mathematical failure, not an input error."""
+    path = tmp_path / "q.lg"
+    path.write_text("ring R2 = [u, v]\npotential Wq on R2 = u^3 - v^3\n"
+                    "mf Xq on Wq = ([u - v], [u^2 + u*v + v^2])\n"
+                    "morphism uq : Xq -> Xq parity 0 = [[u, 0], [0, u]]\n")
+    code, rep = run_json(capsys, "cardy", str(path), "Xq", "Xq", "--phi",
+                         "uq", "--degree-bound", "0")
+    assert code == 1
+    assert rep["outputs"] == {
+        "error": "composite class escapes the truncated basis"}
+    code, rep = run_json(capsys, "cardy", str(path), "Xq", "Xq", "--phi",
+                         "uq", "--degree-bound", "1")
+    assert code == 0 and rep["outputs"]["equal"] is True
+
+
 def test_evcoev_dump_round_trips(ws, capsys):
     code, rep = run_json(capsys, "evcoev-dump", ws, "D")
     assert code == 0

@@ -150,8 +150,8 @@ class dense_linalg:
     def nullspace(matrix, n=None):
         if n is None:
             n = len(matrix[0]) if matrix else 0
-        null = linalg.nullspace([sparse(row) for row in matrix], n)
-        assert no_zero_entry(null)
+        rank, null = linalg.nullspace([sparse(row) for row in matrix], n, n)
+        assert no_zero_entry(null) and rank == n - len(null)
         return [densify(v, n) for v in null]
 
     @staticmethod
@@ -503,7 +503,7 @@ def test_span_over_tuple_keys_agrees_with_span_over_their_ranks(added,
 def test_kernel_vectors_and_solutions_hold_no_zero_entry(nm, data):
     n, A = nm
     rows = [sparse(row) for row in A]
-    null = linalg.nullspace(rows, n)
+    null = linalg.nullspace(rows, n, n)[1]
     assert no_zero_entry(null) and all(v for v in null)
     b = data.draw(st.lists(sparse_entry, min_size=len(A), max_size=len(A)))
     for rhs in (b, [0] * len(A)):
@@ -519,9 +519,22 @@ def test_solve_refuses_a_right_hand_side_of_the_wrong_length():
 
 def test_nullspace_refuses_a_column_outside_its_width():
     with pytest.raises(ValueError, match=r"outside range\(2\)"):
-        linalg.nullspace([{2: 1}], n=2)
+        linalg.nullspace([{2: 1}], n=2, m=2)
     with pytest.raises(ValueError, match=r"outside range\(2\)"):
-        linalg.nullspace([{0: 1}, {-1: 1}], n=2)
+        linalg.nullspace([{0: 1}, {-1: 1}], n=2, m=2)
+
+
+@given(sparse_matrices(), st.data())
+def test_the_kernel_on_the_first_columns_ignores_the_columns_after(nm, data):
+    """nullspace(rows, n, m) is the kernel basis of the rows cut to
+    range(m), and its rank is that of all n columns."""
+    n, A = nm
+    m = data.draw(st.integers(0, n))
+    rows = [sparse(row) for row in A]
+    cut = [{c: x for c, x in row.items() if c < m} for row in rows]
+    rank, null = linalg.nullspace(rows, n, m)
+    assert null == linalg.nullspace(cut, m, m)[1]
+    assert rank == linalg.rank(rows)
 
 
 # -- the boundary systems of the x^p - y^p line defects ----------------------
@@ -547,7 +560,7 @@ def test_line_defect_boundary_systems_match_the_reference(p):
         keys, vecs = _dense_system(cols + cob)
         matrix = polymat.transpose(vecs[:len(cols)])
         n = len(cols)
-        got = linalg.nullspace(_equations(cols)[0], n=n)
+        got = linalg.nullspace(_equations(cols)[0], n=n, m=n)[1]
         assert [densify(v, n) for v in got] == _reference_nullspace(matrix, n)
         assert got and all_fractions(v.values() for v in got)
         assert no_zero_entry(got)

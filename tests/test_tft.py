@@ -1,17 +1,21 @@
 """Bulk and boundary invariants: defect operators, pairings, Cardy, shadows."""
 
+import os
 import warnings
 from fractions import Fraction
 
 import pytest
 
 from lgmf import linalg, polymat, residue, tft
-from lgmf.adjunction import AdjointData
+from lgmf.adjunction import AdjointData, zorro_check
 from lgmf.ideal import groebner
-from lgmf.mf import (MatrixFactorisation, Morphism, mf_rename, new_mf,
-                     null_homotopy_search, supertrace)
+from lgmf.mf import (MatrixFactorisation, Morphism, _boundary_columns,
+                     _equations, mf_rename, new_mf, null_homotopy_search,
+                     supertrace)
 from lgmf.ring import RingContext, partial_derivative, rename
 from lgmf.signs import binom2
+from lgmf.unit import koszul_unit, unit_action_right
+from lgmf.workspace import load_workspace
 
 from conftest import (boundary_defect, corpus_boundary_mfs, corpus_potentials,
                       delta_defect, dense_invertible, line_defect)
@@ -338,10 +342,9 @@ def test_hom_cohomology_builds_each_boundary_system_once_per_bound(
     calls = _counting(monkeypatch, tft, "_boundary_columns")
     coh = tft.hom_cohomology(Xxy, Xxy)
     b = coh.bound
-    # (parity, degree bound) of every build: one per parity at the bound and
-    # at the stability check's bound + 1
-    assert sorted(args[2:4] for args in calls) == [(0, b), (0, b + 1),
-                                                   (1, b), (1, b + 1)]
+    # (parity, degree bound) of every build: one per parity, at bound + 1,
+    # serves both the classes at the bound and the stability count
+    assert sorted(args[2:4] for args in calls) == [(0, b + 1), (1, b + 1)]
 
 
 def test_cardy_supertrace_computes_no_cocycles(monkeypatch):
@@ -349,7 +352,7 @@ def test_cardy_supertrace_computes_no_cocycles(monkeypatch):
     calls = _counting(monkeypatch, linalg, "nullspace")
     tft.hom_cohomology(Xxy, Xxy)
     alone = len(calls)
-    assert alone == 4
+    assert alone == 2
     del calls[:]
     assert tft.cardy_check(Xxy, Xxy).equal
     assert len(calls) <= alone
@@ -362,7 +365,97 @@ def test_cardy_check_reuses_the_bound_coboundaries(monkeypatch):
     b = rep.bound
     # the composite's degree is the bound, so the supertrace builds nothing
     assert rep.equal and sorted(args[2:4] for args in calls) == [
-        (0, b), (0, b + 1), (1, b), (1, b + 1)]
+        (0, b + 1), (1, b + 1)]
+
+
+def _classes_by_second_pass(X, Y, bound, ctx):
+    """The cohomology selection as first written, at one bound: both boundary
+    systems built at that bound, the whole kernel of each, and every cocycle
+    kept that enlarges the span of the coboundary columns."""
+    systems = [_boundary_columns(X, Y, p, bound, ctx) for p in (0, 1)]
+    coboundaries = (systems[1][1], systems[0][1])
+    classes = []
+    for parity, (dom, cols) in enumerate(systems):
+        n = len(dom)
+        span = linalg.Span()
+        for v in coboundaries[parity]:
+            span.add(v)
+        classes.append([d for d in (
+            {dom[k]: c for k, c in vec.items()}
+            for vec in linalg.nullspace(_equations(cols)[0], n, n)[1])
+            if span.add(d)])
+    return classes, coboundaries
+
+
+def _line_cases():
+    for p in range(2, 6):
+        X = line_defect(p).base
+        for bound in range(2 * p + 1):
+            yield X, X, bound
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "layerbench",
+                      "corpus.lg")
+
+
+def _corpus_cases():
+    mfs = load_workspace(CORPUS).mfs
+    names = ["Xc", "X4a", "X4b", "X5", "Xq", "Xuv"]
+    for a in names:
+        for b in names:
+            if mfs[a].potential == mfs[b].potential:
+                for bound in range(4):
+                    yield mfs[a], mfs[b], bound
+
+
+def _rho_cases():
+    """X -> X (x) Delta for the line defects of x^2 - y^2 and x^3 - y^3,
+    X widened to the tensor's ring."""
+    for power in (2, 3):
+        data = line_defect(power)
+        X = data.base
+        T = unit_action_right(X, koszul_unit(data.source_potential)).tensor_mf
+        Xb = MatrixFactorisation(T.ctx, X.potential, list(X.parity), X.d)
+        for bound in range(4):
+            yield Xb, T, bound
+
+
+@pytest.mark.parametrize("cases", [_line_cases, _corpus_cases, _rho_cases],
+                         ids=["line-defects", "corpus-pairs", "rho"])
+def test_stability_counts_match_a_second_pass_at_bound_plus_one(cases):
+    """The one bound + 1 system per parity gives the second pass's classes
+    at the bound, its coboundary columns, and its class counts at bound + 1;
+    every family has bounds where the counts change (stable is False)."""
+    unstable = 0
+    for X, Y, bound in cases():
+        ctx = Y.ctx.merge(X.ctx)
+        classes, coboundaries, counts = tft._classes_at(X, Y, bound, ctx)
+        want, want_cob = _classes_by_second_pass(X, Y, bound, ctx)
+        above = [len(c) for c in _classes_by_second_pass(X, Y, bound + 1,
+                                                         ctx)[0]]
+        assert classes == want and coboundaries == want_cob
+        assert counts == above, (X, Y, bound)
+        coh = tft.hom_cohomology(X, Y, bound)
+        assert coh.stable == ([len(c) for c in want] == above)
+        unstable += not coh.stable
+    assert unstable
+
+
+def test_a_negative_degree_bound_is_refused():
+    X = line_defect(2).base
+    with pytest.raises(ValueError, match="negative degree bound -1"):
+        tft.hom_cohomology(X, X, -1)
+    with pytest.raises(ValueError, match="negative degree bound -3"):
+        tft.cardy_check(X, X, degree_bound=-3)
+    with pytest.raises(ValueError, match="negative degree bound -1"):
+        null_homotopy_search(X.identity(), -1)
+    # both snake composites of this defect are exactly the identity, so
+    # no witness search would see the bound
+    data = line_defect(2)
+    assert zorro_check(data)["right"]["exact"]
+    with pytest.raises(ValueError, match="negative degree bound -2"):
+        zorro_check(data, degree_bound=-2)
+    assert tft.hom_cohomology(X, X, 0).bound == 0
 
 
 def test_cardy_identity_on_corpus_pairs():
