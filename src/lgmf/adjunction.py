@@ -16,7 +16,7 @@ from operator import add, ge, sub
 from . import polymat, signs
 from .ideal import groebner, normal_form
 from .mf import (FactorisationError, MatrixFactorisation, Morphism,
-                 NullHomotopySet, _check_bound, _commutator_mismatch,
+                 NullHomotopySet, _check_bound, _commutator_mismatch, _delta,
                  _solve_boundary, default_null_homotopies, dual,
                  dual_morphism, mf_rename, null_homotopy_search, shift, tensor)
 from .residue import JacobiRing
@@ -212,31 +212,17 @@ class KoszulValuedMap:
                 ctx = ctx.merge(e.ctx)
         return ctx
 
-    def boundary_matrix(self, ctx: RingContext | None = None):
-        """d_target o K - (-1)^parity K o d_source on the stored entries."""
-        ctx = self._joint_ctx() if ctx is None else ctx
-        K = embed_matrix(self.mat, ctx)
-        dT = embed_matrix(self.target.d, ctx)
-        dS = embed_matrix(self.source.d, ctx)
-        left = polymat.mat_mul(dT, K)
-        right = polymat.mat_mul(K, dS)
-        if self.parity % 2 == 0:
-            return polymat.mat_sub(left, right)
-        return polymat.mat_add(left, right)
-
     def denominator_gb(self, ctx: RingContext):
         if not self.denominators:
             return None
         return groebner([embed(f, ctx) for f in self.denominators])
 
-    def reduce_entry(self, p: Poly, gb) -> Poly:
-        return p if gb is None else normal_form(p, gb)
-
     def is_closed(self) -> bool:
+        """delta(K) = 0, modulo the denominator ideal for residue maps."""
         ctx = self._joint_ctx()
         gb = self.denominator_gb(ctx)
-        bnd = self.boundary_matrix(ctx)
-        return all(self.reduce_entry(e, gb).is_zero()
+        bnd = _delta(self.target.d, self.mat, self.source.d, self.parity, ctx)
+        return all((e if gb is None else normal_form(e, gb)).is_zero()
                    for row in bnd for e in row)
 
 
@@ -505,7 +491,7 @@ def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
 
 # -- Zorro composites ---------------------------------------------------------
 
-def zorro_composite(data: AdjointData, variant: str = "right") -> Morphism:
+def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     """The snake composite X -> X for either adjunction.
 
     variant='right': lambda o (ev_tilde (x) 1) o (1 (x) coev_tilde) o rho^{-1};

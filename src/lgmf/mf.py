@@ -81,11 +81,20 @@ class MatrixFactorisation:
 
 
 def new_mf(ctx: RingContext, W: Poly, d0, d1) -> MatrixFactorisation:
-    """Build a factorisation from its two blocks (even basis listed first)."""
+    """Build a factorisation from its two blocks (even basis listed first).
+
+    d0 maps the even basis to the odd one (ro x re) and d1 back (re x ro);
+    blocks of other shapes raise FactorisationError."""
     d0 = embed_matrix(d0, ctx)
     d1 = embed_matrix(d1, ctx)
-    re = len(d0[0]) if d0 else (len(d1) if d1 else 0)
+    re = len(d0[0]) if d0 else len(d1)
     ro = len(d0)
+    if (any(len(row) != re for row in d0) or len(d1) != re
+            or any(len(row) != ro for row in d1)):
+        shapes = [f"{len(m)}x{len(m[0]) if m else 0}" for m in (d0, d1)]
+        raise FactorisationError(f"blocks of shapes {shapes[0]} and "
+                                 f"{shapes[1]} do not form a square odd "
+                                 f"differential")
     parity = (0,) * re + (1,) * ro
     d = polymat.zeros(ctx, re + ro, re + ro)
     for a in range(ro):
@@ -131,14 +140,13 @@ class Morphism:
 
     def boundary(self) -> "Morphism":
         """delta(f) = d_T f - (-1)^{|f|} f d_S (zero iff f is closed)."""
-        ctx = self.ctx
-        dT = embed_matrix(self.target.d, ctx)
-        dS = embed_matrix(self.source.d, ctx)
-        out = polymat.mat_sub(
-            polymat.mat_mul(dT, self.mat),
-            polymat.mat_scale(polymat.mat_mul(self.mat, dS),
-                              (-1) ** self.parity))
-        return Morphism(self.source, self.target, self.parity ^ 1, out)
+        return Morphism(self.source, self.target, self.parity ^ 1,
+                        _delta(self.target.d, self.mat, self.source.d,
+                               self.parity, self.ctx))
+
+    def verifies(self, phi: "Morphism") -> bool:
+        """Whether this map is a null-homotopy of phi: boundary == phi."""
+        return self.boundary() == phi
 
     def is_closed(self) -> bool:
         return polymat.is_zero_matrix(self.boundary().mat)
@@ -308,19 +316,13 @@ def tensor_morphism(f: Morphism, g: Morphism) -> Morphism:
 
 # -- homotopies ---------------------------------------------------------------
 
-@dataclass
-class Homotopy:
-    source: MatrixFactorisation
-    target: MatrixFactorisation
-    parity: int
-    mat: list
-
-    def as_morphism(self) -> Morphism:
-        return Morphism(self.source, self.target, self.parity, self.mat)
-
-    def verifies(self, phi: Morphism) -> bool:
-        """Exact check d h + (-1)^{|h|+1} ... i.e. boundary(h) == phi."""
-        return self.as_morphism().boundary() == phi
+def _delta(dT, K, dS, parity: int, ctx: RingContext):
+    """d_T K - (-1)^parity K d_S, every matrix embedded in ``ctx``: the
+    boundary of a map K of that parity (its commutator with d when odd)."""
+    K = embed_matrix(K, ctx)
+    left = polymat.mat_mul(embed_matrix(dT, ctx), K)
+    right = polymat.mat_mul(K, embed_matrix(dS, ctx))
+    return (polymat.mat_add if parity % 2 else polymat.mat_sub)(left, right)
 
 
 def _monomials_up_to(ctx: RingContext, bound: int):
@@ -455,8 +457,9 @@ def default_homotopy_bound(phi: Morphism) -> int:
 def null_homotopy_search(phi: Morphism, degree_bound: int | None = None):
     """Exact witness h with boundary(h) = phi, entry degrees <= bound, or None.
 
-    The linear system on the unknown coefficients is solved over Q; a found
-    witness is re-verified exactly before being returned.
+    h is a Morphism of parity |phi| + 1.  The linear system on the unknown
+    coefficients is solved over Q; a found witness is re-verified exactly
+    before being returned.
     """
     _check_bound(degree_bound)
     if degree_bound is None:
@@ -466,7 +469,7 @@ def null_homotopy_search(phi: Morphism, degree_bound: int | None = None):
                            phi.ctx, phi.mat)
     if hmat is None:
         return None
-    h = Homotopy(phi.source, phi.target, hpar, hmat)
+    h = Morphism(phi.source, phi.target, hpar, hmat)
     if not h.verifies(phi):
         raise RuntimeError("homotopy witness failed exact re-verification")
     return h
@@ -488,11 +491,7 @@ class NullHomotopySet:
 
     def product(self):
         """The composite Lambda = lambda_1 o ... o lambda_n as a matrix."""
-        ctx = self.mf.ctx
-        out = polymat.identity(ctx, self.mf.rank)
-        for name in self.order:
-            out = polymat.mat_mul(out, self.entries[name].mat)
-        return out
+        return self.permuted_product(range(1, len(self.order) + 1))
 
     def permuted_product(self, sigma):
         """Lambda with factors permuted: lambda_{sigma(1)} ... lambda_{sigma(n)}."""
@@ -505,8 +504,7 @@ class NullHomotopySet:
 
 def _commutator_mismatch(X: MatrixFactorisation, lam, name: str, sgn):
     """The first (i, j) where [d, lam] != sgn * dW/d(name) * Id, else None."""
-    comm = polymat.mat_add(polymat.mat_mul(X.d, lam),
-                           polymat.mat_mul(lam, X.d))
+    comm = _delta(X.d, lam, X.d, 1, X.ctx)
     want = partial_derivative(X.potential, name) * sgn
     for i in range(X.rank):
         for j in range(X.rank):
@@ -516,7 +514,7 @@ def _commutator_mismatch(X: MatrixFactorisation, lam, name: str, sgn):
 
 
 def default_null_homotopies(X: MatrixFactorisation, var_names,
-                            side: str = "source") -> NullHomotopySet:
+                            side: str) -> NullHomotopySet:
     """lambda_v = -d/dv(d_X) for source-side vars, +d/dv(d_X) for target-side.
 
     Each entry is verified exactly: [d, lambda_v] = -(resp +) d/dv(potential).

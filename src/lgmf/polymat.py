@@ -14,11 +14,18 @@ def identity(ctx: RingContext, n: int):
     return [[ctx.one() if i == j else ctx.zero() for j in range(n)] for i in range(n)]
 
 
+def _check_same_shape(a, b):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise ValueError("matrices of different shapes")
+
+
 def mat_add(a, b):
+    _check_same_shape(a, b)
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
+    _check_same_shape(a, b)
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
@@ -31,12 +38,16 @@ def mat_mul(a, b):
 
     Cells that get no product are the zero of the entries' common context;
     as in the dense product, entries in different contexts raise
-    ContextMismatch whenever there is a product to form.
+    ContextMismatch whenever there is a product to form.  Factors whose
+    shapes do not chain raise ValueError.
     """
     if not a:
         return []
     rows, inner = len(a), len(b)
     cols = len(b[0]) if inner else 0
+    if (any(len(row) != inner for row in a)
+            or any(len(row) != cols for row in b)):
+        raise ValueError("matrix shapes do not chain")
     if not cols:
         return [[] for _ in range(rows)]
     ctx = a[0][0].ctx

@@ -224,10 +224,7 @@ class JacobiRing:
         return _plan_from_basis(self.gb, self.ctx.names)
 
     def reduce(self, p) -> "JacobiElement":
-        if isinstance(p, JacobiElement):
-            if p.ring.ctx != self.ctx:
-                raise ValueError("element of a different Jacobi ring")
-            p = p.rep
+        p = _rep(p, self)
         p = embed(p, self.ctx) if p.ctx != self.ctx else p
         rep = p if self.gb is None else normal_form(p, self.gb)
         return JacobiElement(self, rep)
@@ -299,7 +296,11 @@ class JacobiElement:
 
 
 def _rep(other, ring: JacobiRing) -> Poly:
+    """A polynomial standing for ``other`` in ``ring``; an element of another
+    Jacobi ring (a ring not equal to ``ring``) raises ValueError."""
     if isinstance(other, JacobiElement):
+        if other.ring is not ring and other.ring != ring:
+            raise ValueError(f"element of {other.ring}, not of {ring}")
         return other.rep
     if isinstance(other, Poly):
         return other

@@ -33,13 +33,12 @@ class UnknownVariable(KeyError):
 class RingContext:
     """An ordered tuple of variable names; the carrier ring Q[names].
 
-    Contexts compare and hash by their name tuple.  ``primed_pairs`` lists the
-    (unprimed index, primed index) pairs detected by the quote-suffix
-    convention; doubled contexts always append the primed block after the
-    unprimed block.  ``zero()`` is one shared Poly per context.
+    Contexts compare and hash by their name tuple.  Doubled contexts append
+    the primed block after the unprimed block.  ``zero()`` is one shared Poly
+    per context.
     """
 
-    __slots__ = ("names", "_lookup", "primed_pairs", "_zero")
+    __slots__ = ("names", "_lookup", "_zero")
 
     def __init__(self, names):
         names = tuple(names)
@@ -47,12 +46,6 @@ class RingContext:
             raise ValueError(f"duplicate variable names in {names}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_lookup", {n: i for i, n in enumerate(names)})
-        pairs = tuple(
-            (i, self._lookup[primed_name(n)])
-            for i, n in enumerate(names)
-            if primed_name(n) in self._lookup
-        )
-        object.__setattr__(self, "primed_pairs", pairs)
         object.__setattr__(self, "_zero", _poly(self, {}))
 
     def __setattr__(self, *a):  # immutable
@@ -503,22 +496,10 @@ def rename_matrix(mat, mapping, target_ctx: RingContext | None = None) -> list:
         mat, lambda src: _renaming(src, mapping, target_ctx))
 
 
-def _substitution(src: RingContext, mapping, target_ctx: RingContext | None):
-    ctx = target_ctx if target_ctx is not None else src
-    return _remap(ctx, [ctx.index(mapping.get(n, n)) for n in src.names])
-
-
 def substitute(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
     """Variable-for-variable substitution, merges allowed (e.g. x' -> x)."""
-    return _substitution(p.ctx, mapping, target_ctx)(p)
-
-
-def substitute_matrix(mat, mapping,
-                      target_ctx: RingContext | None = None) -> list:
-    """A new matrix of ``substitute(e, mapping, target_ctx)`` for the
-    entries e of ``mat``."""
-    return _remap_matrix(
-        mat, lambda src: _substitution(src, mapping, target_ctx))
+    ctx = target_ctx if target_ctx is not None else p.ctx
+    return _remap(ctx, [ctx.index(mapping.get(n, n)) for n in p.ctx.names])(p)
 
 
 def partial_derivative(p: Poly, name: str) -> Poly:
@@ -571,19 +552,13 @@ def exact_div_linear(p: Poly, uname: str, pname: str) -> Poly:
     return Poly(p.ctx, q)
 
 
-def _default_pairs(ctx: RingContext):
-    if not ctx.primed_pairs:
-        raise ValueError(f"context {ctx.names} has no primed pairs")
-    return [(ctx.names[i], ctx.names[j]) for i, j in ctx.primed_pairs]
-
-
-def divided_difference(p: Poly, i: int, pairs=None) -> Poly:
+def divided_difference(p: Poly, i: int, pairs) -> Poly:
     """The difference quotient: prime variables 1..i-1 resp. 1..i, divide.
 
-    ``pairs`` lists (unprimed, primed) names in the operator's order; defaults
-    to the context's primed pairs in context order.  ``i`` is 1-based.
+    ``pairs`` lists (unprimed, primed) names in the operator's order.  ``i``
+    is 1-based.
     """
-    pairs = _default_pairs(p.ctx) if pairs is None else list(pairs)
+    pairs = list(pairs)
     if not 1 <= i <= len(pairs):
         raise IndexError(f"divided difference index {i} out of range 1..{len(pairs)}")
     left = substitute(p, {u: pr for u, pr in pairs[: i - 1]})
@@ -591,13 +566,13 @@ def divided_difference(p: Poly, i: int, pairs=None) -> Poly:
     return exact_div_linear(left - right, pairs[i - 1][0], pairs[i - 1][1])
 
 
-def divided_difference_ordered(p: Poly, i: int, sigma, pairs=None) -> Poly:
+def divided_difference_ordered(p: Poly, i: int, sigma, pairs) -> Poly:
     """The modified difference quotient for a permutation of the pair order.
 
     ``sigma`` is a sequence with sigma[k-1] = sigma(k), 1-based values into
     ``pairs``; reduces to divided_difference for the identity.
     """
-    pairs = _default_pairs(p.ctx) if pairs is None else list(pairs)
+    pairs = list(pairs)
     sigma = list(sigma)
     if sorted(sigma) != list(range(1, len(pairs) + 1)):
         raise ValueError(f"{sigma} is not a permutation of 1..{len(pairs)}")

@@ -38,8 +38,6 @@ class DefectOperator:
     images: list  # JacobiElement per source basis monomial
 
     def apply(self, el) -> JacobiElement:
-        if not isinstance(el, (Poly, JacobiElement)):
-            el = self.source.ctx.const(Fraction(el))
         coords = self.source.coordinates(self.source.reduce(el))
         acc = self.target.zero()
         for c, img in zip(coords, self.images):
@@ -149,15 +147,14 @@ def defect_operator_left(data: AdjointData, Phi=None) -> DefectOperator:
     return DefectOperator(tgt, src, images)
 
 
-def quantum_dim(data: AdjointData, side: str = "right") -> JacobiElement:
+def quantum_dim(data: AdjointData, side: str) -> JacobiElement:
     """The image of 1 under the chosen defect action (one residue)."""
     _check_side(side)
     _parity_warn(data)
     return _act_on_field(data, side, None)
 
 
-def defect_act(data: AdjointData, field: Poly,
-               side: str = "right") -> JacobiElement:
+def defect_act(data: AdjointData, field: Poly, side: str) -> JacobiElement:
     """The chosen defect action on one bulk field (one residue).
 
     Equals ``defect_operator_<side>(data).apply(field)`` without forming the
@@ -278,8 +275,8 @@ class HomCohomology:
     h0: list                    # list of closed even Morphisms
     h1: list                    # list of closed odd Morphisms
     stable: bool                # dimensions agree at bound + 1
-    # per parity p, the coboundary columns at ``bound`` (boundaries of
-    # parity p ^ 1 maps), kept for the Cardy supertrace
+    # per parity p, the span of the coboundary columns at ``bound``
+    # (boundaries of parity p ^ 1 maps), kept for the Cardy supertrace
     coboundaries: tuple = field(repr=False, compare=False)
 
     @property
@@ -289,11 +286,13 @@ class HomCohomology:
 
 def _classes_at(X, Y, bound, ctx):
     """Per parity: cocycle representatives of the classes on entries of
-    degree <= bound, the coboundary columns they were selected against, and
-    the class count at bound + 1.  Each boundary system is built once, at
-    bound + 1, with the unknowns of degree <= bound first, so their kernel
-    vectors and columns are those at the bound.  As delta^2 = 0, the count
-    at bound + 1 is dim Z - dim B + rank(B's parts above bound + 1)."""
+    degree <= bound, the span of the coboundary columns they were selected
+    against, and the class count at bound + 1.  Each boundary system is
+    built once, at bound + 1, with the unknowns of degree <= bound first, so
+    their kernel vectors and columns are those at the bound.  A cocycle is a
+    new class iff its remainder modulo the span is independent of the
+    earlier classes' remainders.  As delta^2 = 0, the count at bound + 1 is
+    dim Z - dim B + rank(B's parts above bound + 1)."""
     top = bound + 1
     systems = []
     for p in (0, 1):
@@ -301,13 +300,14 @@ def _classes_at(X, Y, bound, ctx):
         order = sorted(range(len(dom)), key=lambda k: sum(dom[k][2]) == top)
         systems.append(([dom[k] for k in order], [cols[k] for k in order],
                         sum(sum(m) < top for _, _, m in dom)))
-    coboundaries = tuple(cols[:low] for _, cols, low in reversed(systems))
+    coboundaries = tuple(linalg.Span(cols[:low])
+                         for _, cols, low in reversed(systems))
     classes, ranks = [], []
     for (dom, cols, low), cob in zip(systems, coboundaries):
         rank, cocycles = linalg.nullspace(_equations(cols)[0], len(dom), low)
         reps = ({dom[k]: c for k, c in vec.items()} for vec in cocycles)
-        span = linalg.Span(cob)
-        classes.append([d for d in reps if span.add(d)])
+        chosen = linalg.Span()
+        classes.append([d for d in reps if chosen.add(cob.reduce(d))])
         ranks.append(rank)
     counts = [len(systems[p][0]) - ranks[p] - ranks[p ^ 1] + linalg.rank(
         _equations([{k: c for k, c in col.items() if sum(k[2]) > top}
@@ -362,9 +362,8 @@ def _cohomology_supertrace(coh: HomCohomology, phi: Morphism,
         deg = max([coh.bound] + [e.total_degree() for im in images
                                  for row in im.mat for e in row
                                  if not e.is_zero()])
-        span = linalg.Span(
-            coh.coboundaries[parity] if deg == coh.bound
-            else _boundary_columns(X, Y, parity ^ 1, deg, ctx)[1])
+        span = (coh.coboundaries[parity] if deg == coh.bound else
+                linalg.Span(_boundary_columns(X, Y, parity ^ 1, deg, ctx)[1]))
         bas = [span.reduce(_matrix_vector(b.mat, ctx)) for b in basis]
         ims = [span.reduce(_matrix_vector(im.mat, ctx)) for im in images]
         for k, im in enumerate(ims):

@@ -15,8 +15,7 @@ from . import polymat, signs
 from .mf import MatrixFactorisation, Morphism, mf_rename, tensor
 from .residue import JacobiRing
 from .ring import (Poly, RingContext, _restrict, embed, embed_matrix,
-                   exact_div_linear, primed_name, rename_matrix, substitute,
-                   substitute_matrix)
+                   exact_div_linear, primed_name, rename_matrix, substitute)
 
 
 class KoszulUnit(MatrixFactorisation):
@@ -383,15 +382,14 @@ def _section_quotients(X: MatrixFactorisation, unit: KoszulUnit,
 
 
 def rho_inverse(X: MatrixFactorisation, unit: KoszulUnit,
-                action: UnitAction | None = None) -> Morphism:
-    """The explicit section of rho: X -> X (x) Delta_W.
+                action: UnitAction) -> Morphism:
+    """The explicit section of rho = ``action``: X -> X (x) Delta_W.
 
     rho o rho_inverse = Id exactly; the subset-l term carries the sign
     (-1)^(binom(l,2) + l|e_i|) and the ascending product of difference
     quotients of d_X in the unit's variables.
     """
-    act = action if action is not None else unit_action_right(X, unit)
-    return _rho_inverse(X, unit, act, _section_quotients(X, unit, act))
+    return _rho_inverse(X, unit, action, _section_quotients(X, unit, action))
 
 
 def _rho_inverse(X, unit, act, D) -> Morphism:
@@ -414,14 +412,14 @@ def _rho_inverse(X, unit, act, D) -> Morphism:
 
 
 def lambda_inverse(X: MatrixFactorisation, unit: KoszulUnit,
-                   action: UnitAction | None = None) -> Morphism:
-    """The explicit section of lambda: X -> Delta_V (x) X.
+                   action: UnitAction) -> Morphism:
+    """The explicit section of lambda = ``action``: X -> Delta_V (x) X.
 
     No binomial sign; the product of difference quotients is taken in
     descending subset order.
     """
-    act = action if action is not None else unit_action_left(X, unit)
-    return _lambda_inverse(X, unit, act, _section_quotients(X, unit, act))
+    return _lambda_inverse(X, unit, action,
+                           _section_quotients(X, unit, action))
 
 
 def _lambda_inverse(X, unit, act, D) -> Morphism:
@@ -482,38 +480,17 @@ def lift_to_diagonal(phi_values, Y: MatrixFactorisation,
 def permute_unit(sigma, W: Poly):
     """The comparison xi: Delta_W -> Delta_W^sigma (rho o lambda-inverse).
 
+    lambda-inverse lands in Delta^sigma (x) Delta_W, the middles shared; rho
+    contracts the right-hand Delta_W onto Delta^sigma, sending the middles
+    and Delta_W's primes to Delta^sigma's primes.
     Returns (xi, unit, unit_sigma); xi is closed and a homotopy equivalence.
     """
     unit = koszul_unit(W)
     unit_sigma = koszul_unit(W, sigma=tuple(sigma),
                              require_potential=False)   # certified just above
     act = unit_action_left(unit, unit_sigma)
-    li = lambda_inverse(unit, unit_sigma, action=act)
-    # contract the right-hand Delta_W factor of Delta^sigma (x) Delta_W
-    T = act.tensor_mf
-    umf = act.unit_mf          # Delta^sigma with middle prime names
-    # rho_{Delta_W}: select theta-degree-0 of the right factor, identify its
-    # free primed block with the middle names.
-    rx = unit.rank
-    nsub = umf.rank
-    ctx = T.ctx
-    # T basis index = s * rx + j  (s over Delta^sigma subsets, j over Delta_W)
-    # Delta_W's free block inside T: its prime_names were renamed? The left
-    # action renamed Delta_W's base (unprimed) block to the middles; its primed
-    # block is untouched.  rho contracts Delta_W: theta-degree 0 means j = 0,
-    # and its free primed block x' is identified with its shared block (mids).
-    mids = umf.prime_names
-    contraction = dict(zip(unit.prime_names, mids))
-    mat = polymat.zeros(ctx, nsub, rx)
-    for s in range(nsub):
-        for i in range(rx):
-            entry = li.mat[s * rx + 0][i]
-            if not entry.is_zero():
-                mat[s][i] = substitute(embed(entry, ctx), contraction)
-    # express in the standard (x, x') slots of Delta^sigma: umf has slots
-    # (base, mids); rename mids back to the standard primes.
-    back = dict(zip(mids, unit_sigma.prime_names))
-    xi_mat = substitute_matrix(mat, back, target_ctx=ctx)
-    xi_mat = [[_try_restrict(e, unit_sigma.ctx) for e in row] for row in xi_mat]
-    xi = Morphism(unit, unit_sigma, 0, xi_mat)
-    return xi, unit, unit_sigma
+    li = lambda_inverse(unit, unit_sigma, act)
+    onto = dict(zip(act.unit_mf.prime_names + unit.prime_names,
+                    unit_sigma.prime_names * 2))
+    rho = UnitAction("right", unit_sigma, unit, act.tensor_mf, onto)
+    return rho.compose(li), unit, unit_sigma

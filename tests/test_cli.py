@@ -74,6 +74,14 @@ def test_workspace_loads_all_declarations(ws):
     ("ring R = [x]\npotential W on R = x^3\nmf Xc on W = ([x], [x^2])\n"
      "morphism f : Xc -> Xc parity 0 = [[0, -x], [1, 0]]\n",
      "line 4: morphism 'f': entry [0][1] = -x is not of parity 0"),
+    # blocks that do not form a square odd differential
+    ("ring R = [x]\npotential W on R = x^3\nmf X on W = ([x], [[x^2], [x]])\n",
+     "line 3: mf 'X' does not factor W: blocks of shapes 1x1 and 2x1 do not "
+     "form a square odd differential"),
+    ("ring R = [x]\npotential W on R = x^3\nmf X on W = ([[x], [x]], [[x^2]])\n",
+     "line 3: mf 'X' does not factor W: blocks of shapes 2x1 and 1x1"),
+    ("ring R = [x]\npotential W on R = x^3\nmf X on W = ([[x, 1]], [[x^2]])\n",
+     "line 3: mf 'X' does not factor W: blocks of shapes 1x2 and 1x1"),
 ])
 def test_workspace_errors(tmp_path, snippet, needle):
     path = tmp_path / "bad.lg"

@@ -40,6 +40,29 @@ def test_misfactorisation_rejected():
         new_mf(cx, x ** 3, [[x]], [[x]])
 
 
+def test_blocks_that_are_not_a_square_odd_differential_are_refused():
+    """d0 must be ro x re and d1 re x ro; a surplus row or a missing column
+    is refused, not dropped or read out of range."""
+    cx = ctx_of("x")
+    x = cx.gen("x")
+    for d0, d1, shapes in (([[x]], [[x ** 2], [x]], "1x1 and 2x1"),
+                           ([[x], [x]], [[x ** 2]], "2x1 and 1x1"),
+                           ([[x, cx.one()]], [[x ** 2]], "1x2 and 1x1"),
+                           ([[x], [x]], [[x ** 2, x], [x]], "2x1 and 2x2")):
+        with pytest.raises(FactorisationError, match=f"blocks of shapes "
+                           f"{shapes} do not form a square odd differential"):
+            new_mf(cx, x ** 3, d0, d1)
+    assert new_mf(cx, x ** 3, [[x]], [[x ** 2]]).rank == 2
+
+
+def test_a_composite_of_unchained_shapes_is_refused():
+    """Id_T o Id_X for T = X (x) X of rank 4 and X of rank 2 has no shape."""
+    X = corpus_boundary_mfs()["x^3:(x,x^2)"]
+    T = tensor(X, X)
+    with pytest.raises(ValueError, match="do not chain"):
+        T.identity().compose(X.identity())
+
+
 def test_commutator_with_derivative_of_d(boundary_mfs):
     """[d, dd/dv] = dW/dv * Id for every corpus factorisation."""
     for key, X in boundary_mfs.items():
@@ -280,8 +303,10 @@ def test_null_homotopy_found_for_contractible_endomorphism():
     alpha = Morphism(X, X, 1, [[cx.zero(), x], [cx.one(), cx.zero()]])
     phi = alpha.boundary()
     wit = null_homotopy_search(phi)
-    assert wit is not None
-    assert wit.verifies(phi)
+    assert isinstance(wit, Morphism) and wit.parity == phi.parity ^ 1
+    assert (wit.source, wit.target) == (X, X)
+    assert wit.verifies(phi) and wit.boundary() == phi
+    assert not wit.verifies(phi.scale(2))
 
 
 def test_homotopic_depends_only_on_class(eta_x3):

@@ -1,5 +1,6 @@
 """The sparse matrix product against the dense triple loop."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,3 +97,18 @@ def test_mat_mul_checks_contexts_of_zero_entries():
         assert _outcome(polymat.mat_mul, a, b) is ContextMismatch
     # with no product to form, the dense loop never compares contexts
     assert polymat.mat_mul([[OTHER.zero()]], [[]]) == [[]]
+
+
+def test_shapes_that_do_not_chain_or_match_are_refused():
+    x = CTX.gen("x")
+    for a, b in (([[x, x, x]], [[x], [x]]), ([[x, x]], [[x], [x, x]]),
+                 ([[x], [x, x]], [[x]])):
+        with pytest.raises(ValueError, match="do not chain"):
+            polymat.mat_mul(a, b)
+    for a, b in (([[x]], [[x], [x]]), ([[x, x]], [[x]]),
+                 ([[x], [x]], [[x], [x, x]])):
+        for op in (polymat.mat_add, polymat.mat_sub):
+            with pytest.raises(ValueError, match="different shapes"):
+                op(a, b)
+            with pytest.raises(ValueError, match="different shapes"):
+                op(b, a)

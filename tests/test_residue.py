@@ -366,3 +366,22 @@ def test_plan_from_a_basis_over_other_variables_is_rejected():
         residue_module._plan_from_basis(gb, ["y", "x"])
     with pytest.raises(ValueError, match="integration variables"):
         residue_module._plan_from_basis(None, ["x"])
+
+
+def test_an_element_of_another_jacobi_ring_is_refused():
+    """Jac(x^3) and Jac(x^4) share their context but not their relations: an
+    element of one does not enter the other, while equal rings built twice
+    still mix."""
+    cx = RingContext(["x"])
+    x = cx.gen("x")
+    r3, r4 = residue_module.JacobiRing(x ** 3), residue_module.JacobiRing(x ** 4)
+    x2 = r4.reduce(x ** 2)
+    for bad in (lambda: r3.reduce(x2),
+                lambda: tft.bulk_pairing(x2, r4.reduce(x), r3),
+                lambda: r3.one() + x2, lambda: r3.one() * x2):
+        with pytest.raises(ValueError, match="element of JacobiRing"):
+            bad()
+    again = residue_module.JacobiRing(x ** 3)
+    assert again.reduce(r3.reduce(x)) == r3.reduce(x)
+    assert r3.one() + again.one() == r3.reduce(2 * cx.one())
+    assert tft.bulk_pairing(r3.one(), again.reduce(x), r3) == Fraction(1, 3)

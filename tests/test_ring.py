@@ -14,8 +14,7 @@ from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
                        _terms_mul, _terms_scale, _tokenize,
                        divided_difference, divided_difference_ordered, embed,
                        embed_matrix, format_poly, parse_poly,
-                       partial_derivative, rename, rename_matrix, substitute,
-                       substitute_matrix)
+                       partial_derivative, rename, rename_matrix, substitute)
 from lgmf.unit import _try_restrict
 
 from conftest import canonical_coefficient
@@ -566,8 +565,6 @@ _MATRIX_MAPS = [
     (rename, rename_matrix, ({"x": "x'", "y": "y'"}, _DOUBLED)),
     (rename, rename_matrix, ({"x": "y", "y": "x"},)),
     (rename, rename_matrix, ({"x": "y"},)),
-    (substitute, substitute_matrix, ({"x'": "x", "y'": "y"}, _XY)),
-    (substitute, substitute_matrix, ({"x": "y", "x'": "y'"},)),
 ]
 
 

@@ -10,8 +10,8 @@ from lgmf.mf import Morphism, homotopic, mf_rename, null_homotopy_search
 from lgmf.residue import JacobiRing
 from lgmf.ring import (RingContext, divided_difference,
                        divided_difference_ordered, embed, rename, substitute)
-from lgmf.unit import (KoszulElement, difference_quotients, epsilon,
-                       koszul_unit, lambda_inverse, lift_to_diagonal,
+from lgmf.unit import (KoszulElement, _try_restrict, difference_quotients,
+                       epsilon, koszul_unit, lambda_inverse, lift_to_diagonal,
                        permute_unit, phi, psi, psi_of_words,
                        psi_phi_is_identity, rho_inverse, stab_pi,
                        unit_action_left, unit_action_right)
@@ -228,6 +228,49 @@ def test_permute_unit_comparison_is_closed_and_respects_pi():
         want = embed(W.ctx.one() if unit.subsets[j] == () else W.ctx.zero(),
                      got.ctx)
         assert got == want
+
+
+def _permute_unit_by_hand(sigma, W):
+    """xi as first written, the contraction spelled out: lambda-inverse into
+    Delta^sigma (x) Delta_W (basis index s * rank + j), keep the
+    theta-degree-0 component j = 0 of the right-hand Delta_W, identify its
+    primes with the middles, then rename the middles to Delta^sigma's
+    primes."""
+    unit = koszul_unit(W)
+    unit_sigma = koszul_unit(W, sigma=tuple(sigma))
+    act = unit_action_left(unit, unit_sigma)
+    li = lambda_inverse(unit, unit_sigma, act)
+    ctx = act.tensor_mf.ctx
+    mids = act.unit_mf.prime_names
+    contraction = dict(zip(unit.prime_names, mids))
+    back = dict(zip(mids, unit_sigma.prime_names))
+    rx = unit.rank
+    return [[_try_restrict(substitute(substitute(embed(li.mat[s * rx][i],
+                                                       ctx), contraction),
+                                      back, target_ctx=ctx), unit_sigma.ctx)
+             for i in range(rx)] for s in range(act.unit_mf.rank)]
+
+
+_CXYZ = ctx_of("x", "y", "z")
+_X, _Y, _Z = (_CXYZ.gen(n) for n in "xyz")
+_CXY = ctx_of("x", "y")
+_U, _V = _CXY.gen("x"), _CXY.gen("y")
+
+
+@pytest.mark.parametrize("W", [
+    _U ** 3 + _V ** 3, _U ** 2 * _V + _V ** 4,
+    _X ** 3 + _Y ** 3 + _Z ** 3,
+    _X ** 3 * _Y + _Y ** 3 * _Z + _Z ** 3 * _X,
+], ids=["x3+y3", "x2y+y4", "Fermat cubic", "Klein quartic"])
+def test_permute_unit_is_the_hand_written_contraction(W):
+    """rho o lambda-inverse through UnitAction gives the entries, and their
+    contexts, of the contraction written out by hand, for every sigma."""
+    for sigma in itertools.permutations(range(1, len(W.ctx.names) + 1)):
+        xi, unit, unit_sigma = permute_unit(sigma, W)
+        want = _permute_unit_by_hand(sigma, W)
+        assert (xi.source, xi.target) == (unit, unit_sigma)
+        assert [[(e.ctx, e) for e in row] for row in xi.mat] == [
+            [(e.ctx, e) for e in row] for row in want], sigma
 
 
 def test_permute_unit_certifies_its_potential_once(monkeypatch):
