@@ -24,8 +24,8 @@ from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
                    _terms_add, _terms_mul, embed, embed_matrix,
                    partial_derivative, primed_name, rename_matrix,
                    substitute)
-from .unit import (KoszulUnit, UnitAction, _lambda_inverse, _rho_inverse,
-                   _subset_products, difference_quotients, fresh_names,
+from .unit import (KoszulUnit, _lambda_inverse, _onto_action, _rho_inverse,
+                   _subset_products, _unit_quotients, fresh_names,
                    koszul_unit, unit_action_left, unit_action_right)
 
 
@@ -153,26 +153,6 @@ class AdjointData:
     @property
     def rank(self) -> int:
         return self.base.rank
-
-
-def _unit_quotients(X: MatrixFactorisation, unit: KoszulUnit) -> list:
-    """The difference quotients of d_X between the unit's variables and their
-    primes, in the context of X followed by those primes in X's order (the
-    context of every tensor of X, or an adjoint, with a primed copy)."""
-    prime = dict(unit.pairs)
-    ctx = X.ctx.extend([prime[n] for n in X.ctx.names if n in prime])
-    d = embed_matrix(X.d, ctx)
-    return difference_quotients(d, unit.pairs)
-
-
-def _onto_action(D, unit: KoszulUnit, act: UnitAction) -> list:
-    """The quotients of ``_unit_quotients`` renamed onto the action's copy of
-    the unit: what ``unit._section_quotients`` would build afresh."""
-    umf = act.unit_mf
-    onto = dict(zip(unit.base_names + unit.prime_names,
-                    umf.base_names + umf.prime_names))
-    ctx = act.tensor_mf.ctx
-    return [rename_matrix(M, onto, target_ctx=ctx) for M in D]
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Provides ordered variable contexts (including doubled alphabets x, x'),
 sparse polynomials with exact rational coefficients (an ``int`` where the
 coefficient is integral, a ``Fraction`` only where it has a denominator), a
-small expression parser, and the difference quotient operators together with
-their variable-ordering variants.
+small expression parser, and the difference quotient operators (another
+priming order is the same operator over reordered variables).
 """
 
 from __future__ import annotations
@@ -514,71 +514,44 @@ def partial_derivative(p: Poly, name: str) -> Poly:
     return Poly(p.ctx, out)
 
 
-def exact_div_linear(p: Poly, uname: str, pname: str) -> Poly:
-    """Exact division of p by (u - u'), u = uname, u' = pname.
+def _difference_step(p: Poly, u: str, v: str):
+    """(p(u:=v), (p - p(u:=v)) / (u - v)) from one pass over p's terms.
 
-    Univariate division in u with polynomial coefficients; raises if the
-    remainder (p at u := u') is nonzero.
+    A term c*m*u^a*v^b, m free of u and v, goes to c*m*v^(a+b) and to
+    sum_{k<a} c*m*u^k*v^(a+b-1-k).
     """
-    ui = p.ctx.index(uname)
-    pi = p.ctx.index(pname)
-    q: dict = {}
-    rem = dict(p.terms)
-    while True:
-        best = None
-        for exp in rem:
-            if exp[ui] > 0 and (best is None or exp[ui] > best[ui] or
-                                (exp[ui] == best[ui] and exp > best)):
-                best = exp
-        if best is None:
-            break
-        c = rem[best]
-        qexp = list(best)
-        qexp[ui] -= 1
-        qexp = tuple(qexp)
-        q[qexp] = q.get(qexp, 0) + c
-        # subtract c * x^qexp * (u - u')
-        del rem[best]
-        shifted = list(qexp)
-        shifted[pi] += 1
-        shifted = tuple(shifted)
-        prev = rem.get(shifted, 0) + c
-        if prev:
-            rem[shifted] = prev
-        elif shifted in rem:
-            del rem[shifted]
-    if rem:
-        raise ValueError(f"{p} is not divisible by ({uname} - {pname})")
-    return Poly(p.ctx, q)
+    ui, vi = p.ctx.index(u), p.ctx.index(v)
+    sub, quo = {}, {}
+    for exp, c in p.terms.items():
+        a = exp[ui]
+        top = a + exp[vi]
+        e = list(exp)
+        e[ui], e[vi] = 0, top
+        _add_term(sub, tuple(e), c)
+        for k in range(a):
+            e[ui], e[vi] = k, top - 1 - k
+            _add_term(quo, tuple(e), c)
+    return (_poly(p.ctx, {e: c for e, c in sub.items() if c}),
+            _poly(p.ctx, {e: c for e, c in quo.items() if c}))
+
+
+def _add_term(terms, exp, c):
+    s = terms.get(exp)
+    terms[exp] = c if s is None else _canon(s + c)
 
 
 def divided_difference(p: Poly, i: int, pairs) -> Poly:
     """The difference quotient: prime variables 1..i-1 resp. 1..i, divide.
 
-    ``pairs`` lists (unprimed, primed) names in the operator's order.  ``i``
-    is 1-based.
+    ``pairs`` lists (unprimed, primed) names in the operator's order, so a
+    reordered list gives the quotient for another priming order.  ``i`` is
+    1-based.
     """
     pairs = list(pairs)
     if not 1 <= i <= len(pairs):
         raise IndexError(f"divided difference index {i} out of range 1..{len(pairs)}")
     left = substitute(p, {u: pr for u, pr in pairs[: i - 1]})
-    right = substitute(p, {u: pr for u, pr in pairs[:i]})
-    return exact_div_linear(left - right, pairs[i - 1][0], pairs[i - 1][1])
-
-
-def divided_difference_ordered(p: Poly, i: int, sigma, pairs) -> Poly:
-    """The modified difference quotient for a permutation of the pair order.
-
-    ``sigma`` is a sequence with sigma[k-1] = sigma(k), 1-based values into
-    ``pairs``; reduces to divided_difference for the identity.
-    """
-    pairs = list(pairs)
-    sigma = list(sigma)
-    if sorted(sigma) != list(range(1, len(pairs) + 1)):
-        raise ValueError(f"{sigma} is not a permutation of 1..{len(pairs)}")
-    perm = [pairs[s - 1] for s in sigma]
-    pos = sigma.index(i) + 1       # where variable i sits in the sigma order
-    return divided_difference(p, pos, pairs=perm)
+    return _difference_step(left, *pairs[i - 1])[1]
 
 
 # -- printing and parsing ---------------------------------------------------

@@ -1,7 +1,8 @@
 """The Koszul stabilised diagonal Delta_W and its structure maps.
 
-Contains the unit factorisation (including its variable-ordering variants),
-the stabilisation map pi, the unit actions lambda/rho with their explicit
+Contains the unit factorisation, whose theta-generators follow the order of
+W's variables (another order is the unit of W over reordered variables), the
+stabilisation map pi, the unit actions lambda/rho with their explicit
 inverses, the comparison maps Psi/Phi/epsilon, lifting of maps-to-R through
 the stabilisation, and the permutation isomorphism between stabilisations.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from . import polymat, signs
 from .mf import MatrixFactorisation, Morphism, mf_rename, tensor
 from .residue import JacobiRing
-from .ring import (Poly, RingContext, _restrict, embed, embed_matrix,
-                   exact_div_linear, primed_name, rename_matrix, substitute)
+from .ring import (Poly, RingContext, _difference_step, _restrict, embed,
+                   embed_matrix, primed_name, rename_matrix, substitute)
 
 
 class KoszulUnit(MatrixFactorisation):
@@ -23,19 +24,17 @@ class KoszulUnit(MatrixFactorisation):
 
     Basis: subsets of the variable set ordered by (cardinality, lex), parity
     the subset size mod 2; differential delta_+ + delta_- built from the
-    (optionally permuted) difference quotients of W and the linear forms
-    x_i - x_i'.
+    difference quotients of W, priming the variables in their context's
+    order, and the linear forms x_i - x_i'.
     """
 
-    def __init__(self, W, base_names, prime_names, sigma, ctx, parity, d,
-                 subsets):
+    def __init__(self, W, base_names, prime_names, ctx, parity, d, subsets):
         super().__init__(ctx, embed(W, ctx) - substitute(
             embed(W, ctx), dict(zip(base_names, prime_names))),
             parity, d, validate=True)
         self.W = W
         self.base_names = tuple(base_names)
         self.prime_names = tuple(prime_names)
-        self.sigma = sigma
         self.subsets = subsets
 
     @property
@@ -55,57 +54,41 @@ class KoszulUnit(MatrixFactorisation):
         u.W = self.W
         u.base_names = tuple(mapping.get(n, n) for n in self.base_names)
         u.prime_names = tuple(mapping.get(n, n) for n in self.prime_names)
-        u.sigma = self.sigma
         u.subsets = self.subsets
         return u
 
 
-def _pair_order(pairs, sigma):
-    """The 0-based pair indices in the order the unit primes them."""
-    n = len(pairs)
-    if sigma is None:
-        return range(n)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError(f"{list(sigma)} is not a permutation of 1..{n}")
-    return [s - 1 for s in sigma]
-
-
-def _telescope(p: Poly, pairs, order) -> list:
+def _telescope(p: Poly, pairs) -> list:
     """Every difference quotient of p, by priming one pair at a time.
 
-    With p_0 = p and p_k = p_(k-1) with the k-th pair of ``order`` primed,
-    the quotient of that pair is (p_(k-1) - p_k) / (u - u').
+    With p_0 = p and p_k = p_(k-1) with the k-th pair primed, the quotient
+    of that pair is (p_(k-1) - p_k) / (u - u').
     """
-    out = [None] * len(pairs)
-    prev = p
-    for k in order:
-        u, v = pairs[k]
-        cur = substitute(prev, {u: v})
-        out[k] = exact_div_linear(prev - cur, u, v)
-        prev = cur
+    out = []
+    for u, v in pairs:
+        p, q = _difference_step(p, u, v)
+        out.append(q)
     return out
 
 
-def difference_quotients(mat, pairs, sigma=None) -> list:
+def difference_quotients(mat, pairs) -> list:
     """The entrywise difference quotients of a polynomial matrix.
 
     Entry i of the result is the matrix of quotients in the pair
-    ``pairs[i]``: divided_difference(e, i + 1, pairs) of each entry e, or
-    divided_difference_ordered(e, i + 1, sigma, pairs) when ``sigma``
-    (1-based, as for koszul_unit) is set.  Each entry is primed pair by pair
-    once, in sigma's order, and every quotient is read off that one pass.
+    ``pairs[i]``: divided_difference(e, i + 1, pairs) of each entry e.  Each
+    entry is primed pair by pair once, and every quotient is read off that
+    one pass.
     """
-    order = _pair_order(pairs, sigma)
-    per_entry = [[_telescope(e, pairs, order) for e in row] for row in mat]
+    per_entry = [[_telescope(e, pairs) for e in row] for row in mat]
     return [[[q[i] for q in row] for row in per_entry]
             for i in range(len(pairs))]
 
 
-def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUnit:
+def koszul_unit(W: Poly, require_potential: bool = True) -> KoszulUnit:
     """Build Delta_W over the doubled context of W's variables.
 
-    ``sigma`` (1-based permutation sequence) selects the variable ordering
-    used in the difference quotients, producing the alternative unit.
+    The difference quotients prime the variables in the order of W's
+    context; ``permute_unit`` builds the unit of another order.
     ``require_potential`` certifies W by building its Jacobi ring.
     """
     base = W.ctx.names
@@ -119,7 +102,7 @@ def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUn
     subsets = signs.subsets_ordered(n)
     pos = {s: k for k, s in enumerate(subsets)}
     parity = tuple(len(s) % 2 for s in subsets)
-    w = _telescope(Wd, pairs, _pair_order(pairs, sigma))
+    w = _telescope(Wd, pairs)
     lin = [dctx.gen(u) - dctx.gen(p) for u, p in pairs]
     d = polymat.zeros(dctx, len(subsets), len(subsets))
     for col, S in enumerate(subsets):
@@ -132,7 +115,7 @@ def koszul_unit(W: Poly, sigma=None, require_potential: bool = True) -> KoszulUn
             if con is not None:
                 sgn, T = con
                 d[pos[T]][col] = d[pos[T]][col] + lin[i] * sgn
-    return KoszulUnit(W, base, primes, sigma, dctx, parity, d, subsets)
+    return KoszulUnit(W, base, primes, dctx, parity, d, subsets)
 
 
 # -- KoszulElement and the comparison maps -----------------------------------
@@ -179,8 +162,7 @@ def psi(word, unit: KoszulUnit) -> KoszulElement:
     if p > unit.n:
         return el
     # the difference quotients of each word entry, at every position
-    order = _pair_order(unit.pairs, unit.sigma)
-    quotients = [_telescope(f, unit.pairs, order) for f in word]
+    quotients = [_telescope(f, unit.pairs) for f in word]
     for subset in itertools.combinations(range(unit.n), p):
         coeff = None
         for k, i in enumerate(subset):
@@ -366,19 +348,29 @@ def _subset_products(subsets, start, D, left: bool) -> dict:
     return prods
 
 
-def _section_quotients(X: MatrixFactorisation, unit: KoszulUnit,
-                       act: UnitAction) -> list:
-    """The difference quotients of d_X that a section of ``act`` reads.
+def _unit_quotients(X: MatrixFactorisation, unit: KoszulUnit) -> list:
+    """The difference quotients of d_X between the unit's variables and their
+    primes, in the context of X followed by those primes in X's order (the
+    context of every tensor of X, or an adjoint, with a primed copy).
+    Raises ValueError if X already uses one of those primes."""
+    clash = set(unit.prime_names) & set(X.ctx.names)
+    if clash:
+        raise ValueError(f"the unit's primes {sorted(clash)} are variables "
+                         f"of X")
+    prime = dict(unit.pairs)
+    ctx = X.ctx.extend([prime[n] for n in X.ctx.names if n in prime])
+    d = embed_matrix(X.d, ctx)
+    return difference_quotients(d, unit.pairs)
 
-    d_X is written over the action's copy of the unit (its base block for
-    the unit's variables) and interpolated toward that copy's primed block,
-    in the tensor's context.
-    """
+
+def _onto_action(D, unit: KoszulUnit, act: UnitAction) -> list:
+    """The quotients ``D`` of ``_unit_quotients`` renamed onto the action's
+    copy of the unit, in the tensor's context: what a section reads."""
     umf = act.unit_mf
+    onto = dict(zip(unit.base_names + unit.prime_names,
+                    umf.base_names + umf.prime_names))
     ctx = act.tensor_mf.ctx
-    onto = dict(zip(unit.base_names, umf.base_names))
-    d = rename_matrix(X.d, onto, target_ctx=ctx)
-    return difference_quotients(d, umf.pairs, unit.sigma)
+    return [rename_matrix(M, onto, target_ctx=ctx) for M in D]
 
 
 def rho_inverse(X: MatrixFactorisation, unit: KoszulUnit,
@@ -389,11 +381,12 @@ def rho_inverse(X: MatrixFactorisation, unit: KoszulUnit,
     (-1)^(binom(l,2) + l|e_i|) and the ascending product of difference
     quotients of d_X in the unit's variables.
     """
-    return _rho_inverse(X, unit, action, _section_quotients(X, unit, action))
+    return _rho_inverse(X, unit, action,
+                        _onto_action(_unit_quotients(X, unit), unit, action))
 
 
 def _rho_inverse(X, unit, act, D) -> Morphism:
-    """rho_inverse from the quotients D of ``_section_quotients``."""
+    """rho_inverse from the quotients D of ``_onto_action``."""
     T = act.tensor_mf
     ctx = T.ctx
     nsub = act.unit_mf.rank
@@ -418,12 +411,12 @@ def lambda_inverse(X: MatrixFactorisation, unit: KoszulUnit,
     No binomial sign; the product of difference quotients is taken in
     descending subset order.
     """
-    return _lambda_inverse(X, unit, action,
-                           _section_quotients(X, unit, action))
+    return _lambda_inverse(
+        X, unit, action, _onto_action(_unit_quotients(X, unit), unit, action))
 
 
 def _lambda_inverse(X, unit, act, D) -> Morphism:
-    """lambda_inverse from the quotients D of ``_section_quotients``."""
+    """lambda_inverse from the quotients D of ``_onto_action``."""
     T = act.tensor_mf
     ctx = T.ctx
     rx = X.rank
@@ -480,17 +473,26 @@ def lift_to_diagonal(phi_values, Y: MatrixFactorisation,
 def permute_unit(sigma, W: Poly):
     """The comparison xi: Delta_W -> Delta_W^sigma (rho o lambda-inverse).
 
-    lambda-inverse lands in Delta^sigma (x) Delta_W, the middles shared; rho
-    contracts the right-hand Delta_W onto Delta^sigma, sending the middles
-    and Delta_W's primes to Delta^sigma's primes.
+    Delta_W^sigma is the unit of W over its variables reordered by ``sigma``
+    (1-based: variable sigma(k) is primed k-th).  lambda-inverse lands in
+    Delta^sigma (x) Delta_W, the middles shared; rho contracts the
+    right-hand Delta_W onto Delta^sigma, sending the middles to
+    Delta^sigma's primes.
     Returns (xi, unit, unit_sigma); xi is closed and a homotopy equivalence.
     """
+    names = W.ctx.names
+    if sorted(sigma) != list(range(1, len(names) + 1)):
+        raise ValueError(f"{list(sigma)} is not a permutation of "
+                         f"1..{len(names)}")
     unit = koszul_unit(W)
-    unit_sigma = koszul_unit(W, sigma=tuple(sigma),
-                             require_potential=False)   # certified just above
-    act = unit_action_left(unit, unit_sigma)
-    li = lambda_inverse(unit, unit_sigma, act)
-    onto = dict(zip(act.unit_mf.prime_names + unit.prime_names,
-                    unit_sigma.prime_names * 2))
-    rho = UnitAction("right", unit_sigma, unit, act.tensor_mf, onto)
+    unit_sigma = koszul_unit(
+        embed(W, RingContext([names[s - 1] for s in sigma])),
+        require_potential=False)            # certified just above
+    # lambda's unit interpolates toward primes that Delta_W does not use
+    mids = fresh_names(unit_sigma.base_names, unit.ctx.names)
+    inner = unit_sigma.renamed(dict(zip(unit_sigma.prime_names, mids)))
+    act = unit_action_left(unit, inner)
+    li = lambda_inverse(unit, inner, act)
+    rho = UnitAction("right", unit_sigma, unit, act.tensor_mf,
+                     dict(zip(mids, unit_sigma.prime_names)))
     return rho.compose(li), unit, unit_sigma

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .adjunction import AdjointData
 from .mf import FactorisationError, MatrixFactorisation, Morphism, new_mf
-from .ring import (ParseError, Poly, RingContext, UnknownVariable,
-                   embed, parse_poly as ring_parse_poly)
+from .ring import (PRIME_SUFFIX, ParseError, Poly, RingContext,
+                   UnknownVariable, embed, parse_poly as ring_parse_poly)
 
 
 class WorkspaceError(ValueError):
@@ -178,6 +178,12 @@ def parse_workspace(text: str) -> Workspace:
             if len(set(names)) != len(names):
                 raise WorkspaceError(f"repeated variable in ring {name!r}",
                                      lineno)
+            for v in names:
+                if PRIME_SUFFIX in v:
+                    raise WorkspaceError(
+                        f"ring {name!r}: variable {v!r} contains "
+                        f"{PRIME_SUFFIX!r}, which marks primed copies",
+                        lineno)
             ws._declare("rings", name, RingContext(names), lineno)
             continue
         m = _POT_RE.match(line)

@@ -13,7 +13,8 @@ from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
 from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
                      default_null_homotopies)
 from lgmf.residue import JacobiRing, residue_plan
-from lgmf.ring import RingContext, embed, rename, substitute
+from lgmf.ring import (RingContext, divided_difference, embed, rename,
+                       substitute)
 from lgmf.unit import (lambda_inverse, rho_inverse, unit_action_left,
                        unit_action_right)
 
@@ -214,16 +215,23 @@ def test_snake_contraction_equals_the_full_product(key, variant):
 
 @pytest.mark.parametrize("key", list(SNAKE_DEFECTS))
 def test_section_quotients_are_the_defects_renamed(key):
-    """The sections of a Zorro composite read the defect's kept quotients,
-    renamed onto the unit action; they equal those built afresh."""
+    """The sections read the defect's kept quotients renamed onto the unit
+    action: divided_difference of d_X's entries renamed onto the action's
+    copy of the unit, toward that copy's primes."""
     data = SNAKE_DEFECTS[key]()
     X = data.base
     for unit, kept, action in (
             (data.unit_source, data._quotients_source, unit_action_right),
             (data.unit_target, data._quotients_target, unit_action_left)):
         act = action(X, unit)
-        assert (adjunction._onto_action(kept, unit, act)
-                == unit_module._section_quotients(X, unit, act))
+        umf, ctx = act.unit_mf, act.tensor_mf.ctx
+        d = [[rename(e, dict(zip(unit.base_names, umf.base_names)), ctx)
+              for e in row] for row in X.d]
+        got = unit_module._onto_action(kept, unit, act)
+        assert got == [[[divided_difference(e, i + 1, umf.pairs)
+                         for e in row] for row in d]
+                       for i in range(unit.n)]
+        assert all(e.ctx == ctx for M in got for row in M for e in row)
 
 
 def _same_report(a, b):
@@ -319,18 +327,18 @@ def test_invalid_homotopies_are_rejected():
 def test_ev_coev_maps_verifies_each_homotopy_once(monkeypatch):
     calls, built = [], []
     check = mf._commutator_mismatch
-    quotients = adjunction.difference_quotients
+    quotients = unit_module.difference_quotients
 
     def counting(*args):
         calls.append(args[2])
         return check(*args)
 
-    def building(mat, pairs, sigma=None):
+    def building(mat, pairs):
         built.append(tuple(pairs))
-        return quotients(mat, pairs, sigma)
+        return quotients(mat, pairs)
     monkeypatch.setattr(mf, "_commutator_mismatch", counting)
     monkeypatch.setattr(adjunction, "_commutator_mismatch", counting)
-    monkeypatch.setattr(adjunction, "difference_quotients", building)
+    monkeypatch.setattr(unit_module, "difference_quotients", building)
     # each side's homotopies are verified, and its quotients built, once
     # per defect, whichever call comes first and however many follow
     for first in (ev_coev_maps, zorro_check):

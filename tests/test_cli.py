@@ -82,6 +82,9 @@ def test_workspace_loads_all_declarations(ws):
      "line 3: mf 'X' does not factor W: blocks of shapes 2x1 and 1x1"),
     ("ring R = [x]\npotential W on R = x^3\nmf X on W = ([[x, 1]], [[x^2]])\n",
      "line 3: mf 'X' does not factor W: blocks of shapes 1x2 and 1x1"),
+    # a variable spelt like the primed copy of another
+    ("ring R = [x, x']\npotential W on R = x^3 + x'^3\n",
+     "line 1: ring 'R': variable \"x'\" contains \"'\""),
 ])
 def test_workspace_errors(tmp_path, snippet, needle):
     path = tmp_path / "bad.lg"

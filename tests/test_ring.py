@@ -1,5 +1,6 @@
 """Polynomial arithmetic, difference quotients, text grammar."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from lgmf.adjunction import _project
 from lgmf.residue import DenominatorError, ResidueQuery, grothendieck_residue
 from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
-                       UnknownVariable, _remap, _restrict, _terms_add,
-                       _terms_mul, _terms_scale, _tokenize,
-                       divided_difference, divided_difference_ordered, embed,
+                       UnknownVariable, _difference_step, _remap, _restrict,
+                       _terms_add, _terms_mul, _terms_scale, _tokenize,
+                       divided_difference, embed,
                        embed_matrix, format_poly, parse_poly,
                        partial_derivative, rename, rename_matrix, substitute)
 from lgmf.unit import _try_restrict
@@ -283,32 +284,65 @@ def test_collapse_to_partial_derivative(n, data):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_ordered_identity_permutation_agrees(data):
+    """Priming in another order is divided_difference over the reordered
+    pairs, which is the identity order over the relabelled variables; the
+    identity permutation changes nothing."""
     ctx, names, primes, pairs = doubled(3)
     f = data.draw(poly_strategy(ctx, names))
-    for i in range(1, 4):
-        assert (divided_difference_ordered(f, i, (1, 2, 3), pairs)
-                == divided_difference(f, i, pairs))
+    for order in itertools.permutations(range(3)):
+        moved = [pairs[k] for k in order]
+        relabel = {}
+        for (u, pr), (mu, mpr) in zip(pairs, moved):
+            relabel.update({mu: u, mpr: pr})
+        back = {v: k for k, v in relabel.items()}
+        for i in range(1, 4):
+            want = rename(divided_difference(rename(f, relabel), i, pairs),
+                          back)
+            assert divided_difference(f, i, moved) == want
 
 
 def test_ordered_swapped_example():
     ctx, names, primes, pairs = doubled(2)
     f = ctx.gen("x1") * ctx.gen("x2")
     # with the order (2 1), x2 is substituted before x1
-    assert divided_difference_ordered(f, 1, (2, 1), pairs) == ctx.gen("x2'")
-    assert divided_difference_ordered(f, 2, (2, 1), pairs) == ctx.gen("x1")
+    swapped = pairs[::-1]
+    assert divided_difference(f, 2, swapped) == ctx.gen("x2'")
+    assert divided_difference(f, 1, swapped) == ctx.gen("x1")
 
 
 def test_ordered_constant_vanishes():
     ctx, names, primes, pairs = doubled(2)
     c = ctx.const(Fraction(7, 3))
     for i in (1, 2):
-        assert divided_difference_ordered(c, i, (2, 1), pairs).is_zero()
+        assert divided_difference(c, i, pairs[::-1]).is_zero()
 
 
-def test_ordered_rejects_non_permutation():
+def _sympy_of(p, syms):
+    return sympy.Add(*[sympy.Rational(Fraction(c).numerator,
+                                      Fraction(c).denominator)
+                       * sympy.Mul(*[s ** e for s, e in zip(syms, exp)])
+                       for exp, c in p.terms.items()])
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_difference_step_is_substitution_and_exact_quotient(data):
+    """_difference_step(p, u, v) = (p(u:=v), q) with (u - v) * q =
+    p - p(u:=v), q sympy's cancelled quotient, on p whose terms may already
+    contain v."""
     ctx, names, primes, pairs = doubled(2)
-    with pytest.raises(ValueError):
-        divided_difference_ordered(ctx.gen("x1"), 1, (1, 1), pairs)
+    p = data.draw(poly_strategy(ctx, max_deg=4, max_terms=6))
+    u, v = data.draw(st.sampled_from(pairs))
+    sub, q = _difference_step(p, u, v)
+    assert sub == substitute(p, {u: v})
+    assert (ctx.gen(u) - ctx.gen(v)) * q == p - sub
+    assert all(canonical_coefficient(c)
+               for r in (sub, q) for c in r.terms.values())
+    syms = [sympy.Symbol(n) for n in ctx.names]
+    su, sv = syms[ctx.index(u)], syms[ctx.index(v)]
+    want = sympy.cancel((_sympy_of(p, syms) - _sympy_of(sub, syms))
+                        / (su - sv))
+    assert sympy.expand(want - _sympy_of(q, syms)) == 0
 
 
 # -- contexts, renaming, errors ----------------------------------------------

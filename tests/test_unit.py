@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 from lgmf import polymat, signs
-from lgmf.mf import Morphism, homotopic, mf_rename, null_homotopy_search
+from lgmf.mf import Morphism, homotopic, new_mf
 from lgmf.residue import JacobiRing
-from lgmf.ring import (RingContext, divided_difference,
-                       divided_difference_ordered, embed, rename, substitute)
+from lgmf.ring import RingContext, divided_difference, embed, substitute
 from lgmf.unit import (KoszulElement, _try_restrict, difference_quotients,
                        epsilon, koszul_unit, lambda_inverse, lift_to_diagonal,
                        permute_unit, phi, psi, psi_of_words,
@@ -169,32 +168,20 @@ QUOTIENT_DEFECTS = {
 
 @pytest.mark.parametrize("key", list(QUOTIENT_DEFECTS))
 def test_difference_quotients_match_the_single_quotients(key):
-    """The telescoping pass gives divided_difference (identity order) and
-    divided_difference_ordered (every order) of each entry of d_X, on both
-    sides of the defect: n = 0 (a boundary's source) up to n = 3."""
+    """The telescoping pass gives divided_difference of each entry of d_X,
+    for the pairs in every order, on both sides of the defect: n = 0 (a
+    boundary's source) up to n = 3."""
     data = QUOTIENT_DEFECTS[key]()
     X = data.base
     for unit in (data.unit_source, data.unit_target):
-        pairs = unit.pairs
         ctx = X.ctx.extend(unit.prime_names)
         d = [[embed(e, ctx) for e in row] for row in X.d]
-        got = difference_quotients(d, pairs)
-        assert len(got) == unit.n
-        for i, mat in enumerate(got):
-            assert mat == [[divided_difference(e, i + 1, pairs) for e in row]
-                           for row in d]
-        for sigma in itertools.permutations(range(1, unit.n + 1)):
-            got = difference_quotients(d, pairs, sigma)
+        for pairs in itertools.permutations(unit.pairs):
+            got = difference_quotients(d, pairs)
+            assert len(got) == unit.n
             for i, mat in enumerate(got):
-                assert mat == [[divided_difference_ordered(e, i + 1, sigma,
-                                                           pairs)
+                assert mat == [[divided_difference(e, i + 1, pairs)
                                 for e in row] for row in d]
-
-
-def test_difference_quotients_reject_a_non_permutation():
-    unit = koszul_unit(corpus_potentials()["x^3-y^3"])
-    with pytest.raises(ValueError, match="not a permutation"):
-        difference_quotients(unit.d, unit.pairs, (1, 1))
 
 
 # -- lifting and variable permutation ----------------------------------------
@@ -215,9 +202,8 @@ def test_lift_of_stabilisation_map_through_itself(key):
         assert pi(col) == embed(values[j], unit.ctx)
 
 
-def test_permute_unit_comparison_is_closed_and_respects_pi():
-    W = corpus_potentials()["x^3-y^3"]
-    xi, unit, unit_sigma = permute_unit((2, 1), W)
+def _assert_closed_and_respects_pi(xi, unit, unit_sigma):
+    """xi is closed and pi^sigma o xi = pi."""
     assert xi.is_closed()
     pi_sigma = stab_pi(unit_sigma)
     for j in range(unit.rank):
@@ -225,29 +211,34 @@ def test_permute_unit_comparison_is_closed_and_respects_pi():
         for k, S in enumerate(unit_sigma.subsets):
             col.accumulate(tuple(S), xi.mat[k][j])
         got = pi_sigma(col)
-        want = embed(W.ctx.one() if unit.subsets[j] == () else W.ctx.zero(),
-                     got.ctx)
+        want = embed(unit.W.ctx.one() if unit.subsets[j] == ()
+                     else unit.W.ctx.zero(), got.ctx)
         assert got == want
 
 
+def test_permute_unit_comparison_is_closed_and_respects_pi():
+    W = corpus_potentials()["x^3-y^3"]
+    _assert_closed_and_respects_pi(*permute_unit((2, 1), W))
+
+
 def _permute_unit_by_hand(sigma, W):
-    """xi as first written, the contraction spelled out: lambda-inverse into
-    Delta^sigma (x) Delta_W (basis index s * rank + j), keep the
-    theta-degree-0 component j = 0 of the right-hand Delta_W, identify its
-    primes with the middles, then rename the middles to Delta^sigma's
-    primes."""
+    """xi with the contraction spelled out: lambda-inverse into
+    Delta^sigma (x) Delta_W (basis index s * rank + j), Delta^sigma's primes
+    renamed to the middles, keep the theta-degree-0 component j = 0 of the
+    right-hand Delta_W, then rename the middles to Delta^sigma's primes."""
     unit = koszul_unit(W)
-    unit_sigma = koszul_unit(W, sigma=tuple(sigma))
-    act = unit_action_left(unit, unit_sigma)
-    li = lambda_inverse(unit, unit_sigma, act)
+    names = W.ctx.names
+    unit_sigma = koszul_unit(embed(W, RingContext([names[s - 1]
+                                                   for s in sigma])))
+    mids = tuple(n + "''" for n in unit_sigma.base_names)
+    inner = unit_sigma.renamed(dict(zip(unit_sigma.prime_names, mids)))
+    act = unit_action_left(unit, inner)
+    li = lambda_inverse(unit, inner, act)
     ctx = act.tensor_mf.ctx
-    mids = act.unit_mf.prime_names
-    contraction = dict(zip(unit.prime_names, mids))
     back = dict(zip(mids, unit_sigma.prime_names))
     rx = unit.rank
-    return [[_try_restrict(substitute(substitute(embed(li.mat[s * rx][i],
-                                                       ctx), contraction),
-                                      back, target_ctx=ctx), unit_sigma.ctx)
+    return [[_try_restrict(substitute(embed(li.mat[s * rx][i], ctx), back,
+                                      target_ctx=ctx), unit_sigma.ctx)
              for i in range(rx)] for s in range(act.unit_mf.rank)]
 
 
@@ -271,6 +262,92 @@ def test_permute_unit_is_the_hand_written_contraction(W):
         assert (xi.source, xi.target) == (unit, unit_sigma)
         assert [[(e.ctx, e) for e in row] for row in xi.mat] == [
             [(e.ctx, e) for e in row] for row in want], sigma
+
+# Non-separable potentials W = sum_k a_k * b_k with their Koszul
+# factorisations (a_k; b_k): rank 1 for one pair, rank 2 for two.
+SIGMA_CASES = {
+    "xy": [(_U, _V)],
+    "x2y+y4": [(_V, _U ** 2 + _V ** 3)],
+    "x2y+y3": [(_V, _U ** 2 + _V ** 2)],
+    "x2y+y2z+z3": [(_X, _X * _Y), (_Z, _Y ** 2 + _Z ** 2)],
+    "Klein quartic": [(_X, _X ** 2 * _Y + _Z ** 3), (_Z, _Y ** 3)],
+}
+
+
+def _koszul_mf(pairs, sign=1):
+    """The Koszul factorisation of sign * sum_k a_k * b_k."""
+    pairs = [(a, b * sign) for a, b in pairs]
+    ctx = pairs[0][0].ctx
+    W = sum((a * b for a, b in pairs), ctx.zero())
+    if len(pairs) == 1:
+        (a, b), = pairs
+        return new_mf(ctx, W, [[a]], [[b]])
+    (a1, b1), (a2, b2) = pairs
+    return new_mf(ctx, W, [[a1, a2], [-b2, b1]], [[b1, -a2], [b2, a1]])
+
+
+def _sigma_units(key):
+    """(sigma, xi, Delta_W, Delta_W^sigma) for every order sigma of W."""
+    X = _koszul_mf(SIGMA_CASES[key])
+    n = len(X.ctx.names)
+    for sigma in itertools.permutations(range(1, n + 1)):
+        yield (sigma, *permute_unit(sigma, X.potential))
+
+
+@pytest.mark.parametrize("key", list(SIGMA_CASES))
+def test_permute_unit_is_closed_and_respects_pi_at_every_order(key):
+    """xi: Delta_W -> Delta_W^sigma on non-separable W, every sigma;
+    Delta_W^sigma primes variable sigma(k) k-th."""
+    for sigma, xi, unit, unit_sigma in _sigma_units(key):
+        assert unit_sigma.base_names == tuple(unit.base_names[s - 1]
+                                              for s in sigma)
+        _assert_closed_and_respects_pi(xi, unit, unit_sigma)
+
+
+@pytest.mark.parametrize("key", list(SIGMA_CASES))
+def test_permute_unit_inverse_order_undoes_xi(key):
+    """The comparison back from Delta_W^sigma to Delta_W is closed, and
+    after xi it is the identity, exactly."""
+    for sigma, xi, unit, unit_sigma in _sigma_units(key):
+        back_order = tuple(sigma.index(k) + 1
+                           for k in range(1, len(sigma) + 1))
+        back, _, unit_back = permute_unit(back_order, unit_sigma.W)
+        assert unit_back.ctx == unit.ctx
+        assert back.is_closed(), sigma
+        assert back.compose(xi) == Morphism(unit, unit, 0, polymat.identity(
+            unit.ctx, unit.rank)), sigma
+
+
+@pytest.mark.parametrize("key", list(SIGMA_CASES))
+def test_sections_into_sigma_units_are_exact(key):
+    """lambda-inverse of a factorisation of W and rho-inverse of one of -W
+    into Delta_W^sigma are closed, and sections: lambda o lambda-inverse =
+    rho o rho-inverse = Id exactly, at every sigma."""
+    X = _koszul_mf(SIGMA_CASES[key])
+    Xneg = _koszul_mf(SIGMA_CASES[key], sign=-1)
+    for sigma, _, _, unit_sigma in _sigma_units(key):
+        act = unit_action_left(X, unit_sigma)
+        li = lambda_inverse(X, unit_sigma, action=act)
+        assert li.is_closed(), sigma
+        assert act.compose(li) == X.identity(), sigma
+        act = unit_action_right(Xneg, unit_sigma)
+        ri = rho_inverse(Xneg, unit_sigma, action=act)
+        assert ri.is_closed(), sigma
+        assert act.compose(ri) == Xneg.identity(), sigma
+
+
+def test_permute_unit_rejects_a_non_permutation():
+    W = corpus_potentials()["x^3-y^3"]
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_unit((1, 1), W)
+
+
+def test_sections_refuse_a_factorisation_using_the_units_primes():
+    """Delta_W's own primes are those of a unit of W: its quotients cannot
+    interpolate toward them."""
+    unit = koszul_unit(corpus_potentials()["x^3-y^3"])
+    with pytest.raises(ValueError, match="primes"):
+        lambda_inverse(unit, unit, unit_action_left(unit, unit))
 
 
 def test_permute_unit_certifies_its_potential_once(monkeypatch):
