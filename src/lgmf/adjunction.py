@@ -170,7 +170,6 @@ class KoszulValuedMap:
     kind: str
     source: MatrixFactorisation
     target: MatrixFactorisation
-    unit: KoszulUnit
     parity: int
     mat: list
     integration_names: tuple = ()
@@ -262,7 +261,7 @@ def _build_coev_tilde(data: AdjointData) -> KoszulValuedMap:
                 sgn = signs.minus_one_to((l + 1) * X.parity[j] + s)
                 mat[i * r + j][c] = prod[j][i] * sgn
     return KoszulValuedMap(kind="coev_tilde", source=unit, target=T,
-                           unit=unit, parity=0, mat=mat)
+                           parity=0, mat=mat)
 
 
 def coev(data: AdjointData) -> KoszulValuedMap:
@@ -299,7 +298,7 @@ def _build_coev(data: AdjointData) -> KoszulValuedMap:
                 e = signs.binom2(l + 1) + s + data.m + data.m * l
                 mat[i * r + j][c] = prod[i][j] * signs.minus_one_to(e)
     return KoszulValuedMap(kind="coev", source=unit, target=T,
-                           unit=unit, parity=0, mat=mat)
+                           parity=0, mat=mat)
 
 
 def ev_tilde(data: AdjointData,
@@ -333,7 +332,7 @@ def _ev_tilde(data: AdjointData, Lam) -> KoszulValuedMap:
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
         _ev_tilde_row(data, mat[row], prods[S], len(S))
-    return KoszulValuedMap(kind="ev_tilde", source=T, target=unit, unit=unit,
+    return KoszulValuedMap(kind="ev_tilde", source=T, target=unit,
                            parity=0, mat=mat,
                            integration_names=data.source_names,
                            denominators=_partials(data.source_potential))
@@ -385,7 +384,7 @@ def _ev(data: AdjointData, Lam) -> KoszulValuedMap:
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
         _ev_row(data, mat[row], prods[S], len(S))
-    return KoszulValuedMap(kind="ev", source=T, target=unit, unit=unit,
+    return KoszulValuedMap(kind="ev", source=T, target=unit,
                            parity=0, mat=mat,
                            integration_names=data.target_names,
                            denominators=_partials(data.target_potential))
@@ -464,7 +463,7 @@ def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
     ctx = a._joint_ctx().merge(b._joint_ctx())
     mat = polymat.mat_sub(embed_matrix(a.mat, ctx), embed_matrix(b.mat, ctx))
     return KoszulValuedMap(kind=f"{a.kind}-diff", source=a.source,
-                           target=a.target, unit=a.unit, parity=a.parity,
+                           target=a.target, parity=a.parity,
                            mat=mat, integration_names=a.integration_names,
                            denominators=a.denominators)
 

@@ -157,13 +157,13 @@ def _dump_kvm(kvm: KoszulValuedMap):
 
 
 def reload_kvm(dump, template: KoszulValuedMap) -> KoszulValuedMap:
-    """Re-parse a dumped map against its template's source/target/unit."""
+    """Re-parse a dumped map against its template's source and target."""
     ctx = RingContext(dump["context"])
     mat = [[parse_poly(e, ctx) for e in row] for row in dump["matrix"]]
     dens = tuple(parse_poly(d, ctx) for d in dump["denominators"])
     return KoszulValuedMap(
         kind=dump["kind"], source=template.source, target=template.target,
-        unit=template.unit, parity=dump["parity"], mat=mat,
+        parity=dump["parity"], mat=mat,
         integration_names=tuple(dump["integration"]), denominators=dens)
 
 

@@ -123,7 +123,7 @@ class Poly:
     ``constant_value`` are always ``Fraction``s.
     """
 
-    __slots__ = ("ctx", "terms", "_hash")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: RingContext, terms):
         clean = {}
@@ -136,7 +136,6 @@ class Poly:
                 clean[tuple(exp)] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -221,11 +220,7 @@ class Poly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.ctx.names, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ctx.names, tuple(sorted(self.terms.items()))))
 
     # -- structure ----------------------------------------------------------
     def sorted_terms(self):
@@ -265,7 +260,6 @@ def _poly(ctx: RingContext, terms: dict) -> Poly:
     p = _new(Poly)
     _set(p, "ctx", ctx)
     _set(p, "terms", terms)
-    _set(p, "_hash", None)
     return p
 
 

@@ -13,7 +13,9 @@ integer or ``p/q`` coefficients).
     morphism f : X -> X parity 1 = [[0, -x], [1, 0]]
 
 A flat bracket list in a factorisation denotes a diagonal block; a nested
-list is a full matrix block (d0, d1).
+list is a full matrix block (d0, d1).  A morphism's ends factor one potential.
+Readers raise ``WorkspaceError`` without a line; ``parse_workspace`` adds it
+in one handler per declaration line, ``load_workspace`` for a non-UTF-8 byte.
 """
 
 from __future__ import annotations
@@ -103,12 +105,9 @@ class Workspace:
                               compare=False)
 
     def _declare(self, kind, name, value, line):
-        for table in (self.rings, self.potentials, self.mfs,
-                      self.defects, self.morphisms):
-            if name in table:
-                raise WorkspaceError(f"duplicate name {name!r} "
-                                     f"(first declared at line "
-                                     f"{self.positions[name]})", line)
+        if name in self.positions:
+            raise WorkspaceError(f"duplicate name {name!r} (first declared "
+                                 f"at line {self.positions[name]})")
         getattr(self, kind)[name] = value
         self.positions[name] = line
 
@@ -143,113 +142,113 @@ class Workspace:
         return self.morphisms[name]
 
 
-_RING_RE = re.compile(r"ring\s+(\w+)\s*=\s*\[([^\]]*)\]\s*$")
-_POT_RE = re.compile(r"potential\s+(\w+)\s+on\s+(\w+)\s*=\s*(.+)$")
-_MF_RE = re.compile(r"mf\s+(\w+)\s+on\s+(\w+)\s*=\s*\((.+)\)\s*$")
-_DEF_RE = re.compile(
-    r"defect\s+(\w+)\s+from\s+(\w+)\s+to\s+(\w+)\s*=\s*\((.+)\)\s*$")
-_MOR_RE = re.compile(
-    r"morphism\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)\s+parity\s+([01])"
-    r"\s*=\s*(.+)$")
+# -- declarations: one reader per kind --------------------------------------
 
-
-def _factor_pair(body, ctx, line):
+def _factor_pair(body, ctx):
     # body is "blockA , blockB" at bracket depth zero, each block a list
     parts = _split_top(body)
     if len(parts) != 2:
         raise WorkspaceError("factorisation needs exactly two blocks "
-                             "(d0, d1)", line)
-    a = _block_to_matrix(_parse_matrix_literal(parts[0]), ctx)
-    b = _block_to_matrix(_parse_matrix_literal(parts[1]), ctx)
-    return a, b
+                             "(d0, d1)")
+    return [_block_to_matrix(_parse_matrix_literal(p), ctx) for p in parts]
+
+
+def _ring(ws, name, vars_):
+    names = [v.strip() for v in vars_.split(",") if v.strip()]
+    if len(set(names)) != len(names):
+        raise WorkspaceError(f"repeated variable in ring {name!r}")
+    for v in names:
+        if PRIME_SUFFIX in v:
+            raise WorkspaceError(f"ring {name!r}: variable {v!r} contains "
+                                 f"{PRIME_SUFFIX!r}, which marks primed "
+                                 f"copies")
+    return RingContext(names)
+
+
+def _potential(ws, name, ring, expr):
+    if ring not in ws.rings:
+        raise WorkspaceError(f"unknown ring {ring!r}")
+    return parse_poly(expr, ws.rings[ring])
+
+
+def _mf(ws, name, pot, body):
+    W = ws.potential(pot)
+    d0, d1 = _factor_pair(body, W.ctx)
+    try:
+        return new_mf(W.ctx, W, d0, d1)
+    except FactorisationError as exc:
+        raise WorkspaceError(f"mf {name!r} does not factor {pot}: "
+                             f"{exc}") from None
+
+
+def _defect(ws, name, src, tgt, body):
+    Ws, Wt = ws.potentials.get(src), ws.potentials.get(tgt)
+    if Ws is None or Wt is None:
+        raise WorkspaceError(f"unknown potential in defect {name!r}")
+    ctx = Wt.ctx.merge(Ws.ctx)
+    d0, d1 = _factor_pair(body, ctx)
+    try:
+        X = new_mf(ctx, embed(Wt, ctx) - embed(Ws, ctx), d0, d1)
+        return AdjointData(X, Ws, Wt)
+    except (FactorisationError, ValueError) as exc:
+        raise WorkspaceError(f"defect {name!r}: {exc}") from None
+
+
+def _morphism(ws, name, src, tgt, parity, body):
+    X, Y = ws.factorisation(src), ws.factorisation(tgt)
+    ctx = Y.ctx.merge(X.ctx)
+    mat = _block_to_matrix(_parse_matrix_literal(body.strip()), ctx)
+    try:
+        f = Morphism(X, Y, int(parity), mat)
+    except ValueError as exc:
+        raise WorkspaceError(f"morphism {name!r}: {exc}") from None
+    # a 2-morphism maps between factorisations of one potential
+    if embed(X.potential, ctx) != embed(Y.potential, ctx):
+        raise WorkspaceError(f"morphism {name!r}: {src} and {tgt} are "
+                             f"factorisations of different potentials")
+    return f
+
+
+# (pattern, table, reader): reader(ws, name, *rest of the groups) is the value
+_DECLARATIONS = (
+    (re.compile(r"ring\s+(\w+)\s*=\s*\[([^\]]*)\]\s*$"), "rings", _ring),
+    (re.compile(r"potential\s+(\w+)\s+on\s+(\w+)\s*=\s*(.+)$"),
+     "potentials", _potential),
+    (re.compile(r"mf\s+(\w+)\s+on\s+(\w+)\s*=\s*\((.+)\)\s*$"), "mfs", _mf),
+    (re.compile(r"defect\s+(\w+)\s+from\s+(\w+)\s+to\s+(\w+)\s*=\s*"
+                r"\((.+)\)\s*$"), "defects", _defect),
+    (re.compile(r"morphism\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)\s+parity\s+"
+                r"([01])\s*=\s*(.+)$"), "morphisms", _morphism),
+)
 
 
 def parse_workspace(text: str) -> Workspace:
-    """Deterministic parse of the declarative grammar; errors carry lines."""
+    """Deterministic parse; one handler per line gives each error its line."""
     ws = Workspace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _RING_RE.match(line)
-        if m:
-            name, vars_ = m.groups()
-            names = [v.strip() for v in vars_.split(",") if v.strip()]
-            if len(set(names)) != len(names):
-                raise WorkspaceError(f"repeated variable in ring {name!r}",
-                                     lineno)
-            for v in names:
-                if PRIME_SUFFIX in v:
-                    raise WorkspaceError(
-                        f"ring {name!r}: variable {v!r} contains "
-                        f"{PRIME_SUFFIX!r}, which marks primed copies",
-                        lineno)
-            ws._declare("rings", name, RingContext(names), lineno)
-            continue
-        m = _POT_RE.match(line)
-        if m:
-            name, ring, expr = m.groups()
-            if ring not in ws.rings:
-                raise WorkspaceError(f"unknown ring {ring!r}", lineno)
-            try:
-                W = parse_poly(expr, ws.rings[ring])
-            except WorkspaceError as exc:
-                raise WorkspaceError(str(exc), lineno) from None
-            ws._declare("potentials", name, W, lineno)
-            continue
-        m = _MF_RE.match(line)
-        if m:
-            name, pot, body = m.groups()
-            W = ws.potentials.get(pot)
-            if W is None:
-                raise WorkspaceError(f"unknown potential {pot!r}", lineno)
-            d0, d1 = _factor_pair(body, W.ctx, lineno)
-            try:
-                X = new_mf(W.ctx, W, d0, d1)
-            except FactorisationError as exc:
-                raise WorkspaceError(f"mf {name!r} does not factor "
-                                     f"{pot}: {exc}", lineno) from None
-            ws._declare("mfs", name, X, lineno)
-            continue
-        m = _DEF_RE.match(line)
-        if m:
-            name, src, tgt, body = m.groups()
-            Ws, Wt = ws.potentials.get(src), ws.potentials.get(tgt)
-            if Ws is None or Wt is None:
-                raise WorkspaceError(f"unknown potential in defect "
-                                     f"{name!r}", lineno)
-            ctx = Wt.ctx.merge(Ws.ctx)
-            d0, d1 = _factor_pair(body, ctx, lineno)
-            pot = embed(Wt, ctx) - embed(Ws, ctx)
-            try:
-                X = new_mf(ctx, pot, d0, d1)
-                data = AdjointData(X, Ws, Wt)
-            except (FactorisationError, ValueError) as exc:
-                raise WorkspaceError(f"defect {name!r}: {exc}",
-                                     lineno) from None
-            ws._declare("defects", name, data, lineno)
-            continue
-        m = _MOR_RE.match(line)
-        if m:
-            name, src, tgt, parity, body = m.groups()
-            try:
-                X = ws.factorisation(src)
-                Y = ws.factorisation(tgt)
-            except WorkspaceError as exc:
-                raise WorkspaceError(str(exc), lineno) from None
-            ctx = Y.ctx.merge(X.ctx)
-            mat = _block_to_matrix(_parse_matrix_literal(body.strip()), ctx)
-            try:
-                f = Morphism(X, Y, int(parity), mat)
-            except ValueError as exc:
-                raise WorkspaceError(f"morphism {name!r}: {exc}",
-                                     lineno) from None
-            ws._declare("morphisms", name, f, lineno)
-            continue
-        raise WorkspaceError(f"unrecognised declaration: {line!r}", lineno)
+        try:
+            for pattern, table, reader in _DECLARATIONS:
+                m = pattern.match(line)
+                if m:
+                    ws._declare(table, m[1], reader(ws, *m.groups()), lineno)
+                    break
+            else:
+                raise WorkspaceError(f"unrecognised declaration: {line!r}")
+        except WorkspaceError as exc:
+            raise WorkspaceError(str(exc), lineno) from None
     return ws
 
 
 def load_workspace(path: str) -> Workspace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_workspace(fh.read())
+    """The workspace in the UTF-8 file at ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise WorkspaceError(f"not UTF-8: {exc.reason}", line) from None
+    return parse_workspace(text)

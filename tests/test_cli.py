@@ -2,12 +2,16 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgmf import adjunction, cli, mf, tft
 from lgmf.cli import main
-from lgmf.workspace import WorkspaceError, load_workspace, parse_poly
+from lgmf.workspace import (WorkspaceError, load_workspace, parse_poly,
+                            parse_workspace)
 
 GOOD = """\
 # desk-scale corpus
@@ -56,6 +60,12 @@ def test_workspace_loads_all_declarations(ws):
     assert "D" in w.defects and "eta" in w.morphisms
 
 
+CUBIC = "ring R = [x]\npotential W on R = x^3\n"
+CUBIC_MF = CUBIC + "mf X on W = ([x], [x^2])\n"
+SQUARES = ("ring Rs = [s]\npotential Ws on Rs = s^2\n"
+           "ring Rt = [t]\npotential Wt on Rt = t^2\n")
+
+
 @pytest.mark.parametrize("snippet,needle", [
     ("ring R1 = [x]\nring R1 = [y]\n", "duplicate"),
     ("ring R = [x]\npotential W on R = x^2\nmf X on W = ([x], [x^2])\n",
@@ -85,6 +95,25 @@ def test_workspace_loads_all_declarations(ws):
     # a variable spelt like the primed copy of another
     ("ring R = [x, x']\npotential W on R = x^3 + x'^3\n",
      "line 1: ring 'R': variable \"x'\" contains \"'\""),
+    # faults inside an mf, a defect and a morphism body name their line
+    (CUBIC + "mf X on W = ([x], [y^2])\n",
+     "line 3: bad expression 'y^2': unknown variable 'y'"),
+    (CUBIC + "mf X on W = ([[x], x], [x^2])\n",
+     "line 3: matrix block mixes rows and entries"),
+    (CUBIC + "mf X on W = (x, [x^2])\n",
+     "line 3: expected a bracket list, got 'x'"),
+    (SQUARES + "defect D from Ws to Wt = ([t - s], [t + y])\n",
+     "line 5: bad expression 't + y': unknown variable 'y'"),
+    (SQUARES + "defect D from Ws to Wt = ([t - s], [[t + s], s])\n",
+     "line 5: matrix block mixes rows and entries"),
+    (SQUARES + "defect D from Ws to Wt = ([t - s], t + s)\n",
+     "line 5: expected a bracket list, got 't + s'"),
+    (CUBIC_MF + "morphism f : X -> X parity 1 = [[0, -y], [1, 0]]\n",
+     "line 4: bad expression '-y': unknown variable 'y'"),
+    (CUBIC_MF + "morphism f : X -> X parity 1 = [[0, -x], 1]\n",
+     "line 4: matrix block mixes rows and entries"),
+    (CUBIC_MF + "morphism f : X -> X parity 1 = 0\n",
+     "line 4: expected a bracket list, got '0'"),
 ])
 def test_workspace_errors(tmp_path, snippet, needle):
     path = tmp_path / "bad.lg"
@@ -92,6 +121,43 @@ def test_workspace_errors(tmp_path, snippet, needle):
     with pytest.raises(WorkspaceError) as err:
         load_workspace(str(path))
     assert needle.lower() in str(err.value).lower()
+
+
+GOOD_LINES = GOOD.splitlines()
+
+
+@st.composite
+def corruptions(draw):
+    """GOOD with one declaration line cut, spliced into or overwritten."""
+    i = draw(st.sampled_from([i for i, line in enumerate(GOOD_LINES)
+                              if line and not line.startswith("#")]))
+    line = GOOD_LINES[i]
+    a = draw(st.integers(0, len(line)))
+    b = draw(st.integers(a, len(line)))
+    piece = draw(st.text("[](),^*+-=:'/# 012xyuvstcXDW", max_size=6))
+    return "\n".join(GOOD_LINES[:i] + [line[:a] + piece + line[b:]]
+                     + GOOD_LINES[i + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(corruptions())
+@example(GOOD.replace("([x], [x^2])", "([x], [y^2])"))
+@example(GOOD.replace("= [[1, 0], [0, 1]]", "= [[1, 0], 1]"))
+@example(GOOD.replace("([t - s], [t + s])", "([t - s], t + s)"))
+def test_every_load_error_names_its_line(text):
+    try:
+        parse_workspace(text)
+    except WorkspaceError as exc:
+        assert exc.line is not None
+        assert str(exc).startswith(f"line {exc.line}: ")
+
+
+def test_the_readme_grammar_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("### Workspace grammar\n\n```\n", 1)[1]
+    w = parse_workspace(text.split("```", 1)[0])
+    assert set(w.positions) == {"R1", "Wc", "Xc", "eta", "Rs", "Ws", "Rt",
+                                "Wt", "D"}
 
 
 def test_loading_builds_no_adjoint(ws, monkeypatch):
@@ -378,6 +444,36 @@ def test_inconsistent_inputs_exit_two(tmp_path, capsys, argv, message):
     code, rep = run_json(capsys, argv[0], str(path), *argv[1:])
     assert code == 2
     assert rep["outputs"]["error"] == message
+
+
+def test_a_morphism_across_potentials_exits_two(tmp_path, capsys):
+    path = tmp_path / "more.lg"
+    path.write_text(MORE + "morphism f : Xc -> X4a parity 0 = "
+                           "[[1, 0], [0, 1]]\n")
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert rep["outputs"]["error"] == (
+        f"line {len(MORE.splitlines()) + 1}: morphism 'f': Xc and X4a are "
+        "factorisations of different potentials")
+
+
+def test_a_morphism_between_factorisations_of_one_potential_loads(
+        tmp_path, capsys):
+    path = tmp_path / "more.lg"
+    path.write_text(MORE + "morphism h : X4a -> X4b parity 0 = "
+                           "[[1, 0], [0, x]]\n")
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 0
+    assert rep["outputs"]["checked"]["h"] is True
+
+
+def test_a_workspace_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.lg"
+    path.write_bytes(b"ring R = [x]\npotential W on R = x^3 \xff\n")
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert rep["outputs"]["error"] == (
+        "line 2: not UTF-8: invalid start byte")
 
 
 # -- report format ------------------------------------------------------------
