@@ -29,46 +29,76 @@ from .unit import (KoszulUnit, _lambda_inverse, _onto_action, _rho_inverse,
                    koszul_unit, unit_action_left, unit_action_right)
 
 
+class DefectEnd:
+    """One end of a defect X: its potential, variables and side.
+
+    ``side`` ("source" or "target") fixes the sign of the end's default
+    null-homotopies.  Built on first use and kept: the end's Jacobi ring,
+    its Koszul unit, the difference quotients of d_X between the unit's
+    variables and their primes, and Lambda, the product of the end's
+    verified default null-homotopies.
+    """
+
+    def __init__(self, base: MatrixFactorisation, potential: Poly,
+                 side: str):
+        self.base = base
+        self.potential = potential
+        self.names = tuple(potential.ctx.names)
+        self.side = side
+
+    @cached_property
+    def ring(self) -> JacobiRing:
+        """Jac of the end's potential; building it certifies the potential."""
+        return JacobiRing(self.potential)
+
+    @cached_property
+    def unit(self) -> KoszulUnit:
+        self.ring                           # certify the potential first
+        return koszul_unit(self.potential, require_potential=False)
+
+    @cached_property
+    def quotients(self) -> list:
+        return _unit_quotients(self.base, self.unit)
+
+    @cached_property
+    def Lambda(self) -> list:
+        return default_null_homotopies(self.base, self.names,
+                                       side=self.side).product()
+
+
 class AdjointData:
-    """A factorisation of V - W together with its two adjoints and units.
+    """A factorisation of V - W together with its two adjoints and ends.
 
-    ``source_potential`` W lives in the source variables, ``target_potential``
-    V in the target variables; the base factorisation must satisfy
-    d^2 = (V - W) * Id over the joint context.
+    ``source`` is the end of W, in the source variables, and ``target`` the
+    end of V, in the target variables; the base factorisation must satisfy
+    d^2 = (V - W) * Id over the joint context.  Both potentials are
+    certified at construction, by building the ends' Jacobi rings.
 
-    The rest is built once, on first use, and kept: the two Jacobi rings
-    (at once when validating), the adjoints, the Koszul units, and per side
-    (source W, target V) the ingredients its structure maps share.  Those
-    are the difference quotients of d_X between the side's unit variables
-    and their primes, the verified default null-homotopies, their product
-    Lambda, and the side's coevaluation (coev_tilde for the source, coev for
-    the target).
+    The rest is built once, on first use, and kept: the adjoints, each end's
+    unit, quotients and Lambda (see ``DefectEnd``), and the two
+    coevaluations (coev_tilde through the source unit, coev through the
+    target unit).
     ``coev_tilde(data)``, ``coev(data)`` and every ``EvCoevMaps`` of this
     defect hold the same kept objects, and a Zorro check only reads them;
     callers must not change their matrices or homotopy entries either.
     """
 
-    def __init__(self, base: MatrixFactorisation, source_potential: Poly,
-                 target_potential: Poly, validate: bool = True):
+    def __init__(self, base: MatrixFactorisation, W: Poly, V: Poly):
         self.base = base
-        self.source_potential = source_potential
-        self.target_potential = target_potential
-        self.source_names = tuple(source_potential.ctx.names)
-        self.target_names = tuple(target_potential.ctx.names)
-        overlap = set(self.source_names) & set(self.target_names)
+        self.source = DefectEnd(base, W, "source")
+        self.target = DefectEnd(base, V, "target")
+        src, tgt = self.source.names, self.target.names
+        overlap = set(src) & set(tgt)
         if overlap:
             raise ValueError(f"source/target variables overlap: {overlap}")
         ctx = base.ctx
-        want = embed(target_potential, ctx) - embed(source_potential, ctx)
-        if validate and want != base.potential:
+        if embed(V, ctx) - embed(W, ctx) != base.potential:
             raise FactorisationError(
                 "base potential is not (target) - (source)")
-        self.n = len(self.source_names)
-        self.m = len(self.target_names)
-        if validate:
-            self.source_ring, self.target_ring     # certify both potentials
-        clash = {primed_name(nm) for nm in self.source_names
-                 + self.target_names} & set(ctx.names)
+        self.n = len(src)
+        self.m = len(tgt)
+        self.source.ring, self.target.ring      # certify both potentials
+        clash = {primed_name(nm) for nm in src + tgt} & set(ctx.names)
         if clash:
             raise ValueError(f"primed copies collide with base names: {clash}")
 
@@ -94,53 +124,6 @@ class AdjointData:
         return MatrixFactorisation(
             dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
             validate=False)
-
-    @cached_property
-    def source_ring(self) -> JacobiRing:
-        """Jac(W) of the source potential."""
-        return JacobiRing(self.source_potential)
-
-    @cached_property
-    def target_ring(self) -> JacobiRing:
-        """Jac(V) of the target potential."""
-        return JacobiRing(self.target_potential)
-
-    # The Koszul units are read only by ev/coev and the Zorro moves; each is
-    # built on first use, its potential already certified above.
-    @cached_property
-    def unit_source(self) -> KoszulUnit:
-        return koszul_unit(self.source_potential, require_potential=False)
-
-    @cached_property
-    def unit_target(self) -> KoszulUnit:
-        return koszul_unit(self.target_potential, require_potential=False)
-
-    # The shared ingredients of the structure maps, one set per side.
-    @cached_property
-    def _quotients_source(self) -> list:
-        return _unit_quotients(self.base, self.unit_source)
-
-    @cached_property
-    def _quotients_target(self) -> list:
-        return _unit_quotients(self.base, self.unit_target)
-
-    @cached_property
-    def _homotopies_source(self) -> NullHomotopySet:
-        return default_null_homotopies(self.base, self.source_names,
-                                       side="source")
-
-    @cached_property
-    def _homotopies_target(self) -> NullHomotopySet:
-        return default_null_homotopies(self.base, self.target_names,
-                                       side="target")
-
-    @cached_property
-    def _lambda_source(self) -> list:
-        return self._homotopies_source.product()
-
-    @cached_property
-    def _lambda_target(self) -> list:
-        return self._homotopies_target.product()
 
     @cached_property
     def _coev_tilde(self) -> "KoszulValuedMap":
@@ -213,17 +196,26 @@ class EvCoevMaps:
     ev: KoszulValuedMap
 
 
-def _verify_homotopies(data: AdjointData, hs: NullHomotopySet, side: str,
-                       var_names) -> None:
-    """Raise unless a supplied set is null-homotopies of the defect."""
-    if tuple(hs.order) != tuple(var_names):
-        raise ValueError(f"homotopy set order must be {var_names}")
-    sgn = -1 if side == "source" else 1
-    for name in var_names:
-        if _commutator_mismatch(data.base, hs.entries[name].mat, name,
+def _verify_homotopies(end: DefectEnd, hs: NullHomotopySet) -> None:
+    """Raise unless a supplied set is null-homotopies of the defect at
+    ``end``."""
+    if tuple(hs.order) != end.names:
+        raise ValueError(f"homotopy set order must be {end.names}")
+    sgn = -1 if end.side == "source" else 1
+    for name in end.names:
+        if _commutator_mismatch(end.base, hs.entries[name].mat, name,
                                 sgn) is not None:
             raise FactorisationError(
                 f"supplied homotopy for {name} fails verification")
+
+
+def _lambda(end: DefectEnd, hs: NullHomotopySet | None) -> list:
+    """The end's kept Lambda, or the product of a supplied set once it is
+    verified."""
+    if hs is None:
+        return end.Lambda
+    _verify_homotopies(end, hs)
+    return hs.product()
 
 
 def coev_tilde(data: AdjointData) -> KoszulValuedMap:
@@ -240,7 +232,7 @@ def coev_tilde(data: AdjointData) -> KoszulValuedMap:
 
 def _build_coev_tilde(data: AdjointData) -> KoszulValuedMap:
     X = data.base
-    unit = data.unit_source
+    unit = data.source.unit
     Xd = data.right_adjoint
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(Xd, Xp)
@@ -248,7 +240,7 @@ def _build_coev_tilde(data: AdjointData) -> KoszulValuedMap:
     r = X.rank
     # del_[b_l] ... del_[b_1] for every complement B
     prods = _subset_products(unit.subsets, polymat.identity(ctx, r),
-                             data._quotients_source, left=True)
+                             data.source.quotients, left=True)
     mat = polymat.zeros(ctx, T.rank, unit.rank)
     for c, S in enumerate(unit.subsets):
         s, comp = signs.wedge_complement_sign(S, data.n)
@@ -277,7 +269,7 @@ def coev(data: AdjointData) -> KoszulValuedMap:
 
 def _build_coev(data: AdjointData) -> KoszulValuedMap:
     X = data.base
-    unit = data.unit_target
+    unit = data.target.unit
     Xl = mf_rename(data.left_adjoint,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xl)
@@ -285,7 +277,7 @@ def _build_coev(data: AdjointData) -> KoszulValuedMap:
     r = X.rank
     # del_[b_1] ... del_[b_l] for every complement B
     prods = _subset_products(unit.subsets, polymat.identity(ctx, r),
-                             data._quotients_target, left=False)
+                             data.target.quotients, left=False)
     mat = polymat.zeros(ctx, T.rank, unit.rank)
     for c, S in enumerate(unit.subsets):
         s, comp = signs.wedge_complement_sign(S, data.m)
@@ -308,34 +300,27 @@ def ev_tilde(data: AdjointData,
     g e_j (x) e_i^* goes to sum over subsets i_1 < ... < i_l of
     (-1)^{l + (n+1)|e_j|} theta_{i_1}...theta_{i_l} times the x-residue of
     {del_[i_l] d ... del_[i_1] d Lambda^(x)}_{ij} g against the partials of W.
-    Without ``homotopies`` it uses the defect's kept default set; a supplied
-    set is verified on every call.
+    Lambda^(x) is the source end's kept one without ``homotopies``; a
+    supplied set is verified on every call.
     """
-    if homotopies is None:
-        return _ev_tilde(data, data._lambda_source)
-    _verify_homotopies(data, homotopies, "source", data.source_names)
-    return _ev_tilde(data, homotopies.product())
-
-
-def _ev_tilde(data: AdjointData, Lam) -> KoszulValuedMap:
-    """ev_tilde from Lam, the product of the source side's homotopies."""
+    Lam = _lambda(data.source, homotopies)
     X = data.base
-    unit = data.unit_target
+    unit = data.target.unit
     Xd = mf_rename(data.right_adjoint,
                    dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(X, Xd)
     ctx = T.ctx
     Lam = embed_matrix(Lam, ctx)
     # del_[i_l] ... del_[i_1] Lambda for every subset
-    prods = _subset_products(unit.subsets, Lam, data._quotients_target,
+    prods = _subset_products(unit.subsets, Lam, data.target.quotients,
                              left=True)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
         _ev_tilde_row(data, mat[row], prods[S], len(S))
     return KoszulValuedMap(kind="ev_tilde", source=T, target=unit,
                            parity=0, mat=mat,
-                           integration_names=data.source_names,
-                           denominators=_partials(data.source_potential))
+                           integration_names=data.source.names,
+                           denominators=_partials(data.source.potential))
 
 
 def _ev_tilde_row(data: AdjointData, out, prod, l):
@@ -362,32 +347,25 @@ def ev(data: AdjointData,
     e_i^* (x) g e_j goes to sum over subsets i_1 < ... < i_l of
     (-1)^{binom(l,2) + l|e_j| + m} theta_{i_1}...theta_{i_l} times the
     z-residue of {Lambda^(z) del_[i_1] d ... del_[i_l] d}_{ij} g against the
-    partials of V.  Homotopies as for ``ev_tilde``.
+    partials of V.  Homotopies as for ``ev_tilde``, at the target end.
     """
-    if homotopies is None:
-        return _ev(data, data._lambda_target)
-    _verify_homotopies(data, homotopies, "target", data.target_names)
-    return _ev(data, homotopies.product())
-
-
-def _ev(data: AdjointData, Lam) -> KoszulValuedMap:
-    """ev from Lam, the product of the target side's homotopies."""
+    Lam = _lambda(data.target, homotopies)
     X = data.base
-    unit = data.unit_source
+    unit = data.source.unit
     Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
     T = tensor(data.left_adjoint, Xp)
     ctx = T.ctx
     Lam = embed_matrix(Lam, ctx)
     # Lambda del_[i_1] ... del_[i_l] for every subset
-    prods = _subset_products(unit.subsets, Lam, data._quotients_source,
+    prods = _subset_products(unit.subsets, Lam, data.source.quotients,
                              left=False)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
         _ev_row(data, mat[row], prods[S], len(S))
     return KoszulValuedMap(kind="ev", source=T, target=unit,
                            parity=0, mat=mat,
-                           integration_names=data.target_names,
-                           denominators=_partials(data.target_potential))
+                           integration_names=data.target.names,
+                           denominators=_partials(data.target.potential))
 
 
 def _ev_row(data: AdjointData, out, prod, l):
@@ -405,8 +383,7 @@ def _ev_row(data: AdjointData, out, prod, l):
 def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
     """The four structure maps from the defect's kept ingredients."""
     return EvCoevMaps(coev_tilde=coev_tilde(data), coev=coev(data),
-                      ev_tilde=_ev_tilde(data, data._lambda_source),
-                      ev=_ev(data, data._lambda_target))
+                      ev_tilde=ev_tilde(data), ev=ev(data))
 
 
 # -- dual morphisms -----------------------------------------------------------
@@ -477,10 +454,10 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     variant='left':  rho o (1 (x) ev) o (coev (x) 1) o lambda^{-1}.
     The middle copies are contracted only at the final unit-action stage, and
     the residues are taken over the shared middle source copy with the
-    residue functional of the defect's own Jacobi ring (the source ring for
-    'right', the target ring for 'left'), read over the middle names.  The
-    unit action keeps theta-degree 0 only, so of the evaluation just its row
-    theta_{} (+-Lambda) is formed.
+    residue functional of the Jacobi ring of the defect's end (the source
+    end for 'right', the target end for 'left'), read over the middle names.
+    The unit action keeps theta-degree 0 only, so of the evaluation just its
+    row theta_{} (+-Lambda) is formed.
 
     The contraction forms only the terms the functional reads.  Every factor
     is split by its exponent on the middle variables; a coev-times-section
@@ -492,30 +469,28 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
         raise ValueError("variant must be 'right' or 'left'")
     X = data.base
     r = X.rank
-    src, tgt = data.source_names, data.target_names
+    src, tgt = data.source.names, data.target.names
+    end, other = ((data.source, data.target) if variant == "right"
+                  else (data.target, data.source))
+    unit = end.unit
     if variant == "right":
-        unit, others, ring = data.unit_source, tgt, data.source_ring
         act = unit_action_right(X, unit)
-        P = _rho_inverse(X, unit, act,
-                         _onto_action(data._quotients_source, unit, act))
+        P = _rho_inverse(X, unit, act, _onto_action(end.quotients, unit, act))
         C = coev_tilde(data)
-        Lam = data._lambda_source
         ev_row = _ev_tilde_row
-        mids, w = _snake_names(X, act, unit, others)
+        mids, w = _snake_names(X, act, unit, other.names)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
         emap = dict(zip(src, mids))
 
         def route(x, i, j):                 # (ev index, output row)
             return x * r + i, j
     else:
-        unit, others, ring = data.unit_target, src, data.target_ring
         act = unit_action_left(X, unit)
         P = _lambda_inverse(X, unit, act,
-                            _onto_action(data._quotients_target, unit, act))
+                            _onto_action(end.quotients, unit, act))
         C = coev(data)
-        Lam = data._lambda_target
         ev_row = _ev_row
-        mids, w = _snake_names(X, act, unit, others)
+        mids, w = _snake_names(X, act, unit, other.names)
         cmap = dict(zip(unit.prime_names + src, mids + w))
         emap = dict(zip(src + tgt, w + mids))
 
@@ -523,10 +498,10 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
             return j * r + x, i
     # the ring's support is positional: its variables must be the unit's,
     # in the order the middles copy them
-    if tuple(ring.ctx.names) != tuple(unit.base_names):
+    if tuple(end.ring.ctx.names) != tuple(unit.base_names):
         raise ContextMismatch(f"unit variables {unit.base_names} are not "
-                              f"those of {ring}")
-    plan = ring.residue_plan().over(mids)
+                              f"those of {end.ring}")
+    plan = end.ring.residue_plan().over(mids)
     support = plan.support
     ctx = X.ctx.extend(mids).extend(w)
     mpos = [ctx.index(n) for n in mids]
@@ -535,14 +510,14 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     Cm = [[_by_middle(e, mpos) for e in row]
           for row in rename_matrix(C.mat, cmap, target_ctx=ctx)]
     K0 = [X.ctx.zero()] * (r * r)
-    ev_row(data, K0, Lam, 0)
+    ev_row(data, K0, end.Lambda, 0)
     K0 = [_by_middle(e, mpos)
           for e in rename_matrix([K0], emap, target_ctx=ctx)[0]]
     # reach[e]: the middle exponents from which a term of K0[e] lands on the
     # support
     reach = [{tuple(map(sub, m, k)) for k in k0 for m in support
               if all(map(ge, m, k))} for k0 in K0]
-    back = dict(zip(w, others))
+    back = dict(zip(w, other.names))
     # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
     # coev pair (i, j) is the coev row i*r + j
     out = polymat.zeros(X.ctx, r, r)

@@ -241,9 +241,8 @@ def cmd_pair_kl(ws, args, report):
 
 def cmd_defect_act(ws, args, report):
     data = ws.defect(args.name)
-    W = (data.source_potential if args.side == "right"
-         else data.target_potential)
-    field = parse_poly(args.field, W.ctx)
+    end = data.source if args.side == "right" else data.target
+    field = parse_poly(args.field, end.potential.ctx)
     with _capture_warnings(report):
         out = tft.defect_act(data, field, args.side)
     report.outputs["side"] = args.side

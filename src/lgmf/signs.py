@@ -41,14 +41,7 @@ def wedge_complement_sign(subset, n: int):
     The complement is returned in increasing order b_1 < ... < b_l.
     """
     comp = tuple(i for i in range(n) if i not in subset)
-    seq = subset + comp
-    inversions = sum(
-        1
-        for a in range(len(seq))
-        for b in range(a + 1, len(seq))
-        if seq[a] > seq[b]
-    )
-    return inversions % 2, comp
+    return int(perm_sign(subset + comp) < 0), comp
 
 
 def perm_sign(sigma) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, polymat, signs
-from .adjunction import AdjointData, _project
+from .adjunction import AdjointData, DefectEnd, _project
 from .mf import (MatrixFactorisation, Morphism, _boundary_columns,
                  _check_bound, _equations, _matrix_vector, _vector_matrix,
                  dual, shift, str_matrix)
@@ -104,7 +104,7 @@ def _insertion_matrix(data: AdjointData, Phi: Morphism | None):
 def defect_supertrace(data: AdjointData, Phi=None) -> Poly:
     """str(Phi dd/dx_1 ... dd/dx_n dd/dz_1 ... dd/dz_m) over the joint ring."""
     return _str_with_derivatives(_insertion_matrix(data, Phi), data.base,
-                                 data.source_names + data.target_names)
+                                 data.source.names + data.target.names)
 
 
 def _parity_warn(data: AdjointData):
@@ -115,36 +115,45 @@ def _parity_warn(data: AdjointData):
             f"only for even counts", ParityWarning, stacklevel=3)
 
 
-def _defect_wrap(data: AdjointData, integrand: Poly, over: JacobiRing,
-                 onto: JacobiRing, k: int, fields) -> list:
-    """(-1)^{C(k+1,2)} Res[f integrand dx / d(over)] in ``onto``, per f.
+def _defect_wrap(integrand: Poly, over: DefectEnd, onto: DefectEnd, k: int,
+                 fields) -> list:
+    """(-1)^{C(k+1,2)} Res[f integrand dx / d(over)] in Jac(onto), per f.
 
-    The residue runs over the variables of ``over``: the source (target)
-    names of ``data`` when over is the source (target) ring.
+    The residue runs over the variables of the end ``over`` and lands in the
+    ring of the end ``onto``.
     """
-    ctx = data.base.ctx
     sign = signs.minus_one_to(signs.binom2(k + 1))
-    plan = over.residue_plan()
-    return [onto.reduce(_project(plan(embed(f, ctx) * integrand), onto.ctx)
-                        * sign) for f in fields]
+    plan = over.ring.residue_plan()
+    return [onto.ring.reduce(_project(plan(embed(f, over.base.ctx)
+                                           * integrand), onto.ring.ctx)
+                             * sign) for f in fields]
+
+
+def _ends(data: AdjointData, side: str):
+    """(over, onto) of the wrap on ``side``: 'right' integrates over the
+    source end and lands in the target end, 'left' the reverse."""
+    return ((data.source, data.target) if side == "right"
+            else (data.target, data.source))
+
+
+def _defect_operator(data: AdjointData, side: str,
+                     integrand: Poly) -> DefectOperator:
+    over, onto = _ends(data, side)
+    images = _defect_wrap(integrand, over, onto, len(onto.names),
+                          [b.rep for b in over.ring.basis_elements()])
+    return DefectOperator(over.ring, onto.ring, images)
 
 
 def defect_operator_right(data: AdjointData) -> DefectOperator:
     """Wrapping the defect around a source bulk insertion: Jac(W) -> Jac(V)."""
     _parity_warn(data)
-    src, tgt = data.source_ring, data.target_ring
-    images = _defect_wrap(data, defect_supertrace(data), src, tgt,
-                          data.m, [b.rep for b in src.basis_elements()])
-    return DefectOperator(src, tgt, images)
+    return _defect_operator(data, "right", defect_supertrace(data))
 
 
 def defect_operator_left(data: AdjointData, Phi=None) -> DefectOperator:
     """The mirrored wrap on target bulk insertions: Jac(V) -> Jac(W)."""
     _parity_warn(data)
-    src, tgt = data.source_ring, data.target_ring
-    images = _defect_wrap(data, defect_supertrace(data, Phi), tgt, src,
-                          data.n, [b.rep for b in tgt.basis_elements()])
-    return DefectOperator(tgt, src, images)
+    return _defect_operator(data, "left", defect_supertrace(data, Phi))
 
 
 def quantum_dim(data: AdjointData, side: str) -> JacobiElement:
@@ -172,23 +181,21 @@ def _check_side(side: str):
 
 def _act_on_field(data: AdjointData, side: str, field) -> JacobiElement:
     """The wrap of the chosen side on ``field`` (reduced first), or on 1."""
-    if side == "right":
-        over, onto, k = data.source_ring, data.target_ring, data.m
-    else:
-        over, onto, k = data.target_ring, data.source_ring, data.n
-    f = over.ctx.one() if field is None else over.reduce(field).rep
-    return _defect_wrap(data, defect_supertrace(data), over, onto, k, [f])[0]
+    over, onto = _ends(data, side)
+    f = over.ring.ctx.one() if field is None else over.ring.reduce(field).rep
+    return _defect_wrap(defect_supertrace(data), over, onto, len(onto.names),
+                        [f])[0]
 
 
 def dual_defect(data: AdjointData) -> AdjointData:
     """The dual factorisation read as a defect in the opposite direction."""
-    return AdjointData(dual(data.base), data.target_potential,
-                       data.source_potential, validate=False)
+    return AdjointData(dual(data.base), data.target.potential,
+                       data.source.potential)
 
 
 def shifted_defect(data: AdjointData) -> AdjointData:
-    return AdjointData(shift(data.base), data.source_potential,
-                       data.target_potential, validate=False)
+    return AdjointData(shift(data.base), data.source.potential,
+                       data.target.potential)
 
 
 # -- boundary-bulk and bulk-boundary -----------------------------------------
@@ -423,6 +430,6 @@ def generalized_boundary_bulk(data: AdjointData,
     """(-1)^{C(m+1,2)} Res_z[str(psi dd/dx...dd/dz...) dz / dV] in Jac(W)."""
     # not the even-only _insertion_matrix: psi may be odd
     num = _str_with_derivatives(psi.mat, data.base,
-                                data.source_names + data.target_names)
-    return _defect_wrap(data, num, data.target_ring, data.source_ring,
-                        data.m, [data.base.ctx.one()])[0]
+                                data.source.names + data.target.names)
+    return _defect_wrap(num, data.target, data.source, data.m,
+                        [data.base.ctx.one()])[0]

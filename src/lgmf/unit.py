@@ -438,35 +438,25 @@ def lift_to_diagonal(phi_values, Y: MatrixFactorisation,
                      unit: KoszulUnit) -> Morphism:
     """Lift a closed map Y -> R to a morphism Y -> Delta_W.
 
-    ``phi_values`` lists phi(e_j) in k[x] per basis column of Y.  Column j of
-    the lift accumulates, over index words (j_1, ..., j_l), the Psi-image of
-    the word of differentials times the primed phi-value, with the sign
+    ``phi_values`` lists phi(e_j) in k[x] per basis column of Y.  With D the
+    difference quotients of d_Y between the unit's variables and their
+    primes, the theta_S row of the lift, for S = (s_1 < ... < s_l), is the
+    row of primed phi-values times D[s_l] ... D[s_1], with column j signed
     (-1)^(l|e_j| + l).
     """
     ctx = unit.ctx.merge(Y.ctx)
     prime_map = dict(zip(unit.base_names, unit.prime_names))
-    pos = {s: k for k, s in enumerate(unit.subsets)}
-    mat = polymat.zeros(ctx, len(unit.subsets), Y.rank)
-    r = Y.rank
-    for j in range(r):
-        acc = KoszulElement()
-        stack = [(j, [], 0)]    # (last index, word so far, length)
-        while stack:
-            last, word, l = stack.pop()
-            val = embed(phi_values[last], ctx)
-            if not val.is_zero():
-                tail = substitute(val, prime_map, target_ctx=ctx)
-                el = psi(word, unit)
-                sgn = signs.minus_one_to(l * Y.parity[j] + l)
-                for subset, c in el.items():
-                    acc.accumulate(subset, embed(c, ctx) * tail * sgn)
-            if l < unit.n:
-                for nxt in range(r):
-                    e = embed(Y.d[nxt][last], ctx)
-                    if not e.is_zero():
-                        stack.append((nxt, word + [e], l + 1))
-        for subset, c in acc.items():
-            mat[pos[subset]][j] = embed(c, ctx)
+    row = [[substitute(embed(v, ctx), prime_map, target_ctx=ctx)
+            for v in phi_values]]
+    D = difference_quotients(embed_matrix(Y.d, ctx), unit.pairs)
+    prods = _subset_products(unit.subsets, polymat.identity(ctx, Y.rank), D,
+                             left=True)
+    mat = []
+    for S in unit.subsets:
+        l = len(S)
+        (lifted,) = polymat.mat_mul(row, prods[S])
+        mat.append([e * signs.minus_one_to(l * p + l)
+                    for e, p in zip(lifted, Y.parity)])
     return Morphism(Y, unit, 0, mat)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from .adjunction import AdjointData
 from .mf import FactorisationError, MatrixFactorisation, Morphism, new_mf
 from .ring import (PRIME_SUFFIX, ParseError, Poly, RingContext,
-                   UnknownVariable, embed, parse_poly as ring_parse_poly)
+                   UnknownVariable, _tokenize, embed,
+                   parse_poly as ring_parse_poly)
 
 
 class WorkspaceError(ValueError):
@@ -49,16 +50,12 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
 
 
 def _parse_matrix_literal(text: str):
-    """Nested bracket lists with arbitrary expression leaves, kept as text;
-    a blank item after the last comma is dropped."""
+    """Nested bracket lists with arbitrary expression leaves, kept as text."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise WorkspaceError(f"expected a bracket list, got {text!r}")
-    items = _split_top(text[1:-1])
-    if len(items) > 1 and not items[-1]:
-        items.pop()
     return [_parse_matrix_literal(i) if i.startswith("[") else i
-            for i in items]
+            for i in _list_items(text[1:-1])]
 
 
 def _block_to_matrix(block, ctx):
@@ -88,6 +85,13 @@ def _split_top(text):
             buf += ch
     items.append(buf)
     return [i.strip() for i in items]
+
+
+def _list_items(text):
+    """The items inside a bracket list; a blank item after the last comma,
+    or the one blank item of ``[]``, is dropped."""
+    items = _split_top(text)
+    return items if items[-1] else items[:-1]
 
 
 # -- workspace ---------------------------------------------------------------
@@ -154,14 +158,21 @@ def _factor_pair(body, ctx):
 
 
 def _ring(ws, name, vars_):
-    names = [v.strip() for v in vars_.split(",") if v.strip()]
-    if len(set(names)) != len(names):
-        raise WorkspaceError(f"repeated variable in ring {name!r}")
+    names = _list_items(vars_)
     for v in names:
+        try:
+            tokens = _tokenize(v)
+        except ParseError:
+            tokens = None
+        if tokens != [("var", v), ("end", "")]:
+            raise WorkspaceError(f"ring {name!r}: {v!r} is not a variable "
+                                 f"name")
         if PRIME_SUFFIX in v:
             raise WorkspaceError(f"ring {name!r}: variable {v!r} contains "
                                  f"{PRIME_SUFFIX!r}, which marks primed "
                                  f"copies")
+    if len(set(names)) != len(names):
+        raise WorkspaceError(f"repeated variable in ring {name!r}")
     return RingContext(names)
 
 

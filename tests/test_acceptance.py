@@ -182,7 +182,7 @@ def test_criterion_5_unit_inverses():
     for power in (2, 3):
         data = line_defect(power)
         X = data.base
-        unit = koszul_unit(data.source_potential)
+        unit = koszul_unit(data.source.potential)
         act = unit_action_right(X, unit)
         ri = rho_inverse(X, unit, action=act)
         assert act.compose(ri) == X.identity()
@@ -269,11 +269,11 @@ def test_criterion_10_independence():
     data = line_defect(3)
     X = data.base
     ctx = X.ctx
-    hs = default_null_homotopies(X, data.source_names, side="source")
+    hs = default_null_homotopies(X, data.source.names, side="source")
     alpha_mat = polymat.zeros(ctx, X.rank, X.rank)
     alpha_mat[0][0] = ctx.gen("y")
     bump = Morphism(X, X, 0, alpha_mat).boundary()
-    name = data.source_names[0]
+    name = data.source.names[0]
     entries = dict(hs.entries)
     entries[name] = Morphism(X, X, 1,
                              polymat.mat_add(entries[name].mat, bump.mat))
@@ -310,8 +310,8 @@ def test_criterion_10_independence():
     ren = {"x": "u", "y": "v"}
     from lgmf.mf import mf_rename
     d2 = AdjointData(mf_rename(d.base, ren),
-                     rename(d.source_potential, ren, RingContext(["v"])),
-                     rename(d.target_potential, ren, RingContext(["u"])))
+                     rename(d.source.potential, ren, RingContext(["v"])),
+                     rename(d.target.potential, ren, RingContext(["u"])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
         q1 = tft.quantum_dim(d, "right").rep

@@ -42,8 +42,8 @@ def test_adjoints_are_valid_factorisations(defect):
         assert not adj.validation_failures()
     # right adjoint factors the negated, swapped potential
     ctx = defect.right_adjoint.ctx
-    want = embed(defect.source_potential, ctx) - embed(
-        defect.target_potential, ctx)
+    want = embed(defect.source.potential, ctx) - embed(
+        defect.target.potential, ctx)
     assert defect.right_adjoint.potential == want
     assert defect.left_adjoint.potential == want
 
@@ -60,8 +60,8 @@ def test_coevaluations_have_polynomial_matrices(defect):
         assert not kvm.residue_valued
         assert kvm.as_morphism().is_closed()
     # evaluations integrate over the contracted variables, when there are any
-    assert maps.ev_tilde.residue_valued == bool(defect.source_names)
-    assert maps.ev.residue_valued == bool(defect.target_names)
+    assert maps.ev_tilde.residue_valued == bool(defect.source.names)
+    assert maps.ev.residue_valued == bool(defect.target.names)
     for kvm in (maps.ev_tilde, maps.ev):
         if kvm.residue_valued:
             with pytest.raises(ValueError):
@@ -107,14 +107,14 @@ def _reference_zorro_composite(data, variant):
     """
     X = data.base
     r = X.rank
-    src, tgt = data.source_names, data.target_names
+    src, tgt = data.source.names, data.target.names
     if variant == "right":
-        unit, others = data.unit_source, tgt
+        unit, others = data.source.unit, tgt
         act = unit_action_right(X, unit)
         P = rho_inverse(X, unit, action=act)
         C = adjunction.coev_tilde(data)
         hs = default_null_homotopies(X, src, side="source")
-        ev_row, W = adjunction._ev_tilde_row, data.source_potential
+        ev_row, W = adjunction._ev_tilde_row, data.source.potential
         mids, w = adjunction._snake_names(X, act, unit, others)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
         emap = dict(zip(src, mids))
@@ -122,12 +122,12 @@ def _reference_zorro_composite(data, variant):
         def route(x, i, j):
             return x * r + i, j
     else:
-        unit, others = data.unit_target, src
+        unit, others = data.target.unit, src
         act = unit_action_left(X, unit)
         P = lambda_inverse(X, unit, action=act)
         C = adjunction.coev(data)
         hs = default_null_homotopies(X, tgt, side="target")
-        ev_row, W = adjunction._ev_row, data.target_potential
+        ev_row, W = adjunction._ev_row, data.target.potential
         mids, w = adjunction._snake_names(X, act, unit, others)
         cmap = dict(zip(unit.prime_names + src, mids + w))
         emap = dict(zip(src + tgt, w + mids))
@@ -221,8 +221,8 @@ def test_section_quotients_are_the_defects_renamed(key):
     data = SNAKE_DEFECTS[key]()
     X = data.base
     for unit, kept, action in (
-            (data.unit_source, data._quotients_source, unit_action_right),
-            (data.unit_target, data._quotients_target, unit_action_left)):
+            (data.source.unit, data.source.quotients, unit_action_right),
+            (data.target.unit, data.target.quotients, unit_action_left)):
         act = action(X, unit)
         umf, ctx = act.unit_mf, act.tensor_mf.ctx
         d = [[rename(e, dict(zip(unit.base_names, umf.base_names)), ctx)
@@ -280,7 +280,7 @@ def test_zorro_composite_checks_the_ring_order():
     data = delta_defect(_C2.gen("x") ** 3 + _C2.gen("y") ** 3)
     # a ring over the same potential with its variables swapped
     swapped = RingContext(["ys", "xs"])
-    data.source_ring = JacobiRing(embed(data.source_potential, swapped))
+    data.source.ring = JacobiRing(embed(data.source.potential, swapped))
     with pytest.raises(adjunction.ContextMismatch, match="not those of"):
         zorro_composite(data, "right")
     assert zorro_composite(data, "left") == _reference_zorro_composite(
@@ -293,13 +293,13 @@ def test_ev_tilde_independent_of_homotopy_choice():
     data = line_defect(3)
     X = data.base
     ctx = X.ctx
-    base_hs = default_null_homotopies(X, data.source_names, side="source")
+    base_hs = default_null_homotopies(X, data.source.names, side="source")
     # perturb lambda_y by a boundary: lambda'_y = lambda_y + [d, alpha]
     alpha_mat = polymat.zeros(ctx, X.rank, X.rank)
     alpha_mat[0][0] = ctx.gen("y")
     alpha = Morphism(X, X, 0, alpha_mat)
     bump = alpha.boundary()
-    name = data.source_names[0]
+    name = data.source.names[0]
     entries = dict(base_hs.entries)
     entries[name] = Morphism(X, X, 1, polymat.mat_add(
         entries[name].mat, bump.mat))
@@ -316,7 +316,7 @@ def test_ev_tilde_independent_of_homotopy_choice():
 def test_invalid_homotopies_are_rejected():
     data = line_defect(2)
     X = data.base
-    hs = default_null_homotopies(X, data.source_names, side="source")
+    hs = default_null_homotopies(X, data.source.names, side="source")
     wrong = {name: Morphism(X, X, 1, polymat.zeros(X.ctx, X.rank, X.rank))
              for name in hs.entries}
     bad = NullHomotopySet(mf=X, side="source", entries=wrong, order=hs.order)
@@ -371,7 +371,7 @@ def test_each_sides_lambda_is_formed_once(monkeypatch):
     ev_tilde(data)
     ev(data)
     assert sorted(sides) == ["source", "target"]
-    hs = default_null_homotopies(data.base, data.source_names, side="source")
+    hs = default_null_homotopies(data.base, data.source.names, side="source")
     assert ev_tilde(data, hs).mat == ev_tilde(data).mat
     assert sorted(sides) == ["source", "source", "target"]
 
@@ -380,7 +380,7 @@ def test_each_sides_lambda_is_formed_once(monkeypatch):
 def test_tampered_supplied_homotopies_are_reverified(side):
     data = line_defect(3)
     X = data.base
-    names = data.source_names if side == "source" else data.target_names
+    names = data.source.names if side == "source" else data.target.names
     hs = default_null_homotopies(X, names, side=side)
     entries = dict(hs.entries)
     lam = polymat.mat_scale(entries[names[0]].mat, Fraction(2))
@@ -426,20 +426,32 @@ def test_adjoint_data_rejects_potential_mismatch():
     d = line_defect(2)
     wrong = d.base.ctx.gen("x") ** 3
     with pytest.raises(ValueError):
-        AdjointData(d.base, d.source_potential, wrong)
+        AdjointData(d.base, d.source.potential, wrong)
 
 
 def test_units_are_built_once_on_first_use(monkeypatch):
     d = line_defect(3)
-    certified = []
-    real = JacobiRing.__init__
-    monkeypatch.setattr(JacobiRing, "__init__",
-                        lambda self, W: certified.append(W) or real(self, W))
-    assert "unit_source" not in vars(d) and "unit_target" not in vars(d)
-    # both potentials were certified, by building their rings, with d
-    assert "source_ring" in vars(d) and "target_ring" in vars(d)
-    u, v = d.unit_source, d.unit_target
-    assert d.unit_source is u and d.unit_target is v
-    assert certified == []
-    assert u.base_names == ("y",) and v.base_names == ("x",)
+    built = []
 
+    def counting(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: built.append(
+            name) or real(*args, **kw))
+    for owner, name in ((JacobiRing, "__init__"), (adjunction, "koszul_unit"),
+                        (adjunction, "_unit_quotients"),
+                        (NullHomotopySet, "product")):
+        counting(owner, name)
+    lazy = {"unit", "quotients", "Lambda"}
+    for end in (d.source, d.target):
+        # both potentials were certified, by building their rings, with d
+        assert "ring" in vars(end) and not lazy & set(vars(end))
+    first = [(e.unit, e.quotients, e.Lambda) for e in (d.source, d.target)]
+    again = [(e.unit, e.quotients, e.Lambda) for e in (d.source, d.target)]
+    assert all(a is b for pa, pb in zip(first, again)
+               for a, b in zip(pa, pb))
+    assert sorted(built) == sorted(["koszul_unit", "_unit_quotients",
+                                    "product"] * 2)
+    for end in (d.source, d.target):
+        assert lazy <= set(vars(end))
+    u, v = d.source.unit, d.target.unit
+    assert u.base_names == ("y",) and v.base_names == ("x",)

@@ -114,6 +114,17 @@ SQUARES = ("ring Rs = [s]\npotential Ws on Rs = s^2\n"
      "line 4: matrix block mixes rows and entries"),
     (CUBIC_MF + "morphism f : X -> X parity 1 = 0\n",
      "line 4: expected a bracket list, got '0'"),
+    # a ring item is one variable token of the expression grammar
+    ("ring R = [x-y]\n", "line 1: ring 'R': 'x-y' is not a variable name"),
+    ("ring R = [x y]\n", "line 1: ring 'R': 'x y' is not a variable name"),
+    ("ring R = [x,,y]\n", "line 1: ring 'R': '' is not a variable name"),
+    ("ring R = [x, 2]\n", "line 1: ring 'R': '2' is not a variable name"),
+    ("ring R = [x, y$]\n", "line 1: ring 'R': 'y$' is not a variable name"),
+    # only a blank last item is dropped, so [,] keeps one blank entry
+    (CUBIC + "mf X on W = ([,], [x^2])\n",
+     "line 3: bad expression '': unexpected token ''"),
+    (CUBIC_MF + "morphism f : X -> X parity 1 = []\n",
+     "line 4: morphism 'f': morphism shape mismatch"),
 ])
 def test_workspace_errors(tmp_path, snippet, needle):
     path = tmp_path / "bad.lg"
@@ -150,6 +161,11 @@ def test_every_load_error_names_its_line(text):
     except WorkspaceError as exc:
         assert exc.line is not None
         assert str(exc).startswith(f"line {exc.line}: ")
+
+
+def test_ring_lists_drop_only_a_blank_last_item():
+    w = parse_workspace("ring E = []\nring R = [x, y,]\nring S = [ s ]\n")
+    assert [list(w.rings[k].names) for k in "ERS"] == [[], ["x", "y"], ["s"]]
 
 
 def test_the_readme_grammar_example_loads():
@@ -465,6 +481,40 @@ def test_a_morphism_between_factorisations_of_one_potential_loads(
     code, rep = run_json(capsys, "validate", str(path))
     assert code == 0
     assert rep["outputs"]["checked"]["h"] is True
+
+
+def test_a_bad_ring_variable_exits_two_naming_line_one(tmp_path, capsys):
+    path = tmp_path / "bad.lg"
+    path.write_text("ring R = [x-y]\npotential W on R = x^3\n")
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert rep["outputs"]["error"] == (
+        "line 1: ring 'R': 'x-y' is not a variable name")
+
+
+EMPTY = CUBIC_MF + ("mf Z on W = ([], [])\n"
+                    "morphism z : Z -> Z parity 0 = []\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "Z"], ["cardy", "Z", "Z"], ["cardy", "X", "Z"],
+    ["pair-kl", "Z", "z", "z"], ["zorro-check", "Z"], ["evcoev-dump", "Z"]])
+def test_empty_blocks_are_the_rank_zero_factorisation(tmp_path, capsys,
+                                                      argv):
+    path = tmp_path / "empty.lg"
+    path.write_text(EMPTY)
+    assert load_workspace(str(path)).mfs["Z"].rank == 0
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 0
+    assert rep["outputs"]["checked"] == {"X": True, "Z": True, "z": True}
+    code, rep = run_json(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    out = rep["outputs"]
+    if argv[0] == "chern":
+        assert out["chern_character"] == "0"
+    if argv[0] == "cardy":
+        assert out["lhs"] == out["rhs"] == "0/1"
+        assert out["cohomology_dimensions"] == [0, 0]
 
 
 def test_a_workspace_that_is_not_utf8_exits_two(tmp_path, capsys):

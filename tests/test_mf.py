@@ -157,8 +157,8 @@ def _structure_map_factors(data):
     """The factors of the six tensors a defect's structure maps build: both
     unit actions, and the tensors of coev_tilde, coev, ev_tilde and ev."""
     X = data.base
-    tensors = [unit.unit_action_right(X, data.unit_source).tensor_mf,
-               unit.unit_action_left(X, data.unit_target).tensor_mf,
+    tensors = [unit.unit_action_right(X, data.source.unit).tensor_mf,
+               unit.unit_action_left(X, data.target.unit).tensor_mf,
                adjunction.coev_tilde(data).target,
                adjunction.coev(data).target,
                adjunction.ev_tilde(data).source,
@@ -252,7 +252,7 @@ def test_tensor_signs_cost_no_fraction_product(monkeypatch):
     signs negate each entry of d_X once and multiply by no Fraction."""
     data = delta_defect(_klein(1, 1, 1))
     Y, X = unit.unit_action_right(data.base,
-                                  data.unit_source).tensor_mf.factors
+                                  data.source.unit).tensor_mf.factors
     assert any(Y.parity) and X.rank == 8
     scalars, products = [], []
     scale, mul = ring._terms_scale, Fraction.__mul__

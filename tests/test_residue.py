@@ -242,8 +242,8 @@ def test_zorro_composite_builds_one_plan_per_variant(monkeypatch):
     calls = _count_groebner(monkeypatch)
     plans = _count_plans(monkeypatch)
     # the functional is the defect's own ring's: no basis is built
-    for variant, ring in (("right", data.source_ring),
-                          ("left", data.target_ring)):
+    for variant, ring in (("right", data.source.ring),
+                          ("left", data.target.ring)):
         del plans[:]
         adjunction.zorro_composite(data, variant)
         assert calls == [] and len(plans) == 1 and plans[0] is ring
@@ -258,7 +258,7 @@ def test_defect_operator_builds_one_plan(monkeypatch):
     # the rings are the defect's own, built with it; the plan is the
     # source ring's
     assert len(op.images) == 2 and calls == []
-    assert plans == [op.source] and op.source is data.source_ring
+    assert plans == [op.source] and op.source is data.source.ring
 
 
 def test_bulk_gram_matrix_builds_one_plan(monkeypatch):

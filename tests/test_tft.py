@@ -101,8 +101,8 @@ def test_pairings_and_wraps_reuse_the_rings_bases(monkeypatch):
     assert bases == [] and rings == []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
-        for side, W in (("right", data.source_potential),
-                        ("left", data.target_potential)):
+        for side, W in (("right", data.source.potential),
+                        ("left", data.target.potential)):
             tft.quantum_dim(data, side)
             tft.defect_act(data, W.ctx.gen(W.ctx.names[0]), side)
         tft.defect_operator_right(data)
@@ -208,7 +208,7 @@ _X, _Y, _Z = (_C3.gen(n) for n in _C3.names)
 ], ids=["Klein quartic", "Fermat cubic", "x^3+y^3+z^2", "x^3+y^2+z^2"])
 def test_diagonal_defect_acts_as_identity_three_variables(W, dim):
     dd = delta_defect(W)
-    assert dd.source_ring.dimension == dd.target_ring.dimension == dim
+    assert dd.source.ring.dimension == dd.target.ring.dimension == dim
     with pytest.warns(tft.ParityWarning):
         assert tft.defect_operator_right(dd).is_identity()
     with pytest.warns(tft.ParityWarning):
@@ -248,20 +248,46 @@ def test_duality_exchanges_left_and_right_operators():
             == tft.defect_operator_right(tft.dual_defect(dd)))
 
 
+def test_dual_and_shifted_defects_certify_both_ends(monkeypatch):
+    defects = ([boundary_defect(X) for X in corpus_boundary_mfs().values()]
+               + [line_defect(2), line_defect(3)]
+               + [delta_defect(W) for W in corpus_potentials().values()])
+    rings = _counting(monkeypatch, tft.JacobiRing, "__init__")
+    for d in defects:
+        for made in (tft.dual_defect(d), tft.shifted_defect(d)):
+            assert "ring" in vars(made.source) and "ring" in vars(made.target)
+    assert len(rings) == 4 * len(defects)
+
+
+def test_parity_warnings_name_the_public_caller():
+    d = line_defect(3)
+    y = d.source.potential.ctx.gen("y")
+    for call in (lambda: tft.defect_operator_right(d),
+                 lambda: tft.defect_operator_left(d),
+                 lambda: tft.quantum_dim(d, "left"),
+                 lambda: tft.defect_act(d, y, "right")):
+        with pytest.warns(tft.ParityWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_contractible_defect_acts_as_zero():
     W = corpus_potentials()["x^3"]
     ctx = W.ctx
     Xc = new_mf(ctx, W, [[ctx.one()]], [[W]])
     ddc = AdjointData(Xc, RingContext([]).zero(), W)
-    op = tft.defect_operator_right(ddc)
+    with pytest.warns(tft.ParityWarning):
+        op = tft.defect_operator_right(ddc)
     assert all(img.is_zero() for img in op.images)
 
 
 @pytest.mark.parametrize("power", [2, 3])
 def test_defect_operators_are_adjoint_for_bulk_pairings(power):
     d = line_defect(power)
-    opr = tft.defect_operator_right(d)
-    opl = tft.defect_operator_left(d)
+    with pytest.warns(tft.ParityWarning):
+        opr = tft.defect_operator_right(d)
+    with pytest.warns(tft.ParityWarning):
+        opl = tft.defect_operator_left(d)
     assert opl.target is not None
     for phi in opl.source.basis_elements():
         for psi in opr.source.basis_elements():
@@ -272,9 +298,11 @@ def test_defect_operators_are_adjoint_for_bulk_pairings(power):
 
 def test_defect_operators_compose_with_the_diagonal():
     d = line_defect(3)
-    dd = delta_defect(d.source_potential)
-    op = tft.defect_operator_right(d)
-    idop = tft.defect_operator_right(dd)
+    dd = delta_defect(d.source.potential)
+    with pytest.warns(tft.ParityWarning):
+        op = tft.defect_operator_right(d)
+    with pytest.warns(tft.ParityWarning):
+        idop = tft.defect_operator_right(dd)
     assert idop.is_identity()
     comp = op.compose(idop)
     # post-composition with the diagonal changes nothing, up to the canonical
@@ -296,12 +324,14 @@ def test_simultaneous_variable_permutation_invariance():
     ren = {"x": "u", "y": "v"}
     db = mf_rename(d.base, ren)
     d2 = AdjointData(db,
-                     rename(d.source_potential, ren,
+                     rename(d.source.potential, ren,
                             RingContext(["v"])),
-                     rename(d.target_potential, ren,
+                     rename(d.target.potential, ren,
                             RingContext(["u"])))
-    q1 = tft.quantum_dim(d, "right").rep
-    q2 = tft.quantum_dim(d2, "right").rep
+    with pytest.warns(tft.ParityWarning):
+        q1 = tft.quantum_dim(d, "right").rep
+    with pytest.warns(tft.ParityWarning):
+        q2 = tft.quantum_dim(d2, "right").rep
     assert q2 == rename(q1, ren, q2.ctx)
 
 
@@ -414,7 +444,7 @@ def _rho_cases():
     for power in (2, 3):
         data = line_defect(power)
         X = data.base
-        T = unit_action_right(X, koszul_unit(data.source_potential)).tensor_mf
+        T = unit_action_right(X, koszul_unit(data.source.potential)).tensor_mf
         Xb = MatrixFactorisation(T.ctx, X.potential, list(X.parity), X.d)
         for bound in range(4):
             yield Xb, T, bound

@@ -132,7 +132,7 @@ def _right_setup(power):
     from conftest import line_defect
     data = line_defect(power)
     X = data.base
-    unit = koszul_unit(data.source_potential)
+    unit = koszul_unit(data.source.potential)
     act = unit_action_right(X, unit)
     return X, unit, act
 
@@ -173,7 +173,7 @@ def test_difference_quotients_match_the_single_quotients(key):
     boundary's source) up to n = 3."""
     data = QUOTIENT_DEFECTS[key]()
     X = data.base
-    for unit in (data.unit_source, data.unit_target):
+    for unit in (data.source.unit, data.target.unit):
         ctx = X.ctx.extend(unit.prime_names)
         d = [[embed(e, ctx) for e in row] for row in X.d]
         for pairs in itertools.permutations(unit.pairs):
@@ -200,6 +200,85 @@ def test_lift_of_stabilisation_map_through_itself(key):
         for k, S in enumerate(unit.subsets):
             col.accumulate(tuple(S), lift.mat[k][j])
         assert pi(col) == embed(values[j], unit.ctx)
+
+
+def _lift_by_words(phi_values, Y, unit):
+    """The lift summed over index words, the oracle of lift_to_diagonal.
+
+    Column j accumulates, over index words (j_1, ..., j_l), the Psi-image of
+    the word of differentials times the primed phi-value, with the sign
+    (-1)^(l|e_j| + l).
+    """
+    ctx = unit.ctx.merge(Y.ctx)
+    prime_map = dict(zip(unit.base_names, unit.prime_names))
+    pos = {s: k for k, s in enumerate(unit.subsets)}
+    mat = polymat.zeros(ctx, len(unit.subsets), Y.rank)
+    for j in range(Y.rank):
+        acc = KoszulElement()
+        stack = [(j, [], 0)]    # (last index, word so far, length)
+        while stack:
+            last, word, l = stack.pop()
+            val = embed(phi_values[last], ctx)
+            if not val.is_zero():
+                tail = substitute(val, prime_map, target_ctx=ctx)
+                sgn = signs.minus_one_to(l * Y.parity[j] + l)
+                for subset, c in psi(word, unit).items():
+                    acc.accumulate(subset, embed(c, ctx) * tail * sgn)
+            if l < unit.n:
+                for nxt in range(Y.rank):
+                    e = embed(Y.d[nxt][last], ctx)
+                    if not e.is_zero():
+                        stack.append((nxt, word + [e], l + 1))
+        for subset, c in acc.items():
+            mat[pos[subset]][j] = embed(c, ctx)
+    return mat
+
+
+_XY = ctx_of("x", "y")
+_W_X2Y_Y4 = _XY.gen("x") ** 2 * _XY.gen("y") + _XY.gen("y") ** 4
+LIFT_CASES = {
+    "Delta x^3": lambda: _diagonal(corpus_potentials()["x^3"]),
+    "Delta x^3-y^3": lambda: _diagonal(corpus_potentials()["x^3-y^3"]),
+    "Delta x^2y+y^4": lambda: _diagonal(_W_X2Y_Y4),
+    "Delta Fermat cubic": lambda: _diagonal(W3),
+    "rank 2 over x^2y+y^4": lambda: (
+        new_mf(_XY, _W_X2Y_Y4, [[_XY.gen("y")]],
+               [[_XY.gen("x") ** 2 + _XY.gen("y") ** 3]]),
+        koszul_unit(_W_X2Y_Y4)),
+}
+
+
+def _diagonal(W):
+    unit = koszul_unit(W)
+    return unit, unit
+
+
+@pytest.mark.parametrize("key", list(LIFT_CASES))
+def test_lift_is_the_sum_over_index_words(key):
+    """The subset products give exactly the word search, for even
+    phi-values nonzero on every even basis column."""
+    Y, unit = LIFT_CASES[key]()
+    base = unit.W.ctx
+    values = [base.zero() if Y.parity[j] else
+              base.gen(base.names[j % len(base.names)]) ** j + j + 1
+              for j in range(Y.rank)]
+    assert (lift_to_diagonal(values, Y, unit).mat
+            == _lift_by_words(values, Y, unit))
+
+
+def test_wedge_complement_sign_is_the_wedge_product():
+    """theta_S ^ theta_B, B the complement, formed one theta at a time."""
+    for n in range(5):
+        for S in signs.subsets_ordered(n):
+            s, comp = signs.wedge_complement_sign(S, n)
+            assert comp == tuple(i for i in range(n) if i not in S)
+            sign, T = 1, S
+            # theta_T ^ theta_b = (-1)^|T| theta_b ^ theta_T
+            for b in comp:
+                step, T2 = signs.wedge_insert(b, T)
+                sign, T = sign * step * (-1) ** len(T), T2
+            assert T == tuple(range(n))
+            assert signs.minus_one_to(s) == sign
 
 
 def _assert_closed_and_respects_pi(xi, unit, unit_sigma):
