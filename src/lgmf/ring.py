@@ -69,9 +69,6 @@ class RingContext:
         except KeyError:
             raise UnknownVariable(f"{name!r} not in context {self.names}") from None
 
-    def contains(self, name: str) -> bool:
-        return name in self._lookup
-
     def extend(self, extra_names) -> "RingContext":
         """This context with the new names appended; itself if none is new."""
         new = [n for n in extra_names if n not in self._lookup]
@@ -613,102 +610,124 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
     """Parse the CLI polynomial grammar: signed sums of c * v1^e1 * ... terms.
 
     Also accepts parentheses and rational coefficients p/q (an int when q
-    divides p).  Subexpressions are term dicts combined by the sparse-term
+    divides p).  One recursive descent over the tokens: the numbers and
+    variables of a product, with their powers, add up into one exponent
+    list and one coefficient, and a term dict is formed only per summand and
+    per parenthesised factor.  Those dicts are combined by the sparse-term
     kernels; the result is wrapped in a Poly once.
     """
     tokens = _tokenize(text)
-    pos = [0]
-    width = len(ctx.names)
-    zero_exp = (0,) * width
+    terms, i = _parse_sum(tokens, 0, ctx)
+    if tokens[i][0] != "end":
+        raise ParseError(f"trailing input at token {tokens[i][1]!r}")
+    return _poly(ctx, terms)
 
-    def peek():
-        return tokens[pos[0]][0]
 
-    def take(kind=None):
-        k, v = tokens[pos[0]]
-        if kind is not None and k != kind:
-            raise ParseError(f"expected {kind}, found {v!r} (token {pos[0]})")
-        pos[0] += 1
-        return v
+def _expected(kind, tokens, i):
+    return ParseError(f"expected {kind}, found {tokens[i][1]!r} (token {i})")
 
-    def parse_atom() -> dict:
-        k = peek()
-        if k == "int":
-            num = int(take())
-            den = 1
-            if peek() == "/":
-                take()
-                den = int(take("int"))
-                if not den:
-                    raise ParseError(f"zero denominator in {num}/{den}")
-            return {zero_exp: _canon(Fraction(num, den))} if num else {}
-        if k == "var":
-            name = take()
-            if not ctx.contains(name):
-                raise ParseError(f"unknown variable {name!r} in context {ctx.names}")
-            exp = [0] * width
-            exp[ctx.index(name)] = 1
-            return {tuple(exp): 1}
-        if k == "(":
-            take()
-            p = parse_sum()
-            take(")")
-            return p
-        raise ParseError(f"unexpected token {tokens[pos[0]][1]!r}")
 
-    def parse_power() -> dict:
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            if peek() == "-":
-                raise ParseError("negative exponents are not supported")
-            k = int(take("int"))
-            if k and len(base) == 1:        # a monomial: scale its exponent
-                (exp, c), = base.items()
-                return {tuple(e * k for e in exp): c ** k}
-            out = None                      # base^0 = 1, also for base 0
-            while k:
-                if k & 1:
-                    out = base if out is None else _terms_mul(out, base)
-                k >>= 1
-                if k:
-                    base = _terms_mul(base, base)
-            return {zero_exp: 1} if out is None else out
-        return base
-
-    def parse_product() -> dict:
-        p = parse_power()
-        while peek() in ("*", "var", "("):
-            if peek() == "*":
-                take()
-            q = parse_power()
-            if len(p) == 1 and len(q) == 1:     # monomial times monomial
-                (ep, cp), = p.items()
-                (eq, cq), = q.items()
-                p = {tuple(map(add, ep, eq)): _canon(cp * cq)}
-            else:
-                p = _terms_mul(p, q)
-        return p
-
-    def signed_product(negative) -> dict:
-        p = parse_product()
-        return {exp: -c for exp, c in p.items()} if negative else p
-
-    def parse_sum() -> dict:
+def _parse_sum(tokens, i, ctx):
+    """The term dict of the signed sum at token i, and the index after it."""
+    out = None
+    kind = tokens[i][0]
+    while True:
         negative = False
-        while peek() in ("+", "-"):
-            if take() == "-":
-                negative = not negative
-        p = signed_product(negative)
-        while peek() in ("+", "-"):
-            negative = False
-            while peek() in ("+", "-"):
-                if take() == "-":
-                    negative = not negative
-            p = _terms_add(p, signed_product(negative))
-        return p
+        while kind == "+" or kind == "-":
+            negative ^= kind == "-"
+            i += 1
+            kind = tokens[i][0]
+        terms, i = _parse_product(tokens, i, ctx, negative)
+        out = terms if out is None else _terms_add(out, terms)
+        kind = tokens[i][0]
+        if kind != "+" and kind != "-":
+            return out, i
 
-    out = parse_sum()
-    if peek() != "end":
-        raise ParseError(f"trailing input at token {tokens[pos[0]][1]!r}")
-    return _poly(ctx, out)
+
+def _parse_product(tokens, i, ctx, negative):
+    """The term dict of the product at token i, negated if ``negative``, and
+    the index after it.
+
+    The numbers and variables, each to its power, add up into one
+    coefficient and one exponent list; the parenthesised factors multiply as
+    term dicts.  A monomial only shifts the terms of the other factors, so
+    the term order is that of the left-to-right product.
+    """
+    exp = [0] * len(ctx.names)
+    coef = -1 if negative else 1
+    group = None                        # the parenthesised factors' product
+    lookup = ctx._lookup
+    while True:
+        kind, value = tokens[i]
+        if kind == "var":
+            v = lookup.get(value)
+            if v is None:
+                raise ParseError(f"unknown variable {value!r} in context "
+                                 f"{ctx.names}")
+            k, i = _exponent(tokens, i + 1)
+            exp[v] += k
+        elif kind == "int":
+            c = int(value)
+            i += 1
+            if tokens[i][0] == "/":
+                if tokens[i + 1][0] != "int":
+                    raise _expected("int", tokens, i + 1)
+                den = int(tokens[i + 1][1])
+                if not den:
+                    raise ParseError(f"zero denominator in {c}/{den}")
+                c = _canon(Fraction(c, den))
+                i += 2
+            k, i = _exponent(tokens, i)
+            coef *= c if k == 1 else c ** k
+        elif kind == "(":
+            terms, i = _parse_sum(tokens, i + 1, ctx)
+            if tokens[i][0] != ")":
+                raise _expected(")", tokens, i)
+            k, i = _exponent(tokens, i + 1)
+            if k:                       # (...)^0 = 1, also for 0
+                terms = _terms_pow(terms, k)
+                group = terms if group is None else _terms_mul(group, terms)
+        else:
+            raise ParseError(f"unexpected token {value!r}")
+        kind = tokens[i][0]
+        if kind == "*":
+            i += 1
+        elif kind != "var" and kind != "(":
+            break
+    if type(coef) is Fraction and coef.denominator == 1:
+        coef = coef.numerator
+    if not coef:
+        return {}, i
+    if group is None:
+        return {tuple(exp): coef}, i
+    if coef == 1 and not any(exp):
+        return group, i
+    return _terms_mul({tuple(exp): coef}, group), i
+
+
+def _exponent(tokens, i):
+    """The exponent k of a ``^k`` at token i (1 if there is none), and the
+    index after it."""
+    if tokens[i][0] != "^":
+        return 1, i
+    i += 1
+    if tokens[i][0] == "-":
+        raise ParseError("negative exponents are not supported")
+    if tokens[i][0] != "int":
+        raise _expected("int", tokens, i)
+    return int(tokens[i][1]), i + 1
+
+
+def _terms_pow(a, k):
+    """a^k for k >= 1 by repeated squaring (``a`` itself for k = 1)."""
+    while not k & 1:
+        a = _terms_mul(a, a)
+        k >>= 1
+    out = a
+    k >>= 1
+    while k:
+        a = _terms_mul(a, a)
+        if k & 1:
+            out = _terms_mul(out, a)
+        k >>= 1
+    return out

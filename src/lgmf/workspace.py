@@ -14,6 +14,9 @@ integer or ``p/q`` coefficients).
 
 A flat bracket list in a factorisation denotes a diagonal block; a nested
 list is a full matrix block (d0, d1).  A morphism's ends factor one potential.
+Each bracket list is cut at its top-level commas in one scan of its
+punctuation, recursing into the nested lists; brackets that do not balance
+there raise an "unbalanced brackets" error.
 Readers raise ``WorkspaceError`` without a line; ``parse_workspace`` adds it
 in one handler per declaration line, ``load_workspace`` for a non-UTF-8 byte.
 """
@@ -25,9 +28,8 @@ from dataclasses import dataclass, field
 
 from .adjunction import AdjointData
 from .mf import FactorisationError, MatrixFactorisation, Morphism, new_mf
-from .ring import (PRIME_SUFFIX, ParseError, Poly, RingContext,
-                   UnknownVariable, _tokenize, embed,
-                   parse_poly as ring_parse_poly)
+from .ring import (PRIME_SUFFIX, ParseError, Poly, RingContext, _tokenize,
+                   embed, parse_poly as ring_parse_poly)
 
 
 class WorkspaceError(ValueError):
@@ -45,7 +47,7 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
     """An exact polynomial from the textual grammar, with workspace errors."""
     try:
         return ring_parse_poly(text, ctx)
-    except (ParseError, UnknownVariable) as exc:
+    except ParseError as exc:
         raise WorkspaceError(f"bad expression {text!r}: {exc}") from None
 
 
@@ -55,7 +57,7 @@ def _parse_matrix_literal(text: str):
     if not (text.startswith("[") and text.endswith("]")):
         raise WorkspaceError(f"expected a bracket list, got {text!r}")
     return [_parse_matrix_literal(i) if i.startswith("[") else i
-            for i in _list_items(text[1:-1])]
+            for i in _list_items(text, 1, len(text) - 1)]
 
 
 def _block_to_matrix(block, ctx):
@@ -70,27 +72,36 @@ def _block_to_matrix(block, ctx):
     return [[parse_poly(e, ctx) for e in row] for row in block]
 
 
-def _split_top(text):
-    """The stripped items of ``text`` between commas outside brackets."""
-    depth, buf, items = 0, "", []
-    for ch in text:
-        if ch in "[(":
+_PUNCTUATION = re.compile(r"[\[\](),]")
+
+
+def _split_top(text, start, end):
+    """The stripped items of text[start:end] between commas outside
+    brackets, sliced out in one scan of its punctuation.  Brackets (``[``
+    and ``(`` alike) must balance there."""
+    depth, items = 0, []
+    for m in _PUNCTUATION.finditer(text, start, end):
+        ch = m[0]
+        if ch == ",":
+            if not depth:
+                items.append(text[start:m.start()].strip())
+                start = m.end()
+        elif ch == "[" or ch == "(":
             depth += 1
-        elif ch in "])":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append(buf)
-            buf = ""
         else:
-            buf += ch
-    items.append(buf)
-    return [i.strip() for i in items]
+            depth -= 1
+            if depth < 0:
+                break
+    if depth:
+        raise WorkspaceError(f"unbalanced brackets in {text!r}")
+    items.append(text[start:end].strip())
+    return items
 
 
-def _list_items(text):
-    """The items inside a bracket list; a blank item after the last comma,
-    or the one blank item of ``[]``, is dropped."""
-    items = _split_top(text)
+def _list_items(text, start, end):
+    """The items of text[start:end], the inside of a bracket list; a blank
+    item after the last comma, or the one blank item of ``[]``, is dropped."""
+    items = _split_top(text, start, end)
     return items if items[-1] else items[:-1]
 
 
@@ -150,7 +161,7 @@ class Workspace:
 
 def _factor_pair(body, ctx):
     # body is "blockA , blockB" at bracket depth zero, each block a list
-    parts = _split_top(body)
+    parts = _split_top(body, 0, len(body))
     if len(parts) != 2:
         raise WorkspaceError("factorisation needs exactly two blocks "
                              "(d0, d1)")
@@ -158,7 +169,7 @@ def _factor_pair(body, ctx):
 
 
 def _ring(ws, name, vars_):
-    names = _list_items(vars_)
+    names = _list_items(vars_, 0, len(vars_))
     for v in names:
         try:
             tokens = _tokenize(v)

@@ -112,7 +112,7 @@ def _reference_parse_poly(text, ctx):
             return ctx.const(num)
         if k == "var":
             name = take()
-            if not ctx.contains(name):
+            if name not in ctx.names:
                 raise ParseError(
                     f"unknown variable {name!r} in context {ctx.names}")
             return ctx.gen(name)
@@ -198,6 +198,16 @@ def _expressions():
 
 @settings(max_examples=400, deadline=None)
 @given(_expressions())
+@example("4/2*x")
+@example("3/2*2*x")
+@example("x*x^2*x")
+@example("0^0")
+@example("x^0*0")
+@example("2(x+y)^2")
+@example("3/2^2")
+@example("(x-x)^0")
+@example("0/5*x")
+@example("x 2")
 def test_parse_poly_agrees_with_poly_built_reference(text):
     try:
         want = _reference_parse_poly(text, CTX3)
@@ -216,6 +226,77 @@ def test_parse_poly_agrees_with_poly_built_reference(text):
     assert all(canonical_coefficient(c) for c in got.terms.values())
     # same term order, so every downstream column order is unchanged too
     assert list(got.terms) == list(want.terms)
+
+
+@st.composite
+def _expression_pairs(draw, depth=2):
+    """A valid expression, built at once as grammar text and as the sympy
+    expression it denotes: a signed sum of products of powers, with
+    juxtaposition, p/q literals and parenthesised sums."""
+    syms = {n: sympy.Symbol(n) for n in CTX3.names}
+
+    def atom():
+        kind = draw(st.sampled_from(["int", "frac", "var", "var", "group"]
+                                    if depth else ["int", "frac", "var"]))
+        if kind == "int":
+            n = draw(st.integers(0, 12))
+            return str(n), sympy.Integer(n)
+        if kind == "frac":
+            p, q = draw(st.integers(0, 9)), draw(st.integers(1, 6))
+            return f"{p}/{q}", sympy.Rational(p, q)
+        if kind == "var":
+            name = draw(st.sampled_from(CTX3.names))
+            return name, syms[name]
+        text, expr = draw(_expression_pairs(depth - 1))
+        return f"({text})", expr
+
+    def power():
+        text, expr = atom()
+        k = draw(st.sampled_from([None, None, 0, 1, 2, 3]))
+        if k is None:
+            return text, expr
+        return f"{text}^{k}", expr ** k
+
+    def product():
+        text, expr = power()
+        for _ in range(draw(st.integers(0, 2))):
+            t, e = power()
+            # juxtaposition needs a variable or "(" next; after a variable
+            # name, a blank keeps two names apart
+            if t[0].isalpha() or t[0] == "(":
+                sep = draw(st.sampled_from(["*", " * ", " ", ""]))
+                if not sep and text[-1].isalpha() and t[0].isalpha():
+                    sep = " "
+            else:
+                sep = draw(st.sampled_from(["*", " * "]))
+            text, expr = text + sep + t, expr * e
+        return text, expr
+
+    text, expr = "", sympy.Integer(0)
+    for k in range(draw(st.integers(1, 3))):
+        sign = draw(st.sampled_from(["", "-", "+", "--", "+-", " - "]
+                                    if k == 0 else
+                                    ["+", "-", " + ", " - ", "--", "-+"]))
+        t, e = product()
+        text += sign + t
+        expr += (-1) ** sign.count("-") * e
+    return text, expr
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expression_pairs())
+@example(("2x(y - z)^2 - -3/4x^0", 2 * sympy.Symbol("x")
+          * (sympy.Symbol("y") - sympy.Symbol("z")) ** 2
+          + sympy.Rational(3, 4)))
+def test_parse_poly_agrees_with_sympy(pair):
+    """An oracle that shares neither the tokenizer nor the parser."""
+    text, expr = pair
+    got = parse_poly(text, CTX3)
+    syms = [sympy.Symbol(n) for n in CTX3.names]
+    want = sympy.Poly(sympy.expand(expr), *syms, domain="QQ")
+    assert got.terms == {exp: Fraction(int(c.p), int(c.q))
+                         for exp, c in want.terms() if c}
+    assert all(canonical_coefficient(c) for c in got.terms.values())
 
 
 def test_integral_coefficients_are_ints_and_scalars_are_fractions():
