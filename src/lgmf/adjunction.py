@@ -54,7 +54,7 @@ class DefectEnd:
     @cached_property
     def unit(self) -> KoszulUnit:
         self.ring                           # certify the potential first
-        return koszul_unit(self.potential, require_potential=False)
+        return koszul_unit(self.potential)
 
     @cached_property
     def quotients(self) -> list:
@@ -132,10 +132,6 @@ class AdjointData:
     @cached_property
     def _coev(self) -> "KoszulValuedMap":
         return _build_coev(self)
-
-    @property
-    def rank(self) -> int:
-        return self.base.rank
 
 
 @dataclass
@@ -388,25 +384,22 @@ def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
 
 # -- dual morphisms -----------------------------------------------------------
 
-def right_dual_morphism(phi: Morphism, data_src: AdjointData,
-                        data_tgt: AdjointData) -> Morphism:
-    """phi^dagger: Y^dagger -> X^dagger for phi: X -> Y (same W, V)."""
-    dv = dual_morphism(phi)
-    n = data_src.n
-    mat = [[e * signs.minus_one_to(n * phi.parity)
-            for e in row] for row in dv.mat]
-    return Morphism(data_tgt.right_adjoint, data_src.right_adjoint,
-                    phi.parity, mat)
+def adjoint_dual_morphism(phi: Morphism, data_src: AdjointData,
+                          data_tgt: AdjointData, side: str) -> Morphism:
+    """The dual of phi: X -> Y (same W, V) between the adjoints of ``side``.
 
-
-def left_dual_morphism(phi: Morphism, data_src: AdjointData,
-                       data_tgt: AdjointData) -> Morphism:
-    """dagger-phi: dagger-Y -> dagger-X for phi: X -> Y (same W, V)."""
-    dv = dual_morphism(phi)
-    m = data_src.m
-    mat = [[e * signs.minus_one_to(m * phi.parity)
-            for e in row] for row in dv.mat]
-    return Morphism(data_tgt.left_adjoint, data_src.left_adjoint,
+    'right': phi^dagger: Y^dagger -> X^dagger, signed (-1)^{n|phi|};
+    'left': dagger-phi: dagger-Y -> dagger-X, signed (-1)^{m|phi|}.
+    """
+    if side == "right":
+        k, adjoint = data_src.n, "right_adjoint"
+    elif side == "left":
+        k, adjoint = data_src.m, "left_adjoint"
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    sign = signs.minus_one_to(k * phi.parity)
+    mat = [[e * sign for e in row] for row in dual_morphism(phi).mat]
+    return Morphism(getattr(data_tgt, adjoint), getattr(data_src, adjoint),
                     phi.parity, mat)
 
 

@@ -121,6 +121,7 @@ def cmd_validate(ws, args, report):
 
 def cmd_unit(ws, args, report):
     W = ws.potential(args.name)
+    tft.JacobiRing(W)                       # certify W
     unit = koszul_unit(W)
     report.outputs["rank"] = unit.rank
     report.outputs["variables"] = list(unit.base_names)
@@ -199,7 +200,7 @@ def cmd_zorro_check(ws, args, report):
 def cmd_qdim(ws, args, report):
     data = ws.defect(args.name)
     with _capture_warnings(report):
-        q = tft.quantum_dim(data, args.side)
+        q = tft.defect_act(data, 1, args.side)
     report.outputs["side"] = args.side
     report.outputs["quantum_dimension"] = q
 

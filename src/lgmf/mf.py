@@ -487,7 +487,7 @@ class NullHomotopySet:
     mf: MatrixFactorisation
     side: str                    # 'source' or 'target'
     entries: dict                # name -> Morphism (odd endomorphism)
-    order: tuple = ()            # variable names in operator order
+    order: tuple                 # variable names in operator order
 
     def product(self):
         """The composite Lambda = lambda_1 o ... o lambda_n as a matrix."""

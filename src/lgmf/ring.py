@@ -194,19 +194,7 @@ class Poly:
             raise ValueError("negative exponent")
         if not k:
             return self.ctx.one()
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        # the first factor starts the product (a copy when it is self)
-        out = _poly(self.ctx, dict(base.terms)) if base is self else base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                out = out * base
-            k >>= 1
-        return out
+        return _poly(self.ctx, _terms_pow(self.terms, k))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -610,11 +598,12 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
     """Parse the CLI polynomial grammar: signed sums of c * v1^e1 * ... terms.
 
     Also accepts parentheses and rational coefficients p/q (an int when q
-    divides p).  One recursive descent over the tokens: the numbers and
-    variables of a product, with their powers, add up into one exponent
-    list and one coefficient, and a term dict is formed only per summand and
-    per parenthesised factor.  Those dicts are combined by the sparse-term
-    kernels; the result is wrapped in a Poly once.
+    divides p).  A power applies to the whole literal p/q: ``3/2^2`` is
+    (3/2)^2 = 9/4, not 3/4.  One recursive descent over the tokens: the
+    numbers and variables of a product, with their powers, add up into one
+    exponent list and one coefficient, and a term dict is formed only per
+    summand and per parenthesised factor.  Those dicts are combined by the
+    sparse-term kernels; the result is wrapped in a Poly once.
     """
     tokens = _tokenize(text)
     terms, i = _parse_sum(tokens, 0, ctx)
@@ -719,15 +708,17 @@ def _exponent(tokens, i):
 
 
 def _terms_pow(a, k):
-    """a^k for k >= 1 by repeated squaring (``a`` itself for k = 1)."""
+    """a^k for k >= 1 by repeated squaring, always in a fresh dict."""
+    base = a
     while not k & 1:
-        a = _terms_mul(a, a)
+        base = _terms_mul(base, base)
         k >>= 1
-    out = a
+    # the first factor starts the product (a copy when it is the input)
+    out = dict(base) if base is a else base
     k >>= 1
     while k:
-        a = _terms_mul(a, a)
+        base = _terms_mul(base, base)
         if k & 1:
-            out = _terms_mul(out, a)
+            out = _terms_mul(out, base)
         k >>= 1
     return out

@@ -45,9 +45,6 @@ class DefectOperator:
                 acc = acc + img.scale(c)
         return acc
 
-    def __call__(self, el) -> JacobiElement:
-        return self.apply(el)
-
     def matrix(self):
         """Columns over the source basis, rows over the target basis."""
         return polymat.transpose(
@@ -93,17 +90,16 @@ def _str_with_derivatives(M, X: MatrixFactorisation, names) -> Poly:
     return str_matrix(prod, X.parity)
 
 
-def _insertion_matrix(data: AdjointData, Phi: Morphism | None):
-    if Phi is None:
-        return polymat.identity(data.base.ctx, data.base.rank)
-    if Phi.parity != 0:
-        raise ValueError("field insertion must be even")
-    return Phi.mat
-
-
 def defect_supertrace(data: AdjointData, Phi=None) -> Poly:
-    """str(Phi dd/dx_1 ... dd/dx_n dd/dz_1 ... dd/dz_m) over the joint ring."""
-    return _str_with_derivatives(_insertion_matrix(data, Phi), data.base,
+    """str(Phi dd/dx_1 ... dd/dx_n dd/dz_1 ... dd/dz_m) over the joint ring;
+    Phi is an even endomorphism of the base, the identity when omitted."""
+    if Phi is None:
+        M = polymat.identity(data.base.ctx, data.base.rank)
+    elif Phi.parity:
+        raise ValueError("field insertion must be even")
+    else:
+        M = Phi.mat
+    return _str_with_derivatives(M, data.base,
                                  data.source.names + data.target.names)
 
 
@@ -132,59 +128,36 @@ def _defect_wrap(integrand: Poly, over: DefectEnd, onto: DefectEnd, k: int,
 def _ends(data: AdjointData, side: str):
     """(over, onto) of the wrap on ``side``: 'right' integrates over the
     source end and lands in the target end, 'left' the reverse."""
-    return ((data.source, data.target) if side == "right"
-            else (data.target, data.source))
+    if side == "right":
+        return data.source, data.target
+    if side == "left":
+        return data.target, data.source
+    raise ValueError("side must be 'left' or 'right'")
 
 
-def _defect_operator(data: AdjointData, side: str,
-                     integrand: Poly) -> DefectOperator:
+def defect_operator(data: AdjointData, side: str,
+                    Phi: Morphism | None = None) -> DefectOperator:
+    """Wrapping the defect, with the field Phi inserted on it, around bulk
+    insertions: 'right' maps Jac(W) -> Jac(V), 'left' Jac(V) -> Jac(W)."""
     over, onto = _ends(data, side)
-    images = _defect_wrap(integrand, over, onto, len(onto.names),
+    _parity_warn(data)
+    images = _defect_wrap(defect_supertrace(data, Phi), over, onto,
+                          len(onto.names),
                           [b.rep for b in over.ring.basis_elements()])
     return DefectOperator(over.ring, onto.ring, images)
 
 
-def defect_operator_right(data: AdjointData) -> DefectOperator:
-    """Wrapping the defect around a source bulk insertion: Jac(W) -> Jac(V)."""
-    _parity_warn(data)
-    return _defect_operator(data, "right", defect_supertrace(data))
-
-
-def defect_operator_left(data: AdjointData, Phi=None) -> DefectOperator:
-    """The mirrored wrap on target bulk insertions: Jac(V) -> Jac(W)."""
-    _parity_warn(data)
-    return _defect_operator(data, "left", defect_supertrace(data, Phi))
-
-
-def quantum_dim(data: AdjointData, side: str) -> JacobiElement:
-    """The image of 1 under the chosen defect action (one residue)."""
-    _check_side(side)
-    _parity_warn(data)
-    return _act_on_field(data, side, None)
-
-
 def defect_act(data: AdjointData, field: Poly, side: str) -> JacobiElement:
-    """The chosen defect action on one bulk field (one residue).
+    """The defect action of ``side`` on one bulk field (one residue).
 
-    Equals ``defect_operator_<side>(data).apply(field)`` without forming the
-    images of the whole Jacobi basis.
+    Equals ``defect_operator(data, side).apply(field)`` without forming the
+    images of the whole Jacobi basis; ``defect_act(data, 1, side)`` is the
+    quantum dimension.
     """
-    _check_side(side)
-    _parity_warn(data)
-    return _act_on_field(data, side, field)
-
-
-def _check_side(side: str):
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'left' or 'right'")
-
-
-def _act_on_field(data: AdjointData, side: str, field) -> JacobiElement:
-    """The wrap of the chosen side on ``field`` (reduced first), or on 1."""
     over, onto = _ends(data, side)
-    f = over.ring.ctx.one() if field is None else over.ring.reduce(field).rep
+    _parity_warn(data)
     return _defect_wrap(defect_supertrace(data), over, onto, len(onto.names),
-                        [f])[0]
+                        [over.ring.reduce(field).rep])[0]
 
 
 def dual_defect(data: AdjointData) -> AdjointData:
@@ -247,19 +220,14 @@ def _require_endomorphism(f: Morphism, X: MatrixFactorisation, name: str,
         raise ValueError(f"{name} must be even")
 
 
-def kapustin_li_pairing(psi1, psi2, X: MatrixFactorisation,
-                        ring: JacobiRing) -> Fraction:
+def kapustin_li_pairing(psi1: Morphism, psi2: Morphism,
+                        X: MatrixFactorisation, ring: JacobiRing) -> Fraction:
     """The boundary correlator Res[str(psi1 psi2 dd...dd) dx / dW] of two
-    endomorphisms of X (or bare matrices over X's basis), with ``ring`` the
-    Jacobi ring of W."""
-    for name, psi in (("psi1", psi1), ("psi2", psi2)):
-        if isinstance(psi, Morphism):
-            _require_endomorphism(psi, X, name)
-    m1 = psi1.mat if isinstance(psi1, Morphism) else psi1
-    m2 = psi2.mat if isinstance(psi2, Morphism) else psi2
-    ctx = X.ctx
-    prod = polymat.mat_mul(embed_matrix(m1, ctx), embed_matrix(m2, ctx))
-    num = _str_with_derivatives(prod, X, ring.ctx.names)
+    endomorphisms of X, with ``ring`` the Jacobi ring of W."""
+    _require_endomorphism(psi1, X, "psi1")
+    _require_endomorphism(psi2, X, "psi2")
+    num = _str_with_derivatives(polymat.mat_mul(psi1.mat, psi2.mat), X,
+                                ring.ctx.names)
     return _constant(ring.residue_plan()(num))
 
 
@@ -428,7 +396,7 @@ def shadow_of_unit(ring: JacobiRing) -> ShadowDescription:
 def generalized_boundary_bulk(data: AdjointData,
                               psi: Morphism) -> JacobiElement:
     """(-1)^{C(m+1,2)} Res_z[str(psi dd/dx...dd/dz...) dz / dV] in Jac(W)."""
-    # not the even-only _insertion_matrix: psi may be odd
+    # not defect_supertrace, which takes even insertions only: psi may be odd
     num = _str_with_derivatives(psi.mat, data.base,
                                 data.source.names + data.target.names)
     return _defect_wrap(num, data.target, data.source, data.m,

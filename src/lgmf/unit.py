@@ -84,17 +84,16 @@ def difference_quotients(mat, pairs) -> list:
             for i in range(len(pairs))]
 
 
-def koszul_unit(W: Poly, require_potential: bool = True) -> KoszulUnit:
+def koszul_unit(W: Poly) -> KoszulUnit:
     """Build Delta_W over the doubled context of W's variables.
 
     The difference quotients prime the variables in the order of W's
-    context; ``permute_unit`` builds the unit of another order.
-    ``require_potential`` certifies W by building its Jacobi ring.
+    context; ``permute_unit`` builds the unit of another order.  Delta_W
+    factorises W(x) - W(x') for any W, so W is not certified here: a caller
+    that needs W to be a potential builds its Jacobi ring.
     """
     base = W.ctx.names
     n = len(base)
-    if require_potential:
-        JacobiRing(W)
     dctx = W.ctx.doubled()
     primes = tuple(primed_name(nm) for nm in base)
     pairs = list(zip(base, primes))
@@ -474,10 +473,10 @@ def permute_unit(sigma, W: Poly):
     if sorted(sigma) != list(range(1, len(names) + 1)):
         raise ValueError(f"{list(sigma)} is not a permutation of "
                          f"1..{len(names)}")
+    JacobiRing(W)                           # certify W
     unit = koszul_unit(W)
     unit_sigma = koszul_unit(
-        embed(W, RingContext([names[s - 1] for s in sigma])),
-        require_potential=False)            # certified just above
+        embed(W, RingContext([names[s - 1] for s in sigma])))
     # lambda's unit interpolates toward primes that Delta_W does not use
     mids = fresh_names(unit_sigma.base_names, unit.ctx.names)
     inner = unit_sigma.renamed(dict(zip(unit_sigma.prime_names, mids)))

@@ -115,9 +115,6 @@ class Workspace:
     defects: dict = field(default_factory=dict)
     morphisms: dict = field(default_factory=dict)
     positions: dict = field(default_factory=dict)  # name -> line number
-    # plain factorisations read as boundary defects, built once per name
-    _boundaries: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def _declare(self, kind, name, value, line):
         if name in self.positions:
@@ -143,12 +140,8 @@ class Workspace:
             return self.defects[name]
         if name in self.mfs:
             # a plain factorisation is a boundary defect from the empty theory
-            data = self._boundaries.get(name)
-            if data is None:
-                X = self.mfs[name]
-                data = self._boundaries[name] = AdjointData(
-                    X, RingContext([]).zero(), X.potential)
-            return data
+            X = self.mfs[name]
+            return AdjointData(X, RingContext([]).zero(), X.potential)
         raise WorkspaceError(f"unknown defect {name!r}")
 
     def morphism(self, name) -> Morphism:

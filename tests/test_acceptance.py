@@ -214,16 +214,16 @@ def test_criterion_7_defect_operators():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
         dd = delta_defect(corpus_potentials()["x^3-y^3"])
-        assert tft.defect_operator_right(dd).is_identity()
-        assert tft.defect_operator_left(dd).is_identity()
-        assert (tft.defect_operator_left(dd)
-                == tft.defect_operator_right(tft.dual_defect(dd)))
-        assert (tft.defect_operator_right(tft.shifted_defect(dd))
-                == tft.defect_operator_right(dd).scale(-1))
+        assert tft.defect_operator(dd, "right").is_identity()
+        assert tft.defect_operator(dd, "left").is_identity()
+        assert (tft.defect_operator(dd, "left")
+                == tft.defect_operator(tft.dual_defect(dd), "right"))
+        assert (tft.defect_operator(tft.shifted_defect(dd), "right")
+                == tft.defect_operator(dd, "right").scale(-1))
         for power in (2, 3):
             d = line_defect(power)
-            opr = tft.defect_operator_right(d)
-            opl = tft.defect_operator_left(d)
+            opr = tft.defect_operator(d, "right")
+            opl = tft.defect_operator(d, "left")
             for phi in opl.source.basis_elements():
                 for psi in opr.source.basis_elements():
                     lhs = tft.bulk_pairing(opl.apply(phi).rep, psi.rep,
@@ -314,9 +314,9 @@ def test_criterion_10_independence():
                      rename(d.target.potential, ren, RingContext(["u"])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
-        q1 = tft.quantum_dim(d, "right").rep
-        q2 = tft.quantum_dim(d2, "right").rep
+        q1 = tft.defect_act(d, 1, "right").rep
+        q2 = tft.defect_act(d2, 1, "right").rep
         assert q2 == rename(q1, ren, q2.ctx)
-        op1 = tft.defect_operator_right(d)
-        op2 = tft.defect_operator_right(d2)
+        op1 = tft.defect_operator(d, "right")
+        op2 = tft.defect_operator(d2, "right")
         assert op1.matrix() == op2.matrix()

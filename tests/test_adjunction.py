@@ -6,10 +6,9 @@ import pytest
 
 from lgmf import adjunction, mf, polymat
 from lgmf import unit as unit_module
-from lgmf.adjunction import (AdjointData, ev, ev_coev_maps, ev_tilde,
-                             kernel_homotopy_search, kvm_difference,
-                             left_dual_morphism, right_dual_morphism,
-                             zorro_check, zorro_composite)
+from lgmf.adjunction import (AdjointData, adjoint_dual_morphism, ev,
+                             ev_coev_maps, ev_tilde, kernel_homotopy_search,
+                             kvm_difference, zorro_check, zorro_composite)
 from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
                      default_null_homotopies)
 from lgmf.residue import JacobiRing, residue_plan
@@ -410,13 +409,13 @@ def _two_line_defects():
 
 def test_dual_morphisms_are_closed_and_functorial():
     data, phi = _two_line_defects()
-    for mk in (right_dual_morphism, left_dual_morphism):
-        dphi = mk(phi, data, data)
+    for side in ("right", "left"):
+        dphi = adjoint_dual_morphism(phi, data, data, side)
         assert dphi.is_closed()
-        did = mk(data.base.identity(), data, data)
+        did = adjoint_dual_morphism(data.base.identity(), data, data, side)
         assert did == did.source.identity()
         # contravariant functoriality on the composable pair (phi, phi)
-        dcomp = mk(phi.compose(phi), data, data)
+        dcomp = adjoint_dual_morphism(phi.compose(phi), data, data, side)
         assert dcomp == dphi.compose(dphi)
 
 

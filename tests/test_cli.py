@@ -320,21 +320,6 @@ def test_adjoints_built_on_first_use_equal_the_eager_ones(ws, name):
         assert not got.validation_failures()
 
 
-def test_a_factorisation_read_as_a_defect_is_built_once(ws, monkeypatch):
-    w = load_workspace(ws)
-    first = w.defect("Xc")
-    built = []
-    real = tft.JacobiRing.__init__
-
-    def counting(self, W):
-        built.append(W)
-        real(self, W)
-
-    monkeypatch.setattr(tft.JacobiRing, "__init__", counting)
-    assert w.defect("Xc") is first
-    assert built == []
-
-
 def test_misfactored_mf_reports_witness(tmp_path):
     path = tmp_path / "bad.lg"
     path.write_text("ring R = [x]\npotential W = x^2 on R\n")
@@ -439,8 +424,7 @@ def test_defect_act(ws, capsys):
         assert code == 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", tft.ParityWarning)
-            op = (tft.defect_operator_right if side == "right"
-                  else tft.defect_operator_left)(data)
+            op = tft.defect_operator(data, side)
         want = op.apply(parse_poly(field, op.source.ctx))
         assert rep["outputs"] == {"side": side, "image": str(want.rep)}
         # D has one source and one target variable: one parity warning

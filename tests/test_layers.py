@@ -1,6 +1,7 @@
 """The package's import layers: each module imports only from lower layers.
 Every public name of the package has a reader, and every parameter default
-of a public function has a caller that relies on it."""
+of a public function, method or dataclass field has a caller that relies on
+it."""
 
 import ast
 import pathlib
@@ -127,18 +128,100 @@ def _omits(call, name, position):
     return all(k.arg != name for k in call.keywords)
 
 
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def _field_defaults(node):
+    """(name, position) of each field of a dataclass definition that has a
+    default; a field with ``init=False`` is no parameter."""
+    out, position = [], 0
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if (isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"):
+            kw = {k.arg: k.value for k in value.keywords}
+            init = kw.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if "default" in kw or "default_factory" in kw:
+                out.append((item.target.id, position))
+        elif value is not None:
+            out.append((item.target.id, position))
+        position += 1
+    return out
+
+
+def _method_defaults(node):
+    """``_defaults`` of a method, its positions counted after ``self``."""
+    return [(name, None if k is None else k - 1)
+            for name, k in _defaults(node)]
+
+
+def _public_defaults(tree):
+    """(label, called name, defaults) of each public module-level function,
+    and of the constructor (``__init__`` or dataclass fields) and the public
+    methods of each public class."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, _defaults(node)
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                yield node.name, node.name, _field_defaults(node)
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                label = f"{node.name}.{item.name}"
+                if item.name == "__init__":
+                    yield label, node.name, _method_defaults(item)
+                elif not item.name.startswith("_"):
+                    yield label, item.name, _method_defaults(item)
+
+
 def test_every_default_is_used_somewhere():
-    """Each default of a public module-level function is relied on by at
-    least one call in src/, tests/ or layerbench/; a default no call omits
-    is a required parameter in disguise, with code serving nothing."""
+    """Each default of a public module-level function, of a public class's
+    ``__init__`` or public method, or of a public dataclass's field is
+    relied on by at least one call in src/, tests/ or layerbench/; a
+    default no call omits is a required parameter in disguise, with code
+    serving nothing.  A method counts as called by any call of its name."""
     calls = _calls_by_name()
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_")):
-                unused += [f"{path.stem}.{node.name}({name}=)"
-                           for name, position in _defaults(node)
-                           if not any(_omits(c, name, position)
-                                      for c in calls[node.name])]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for label, called, defaults in _public_defaults(tree):
+            unused += [f"{path.stem}.{label}({name}=)"
+                       for name, position in defaults
+                       if not any(_omits(c, name, position)
+                                  for c in calls[called])]
     assert unused == []
+
+
+def test_class_defaults_are_read():
+    """The default reader sees dataclass fields (not ``init=False`` ones or
+    bare ``field()``s), ``__init__`` and public methods after ``self``."""
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: dict = field(default_factory=dict)\n"
+        "    d: dict = field(default_factory=dict, init=False)\n"
+        "    e: tuple = field(repr=False)\n"
+        "    def go(self, x, y=2): pass\n"
+        "    def _hidden(self, z=3): pass\n"
+        "class B:\n"
+        "    def __init__(self, p, q=None): pass\n"
+        "def _private(s=1): pass\n"
+        "def public(t, u=1): pass\n")
+    assert list(_public_defaults(tree)) == [
+        ("A", "A", [("b", 1), ("c", 2)]),
+        ("A.go", "go", [("y", 1)]),
+        ("B.__init__", "B", [("q", 1)]),
+        ("public", "public", [("u", 1)])]

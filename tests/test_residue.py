@@ -254,7 +254,7 @@ def test_defect_operator_builds_one_plan(monkeypatch):
     calls = _count_groebner(monkeypatch)
     plans = _count_plans(monkeypatch)
     with pytest.warns(tft.ParityWarning):
-        op = tft.defect_operator_right(data)
+        op = tft.defect_operator(data, "right")
     # the rings are the defect's own, built with it; the plan is the
     # source ring's
     assert len(op.images) == 2 and calls == []

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from lgmf import linalg, polymat, residue, tft
-from lgmf.adjunction import AdjointData, zorro_check
+from lgmf.adjunction import AdjointData, adjoint_dual_morphism, zorro_check
 from lgmf.ideal import groebner
 from lgmf.mf import (MatrixFactorisation, Morphism, _boundary_columns,
                      _equations, mf_rename, new_mf, null_homotopy_search,
                      supertrace)
-from lgmf.ring import RingContext, partial_derivative, rename
+from lgmf.ring import RingContext, embed, partial_derivative, rename
 from lgmf.signs import binom2
 from lgmf.unit import koszul_unit, unit_action_right
 from lgmf.workspace import load_workspace
@@ -103,10 +103,10 @@ def test_pairings_and_wraps_reuse_the_rings_bases(monkeypatch):
         warnings.simplefilter("ignore", tft.ParityWarning)
         for side, W in (("right", data.source.potential),
                         ("left", data.target.potential)):
-            tft.quantum_dim(data, side)
+            tft.defect_act(data, 1, side)
             tft.defect_act(data, W.ctx.gen(W.ctx.names[0]), side)
-        tft.defect_operator_right(data)
-        tft.defect_operator_left(data)
+        tft.defect_operator(data, "right")
+        tft.defect_operator(data, "left")
         tft.generalized_boundary_bulk(data, data.base.identity())
     assert rings == [] and bases == []
 
@@ -183,17 +183,17 @@ def test_diagonal_defect_acts_as_identity_one_variable():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         dd = delta_defect(W)
-        assert tft.defect_operator_right(dd).is_identity()
-        assert tft.defect_operator_left(dd).is_identity()
+        assert tft.defect_operator(dd, "right").is_identity()
+        assert tft.defect_operator(dd, "left").is_identity()
     assert any(isinstance(w.message, tft.ParityWarning) for w in rec)
 
 
 def test_diagonal_defect_acts_as_identity_two_variables():
     dd = delta_defect(corpus_potentials()["x^3-y^3"])
-    assert tft.defect_operator_right(dd).is_identity()
-    assert tft.defect_operator_left(dd).is_identity()
-    assert tft.quantum_dim(dd, "right").rep.constant_value() == 1
-    assert tft.quantum_dim(dd, "left").rep.constant_value() == 1
+    assert tft.defect_operator(dd, "right").is_identity()
+    assert tft.defect_operator(dd, "left").is_identity()
+    assert tft.defect_act(dd, 1, "right").rep.constant_value() == 1
+    assert tft.defect_act(dd, 1, "left").rep.constant_value() == 1
 
 
 _C3 = RingContext(["x", "y", "z"])
@@ -210,12 +210,12 @@ def test_diagonal_defect_acts_as_identity_three_variables(W, dim):
     dd = delta_defect(W)
     assert dd.source.ring.dimension == dd.target.ring.dimension == dim
     with pytest.warns(tft.ParityWarning):
-        assert tft.defect_operator_right(dd).is_identity()
+        assert tft.defect_operator(dd, "right").is_identity()
     with pytest.warns(tft.ParityWarning):
-        assert tft.defect_operator_left(dd).is_identity()
+        assert tft.defect_operator(dd, "left").is_identity()
     for side in ("right", "left"):
         with pytest.warns(tft.ParityWarning):
-            assert tft.quantum_dim(dd, side).rep.constant_value() == 1
+            assert tft.defect_act(dd, 1, side).rep.constant_value() == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -227,25 +227,25 @@ def test_quantum_dim_wraps_only_one(make, monkeypatch):
     calls = _counting(monkeypatch, tft, "_defect_wrap")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
-        for side, op in (("right", tft.defect_operator_right(d)),
-                         ("left", tft.defect_operator_left(d))):
+        for side in ("right", "left"):
+            op = tft.defect_operator(d, side)
             del calls[:]
-            q = tft.quantum_dim(d, side)
+            q = tft.defect_act(d, 1, side)
             assert [args[-1] for args in calls] == [[op.source.ctx.one()]]
             assert q == op.apply(op.source.one())
 
 
 def test_shift_negates_defect_operator():
     dd = delta_defect(corpus_potentials()["x^3-y^3"])
-    op = tft.defect_operator_right(dd)
-    shifted = tft.defect_operator_right(tft.shifted_defect(dd))
+    op = tft.defect_operator(dd, "right")
+    shifted = tft.defect_operator(tft.shifted_defect(dd), "right")
     assert shifted == op.scale(-1)
 
 
 def test_duality_exchanges_left_and_right_operators():
     dd = delta_defect(corpus_potentials()["x^3-y^3"])
-    assert (tft.defect_operator_left(dd)
-            == tft.defect_operator_right(tft.dual_defect(dd)))
+    assert (tft.defect_operator(dd, "left")
+            == tft.defect_operator(tft.dual_defect(dd), "right"))
 
 
 def test_dual_and_shifted_defects_certify_both_ends(monkeypatch):
@@ -262,9 +262,9 @@ def test_dual_and_shifted_defects_certify_both_ends(monkeypatch):
 def test_parity_warnings_name_the_public_caller():
     d = line_defect(3)
     y = d.source.potential.ctx.gen("y")
-    for call in (lambda: tft.defect_operator_right(d),
-                 lambda: tft.defect_operator_left(d),
-                 lambda: tft.quantum_dim(d, "left"),
+    for call in (lambda: tft.defect_operator(d, "right"),
+                 lambda: tft.defect_operator(d, "left"),
+                 lambda: tft.defect_act(d, 1, "left"),
                  lambda: tft.defect_act(d, y, "right")):
         with pytest.warns(tft.ParityWarning) as caught:
             call()
@@ -277,7 +277,7 @@ def test_contractible_defect_acts_as_zero():
     Xc = new_mf(ctx, W, [[ctx.one()]], [[W]])
     ddc = AdjointData(Xc, RingContext([]).zero(), W)
     with pytest.warns(tft.ParityWarning):
-        op = tft.defect_operator_right(ddc)
+        op = tft.defect_operator(ddc, "right")
     assert all(img.is_zero() for img in op.images)
 
 
@@ -285,9 +285,9 @@ def test_contractible_defect_acts_as_zero():
 def test_defect_operators_are_adjoint_for_bulk_pairings(power):
     d = line_defect(power)
     with pytest.warns(tft.ParityWarning):
-        opr = tft.defect_operator_right(d)
+        opr = tft.defect_operator(d, "right")
     with pytest.warns(tft.ParityWarning):
-        opl = tft.defect_operator_left(d)
+        opl = tft.defect_operator(d, "left")
     assert opl.target is not None
     for phi in opl.source.basis_elements():
         for psi in opr.source.basis_elements():
@@ -300,9 +300,9 @@ def test_defect_operators_compose_with_the_diagonal():
     d = line_defect(3)
     dd = delta_defect(d.source.potential)
     with pytest.warns(tft.ParityWarning):
-        op = tft.defect_operator_right(d)
+        op = tft.defect_operator(d, "right")
     with pytest.warns(tft.ParityWarning):
-        idop = tft.defect_operator_right(dd)
+        idop = tft.defect_operator(dd, "right")
     assert idop.is_identity()
     comp = op.compose(idop)
     # post-composition with the diagonal changes nothing, up to the canonical
@@ -329,9 +329,9 @@ def test_simultaneous_variable_permutation_invariance():
                      rename(d.target.potential, ren,
                             RingContext(["u"])))
     with pytest.warns(tft.ParityWarning):
-        q1 = tft.quantum_dim(d, "right").rep
+        q1 = tft.defect_act(d, 1, "right").rep
     with pytest.warns(tft.ParityWarning):
-        q2 = tft.quantum_dim(d2, "right").rep
+        q2 = tft.defect_act(d2, 1, "right").rep
     assert q2 == rename(q1, ren, q2.ctx)
 
 
@@ -561,14 +561,54 @@ def test_generalized_boundary_bulk_is_the_left_wrap_of_one(make):
     d = make()
     ctx = d.base.ctx
     sign = (-1) ** (binom2(d.m + 1) + binom2(d.n + 1))
-    ident = polymat.identity(ctx, d.rank)
     for scale in (ctx.one(), ctx.gen("x")):
-        Phi = Morphism(d.base, d.base, 0,
-                       [[scale * e for e in row] for row in ident])
+        Phi = _times_identity(d, scale)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", tft.ParityWarning)
-            left = tft.defect_operator_left(d, Phi)
-        assert tft.generalized_boundary_bulk(d, Phi) == left(1).scale(sign)
+            left = tft.defect_operator(d, "left", Phi)
+        assert (tft.generalized_boundary_bulk(d, Phi)
+                == left.apply(1).scale(sign))
+
+
+def _times_identity(d, phi):
+    """phi . Id on the base of the defect d, phi embedded in its ring."""
+    ident = polymat.identity(d.base.ctx, d.base.rank)
+    phi = embed(phi, d.base.ctx)
+    return Morphism(d.base, d.base, 0, [[phi * e for e in row]
+                                        for row in ident])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: line_defect(3),
+    lambda: delta_defect(corpus_potentials()["x^3-y^3"]),
+], ids=["line x^3", "delta x^3-y^3"])
+def test_a_field_insertion_multiplies_the_integrated_field(make):
+    """Inserting phi . Id for a variable phi of the integrated end is the
+    plain wrap applied to phi times the field, on either side."""
+    d = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tft.ParityWarning)
+        for side in ("right", "left"):
+            op = tft.defect_operator(d, side)
+            ctx = op.source.ctx
+            basis = [b.rep for b in op.source.basis_elements()]
+            for name in ctx.names:
+                phi = ctx.gen(name)
+                Phi = _times_identity(d, phi)
+                assert tft.defect_operator(d, side, Phi) == tft.DefectOperator(
+                    op.source, op.target, [op.apply(phi * b) for b in basis])
+
+
+def test_an_unknown_side_is_refused():
+    d = line_defect(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="side must be"):
+            tft.defect_operator(d, "up")
+        with pytest.raises(ValueError, match="side must be"):
+            tft.defect_act(d, 1, "up")
+        with pytest.raises(ValueError, match="side must be"):
+            adjoint_dual_morphism(d.base.identity(), d, d, "up")
 
 
 # -- shadows ------------------------------------------------------------------
@@ -588,8 +628,8 @@ def test_defect_act_is_the_operator_on_one_field(make, monkeypatch):
     d = make()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tft.ParityWarning)
-        ops = {"right": tft.defect_operator_right(d),
-               "left": tft.defect_operator_left(d)}
+        ops = {"right": tft.defect_operator(d, "right"),
+               "left": tft.defect_operator(d, "left")}
         calls = _counting(monkeypatch, tft, "_defect_wrap")
         for side, op in ops.items():
             ctx = op.source.ctx
@@ -613,8 +653,7 @@ def test_pairings_take_only_endomorphisms_of_their_factorisations():
         tft.kapustin_li_pairing(X.identity(), eta_y, X, r)
     with pytest.raises(ValueError, match="psi1 is not an endomorphism"):
         tft.kapustin_li_pairing(id_y, eta, X, r)
-    # a bare matrix is read over X's basis
-    assert tft.kapustin_li_pairing(X.identity().mat, eta, X, r) == -1
+    assert tft.kapustin_li_pairing(X.identity(), eta, X, r) == -1
     with pytest.raises(ValueError, match="phi is not an endomorphism"):
         tft.cardy_check(X, Y, id_y, id_y)
     with pytest.raises(ValueError, match="psi is not an endomorphism"):

@@ -7,7 +7,7 @@ import pytest
 
 from lgmf import polymat, signs
 from lgmf.mf import Morphism, homotopic, new_mf
-from lgmf.residue import JacobiRing
+from lgmf.residue import JacobiRing, NotAPotential
 from lgmf.ring import RingContext, divided_difference, embed, substitute
 from lgmf.unit import (KoszulElement, _try_restrict, difference_quotients,
                        epsilon, koszul_unit, lambda_inverse, lift_to_diagonal,
@@ -441,4 +441,15 @@ def test_permute_unit_certifies_its_potential_once(monkeypatch):
     cxy = ctx_of("x", "y")
     W = cxy.gen("x") ** 3 + cxy.gen("y") ** 3
     permute_unit((2, 1), W)
-    assert built == [W]         # the second unit reuses the certificate
+    assert built == [W]         # once, before either unit is built
+
+
+def test_koszul_unit_factorises_any_polynomial():
+    """Delta_W factorises W(x) - W(x') whether or not W is a potential; the
+    certificate is the caller's (here permute_unit's)."""
+    cxy = ctx_of("x", "y")
+    W = cxy.gen("x") ** 2 * cxy.gen("y")        # infinite Jacobi ring
+    unit = koszul_unit(W)
+    assert unit.rank == 4 and not unit.validation_failures()
+    with pytest.raises(NotAPotential):
+        permute_unit((2, 1), W)
