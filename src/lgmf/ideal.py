@@ -5,9 +5,16 @@ division with remainder and cofactors, finite quotient monomial bases (with
 an unbounded-variable witness when infinite), and power membership
 (certified by the quotient dimension) used by the residue transformation
 rule.  The one monomial order is ``ring.grlex_key``, the order of
-``Poly.sorted_terms``.  Buchberger, normal forms and power membership reduce
-with the loop behind ``division``, handed leading terms they already hold
-(a basis stores those of its generators).
+``Poly.sorted_terms``.
+
+One reduction kernel, ``_reduce``, serves division, Buchberger, normal forms
+and power membership.  It reduces one working term dict in place, as in
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", and records quotient terms only when it is handed
+cofactor dicts: division and Buchberger hand them, normal forms and the
+normal-form chain of power membership do not.  Its divisors come as their
+leading terms and tails, built per call from the leading terms a caller
+already holds (a basis stores those of its generators).
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 
-from .ring import ContextMismatch, Poly, RingContext, _canon, _poly, grlex_key
+from .ring import (ContextMismatch, Poly, RingContext, _canon, _poly,
+                   _terms_add, _terms_mul, grlex_key)
 
 
 def leading_term(p: Poly):
@@ -54,38 +62,49 @@ def division(g: Poly, divisors):
     for d in divisors:
         if d.ctx != ctx:
             raise ContextMismatch(f"division of {ctx} by {d.ctx}")
-    return _divide(g, divisors, [leading_term(d) for d in divisors])
+    return _divide(g, [_lt(j, d, leading_term(d))
+                       for j, d in enumerate(divisors) if not d.is_zero()],
+                   len(divisors))
 
 
-def _divide(g: Poly, divisors, leads):
-    """``division`` by divisors whose leading terms (exponent, coefficient),
-    None for a zero divisor, are given in ``leads``.
+def _lt(j, d: Poly, lead):
+    """The reduction data of the nonzero divisor d, number j in its list,
+    with leading term ``lead``: (j, leading exponent, leading coefficient,
+    the term dict of the other terms)."""
+    lexp, lc = lead
+    tail = dict(d.terms)
+    del tail[lexp]
+    return j, lexp, lc, tail
 
-    The dividend is one working term dict, reduced in place (p -= q * x^m *
-    d_j term by term); the leading exponent strictly decreases, so each
-    cofactor and the remainder gain their terms in that order.  A working
+
+def _reduce(p: dict, lts, cof=None) -> dict:
+    """The remainder of the term dict p by the divisors described in
+    ``lts`` (see ``_lt``); p is the working dict, reduced in place.
+
+    The grlex-largest term of p goes first.  The first divisor in list
+    order whose leading exponent divides it cancels it: p -= q * x^m * d_j,
+    which skips the leading term it cancels and updates p at the tail's
+    terms only.  A term no leading exponent divides moves to the remainder.
+    The leading exponent of p strictly decreases, so each cofactor and the
+    remainder gain their terms in that order.  Given a list ``cof`` of term
+    dicts, the quotient term q x^m is recorded in ``cof[j]``.  A working
     coefficient may be an integral Fraction, so each leading coefficient is
     made canonical before it becomes a quotient or a remainder term; the
     quotient by a leading coefficient other than 1 is taken as a Fraction,
     since int / int would be a float.
     """
-    ctx = g.ctx
-    lts = [None if lt is None else (lt[0], lt[1], d.terms)
-           for d, lt in zip(divisors, leads)]
-    cof = [{} for _ in lts]
     rem = {}
-    p = dict(g.terms)
     get = p.get
     while p:
         exp = max(p, key=grlex_key)
-        c = _canon(p[exp])
-        for j, lt in enumerate(lts):
-            if lt is not None and _divides(lt[0], exp):
-                lexp, lc, dterms = lt
+        c = _canon(p.pop(exp))
+        for j, lexp, lc, tail in lts:
+            if all(map(le, lexp, exp)):
                 m = tuple(map(sub, exp, lexp))
                 q = c if lc == 1 else _canon(Fraction(c, lc))
-                cof[j][m] = q
-                for eb, cb in dterms.items():
+                if cof is not None:
+                    cof[j][m] = q
+                for eb, cb in tail.items():
                     key = tuple(map(add, m, eb))
                     s = get(key)
                     if s is None:
@@ -99,9 +118,21 @@ def _divide(g: Poly, divisors, leads):
                 break
         else:
             rem[exp] = c
-            del p[exp]
-    return ([_poly(ctx, t) if t else ctx.zero() for t in cof],
-            _poly(ctx, rem) if rem else ctx.zero())
+    return rem
+
+
+def _wrap(ctx: RingContext, terms: dict) -> Poly:
+    return _poly(ctx, terms) if terms else ctx.zero()
+
+
+def _divide(g: Poly, lts, n: int):
+    """``division`` of g by n divisors, the nonzero ones described in
+    ``lts``: the cofactors and the remainder as Polys, from one ``_reduce``
+    of a copy of g's terms."""
+    ctx = g.ctx
+    cof = [{} for _ in range(n)]
+    rem = _reduce(dict(g.terms), lts, cof)
+    return [_wrap(ctx, t) for t in cof], _wrap(ctx, rem)
 
 
 def _combine(row, terms):
@@ -176,7 +207,7 @@ def groebner(gens) -> GroebnerBasis:
 
     zero_row = [ctx.zero() for _ in gens]
     polys, rows, lead, degree = [], [], [], []     # the basis so far
-    leads = []      # (lead[k], leading coefficient of polys[k])
+    lts = []        # the reduction data of polys[k] (see ``_lt``)
     pairs = []      # heap of (sugar, grlex(lcm), i, j); keys are unique
 
     def append(rem, row, terms):
@@ -185,7 +216,7 @@ def groebner(gens) -> GroebnerBasis:
         inv = c if c == 1 or c == -1 else Fraction(1, c)
         k = len(polys)
         polys.append(rem * inv)
-        leads.append((exp, polys[k].terms[exp]))
+        lts.append(_lt(k, polys[k], (exp, polys[k].terms[exp])))
         rows.append(_combine([a * inv for a in row],
                              [(f * inv, r) for f, r in terms]))
         lead.append(exp)
@@ -201,7 +232,7 @@ def groebner(gens) -> GroebnerBasis:
     def reduce(p, row, terms):
         """Append p's remainder by the basis, if nonzero; p has cofactor
         row row + sum c*r over terms."""
-        cof, rem = _divide(p, polys, leads)
+        cof, rem = _divide(p, lts, len(lts))
         if not rem.is_zero():
             append(rem, row, terms + [(-c, r) for c, r in zip(cof, rows)
                                       if not c.is_zero()])
@@ -230,10 +261,9 @@ def groebner(gens) -> GroebnerBasis:
         others = [o for o in keep if o != i]
         b, row = polys[i], rows[i]
         if others:
-            cof, b = _divide(b, [polys[o] for o in others],
-                             [leads[o] for o in others])
-            row = _combine(row, [(-c, rows[o]) for c, o in zip(cof, others)
-                                 if not c.is_zero()])
+            cof, b = _divide(b, [lts[o] for o in others], len(lts))
+            row = _combine(row, [(-cof[o], rows[o]) for o in others
+                                 if not cof[o].is_zero()])
         final.append((lead[i], b, row))
     final.sort(key=lambda t: grlex_key(t[0]))
     return GroebnerBasis(
@@ -246,24 +276,36 @@ def groebner(gens) -> GroebnerBasis:
     )
 
 
+def _basis_lts(gb: GroebnerBasis):
+    return [_lt(j, b, lead)
+            for j, (b, lead) in enumerate(zip(gb.generators, gb.leading))]
+
+
 def normal_form(g: Poly, gb: GroebnerBasis) -> Poly:
     if g.ctx != gb.ctx:
         raise ContextMismatch("normal_form context mismatch")
-    _, rem = _divide(g, gb.generators, gb.leading)
-    return rem
+    return _wrap(g.ctx, _reduce(dict(g.terms), _basis_lts(gb)))
 
 
 def membership_with_cofactors(g: Poly, gens):
     """g = sum cofactors_j * gens_j + remainder, remainder in normal form."""
     gb = groebner(gens)
-    cof_gb, rem = _divide(g, gb.generators, gb.leading)
-    return _lift_cofactors(cof_gb, gb), rem
+    cof = [{} for _ in gb.generators]
+    rem = _reduce(dict(g.terms), _basis_lts(gb), cof)
+    return _lift_cofactors(cof, gb), _wrap(g.ctx, rem)
 
 
-def _lift_cofactors(cof_gb, gb: GroebnerBasis):
-    """Cofactors over the original generators from cofactors over the basis."""
-    return _combine([gb.ctx.zero() for _ in gb.original_gens],
-                    zip(cof_gb, gb.cofactor_log))
+def _lift_cofactors(cof, gb: GroebnerBasis):
+    """Cofactors over the original generators, as Polys, from the cofactor
+    term dicts over the basis: sum_k cof[k] * cofactor_log[k][j]."""
+    out = [{} for _ in gb.original_gens]
+    for c, row in zip(cof, gb.cofactor_log):
+        if not c:
+            continue
+        for j, a in enumerate(row):
+            if a.terms:
+                out[j] = _terms_add(out[j], _terms_mul(c, a.terms))
+    return [_wrap(gb.ctx, t) for t in out]
 
 
 def power_membership(v: str, gb: GroebnerBasis):
@@ -275,24 +317,30 @@ def power_membership(v: str, gb: GroebnerBasis):
     ValueError for an infinite quotient or a v that is not nilpotent.
 
     The minimal a comes from the chain of normal forms r_1 = NF(v),
-    r_a = NF(v r_{a-1}) = NF(v^a); only v^a itself is then divided with
-    cofactors (at a = 1 that is the first division already made).
+    r_a = NF(v r_{a-1}) = NF(v^a), reduced on term dicts with no cofactors
+    after the first; v r_{a-1} is an exponent shift.  Only v^a itself is
+    then divided with cofactors (at a = 1 that is the first reduction
+    already made), and they are lifted to the original generators through
+    the basis's cofactor log on term dicts.
     """
     q = gb.quotient
     if not q.finite:
         raise ValueError(f"infinite quotient: no power of {q.witness} "
                          f"lies in the ideal")
     D = q.dimension
-    gens, leads = gb.generators, gb.leading
-    x = gb.ctx.gen(v)
-    cof_gb, r = _divide(x, gens, leads)
+    lts = _basis_lts(gb)
+    i = gb.ctx.index(v)
+    unit = tuple(int(k == i) for k in range(len(gb.ctx)))
+    cof = [{} for _ in gb.generators]
+    r = _reduce({unit: 1}, lts, cof)
     a = 1
-    while not r.is_zero():
+    while r:
         if a >= D:
             raise ValueError(f"{v} is not nilpotent: {v}^{D} is not in the "
                              f"ideal, whose quotient has dimension D = {D}")
         a += 1
-        r = _divide(x * r, gens, leads)[1]
+        r = _reduce({tuple(map(add, e, unit)): c for e, c in r.items()}, lts)
     if a > 1:
-        cof_gb, _ = _divide(x ** a, gens, leads)
-    return a, _lift_cofactors(cof_gb, gb)
+        cof = [{} for _ in gb.generators]
+        _reduce({tuple(a * e for e in unit): 1}, lts, cof)
+    return a, _lift_cofactors(cof, gb)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .ring import ContextMismatch, Poly, RingContext
+from .ring import (ContextMismatch, Poly, RingContext, _poly, _terms_add,
+                   _terms_mul, _terms_scale)
 
 
 def zeros(ctx: RingContext, rows: int, cols: int):
@@ -91,7 +92,13 @@ def is_zero_matrix(a) -> bool:
 
 
 def det(a, ctx: RingContext | None = None) -> Poly:
-    """Determinant by Laplace expansion along the first row (desk scale)."""
+    """Determinant by Laplace expansion along the first row (desk scale).
+
+    The expansion runs on term dicts (``_det_terms``) and wraps one Poly at
+    the end.  A 0x0 matrix needs ``ctx`` and has determinant 1.  Entries in
+    different contexts raise ContextMismatch, checked once up front as in
+    ``mat_mul``; a non-square matrix raises ValueError.
+    """
     n = len(a)
     if n == 0:
         if ctx is None:
@@ -101,13 +108,27 @@ def det(a, ctx: RingContext | None = None) -> Poly:
         raise ValueError("determinant of non-square matrix")
     if n == 1:
         return a[0][0]
+    ctx = a[0][0].ctx
+    if any(x.ctx is not ctx and x.ctx != ctx for row in a for x in row):
+        raise ContextMismatch("matrix entries in different contexts")
+    t = _det_terms([[x.terms for x in row] for row in a])
+    return _poly(ctx, t) if t else ctx.zero()
+
+
+def _det_terms(a) -> dict:
+    """The Laplace expansion of ``det`` on a square matrix of term dicts,
+    n >= 1, zero entries of the first row skipped.  The result is a fresh
+    dict unless n = 1."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
     acc = None
-    for j in range(n):
-        if a[0][j].is_zero():
+    for j, x in enumerate(a[0]):
+        if not x:
             continue
-        minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a[0][j] * det(minor)
+        t = _terms_mul(x, _det_terms([[row[k] for k in range(n) if k != j]
+                                      for row in a[1:]]))
         if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else a[0][0].ctx.zero()
+            t = _terms_scale(t, -1)
+        acc = t if acc is None else _terms_add(acc, t)
+    return {} if acc is None else acc

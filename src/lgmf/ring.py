@@ -259,7 +259,7 @@ def _poly(ctx: RingContext, terms: dict) -> Poly:
 # composites, residue numerators).  The product runs its inner loop on
 # integers: each factor is scaled by the lcm of its denominators, and only an
 # output coefficient with a denominator becomes a Fraction.  Division
-# (``ideal.division``) reduces one working dict in place.  Every context owns
+# (``ideal._reduce``) reduces one working dict in place.  Every context owns
 # one immutable zero, so the terms dict of a zero result may be shared;
 # nothing may mutate a Poly's terms.  Each kernel visits terms in a fixed
 # order, so results keep a reproducible term order.

@@ -5,16 +5,19 @@ Groebner basis and quotient monomials of its partials.
 """
 
 from fractions import Fraction
+from operator import add, le, sub
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgmf.ideal import (division, groebner, membership_with_cofactors,
-                        normal_form, power_membership)
+from lgmf.ideal import (division, groebner, leading_term,
+                        membership_with_cofactors, normal_form,
+                        power_membership)
 from lgmf.residue import JacobiRing, NotAPotential
-from lgmf.ring import ContextMismatch, Poly, RingContext, grlex_key, parse_poly
+from lgmf.ring import (ContextMismatch, Poly, RingContext, _canon, grlex_key,
+                       parse_poly)
 
 from conftest import canonical_coefficient, corpus_potentials
 from test_ring import (CONTEXTS, _reference_terms_mul, _same_terms,
@@ -361,6 +364,64 @@ def test_division_matches_the_reference_in_value_and_order(args):
     for c, d in zip(cof, divisors):
         acc = acc + c * d
     assert acc == g
+
+
+def _loop_division(g, divisors, leads):
+    """The division loop that ``_reduce`` replaced: one working term dict,
+    whose update by q * x^m * d_j includes the cancelled leading term, and
+    cofactor dicts written at every step."""
+    ctx = g.ctx
+    lts = [None if lt is None else (lt[0], lt[1], d.terms)
+           for d, lt in zip(divisors, leads)]
+    cof = [{} for _ in lts]
+    rem = {}
+    p = dict(g.terms)
+    get = p.get
+    while p:
+        exp = max(p, key=grlex_key)
+        c = _canon(p[exp])
+        for j, lt in enumerate(lts):
+            if lt is not None and all(map(le, lt[0], exp)):
+                lexp, lc, dterms = lt
+                m = tuple(map(sub, exp, lexp))
+                q = c if lc == 1 else _canon(Fraction(c, lc))
+                cof[j][m] = q
+                for eb, cb in dterms.items():
+                    key = tuple(map(add, m, eb))
+                    s = get(key)
+                    if s is None:
+                        p[key] = -(q * cb)
+                    else:
+                        s = s - q * cb
+                        if s:
+                            p[key] = s
+                        else:
+                            del p[key]
+                break
+        else:
+            rem[exp] = c
+            del p[exp]
+    return ([Poly(ctx, t) for t in cof], Poly(ctx, rem))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals(), st.data())
+def test_division_and_normal_form_match_the_loop_they_replaced(gens, data):
+    """The same cofactors and remainder, term order included, dividing by
+    the generators and by their basis; the normal form is the loop's
+    remainder by the basis."""
+    ctx = gens[0].ctx
+    g = data.draw(rational_polys(ctx, max_deg=4, max_terms=6))
+    gb = groebner(gens)
+    for divisors, leads in ((gens, [leading_term(d) for d in gens]),
+                            (gb.generators, gb.leading)):
+        cof, rem = division(g, divisors)
+        want_cof, want_rem = _loop_division(g, divisors, leads)
+        assert len(cof) == len(want_cof)
+        for got, want in zip(cof, want_cof):
+            _same_terms(got.terms, want.terms)
+        _same_terms(rem.terms, want_rem.terms)
+    _same_terms(normal_form(g, gb).terms, want_rem.terms)
 
 
 def _integral(p: Poly, lead=None) -> Poly:

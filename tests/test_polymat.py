@@ -1,4 +1,7 @@
-"""The sparse matrix product against the dense triple loop."""
+"""The sparse matrix product against the dense triple loop, and the
+determinant against the Leibniz sum."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from lgmf import polymat
 from lgmf.ring import ContextMismatch, RingContext
 
-from test_ring import poly_strategy
+from conftest import canonical_coefficient
+from test_ring import _snapshot, _unchanged, poly_strategy, rational_polys
 
 CTX = RingContext(["x", "y"])
 OTHER = RingContext(["x", "y", "z"])
@@ -112,3 +116,67 @@ def test_shapes_that_do_not_chain_or_match_are_refused():
                 op(a, b)
             with pytest.raises(ValueError, match="different shapes"):
                 op(b, a)
+
+
+# -- the determinant ------------------------------------------------------------
+
+def leibniz_det(a, ctx):
+    """The sum over permutations s of sign(s) * prod_i a[i][s(i)]."""
+    n = len(a)
+    acc = ctx.zero()
+    for perm in itertools.permutations(range(n)):
+        term = ctx.one()
+        for i, k in enumerate(perm):
+            term = term * a[i][k]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+# mixed denominators, one zero in three entries
+DET_ENTRY = st.tuples(st.integers(0, 2),
+                      rational_polys(CTX, max_deg=2, max_terms=3)).map(
+    lambda t: t[1] if t[0] else CTX.zero())
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 4))
+    return draw(st.lists(st.lists(DET_ENTRY, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+def test_det_equals_the_leibniz_sum(a):
+    before = _snapshot(*[e for row in a for e in row])
+    got = polymat.det(a, CTX)
+    assert got == leibniz_det(a, CTX)
+    assert got.ctx == CTX
+    assert all(canonical_coefficient(c) for c in got.terms.values())
+    _unchanged(before)
+
+
+def test_det_of_the_empty_matrix_needs_a_context():
+    assert polymat.det([], CTX) == CTX.one()
+    assert polymat.det([], OTHER).ctx == OTHER
+    with pytest.raises(ValueError, match="needs a context"):
+        polymat.det([])
+
+
+def test_det_refuses_a_non_square_matrix():
+    x = CTX.gen("x")
+    for a in ([[x, x]], [[x], [x]], [[x, x], [x]], [[x], [x, x]]):
+        with pytest.raises(ValueError, match="non-square"):
+            polymat.det(a)
+
+
+def test_det_refuses_entries_in_different_contexts():
+    x, z = CTX.gen("x"), OTHER.gen("z")
+    for a in ([[x, x], [x, z]], [[x, OTHER.zero()], [x, x]],
+              # no product of the expansion meets the zero of OTHER
+              [[OTHER.zero(), x], [x, x]],
+              [[x, CTX.zero(), x], [x, x, x], [x, x, OTHER.one()]]):
+        with pytest.raises(ContextMismatch):
+            polymat.det(a)

@@ -236,6 +236,35 @@ def _count_plans(monkeypatch):
     return calls
 
 
+def test_a_plan_takes_one_membership_per_variable_and_one_determinant(
+        monkeypatch):
+    """The calls that the benchmark's spans count per plan: one
+    ``power_membership`` per integration variable and one ``polymat.det``,
+    whose expansion does not re-enter the public name."""
+    members, dets = [], []
+    real_member, real_det = residue_module.power_membership, polymat.det
+
+    def member(v, gb):
+        members.append(v)
+        return real_member(v, gb)
+
+    def det(a, ctx=None):
+        dets.append(len(a))
+        return real_det(a, ctx)
+
+    monkeypatch.setattr(residue_module, "power_membership", member)
+    monkeypatch.setattr(polymat, "det", det)
+    c3 = RingContext(["x", "y", "z"])
+    x, y, z = (c3.gen(n) for n in c3.names)
+    for W in (x ** 3 * y + y ** 3 * z + z ** 3 * x,
+              RingContext(["x"]).gen("x") ** 4, RingContext([]).one()):
+        ring = tft.JacobiRing(W)
+        del members[:], dets[:]
+        ring.residue_plan()
+        assert members == list(W.ctx.names)
+        assert dets == [len(W.ctx)]
+
+
 def test_zorro_composite_builds_one_plan_per_variant(monkeypatch):
     cxy = RingContext(["x", "y"])
     data = delta_defect(cxy.gen("x") ** 3 + cxy.gen("y") ** 3)
