@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, ge, sub
 
 from . import polymat, signs
 from .ideal import groebner, normal_form
@@ -21,7 +20,7 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  dual_morphism, mf_rename, null_homotopy_search, shift, tensor)
 from .residue import JacobiRing
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
-                   _terms_add, _terms_mul, embed, embed_matrix,
+                   _runs, _terms_add, _terms_mul, embed, embed_matrix,
                    partial_derivative, primed_name, rename_matrix,
                    substitute)
 from .unit import (KoszulUnit, _lambda_inverse, _onto_action, _rho_inverse,
@@ -495,21 +494,28 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
         raise ContextMismatch(f"unit variables {unit.base_names} are not "
                               f"those of {end.ring}")
     plan = end.ring.residue_plan().over(mids)
-    support = plan.support
     ctx = X.ctx.extend(mids).extend(w)
-    mpos = [ctx.index(n) for n in mids]
-    Pm = [[_by_middle(e, mpos) for e in row]
+    # a term's middle exponent: its fields at the middles, moved to the
+    # fields of the plan's layout (one run when the middles are adjacent)
+    sub = end.ring.ctx
+    where = {ctx.index(n): k for k, n in enumerate(mids)}
+    runs = _runs(len(ctx), [where.get(i) for i in range(len(ctx))],
+                 len(mids), degree=False)
+    fields = sub.field_mask(range(len(mids)))
+    support = {m & fields for m in plan.support}
+    Pm = [[_by_middle(e, runs) for e in row]
           for row in embed_matrix(P.mat, ctx)]
-    Cm = [[_by_middle(e, mpos) for e in row]
+    Cm = [[_by_middle(e, runs) for e in row]
           for row in rename_matrix(C.mat, cmap, target_ctx=ctx)]
     K0 = [X.ctx.zero()] * (r * r)
     ev_row(data, K0, end.Lambda, 0)
-    K0 = [_by_middle(e, mpos)
+    K0 = [_by_middle(e, runs)
           for e in rename_matrix([K0], emap, target_ctx=ctx)[0]]
     # reach[e]: the middle exponents from which a term of K0[e] lands on the
     # support
-    reach = [{tuple(map(sub, m, k)) for k in k0 for m in support
-              if all(map(ge, m, k))} for k0 in K0]
+    guard = sub._guard
+    reach = [{m - k for k in k0 for m in support if not (m - k) & guard}
+             for k0 in K0]
     back = dict(zip(w, other.names))
     # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
     # coev pair (i, j) is the coev row i*r + j
@@ -541,11 +547,14 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     return Morphism(X, X, 0, out)
 
 
-def _by_middle(p: Poly, pos) -> dict:
-    """p's terms grouped by their exponent on the variables at ``pos``."""
+def _by_middle(p: Poly, runs) -> dict:
+    """p's terms grouped by their middle exponent, the exponent fields that
+    ``runs`` (see ``ring._runs``) move out of each key."""
     out = {}
-    for exp, c in p.terms.items():
-        key = tuple([exp[i] for i in pos])
+    for exp, c in p.packed.items():
+        key = 0
+        for lo, mask, to in runs:
+            key += (exp >> lo & mask) << to
         group = out.get(key)
         if group is None:
             out[key] = {exp: c}
@@ -557,10 +566,12 @@ def _by_middle(p: Poly, pos) -> dict:
 def _contract(out, a, b, wanted):
     """Add to ``out`` the part of a * b whose middle exponent is in
     ``wanted``; a, b and out are grouped by middle exponent (``_by_middle``),
-    and no other product term is formed."""
+    and no other product term is formed.  The middle exponent of a product
+    is the sum of its factors': a field that passes its guard bit there is
+    in no wanted exponent."""
     for ma, ta in a.items():
         for mb, tb in b.items():
-            m = tuple(map(add, ma, mb))
+            m = ma + mb
             if m in wanted:
                 prod = _terms_mul(ta, tb)
                 have = out.get(m)

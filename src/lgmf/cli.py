@@ -18,7 +18,7 @@ from . import tft
 from .adjunction import KoszulValuedMap, ev_coev_maps, zorro_check
 from .residue import (DenominatorError, NotAPotential, ResidueQuery,
                       grothendieck_residue)
-from .ring import Poly, RingContext, embed, embed_matrix
+from .ring import ExponentOverflow, Poly, RingContext, embed, embed_matrix
 from .unit import koszul_unit, psi_phi_is_identity
 from .workspace import WorkspaceError, load_workspace, parse_poly
 
@@ -349,7 +349,8 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(args.workspace)
         command(ws, args, report)
-    except (WorkspaceError, OSError, DenominatorError, NotAPotential) as exc:
+    except (WorkspaceError, OSError, DenominatorError, NotAPotential,
+            ExponentOverflow) as exc:
         report.outputs["error"] = str(exc)
         code = 2
     except MathFailure as exc:

@@ -4,17 +4,21 @@ Buchberger's algorithm (sugar strategy, leading coefficients normalised to 1),
 division with remainder and cofactors, finite quotient monomial bases (with
 an unbounded-variable witness when infinite), and power membership
 (certified by the quotient dimension) used by the residue transformation
-rule.  The one monomial order is ``ring.grlex_key``, the order of
-``Poly.sorted_terms``.
+rule.  Monomials are the packed keys of ``ring``, as in Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors": the one monomial order, graded lex (the order in which
+``format_poly`` prints terms), is integer order on keys, a leading term is the
+largest key, a quotient monomial is a key difference, and divisibility is
+one test against the context's guard mask.
 
 One reduction kernel, ``_reduce``, serves division, Buchberger, normal forms
-and power membership.  It reduces one working term dict in place, as in
-Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", and records quotient terms only when it is handed
-cofactor dicts: division and Buchberger hand them, normal forms and the
-normal-form chain of power membership do not.  Its divisors come as their
-leading terms and tails, built per call from the leading terms a caller
-already holds (a basis stores those of its generators).
+and power membership.  It reduces one working term dict in place and
+records quotient terms only when it is handed cofactor dicts: division and
+Buchberger hand them, normal forms and the normal-form chain of power
+membership do not.  Its divisors come as their leading terms and tails,
+built per call from the leading terms a caller already holds (a basis
+stores those of its generators).  A basis's standard monomials are keys;
+``QuotientBasis.monomials`` is their exponent-tuple view.
 """
 
 from __future__ import annotations
@@ -22,34 +26,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
 
-from .ring import (ContextMismatch, Poly, RingContext, _canon, _poly,
-                   _terms_add, _terms_mul, grlex_key)
+from .ring import (LIMIT, ContextMismatch, ExponentOverflow, Poly,
+                   RingContext, _canon, _no_overflow, _poly, _terms_add,
+                   _terms_mul)
 
 
 def leading_term(p: Poly):
-    """(exponent, coefficient) of the grlex-leading term; None for zero."""
+    """(key, coefficient) of the grlex-leading term, the largest packed key;
+    None for zero."""
     if p.is_zero():
         return None
-    exp = max(p.terms, key=grlex_key)
-    return exp, p.terms[exp]
-
-
-def _divides(a, b):
-    return all(map(le, a, b))
-
-
-def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _mono(ctx: RingContext, exp, coeff=1) -> Poly:
-    return Poly(ctx, {tuple(exp): coeff})
+    key = max(p.packed)
+    return key, p.packed[key]
 
 
 def division(g: Poly, divisors):
@@ -69,43 +58,46 @@ def division(g: Poly, divisors):
 
 def _lt(j, d: Poly, lead):
     """The reduction data of the nonzero divisor d, number j in its list,
-    with leading term ``lead``: (j, leading exponent, leading coefficient,
-    the term dict of the other terms)."""
-    lexp, lc = lead
-    tail = dict(d.terms)
-    del tail[lexp]
-    return j, lexp, lc, tail
+    with leading term ``lead``: (j, leading key, leading coefficient, the
+    term dict of the other terms)."""
+    lkey, lc = lead
+    tail = dict(d.packed)
+    del tail[lkey]
+    return j, lkey, lc, tail
 
 
-def _reduce(p: dict, lts, cof=None) -> dict:
+def _reduce(p: dict, lts, guard: int, cof=None) -> dict:
     """The remainder of the term dict p by the divisors described in
     ``lts`` (see ``_lt``); p is the working dict, reduced in place.
 
-    The grlex-largest term of p goes first.  The first divisor in list
-    order whose leading exponent divides it cancels it: p -= q * x^m * d_j,
-    which skips the leading term it cancels and updates p at the tail's
-    terms only.  A term no leading exponent divides moves to the remainder.
-    The leading exponent of p strictly decreases, so each cofactor and the
-    remainder gain their terms in that order.  Given a list ``cof`` of term
-    dicts, the quotient term q x^m is recorded in ``cof[j]``.  A working
-    coefficient may be an integral Fraction, so each leading coefficient is
-    made canonical before it becomes a quotient or a remainder term; the
-    quotient by a leading coefficient other than 1 is taken as a Fraction,
-    since int / int would be a float.
+    The grlex-largest term of p, its largest key, goes first.  The first
+    divisor in list order whose leading key divides it (the difference has
+    no bit of ``guard``, the context's guard mask) cancels it:
+    p -= q * x^m * d_j, which skips the leading term it cancels and updates
+    p at the tail's terms only, each key m plus a tail key.  A tail term has
+    a degree no higher than its leading term's, so no key can overflow.  A
+    term no leading key divides moves to the remainder.  The leading key of
+    p strictly decreases, so each cofactor and the remainder gain their
+    terms in that order.  Given a list ``cof`` of term dicts, the quotient
+    term q x^m is recorded in ``cof[j]``.  A working coefficient may be an
+    integral Fraction, so each leading coefficient is made canonical before
+    it becomes a quotient or a remainder term; the quotient by a leading
+    coefficient other than 1 is taken as a Fraction, since int / int would
+    be a float.
     """
     rem = {}
     get = p.get
     while p:
-        exp = max(p, key=grlex_key)
+        exp = max(p)
         c = _canon(p.pop(exp))
         for j, lexp, lc, tail in lts:
-            if all(map(le, lexp, exp)):
-                m = tuple(map(sub, exp, lexp))
+            m = exp - lexp
+            if not m & guard:
                 q = c if lc == 1 else _canon(Fraction(c, lc))
                 if cof is not None:
                     cof[j][m] = q
                 for eb, cb in tail.items():
-                    key = tuple(map(add, m, eb))
+                    key = m + eb
                     s = get(key)
                     if s is None:
                         p[key] = -(q * cb)
@@ -131,7 +123,7 @@ def _divide(g: Poly, lts, n: int):
     of a copy of g's terms."""
     ctx = g.ctx
     cof = [{} for _ in range(n)]
-    rem = _reduce(dict(g.terms), lts, cof)
+    rem = _reduce(dict(g.packed), lts, ctx._guard, cof)
     return [_wrap(ctx, t) for t in cof], _wrap(ctx, rem)
 
 
@@ -153,36 +145,49 @@ def _combine(row, terms):
 
 @dataclass
 class QuotientBasis:
-    monomials: list | None      # list of exponent tuples, or None for infinite
-    witness: str | None = None  # unbounded-variable witness when infinite
+    """The standard monomials of an ideal, as packed keys of ``ctx`` in
+    increasing grlex order, or None with an unbounded-variable witness."""
+
+    keys: list | None
+    ctx: RingContext
+    witness: str | None = None
+
+    @property
+    def monomials(self) -> list | None:
+        """The standard monomials as exponent tuples (None if infinite)."""
+        if self.keys is None:
+            return None
+        return [self.ctx.unpack(k) for k in self.keys]
 
     @property
     def finite(self) -> bool:
-        return self.monomials is not None
+        return self.keys is not None
 
     @property
     def dimension(self) -> int:
         if not self.finite:
             raise ValueError("infinite quotient")
-        return len(self.monomials)
+        return len(self.keys)
 
 
 def _standard_monomials(lead, ctx: RingContext) -> QuotientBasis:
-    """Monomials under no exponent of ``lead``, or an infinity witness."""
-    # finite iff each variable has a pure-power leading exponent
+    """Monomials under no key of ``lead``, or an infinity witness."""
+    # finite iff each variable has a pure-power leading key
     bounds = []
-    for i, name in enumerate(ctx.names):
-        caps = [exp[i] for exp in lead
-                if all(e == 0 for k, e in enumerate(exp) if k != i)]
+    for name, unit in zip(ctx.names, ctx._units):
+        caps = [k for k in lead if k == ctx.degree(k) * unit]
         if not caps:
-            return QuotientBasis(None, witness=name)
-        bounds.append(min(caps))
-    monos = [()]
-    for b in bounds:
-        monos = [m + (e,) for m in monos for e in range(b)]
-    standard = [m for m in monos if not any(_divides(l, m) for l in lead)]
-    standard.sort(key=grlex_key)
-    return QuotientBasis(standard)
+            return QuotientBasis(None, ctx, witness=name)
+        bounds.append(ctx.degree(min(caps)))
+    if sum(bounds) - len(bounds) >= LIMIT:
+        raise ExponentOverflow(sum(bounds) - len(bounds))
+    monos = [0]
+    for unit, b in zip(ctx._units, bounds):
+        monos = [m + e * unit for m in monos for e in range(b)]
+    guard = ctx._guard
+    standard = [m for m in monos if all((m - l) & guard for l in lead)]
+    standard.sort()
+    return QuotientBasis(standard, ctx)
 
 
 @dataclass
@@ -192,7 +197,7 @@ class GroebnerBasis:
     cofactor_log: list          # generators[i] = sum_j cofactor_log[i][j] * original_gens[j]
     ctx: RingContext
     quotient: QuotientBasis     # standard monomials of the ideal
-    leading: list               # (exponent, coefficient) of each generator
+    leading: list               # (key, coefficient) of each generator
 
 
 def groebner(gens) -> GroebnerBasis:
@@ -208,7 +213,8 @@ def groebner(gens) -> GroebnerBasis:
     zero_row = [ctx.zero() for _ in gens]
     polys, rows, lead, degree = [], [], [], []     # the basis so far
     lts = []        # the reduction data of polys[k] (see ``_lt``)
-    pairs = []      # heap of (sugar, grlex(lcm), i, j); keys are unique
+    pairs = []      # heap of (sugar, lcm key, i, j); keys are unique
+    deg = ctx.degree
 
     def append(rem, row, terms):
         """Add rem / lc(rem), with cofactor row (row + sum c*r) / lc(rem)."""
@@ -216,18 +222,18 @@ def groebner(gens) -> GroebnerBasis:
         inv = c if c == 1 or c == -1 else Fraction(1, c)
         k = len(polys)
         polys.append(rem * inv)
-        lts.append(_lt(k, polys[k], (exp, polys[k].terms[exp])))
+        lts.append(_lt(k, polys[k], (exp, polys[k].packed[exp])))
         rows.append(_combine([a * inv for a in row],
                              [(f * inv, r) for f, r in terms]))
         lead.append(exp)
         degree.append(polys[k].total_degree())
         for m in range(k):
-            lcm = _exp_lcm(lead[m], exp)
-            if all(x + y == z for x, y, z in zip(lead[m], exp, lcm)):
+            lcm = ctx.lcm(lead[m], exp)
+            if lead[m] + exp == lcm:
                 continue  # Buchberger's coprimality criterion
-            s = max(degree[m] + sum(lcm) - sum(lead[m]),
-                    degree[k] + sum(lcm) - sum(exp))
-            heapq.heappush(pairs, (s, grlex_key(lcm), m, k))
+            s = max(degree[m] + deg(lcm) - deg(lead[m]),
+                    degree[k] + deg(lcm) - deg(exp))
+            heapq.heappush(pairs, (s, lcm, m, k))
 
     def reduce(p, row, terms):
         """Append p's remainder by the basis, if nonzero; p has cofactor
@@ -244,16 +250,15 @@ def groebner(gens) -> GroebnerBasis:
             reduce(g, unit, [])
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        lcm = _exp_lcm(lead[i], lead[j])
-        ti = _mono(ctx, _exp_sub(lcm, lead[i]))
-        tj = _mono(ctx, _exp_sub(lcm, lead[j]))
+        _, lcm, i, j = heapq.heappop(pairs)
+        ti = _poly(ctx, {lcm - lead[i]: 1})
+        tj = _poly(ctx, {lcm - lead[j]: 1})
         reduce(ti * polys[i] - tj * polys[j], zero_row,
                [(ti, rows[i]), (-tj, rows[j])])
 
-    # minimal basis: drop elements whose leading exponent another divides
+    # minimal basis: drop elements whose leading key another divides
     keep = [i for i, e in enumerate(lead)
-            if not any(o != i and _divides(lead[o], e)
+            if not any(o != i and ctx.divides(lead[o], e)
                        and (lead[o] != e or o < i) for o in range(len(lead)))]
     # tail-reduce each kept element against the others (leading terms stay)
     final = []
@@ -265,14 +270,14 @@ def groebner(gens) -> GroebnerBasis:
             row = _combine(row, [(-cof[o], rows[o]) for o in others
                                  if not cof[o].is_zero()])
         final.append((lead[i], b, row))
-    final.sort(key=lambda t: grlex_key(t[0]))
+    final.sort(key=lambda t: t[0])
     return GroebnerBasis(
         generators=[b for _, b, _ in final],
         original_gens=gens,
         cofactor_log=[r for _, _, r in final],
         ctx=ctx,
         quotient=_standard_monomials([e for e, _, _ in final], ctx),
-        leading=[(e, b.terms[e]) for e, b, _ in final],
+        leading=[(e, b.packed[e]) for e, b, _ in final],
     )
 
 
@@ -284,14 +289,15 @@ def _basis_lts(gb: GroebnerBasis):
 def normal_form(g: Poly, gb: GroebnerBasis) -> Poly:
     if g.ctx != gb.ctx:
         raise ContextMismatch("normal_form context mismatch")
-    return _wrap(g.ctx, _reduce(dict(g.terms), _basis_lts(gb)))
+    return _wrap(g.ctx, _reduce(dict(g.packed), _basis_lts(gb),
+                                gb.ctx._guard))
 
 
 def membership_with_cofactors(g: Poly, gens):
     """g = sum cofactors_j * gens_j + remainder, remainder in normal form."""
     gb = groebner(gens)
     cof = [{} for _ in gb.generators]
-    rem = _reduce(dict(g.terms), _basis_lts(gb), cof)
+    rem = _reduce(dict(g.packed), _basis_lts(gb), gb.ctx._guard, cof)
     return _lift_cofactors(cof, gb), _wrap(g.ctx, rem)
 
 
@@ -303,8 +309,8 @@ def _lift_cofactors(cof, gb: GroebnerBasis):
         if not c:
             continue
         for j, a in enumerate(row):
-            if a.terms:
-                out[j] = _terms_add(out[j], _terms_mul(c, a.terms))
+            if a.packed:
+                out[j] = _terms_add(out[j], _terms_mul(c, a.packed))
     return [_wrap(gb.ctx, t) for t in out]
 
 
@@ -318,10 +324,9 @@ def power_membership(v: str, gb: GroebnerBasis):
 
     The minimal a comes from the chain of normal forms r_1 = NF(v),
     r_a = NF(v r_{a-1}) = NF(v^a), reduced on term dicts with no cofactors
-    after the first; v r_{a-1} is an exponent shift.  Only v^a itself is
-    then divided with cofactors (at a = 1 that is the first reduction
-    already made), and they are lifted to the original generators through
-    the basis's cofactor log on term dicts.
+    after the first; v r_{a-1} adds v's key to each key of r_{a-1}.  Only v^a itself is then divided with cofactors (at a = 1 that is the
+    first reduction already made), and they are lifted to the original
+    generators through the basis's cofactor log on term dicts.
     """
     q = gb.quotient
     if not q.finite:
@@ -329,18 +334,19 @@ def power_membership(v: str, gb: GroebnerBasis):
                          f"lies in the ideal")
     D = q.dimension
     lts = _basis_lts(gb)
-    i = gb.ctx.index(v)
-    unit = tuple(int(k == i) for k in range(len(gb.ctx)))
+    guard = gb.ctx._guard
+    unit = gb.ctx.unit(v)
     cof = [{} for _ in gb.generators]
-    r = _reduce({unit: 1}, lts, cof)
+    r = _reduce({unit: 1}, lts, guard, cof)
     a = 1
     while r:
         if a >= D:
             raise ValueError(f"{v} is not nilpotent: {v}^{D} is not in the "
                              f"ideal, whose quotient has dimension D = {D}")
         a += 1
-        r = _reduce({tuple(map(add, e, unit)): c for e, c in r.items()}, lts)
+        _no_overflow(max(r) + unit)
+        r = _reduce({e + unit: c for e, c in r.items()}, lts, guard)
     if a > 1:
         cof = [{} for _ in gb.generators]
-        _reduce({tuple(a * e for e in unit): 1}, lts, cof)
+        _reduce({a * unit: 1}, lts, guard, cof)
     return a, _lift_cofactors(cof, gb)

@@ -10,11 +10,11 @@ degree-bounded linear solves over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from . import linalg, polymat
-from .ring import (Poly, RingContext, embed, embed_matrix, partial_derivative,
-                   rename, rename_matrix)
+from .ring import (LIMIT, ExponentOverflow, Poly, RingContext, _clean,
+                   _no_overflow, embed, embed_matrix, partial_derivative, rename,
+                   rename_matrix)
 
 
 class FactorisationError(ValueError):
@@ -134,7 +134,7 @@ class Morphism:
         tp, sp = self.target.parity, self.source.parity
         for i, row in enumerate(self.mat):
             for j, e in enumerate(row):
-                if e.terms and (tp[i] ^ sp[j]) != self.parity:
+                if e.packed and (tp[i] ^ sp[j]) != self.parity:
                     raise ValueError(f"entry [{i}][{j}] = {e} is not of "
                                      f"parity {self.parity}")
 
@@ -269,7 +269,7 @@ def tensor(Y: MatrixFactorisation,
                    for a in range(ry) for b in range(rx))
     dY = embed_matrix(Y.d, ctx)
     dX = [(j, b, e) for j, row in enumerate(embed_matrix(X.d, ctx))
-          for b, e in enumerate(row) if e.terms]
+          for b, e in enumerate(row) if e.packed]
     negated = ([(j, b, -e) for j, b, e in dX]
                if any(p % 2 for p in Y.parity) else None)
     zero = ctx.zero()
@@ -277,7 +277,7 @@ def tensor(Y: MatrixFactorisation,
     for a in range(ry):
         for i in range(ry):
             e = dY[i][a]
-            if e.terms:
+            if e.packed:
                 for b in range(rx):
                     d[i * rx + b][a * rx + b] = e
     for a in range(ry):
@@ -326,10 +326,14 @@ def _delta(dT, K, dS, parity: int, ctx: RingContext):
 
 
 def _monomials_up_to(ctx: RingContext, bound: int):
-    """Exponent tuples of total degree <= bound, in increasing lex order."""
-    out = [()] if bound >= 0 else []
-    for _ in ctx.names:
-        out = [m + (e,) for m in out for e in range(bound - sum(m) + 1)]
+    """Keys of the monomials of total degree <= bound, in increasing lex
+    order of their exponent tuples."""
+    if bound >= LIMIT and ctx.names:
+        raise ExponentOverflow(bound)
+    out = [0] if bound >= 0 else []
+    for unit in ctx._units:
+        out = [m + e * unit for m in out
+               for e in range(bound - ctx.degree(m) + 1)]
     return out
 
 
@@ -359,22 +363,25 @@ def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
     # the terms of column i of d_T and of row j of d_S, the latter signed
     # by -(-1)^{|h|}
     left = [[(r, exp, c) for r in range(target.rank)
-             for exp, c in dT[r][i].terms.items()]
+             for exp, c in dT[r][i].packed.items()]
             for i in range(target.rank)]
     right = [[(b, exp, c if parity else -c) for b in range(source.rank)
-              for exp, c in dS[j][b].terms.items()]
+              for exp, c in dS[j][b].packed.items()]
              for j in range(source.rank)]
+    if domain:
+        _no_overflow(max([exp for side in (left, right) for terms in side
+                          for _, exp, _ in terms], default=0) + max(monos))
     columns = []
     for (i, j, m) in domain:
         col = {}
         for r, exp, c in left[i]:
-            key = (r, j, tuple(map(add, exp, m)))
+            key = (r, j, exp + m)
             if key in col:
                 col[key] += c
             else:
                 col[key] = c
         for b, exp, c in right[j]:
-            key = (i, b, tuple(map(add, exp, m)))
+            key = (i, b, exp + m)
             if key in col:
                 col[key] += c
             else:
@@ -384,7 +391,7 @@ def _boundary_columns(source: MatrixFactorisation, target: MatrixFactorisation,
             for (r, b, exp), c in col.items():
                 entries.setdefault((r, b), {})[exp] = c
             col = {(r, b, exp): c for (r, b), terms in entries.items()
-                   for exp, c in reduce(Poly(ctx, terms)).terms.items()}
+                   for exp, c in reduce(_clean(ctx, terms)).packed.items()}
         columns.append({k: v for k, v in col.items() if v})
     return domain, columns
 
@@ -415,7 +422,7 @@ def _matrix_vector(mat, ctx, reduce=None):
             e = embed(e, ctx)
             if reduce is not None:
                 e = reduce(e)
-            for exp, c in e.terms.items():
+            for exp, c in e.packed.items():
                 out[(i, j, exp)] = c
     return out
 
@@ -425,7 +432,7 @@ def _vector_matrix(vec, rows: int, cols: int, ctx: RingContext):
     entries = {}
     for (i, j, exp), c in vec.items():
         entries.setdefault((i, j), {})[exp] = c
-    return [[Poly(ctx, entries[(i, j)]) if (i, j) in entries else ctx.zero()
+    return [[_clean(ctx, entries[(i, j)]) if (i, j) in entries else ctx.zero()
              for j in range(cols)] for i in range(rows)]
 
 

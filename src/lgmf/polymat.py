@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _terms_add,
-                   _terms_mul, _terms_scale)
+                   _terms_addmul, _terms_mul, _terms_scale)
 
 
 def zeros(ctx: RingContext, rows: int, cols: int):
@@ -37,10 +37,12 @@ def mat_scale(a, c):
 def mat_mul(a, b):
     """a * b, forming only the products of two nonzero entries.
 
-    Cells that get no product are the zero of the entries' common context;
-    as in the dense product, entries in different contexts raise
-    ContextMismatch whenever there is a product to form.  Factors whose
-    shapes do not chain raise ValueError.
+    Each output cell accumulates its products into one term dict
+    (``_terms_addmul``) and is wrapped in a Poly once.  Cells that get no
+    product are the zero of the entries' common context; as in the dense
+    product, entries in different contexts raise ContextMismatch whenever
+    there is a product to form.  Factors whose shapes do not chain raise
+    ValueError.
     """
     if not a:
         return []
@@ -57,19 +59,22 @@ def mat_mul(a, b):
             or any(row[j].ctx is not ctx and row[j].ctx != ctx
                    for row in b for j in range(cols))):
         raise ContextMismatch("matrix entries in different contexts")
-    b_nonzero = [[(j, row[j]) for j in range(cols) if not row[j].is_zero()]
+    b_nonzero = [[(j, row[j].packed) for j in range(cols) if row[j].packed]
                  for row in b]
+    zero = ctx.zero()
     out = []
     for row in a:
         acc = [None] * cols
         for k in range(inner):
-            x = row[k]
-            if x.is_zero():
+            x = row[k].packed
+            if not x:
                 continue
             for j, y in b_nonzero[k]:
-                t = x * y
-                acc[j] = t if acc[j] is None else acc[j] + t
-        out.append([ctx.zero() if e is None else e for e in acc])
+                cell = acc[j]
+                if cell is None:
+                    cell = acc[j] = {}
+                _terms_addmul(cell, x, y)
+        out.append([_poly(ctx, e) if e else zero for e in acc])
     return out
 
 
@@ -111,7 +116,7 @@ def det(a, ctx: RingContext | None = None) -> Poly:
     ctx = a[0][0].ctx
     if any(x.ctx is not ctx and x.ctx != ctx for row in a for x in row):
         raise ContextMismatch("matrix entries in different contexts")
-    t = _det_terms([[x.terms for x in row] for row in a])
+    t = _det_terms([[x.packed for x in row] for row in a])
     return _poly(ctx, t) if t else ctx.zero()
 
 

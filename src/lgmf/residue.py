@@ -12,9 +12,10 @@ denominator tuple.  The plan is the residue functional as data: its
 ``support`` maps each monomial x^m with a nonzero residue to
 Res[x^m dx/(f)] = d_{a-1-m}, d_e the coefficients of det(C), and a call reads
 each residue off that map, forming no product.  The support is keyed by
-exponent tuples in integration-variable order, free of the names, so a
-caller may read it over renamed variables (``ResiduePlan.over``) or contract
-toward it without forming the terms it ignores, as the Zorro composites do.
+packed monomials over the integration variables, in their order and free of
+their names, so a caller may read it over renamed variables
+(``ResiduePlan.over``) or contract toward it without forming the terms it
+ignores, as the Zorro composites do.
 Loops that take many residues over one tuple build one plan;
 ``grothendieck_residue`` builds a plan and applies it once.  A caller that
 already holds the Groebner basis of the denominators builds the plan from it
@@ -25,14 +26,14 @@ divides x_i^{a_i} with cofactors once.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polymat
 from .ideal import (GroebnerBasis, QuotientBasis, groebner, normal_form,
                     power_membership)
-from .ring import (Poly, RingContext, _restrict, divided_difference, embed,
+from .ring import (Poly, RingContext, _clean, _moved_terms, _no_overflow,
+                   _poly, _restrict, _runs, divided_difference, embed,
                    partial_derivative)
 
 
@@ -85,7 +86,7 @@ def _plan_from_basis(gb: GroebnerBasis | None, names) -> ResiduePlan:
 
     ``gb`` lives over exactly the integration variables ``names``, in that
     order; None stands for no variables (the plan is then the identity, with
-    support {(): 1}).  Runs the power membership of every integration
+    support {0: 1}, 0 the key of the constant monomial).  Runs the power membership of every integration
     variable (certified by the quotient dimension) and det(C) once.  With
     exponents a_i and det(C) = sum_e d_e x^e, Res[x^m dx / (f)] = d_{a-1-m}.
     """
@@ -94,18 +95,20 @@ def _plan_from_basis(gb: GroebnerBasis | None, names) -> ResiduePlan:
     if list(sub.names) != names:
         raise ValueError(f"basis over {sub} for the integration variables "
                          f"{names}")
-    tops, C = [], []
+    top, C = 0, []              # the key of prod x_i^(a_i - 1)
     for name in names:
         try:
             a, cof = power_membership(name, gb)
         except ValueError as exc:
             raise DenominatorError(str(exc)) from None
-        tops.append(a - 1)
+        top += (a - 1) * sub.unit(name)
+        _no_overflow(top)
         C.append(cof)
+    guard = sub._guard
     support = {}
-    for e, d in polymat.det(C, sub).terms.items():
-        m = tuple(map(operator.sub, tops, e))
-        if min(m, default=0) >= 0:
+    for e, d in polymat.det(C, sub).packed.items():
+        m = top - e
+        if not m & guard:
             support[m] = d
     return ResiduePlan(names, support)
 
@@ -113,10 +116,11 @@ def _plan_from_basis(gb: GroebnerBasis | None, names) -> ResiduePlan:
 class ResiduePlan:
     """The residue functional g -> Res[g dx / (f)] of one denominator tuple.
 
-    ``support`` maps each exponent tuple m (ordered like ``names``) whose
-    monomial x^m has a nonzero residue to Res[x^m dx / (f)]; every other
-    monomial has residue 0.  A term c x^m t^f of g (t the parameter
-    variables) contributes c Res[x^m dx / (f)] t^f.
+    ``support`` maps the packed key of each monomial x^m over ``names`` (in
+    the layout of a context of len(names) variables) that has a nonzero
+    residue to Res[x^m dx / (f)]; every other monomial has residue 0.  A
+    term c x^m t^f of g (t the parameter variables) contributes
+    c Res[x^m dx / (f)] t^f.
     """
 
     __slots__ = ("names", "support")
@@ -136,19 +140,21 @@ class ResiduePlan:
     def __call__(self, numerator: Poly) -> Poly:
         ctx = numerator.ctx
         pos = [ctx.index(n) for n in self.names]
-        get = self.support.get
+        mask = ctx.field_mask(pos)
+        # the support placed in the numerator's layout, keyed by its fields
+        # at ``pos``; a term's key minus the placed key is its rest
+        placed = _moved_terms(self.support, _runs(len(pos), pos, len(ctx)))
+        table = {k & mask: (k, d) for k, d in placed.items()}
+        get = table.get
         out = {}
-        for exp, c in numerator.terms.items():
-            d = get(tuple([exp[p] for p in pos]))
-            if d is None:
+        for key, c in numerator.packed.items():
+            hit = get(key & mask)
+            if hit is None:
                 continue
-            rest = list(exp)
-            for p in pos:
-                rest[p] = 0
-            rest = tuple(rest)
+            rest = key - hit[0]
             s = out.get(rest)
-            out[rest] = c * d if s is None else s + c * d
-        return Poly(ctx, out)
+            out[rest] = c * hit[1] if s is None else s + c * hit[1]
+        return _clean(ctx, out)
 
 
 def grothendieck_residue(q: ResidueQuery) -> Poly:
@@ -202,7 +208,7 @@ class JacobiRing:
         ctx = W.ctx
         partials = [partial_derivative(W, n) for n in ctx.names]
         gb = groebner(partials) if partials else None
-        basis = gb.quotient if gb is not None else QuotientBasis([()])
+        basis = gb.quotient if gb is not None else QuotientBasis([0], ctx)
         if not basis.finite:
             raise NotAPotential(W, basis.witness)
         self.potential = W
@@ -238,16 +244,16 @@ class JacobiRing:
     def coordinates(self, el: "JacobiElement"):
         """Coefficient vector of a (normal-form) element over the basis."""
         vec = []
-        seen = dict(el.rep.terms)
-        for mono in self.basis.monomials:
-            vec.append(Fraction(seen.pop(mono, 0)))
+        seen = dict(el.rep.packed)
+        for key in self.basis.keys:
+            vec.append(Fraction(seen.pop(key, 0)))
         if seen:
             raise ValueError("representative is not in normal form")
         return vec
 
     def basis_elements(self):
-        return [JacobiElement(self, self.ctx.poly({m: 1}))
-                for m in self.basis.monomials]
+        return [JacobiElement(self, _poly(self.ctx, {k: 1}))
+                for k in self.basis.keys]
 
     def __eq__(self, other):
         return (isinstance(other, JacobiRing)

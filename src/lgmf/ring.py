@@ -5,16 +5,30 @@ sparse polynomials with exact rational coefficients (an ``int`` where the
 coefficient is integral, a ``Fraction`` only where it has a denominator), a
 small expression parser, and the difference quotient operators (another
 priming order is the same operator over reordered variables).
+
+Every monomial is one int, packed as in Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors" (CASC
+2007).  In a context of n variables the total degree sits in the top field
+and the exponent of x_i in field n - 1 - i below it, each field ``WIDTH``
+bits wide with its top bit a guard bit that a valid key leaves clear: every
+exponent and every total degree is below ``LIMIT``.  So a product's key is
+the sum of its factors' keys, graded-lex order is integer order, a divides
+b iff (b - a) & guard is 0, and the exponents of adjacent variables move as
+one run of fields.  A key that would pass ``LIMIT`` raises
+``ExponentOverflow``; nothing wraps.  ``Poly.terms`` and the tuples of
+``RingContext.pack``/``unpack`` are the boundary to exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from itertools import repeat
-from operator import add
 
 PRIME_SUFFIX = "'"
+
+WIDTH = 16                  # bits per field, guard bit included
+LIMIT = 1 << (WIDTH - 1)    # every exponent and total degree is below this
+_FIELD = (1 << WIDTH) - 1
 
 
 def primed_name(name: str) -> str:
@@ -30,23 +44,54 @@ class UnknownVariable(KeyError):
     pass
 
 
+class ExponentOverflow(ValueError):
+    """A monomial whose total degree (hence some field) would pass LIMIT."""
+
+    def __init__(self, degree):
+        super().__init__(f"exponent overflow: a monomial of total degree "
+                         f"{degree} passes the limit {LIMIT - 1}")
+
+
+def _no_overflow(key):
+    """Raise ExponentOverflow if the key, a sum of two valid keys, has its
+    degree field's guard bit set.
+
+    A valid nonconstant key's bit length is its degree field's shift plus 1
+    to WIDTH - 1; one sum of valid keys keeps the degree field below
+    2**WIDTH, so its bit length is a multiple of WIDTH exactly when the
+    degree reached LIMIT.  No layout is needed to tell.
+    """
+    if key and not key.bit_length() % WIDTH:
+        raise ExponentOverflow(key >> (key.bit_length() - WIDTH))
+
+
 class RingContext:
     """An ordered tuple of variable names; the carrier ring Q[names].
 
     Contexts compare and hash by their name tuple.  Doubled contexts append
     the primed block after the unprimed block.  ``zero()`` is one shared Poly
-    per context.
+    per context.  A context owns the layout of its packed monomials, which
+    depends only on the number of variables.
     """
 
-    __slots__ = ("names", "_lookup", "_zero")
+    __slots__ = ("names", "_lookup", "_zero", "_shifts", "_units", "_dshift",
+                 "_guard")
 
     def __init__(self, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_lookup", {n: i for i, n in enumerate(names)})
-        object.__setattr__(self, "_zero", _poly(self, {}))
+        top = len(names) * WIDTH
+        shifts = range(top - WIDTH, -1, -WIDTH)
+        _set(self, "names", names)
+        _set(self, "_lookup", {v: i for i, v in enumerate(names)})
+        _set(self, "_shifts", shifts)
+        _set(self, "_dshift", top)
+        _set(self, "_units", tuple([1 << top | 1 << s for s in shifts]))
+        # LIMIT in every variable's field: LIMIT times the repunit
+        # sum(2**s for s in shifts)
+        _set(self, "_guard", LIMIT * ((1 << top) - 1) // _FIELD)
+        _set(self, "_zero", _poly(self, {}))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RingContext is immutable")
@@ -83,6 +128,52 @@ class RingContext:
     def merge(self, other: "RingContext") -> "RingContext":
         return self.extend(other.names)
 
+    # -- the packed layout --------------------------------------------------
+    def pack(self, exp) -> int:
+        """The key of an exponent tuple; raises ValueError for a wrong arity
+        or a negative exponent, ExponentOverflow at LIMIT."""
+        if len(exp) != len(self.names):
+            raise ValueError(f"exponent {exp} has wrong arity for {self}")
+        key = degree = 0
+        for e, s in zip(exp, self._shifts):
+            if e < 0:
+                raise ValueError(f"negative exponent in {exp}")
+            degree += e
+            if degree >= LIMIT:
+                raise ExponentOverflow(sum(exp))
+            key |= e << s
+        return key | degree << self._dshift
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a key."""
+        return tuple([key >> s & _FIELD for s in self._shifts])
+
+    def unit(self, name: str) -> int:
+        """The key of the variable ``name``."""
+        return self._units[self.index(name)]
+
+    def degree(self, key: int) -> int:
+        """The total degree of a key."""
+        return key >> self._dshift
+
+    def lowest(self, degree: int) -> int:
+        """The least key of total degree ``degree``: the keys below it are
+        those of lower degree."""
+        return degree << self._dshift
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial of key a divides that of key b."""
+        return not (b - a) & self._guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the least common multiple of two monomials."""
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+    def field_mask(self, indices) -> int:
+        """The bits of the exponent fields of the variables at ``indices``."""
+        return sum(_FIELD << self._shifts[i] for i in indices)
+
+    # -- polynomials --------------------------------------------------------
     def poly(self, terms) -> "Poly":
         return Poly(self, terms)
 
@@ -96,66 +187,66 @@ class RingContext:
         c = _canon(c)
         if not c:
             return self._zero
-        return _poly(self, {(0,) * len(self.names): c})
+        return _poly(self, {0: c})
 
     def gen(self, name: str) -> "Poly":
-        exp = [0] * len(self.names)
-        exp[self.index(name)] = 1
-        return _poly(self, {tuple(exp): 1})
+        return _poly(self, {self.unit(name): 1})
 
-
-def grlex_key(exp):
-    """Graded-lexicographic sort key (largest first when reverse-sorted)."""
-    return (sum(exp), exp)
 
 
 class Poly:
     """A sparse multivariate polynomial over Q in a fixed context.
 
-    Immutable value type; terms map exponent tuples to nonzero rationals in
-    canonical form: an ``int`` where the coefficient is integral, else a
-    ``Fraction`` with denominator > 1 (never a float, a bool or Fraction(n)).
-    Since Fraction(n) == n and hash(Fraction(n)) == hash(n), equality and
-    hashing do not depend on the form; scalar results such as
-    ``constant_value`` are always ``Fraction``s.
+    Immutable value type.  ``packed`` maps packed monomial keys to nonzero
+    rationals in canonical form: an ``int`` where the coefficient is
+    integral, else a ``Fraction`` with denominator > 1 (never a float, a
+    bool or Fraction(n)).  Since Fraction(n) == n and hash(Fraction(n)) ==
+    hash(n), equality and hashing do not depend on the form; scalar results
+    such as ``constant_value`` are always ``Fraction``s.  The constructor and
+    ``terms`` speak exponent tuples, in the same term order.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "packed")
 
     def __init__(self, ctx: RingContext, terms):
         clean = {}
-        width = len(ctx.names)
+        pack = ctx.pack
         for exp, c in terms.items():
+            key = pack(exp)
             c = _canon(c)
-            if len(exp) != width:
-                raise ValueError(f"exponent {exp} has wrong arity for {ctx}")
             if c:
-                clean[tuple(exp)] = c
+                clean[key] = c
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "packed", clean)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self) -> dict:
+        """A new dict from exponent tuples to coefficients, in term order."""
+        unpack = self.ctx.unpack
+        return {unpack(k): c for k, c in self.packed.items()}
+
     # -- basic predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
+        return not any(self.packed)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.packed:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self.packed[0])
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return self.ctx.degree(max(self.packed))
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -166,12 +257,12 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
         self._check(other)
-        return _poly(self.ctx, _terms_add(self.terms, other.terms))
+        return _poly(self.ctx, _terms_add(self.packed, other.packed))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.ctx, _terms_scale(self.terms, -1))
+        return _poly(self.ctx, _terms_scale(self.packed, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -183,9 +274,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _poly(self.ctx, _terms_scale(self.terms, other))
+            return _poly(self.ctx, _terms_scale(self.packed, other))
         self._check(other)
-        return _poly(self.ctx, _terms_mul(self.terms, other.terms))
+        return _poly(self.ctx, _terms_mul(self.packed, other.packed))
 
     __rmul__ = __mul__
 
@@ -194,7 +285,7 @@ class Poly:
             raise ValueError("negative exponent")
         if not k:
             return self.ctx.one()
-        return _poly(self.ctx, _terms_pow(self.terms, k))
+        return _poly(self.ctx, _terms_pow(self.packed, k))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -202,16 +293,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return ((self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.ctx.names, tuple(sorted(self.terms.items()))))
+        return hash((self.ctx.names, tuple(sorted(self.packed.items()))))
 
     # -- structure ----------------------------------------------------------
-    def sorted_terms(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
     def coefficient_of(self, exps_by_name: dict) -> "Poly":
         """Extract the coefficient of prod v^e over the named variables.
 
@@ -219,13 +306,11 @@ class Poly:
         the result still lives in the same context (with zero exponents on
         the extracted variables).
         """
-        idx = {self.ctx.index(n): e for n, e in exps_by_name.items()}
-        out = {}
-        for exp, c in self.terms.items():
-            if all(exp[i] == e for i, e in idx.items()):
-                new = tuple(0 if i in idx else e for i, e in enumerate(exp))
-                out[new] = out.get(new, 0) + c
-        return Poly(self.ctx, out)
+        ctx = self.ctx
+        mask = ctx.field_mask([ctx.index(n) for n in exps_by_name])
+        want = ctx.pack([exps_by_name.get(n, 0) for n in ctx.names])
+        return _clean(ctx, {k - want: c for k, c in self.packed.items()
+                            if k & mask == want & mask})
 
     def __repr__(self):
         return format_poly(self)
@@ -236,33 +321,47 @@ _set = object.__setattr__
 
 
 def _poly(ctx: RingContext, terms: dict) -> Poly:
-    """A Poly that takes ownership of ``terms`` without validating it.
+    """A Poly that takes ownership of the packed term dict ``terms`` without
+    validating it.
 
     Only for fresh dicts that nothing else holds, already in canonical form
-    (exponent tuples of the context's arity, nonzero ints or Fractions with
-    a denominator > 1): the results of the term kernels below.
+    (valid keys of the context's layout, nonzero ints or Fractions with a
+    denominator > 1): the results of the term kernels below.
     """
     p = _new(Poly)
     _set(p, "ctx", ctx)
-    _set(p, "terms", terms)
+    _set(p, "packed", terms)
     return p
+
+
+def _clean(ctx: RingContext, terms: dict) -> Poly:
+    """A Poly of a packed term dict whose rational coefficients may be zero
+    or not canonical; the order of the nonzero terms is kept."""
+    out = {}
+    for k, c in terms.items():
+        c = _canon(c)
+        if c:
+            out[k] = c
+    return _poly(ctx, out) if out else ctx.zero()
 
 
 # -- sparse-term kernels ----------------------------------------------------
 #
-# Terms are dicts mapping exponent tuples to nonzero coefficients in canonical
-# form: an int where the value is integral, a Fraction only where there is a
-# denominator.  Nearly every coefficient of the library (Atiyah classes,
-# difference quotients, Koszul signs) is an integer, so most arithmetic stays
-# on ints; a kernel turns an integral Fraction it produces back into an int.
-# These are the hot loops of the whole library (Groebner reduction, matrix
-# composites, residue numerators).  The product runs its inner loop on
-# integers: each factor is scaled by the lcm of its denominators, and only an
-# output coefficient with a denominator becomes a Fraction.  Division
-# (``ideal._reduce``) reduces one working dict in place.  Every context owns
-# one immutable zero, so the terms dict of a zero result may be shared;
-# nothing may mutate a Poly's terms.  Each kernel visits terms in a fixed
-# order, so results keep a reproducible term order.
+# Terms are dicts mapping packed monomial keys to nonzero coefficients in
+# canonical form: an int where the value is integral, a Fraction only where
+# there is a denominator.  Nearly every coefficient of the library (Atiyah
+# classes, difference quotients, Koszul signs) is an integer, so most
+# arithmetic stays on ints; a kernel turns an integral Fraction it produces
+# back into an int.  These are the hot loops of the whole library (Groebner
+# reduction, matrix composites, residue numerators); a product key is one
+# int addition.  The product runs its inner loop on integers: each factor is
+# scaled by the lcm of its denominators, and only an output coefficient with
+# a denominator becomes a Fraction.  A product checks its largest key, the
+# sum of its factors' largest keys, against overflow before its loop.
+# Division (``ideal._reduce``) reduces one working dict in place.  Every
+# context owns one immutable zero, so the terms dict of a zero result may be
+# shared; nothing may mutate a Poly's terms.  Each kernel visits terms in a
+# fixed order, so results keep a reproducible term order.
 
 def _canon(c):
     """A rational (int, Fraction, bool, float) as a coefficient in canonical
@@ -303,6 +402,9 @@ def _terms_mul(a, b):
     """
     if len(a) > len(b):
         a, b = b, a
+    if not a:
+        return {}
+    _no_overflow(max(a) + max(b))
     la = lcm(*[c.denominator for c in a.values()])
     lb = lcm(*[c.denominator for c in b.values()])
     ib = (list(b.items()) if lb == 1 else
@@ -313,7 +415,7 @@ def _terms_mul(a, b):
     for ea, ca in a.items():
         na = ca if la == 1 else ca.numerator * (la // ca.denominator)
         for eb, nb in ib:
-            exp = tuple(map(add, ea, eb))
+            exp = ea + eb
             s = get(exp)
             if s is None:
                 out[exp] = na * nb
@@ -328,6 +430,49 @@ def _terms_mul(a, b):
         return out
     return {exp: Fraction(n, den) if n % den else n // den
             for exp, n in out.items()}
+
+
+def _terms_addmul(acc, a, b):
+    """acc += a * b on term dicts, accumulated into ``acc`` in place.
+
+    The shorter factor runs the outer loop, as in ``_terms_mul``; each term
+    pair updates acc at once, so a monomial that cancels is deleted and
+    re-inserted at the end if a later pair brings it back.  acc stays
+    canonical: with integer factors every update is an int addition (an int
+    added to a Fraction with a denominator keeps one), otherwise each pair's
+    product is exact and every sum is made canonical.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return
+    _no_overflow(max(a) + max(b))
+    get = acc.get
+    if Fraction not in map(type, a.values()) and Fraction not in map(
+            type, b.values()):
+        ib = list(b.items())
+        for ea, ca in a.items():
+            for eb, cb in ib:
+                exp = ea + eb
+                s = get(exp)
+                if s is None:
+                    acc[exp] = ca * cb
+                else:
+                    s += ca * cb
+                    if s:
+                        acc[exp] = s
+                    else:
+                        del acc[exp]
+        return
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = ea + eb
+            s = get(exp)
+            s = ca * cb if s is None else s + ca * cb
+            if s:
+                acc[exp] = _canon(s)
+            else:
+                del acc[exp]
 
 
 def _terms_scale(a, c):
@@ -345,56 +490,104 @@ def _terms_scale(a, c):
     return {exp: _canon(ca * c) for exp, ca in a.items()}
 
 
+def _terms_pow(a, k):
+    """a^k for k >= 1 by repeated squaring, always in a fresh dict."""
+    base = a
+    while not k & 1:
+        base = _terms_mul(base, base)
+        k >>= 1
+    # the first factor starts the product (a copy when it is the input)
+    out = dict(base) if base is a else base
+    k >>= 1
+    while k:
+        base = _terms_mul(base, base)
+        if k & 1:
+            out = _terms_mul(out, base)
+        k >>= 1
+    return out
+
+
 # -- context-changing maps --------------------------------------------------
+#
+# The one exponent-remapping primitive.  Variable k of a source context of n
+# variables moves to position positions[k] of a target of m variables (None
+# drops it).  Each field moves by a fixed shift, and so does the degree
+# field, from the top of the source layout to the top of the target's; the
+# fields are cut into runs of adjacent source fields that move together, and
+# a key is rebuilt from one mask-and-shift per run.  Fields sharing a target
+# position add up (a merge).  A remap keeps the total degree, so it cannot
+# overflow.
+
+def _runs(n: int, positions, m: int, degree=True):
+    """The (shift, mask, target shift) of each run of adjacent source fields
+    that moves as one, lowest first, for a remap of ``positions`` from n to
+    m variables; the degree field is the last run when ``degree`` is set
+    (its mask is -1)."""
+    runs = []                       # [low bit, end bit, shift]
+    src = 0
+    for pos in reversed(positions):     # the lowest source field first
+        if pos is not None:
+            shift = (m - 1 - pos) * WIDTH - src
+            if runs and runs[-1][1] == src and runs[-1][2] == shift:
+                runs[-1][1] += WIDTH
+            else:
+                runs.append([src, src + WIDTH, shift])
+        src += WIDTH
+    if degree:
+        shift = (m - n) * WIDTH
+        if runs and runs[-1][1] == src and runs[-1][2] == shift:
+            runs[-1][1] = None
+        else:
+            runs.append([src, None, shift])
+    return [(lo, -1 if end is None else (1 << end - lo) - 1, lo + shift)
+            for lo, end, shift in runs]
+
+
+def _moved_terms(terms, runs):
+    """The terms with their keys rebuilt by ``runs`` (see ``_runs``).  Keys
+    that meet add their coefficients; cancelled monomials are dropped and
+    the terms keep their order."""
+    if len(runs) == 1 and runs[0][1] == -1:     # one shift of every key
+        lo, _, to = runs[0]
+        return {k >> lo << to: c for k, c in terms.items()}
+    out = {}
+    for key, c in terms.items():
+        new = 0
+        for lo, mask, to in runs:
+            new += (key >> lo & mask) << to
+        s = out.get(new)
+        out[new] = c if s is None else _canon(s + c)
+    if len(out) < len(terms):       # monomials merged: drop cancellations
+        out = {k: c for k, c in out.items() if c}
+    return out
+
 
 def _remap(ctx: RingContext, positions):
     """The map p -> p rebuilt in ``ctx``, variable k of p moving to
     positions[k].
 
-    The positions are worked out once, for every p of one source context.
+    The runs are worked out once, for every p of one source context.
     Variables sharing a position merge: their exponents add up, and so do the
     coefficients of monomials that meet.  A position of None drops the
     variable; the map gives None for a p in which a dropped variable occurs,
     and the context's shared zero for a zero p.  Terms keep p's order.
     """
     zero = ctx.zero()
-    n, width = len(positions), len(ctx.names)
-    dropped = [k for k, pos in enumerate(positions) if pos is None]
-    kept = [(k, pos) for k, pos in enumerate(positions) if pos is not None]
-    # when p's variables come first, in order, a new exponent is the old one
-    # padded with zeros; otherwise each is built slot by slot
-    pad = (0,) * (width - n)
-    padding = list(positions) == list(range(n))
+    n = len(positions)
+    runs = _runs(n, positions, len(ctx.names))
+    dropped = (sum(_FIELD << (n - 1 - k) * WIDTH
+                   for k, pos in enumerate(positions) if pos is None)
+               if None in positions else 0)
 
     def remap(p: Poly) -> Poly | None:
-        terms = p.terms
+        terms = p.packed
         if not terms:
             return zero
-        if dropped and any(exp[k] for exp in terms for k in dropped):
+        if dropped and any(k & dropped for k in terms):
             return None
-        if padding:
-            exps = map(add, terms, repeat(pad)) if pad else terms
-            return _poly(ctx, dict(zip(exps, terms.values())))
-        return _poly(ctx, _moved_terms(terms, kept, width))
+        return _poly(ctx, _moved_terms(terms, runs))
 
     return remap
-
-
-def _moved_terms(terms, kept, width):
-    """The terms with variable k moved to position pos for each (k, pos) of
-    ``kept``.  Where positions are shared, exponents and the coefficients of
-    monomials that meet add up, and cancelled monomials are dropped."""
-    out = {}
-    for exp, c in terms.items():
-        new = [0] * width
-        for k, pos in kept:
-            new[pos] += exp[k]
-        key = tuple(new)
-        s = out.get(key)
-        out[key] = c if s is None else _canon(s + c)
-    if len(out) < len(terms):       # monomials merged: drop cancellations
-        out = {exp: c for exp, c in out.items() if c}
-    return out
 
 
 def _remap_matrix(mat, remap_for):
@@ -483,35 +676,37 @@ def substitute(p: Poly, mapping, target_ctx: RingContext | None = None) -> Poly:
 
 def partial_derivative(p: Poly, name: str) -> Poly:
     """Formal partial derivative with respect to a variable."""
-    i = p.ctx.index(name)
+    ctx = p.ctx
+    i = ctx.index(name)
+    s, unit = ctx._shifts[i], ctx._units[i]
     out = {}
-    for exp, c in p.terms.items():
-        e = exp[i]
+    for key, c in p.packed.items():
+        e = key >> s & _FIELD
         if e:
-            new = exp[:i] + (e - 1,) + exp[i + 1:]
-            out[new] = out.get(new, 0) + c * e
-    return Poly(p.ctx, out)
+            out[key - unit] = _canon(c * e)
+    return _poly(ctx, out) if out else ctx.zero()
 
 
 def _difference_step(p: Poly, u: str, v: str):
     """(p(u:=v), (p - p(u:=v)) / (u - v)) from one pass over p's terms.
 
     A term c*m*u^a*v^b, m free of u and v, goes to c*m*v^(a+b) and to
-    sum_{k<a} c*m*u^k*v^(a+b-1-k).
+    sum_{k<a} c*m*u^k*v^(a+b-1-k); the keys of the latter step by u/v.
     """
-    ui, vi = p.ctx.index(u), p.ctx.index(v)
+    ctx = p.ctx
+    su, sv = ctx._shifts[ctx.index(u)], ctx._shifts[ctx.index(v)]
+    one_u, one_v = 1 << su, 1 << sv
+    step, down = one_u - one_v, 1 << ctx._dshift
     sub, quo = {}, {}
-    for exp, c in p.terms.items():
-        a = exp[ui]
-        top = a + exp[vi]
-        e = list(exp)
-        e[ui], e[vi] = 0, top
-        _add_term(sub, tuple(e), c)
-        for k in range(a):
-            e[ui], e[vi] = k, top - 1 - k
-            _add_term(quo, tuple(e), c)
-    return (_poly(p.ctx, {e: c for e, c in sub.items() if c}),
-            _poly(p.ctx, {e: c for e, c in quo.items() if c}))
+    for key, c in p.packed.items():
+        a = key >> su & _FIELD
+        _add_term(sub, key + a * (one_v - one_u), c)
+        q = key - a * one_u + (a - 1) * one_v - down
+        for _ in range(a):
+            _add_term(quo, q, c)
+            q += step
+    return (_poly(ctx, {e: c for e, c in sub.items() if c}),
+            _poly(ctx, {e: c for e, c in quo.items() if c}))
 
 
 def _add_term(terms, exp, c):
@@ -539,7 +734,8 @@ def format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
     parts = []
-    for exp, c in p.sorted_terms():
+    for key in sorted(p.packed, reverse=True):   # descending graded lex
+        exp, c = p.ctx.unpack(key), p.packed[key]
         factors = []
         for name, e in zip(p.ctx.names, exp):
             if e == 1:
@@ -601,9 +797,10 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
     divides p).  A power applies to the whole literal p/q: ``3/2^2`` is
     (3/2)^2 = 9/4, not 3/4.  One recursive descent over the tokens: the
     numbers and variables of a product, with their powers, add up into one
-    exponent list and one coefficient, and a term dict is formed only per
+    packed key and one coefficient, and a term dict is formed only per
     summand and per parenthesised factor.  Those dicts are combined by the
-    sparse-term kernels; the result is wrapped in a Poly once.
+    sparse-term kernels; the result is wrapped in a Poly once.  A monomial
+    of total degree LIMIT or more raises ExponentOverflow.
     """
     tokens = _tokenize(text)
     terms, i = _parse_sum(tokens, 0, ctx)
@@ -638,14 +835,14 @@ def _parse_product(tokens, i, ctx, negative):
     the index after it.
 
     The numbers and variables, each to its power, add up into one
-    coefficient and one exponent list; the parenthesised factors multiply as
+    coefficient and one packed key; the parenthesised factors multiply as
     term dicts.  A monomial only shifts the terms of the other factors, so
     the term order is that of the left-to-right product.
     """
-    exp = [0] * len(ctx.names)
+    key = 0
     coef = -1 if negative else 1
     group = None                        # the parenthesised factors' product
-    lookup = ctx._lookup
+    lookup, units = ctx._lookup, ctx._units
     while True:
         kind, value = tokens[i]
         if kind == "var":
@@ -654,7 +851,10 @@ def _parse_product(tokens, i, ctx, negative):
                 raise ParseError(f"unknown variable {value!r} in context "
                                  f"{ctx.names}")
             k, i = _exponent(tokens, i + 1)
-            exp[v] += k
+            if k >= LIMIT:
+                raise ExponentOverflow(k)
+            key += k * units[v]
+            _no_overflow(key)
         elif kind == "int":
             c = int(value)
             i += 1
@@ -688,10 +888,10 @@ def _parse_product(tokens, i, ctx, negative):
     if not coef:
         return {}, i
     if group is None:
-        return {tuple(exp): coef}, i
-    if coef == 1 and not any(exp):
+        return {key: coef}, i
+    if coef == 1 and not key:
         return group, i
-    return _terms_mul({tuple(exp): coef}, group), i
+    return _terms_mul({key: coef}, group), i
 
 
 def _exponent(tokens, i):
@@ -706,19 +906,3 @@ def _exponent(tokens, i):
         raise _expected("int", tokens, i)
     return int(tokens[i][1]), i + 1
 
-
-def _terms_pow(a, k):
-    """a^k for k >= 1 by repeated squaring, always in a fresh dict."""
-    base = a
-    while not k & 1:
-        base = _terms_mul(base, base)
-        k >>= 1
-    # the first factor starts the product (a copy when it is the input)
-    out = dict(base) if base is a else base
-    k >>= 1
-    while k:
-        base = _terms_mul(base, base)
-        if k & 1:
-            out = _terms_mul(out, base)
-        k >>= 1
-    return out

@@ -269,12 +269,15 @@ def _classes_at(X, Y, bound, ctx):
     earlier classes' remainders.  As delta^2 = 0, the count at bound + 1 is
     dim Z - dim B + rank(B's parts above bound + 1)."""
     top = bound + 1
+    # keys below ``low_key`` have degree <= bound, keys from ``high_key``
+    # on have degree > top
+    low_key, high_key = ctx.lowest(top), ctx.lowest(top + 1)
     systems = []
     for p in (0, 1):
         dom, cols = _boundary_columns(X, Y, p, top, ctx)
-        order = sorted(range(len(dom)), key=lambda k: sum(dom[k][2]) == top)
+        order = sorted(range(len(dom)), key=lambda k: dom[k][2] >= low_key)
         systems.append(([dom[k] for k in order], [cols[k] for k in order],
-                        sum(sum(m) < top for _, _, m in dom)))
+                        sum(m < low_key for _, _, m in dom)))
     coboundaries = tuple(linalg.Span(cols[:low])
                          for _, cols, low in reversed(systems))
     classes, ranks = [], []
@@ -285,7 +288,7 @@ def _classes_at(X, Y, bound, ctx):
         classes.append([d for d in reps if chosen.add(cob.reduce(d))])
         ranks.append(rank)
     counts = [len(systems[p][0]) - ranks[p] - ranks[p ^ 1] + linalg.rank(
-        _equations([{k: c for k, c in col.items() if sum(k[2]) > top}
+        _equations([{k: c for k, c in col.items() if k[2] >= high_key}
                     for col in systems[p ^ 1][1]])[0]) for p in (0, 1)]
     return classes, coboundaries, counts
 

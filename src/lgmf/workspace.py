@@ -17,8 +17,9 @@ list is a full matrix block (d0, d1).  A morphism's ends factor one potential.
 Each bracket list is cut at its top-level commas in one scan of its
 punctuation, recursing into the nested lists; brackets that do not balance
 there raise an "unbalanced brackets" error.
-Readers raise ``WorkspaceError`` without a line; ``parse_workspace`` adds it
-in one handler per declaration line, ``load_workspace`` for a non-UTF-8 byte.
+Readers raise ``WorkspaceError`` (or ``ring.ExponentOverflow``, for a monomial
+past the exponent limit) without a line; ``parse_workspace`` adds it in one
+handler per declaration line, ``load_workspace`` for a non-UTF-8 byte.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .adjunction import AdjointData
 from .mf import FactorisationError, MatrixFactorisation, Morphism, new_mf
-from .ring import (PRIME_SUFFIX, ParseError, Poly, RingContext, _tokenize,
-                   embed, parse_poly as ring_parse_poly)
+from .ring import (PRIME_SUFFIX, ExponentOverflow, ParseError, Poly,
+                   RingContext, _tokenize, embed, parse_poly as ring_parse_poly)
 
 
 class WorkspaceError(ValueError):
@@ -47,7 +48,7 @@ def parse_poly(text: str, ctx: RingContext) -> Poly:
     """An exact polynomial from the textual grammar, with workspace errors."""
     try:
         return ring_parse_poly(text, ctx)
-    except ParseError as exc:
+    except (ParseError, ExponentOverflow) as exc:
         raise WorkspaceError(f"bad expression {text!r}: {exc}") from None
 
 
@@ -252,7 +253,7 @@ def parse_workspace(text: str) -> Workspace:
                     break
             else:
                 raise WorkspaceError(f"unrecognised declaration: {line!r}")
-        except WorkspaceError as exc:
+        except (WorkspaceError, ExponentOverflow) as exc:
             raise WorkspaceError(str(exc), lineno) from None
     return ws
 

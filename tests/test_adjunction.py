@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgmf import adjunction, mf, polymat
 from lgmf import unit as unit_module
@@ -12,13 +14,14 @@ from lgmf.adjunction import (AdjointData, adjoint_dual_morphism, ev,
 from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
                      default_null_homotopies)
 from lgmf.residue import JacobiRing, residue_plan
-from lgmf.ring import (RingContext, divided_difference, embed, rename,
+from lgmf.ring import (RingContext, _runs, divided_difference, embed, rename,
                        substitute)
 from lgmf.unit import (lambda_inverse, rho_inverse, unit_action_left,
                        unit_action_right)
 
 from conftest import (boundary_defect, corpus_boundary_mfs, delta_defect,
                       line_defect)
+from test_ring import rational_polys
 
 
 def _defects():
@@ -210,6 +213,32 @@ def test_snake_contraction_equals_the_full_product(key, variant):
     for got_row, want_row in zip(got.mat, want.mat, strict=True):
         for g, h in zip(got_row, want_row, strict=True):
             assert g.ctx == h.ctx and g.terms == h.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_middle_exponents_match_the_tuple_grouping(data):
+    """_by_middle groups the terms by their exponents at the middles, read
+    as the plan layout's fields: adjacent, scattered and permuted middles,
+    and none."""
+    ctx = RingContext(["a", "b", "c", "d", "e"])
+    mids = data.draw(st.lists(st.sampled_from(ctx.names), unique=True,
+                              max_size=4))
+    p = data.draw(rational_polys(ctx, max_deg=3, max_terms=8))
+    sub = RingContext(mids)
+    where = {ctx.index(n): k for k, n in enumerate(mids)}
+    runs = _runs(len(ctx), [where.get(i) for i in range(len(ctx))],
+                 len(mids), degree=False)
+    got = adjunction._by_middle(p, runs)
+    want = {}
+    for exp, c in p.terms.items():
+        mid = tuple(exp[ctx.index(n)] for n in mids)
+        want.setdefault(mid, {})[exp] = c
+    fields = sub.field_mask(range(len(mids)))
+    assert list(got) == [sub.pack(m) & fields for m in want]
+    for (key, group), (mid, terms) in zip(got.items(), want.items()):
+        assert list(group.items()) == [(ctx.pack(e), c)
+                                       for e, c in terms.items()]
 
 
 @pytest.mark.parametrize("key", list(SNAKE_DEFECTS))

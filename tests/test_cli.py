@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lgmf import adjunction, cli, mf, tft
 from lgmf.cli import main
-from lgmf.ring import RingContext
+from lgmf.ring import LIMIT, RingContext
 from lgmf.workspace import (WorkspaceError, _parse_matrix_literal, _split_top,
                             load_workspace, parse_poly, parse_workspace)
 
@@ -335,6 +335,24 @@ def test_check_potential(ws, capsys):
     assert code == 0
     assert rep["outputs"]["is_potential"] is True
     assert rep["outputs"]["jacobi_dimension"] == 2
+
+
+@pytest.mark.parametrize("snippet, needle", [
+    (f"ring R = [x]\npotential W on R = x^{LIMIT}\n",
+     f"line 2: bad expression 'x^{LIMIT}': exponent overflow: a monomial of "
+     f"total degree {LIMIT} passes the limit {LIMIT - 1}"),
+    # each block is in range; d^2 is not
+    (CUBIC + f"mf X on W = ([x^{LIMIT // 2}], [x^{LIMIT // 2}])\n",
+     f"line 3: exponent overflow: a monomial of total degree {LIMIT} "
+     f"passes the limit {LIMIT - 1}"),
+])
+def test_an_exponent_overflow_exits_2_naming_its_line(tmp_path, capsys,
+                                                       snippet, needle):
+    path = tmp_path / "big.lg"
+    path.write_text(snippet)
+    code, rep = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert rep["outputs"]["error"] == needle
 
 
 def test_check_potential_without_variables(tmp_path, capsys):

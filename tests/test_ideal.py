@@ -16,12 +16,13 @@ from lgmf.ideal import (division, groebner, leading_term,
                         membership_with_cofactors, normal_form,
                         power_membership)
 from lgmf.residue import JacobiRing, NotAPotential
-from lgmf.ring import (ContextMismatch, Poly, RingContext, _canon, grlex_key,
+from lgmf.ring import (ContextMismatch, Poly, RingContext, _canon,
                        parse_poly)
 
 from conftest import canonical_coefficient, corpus_potentials
 from test_ring import (CONTEXTS, _reference_terms_mul, _same_terms,
-                       _snapshot, _unchanged, poly_strategy, rational_polys)
+                       _snapshot, _unchanged, grlex_key, poly_strategy,
+                       rational_polys)
 
 CTX = RingContext(["x", "y"])
 
@@ -415,6 +416,9 @@ def test_division_and_normal_form_match_the_loop_they_replaced(gens, data):
     gb = groebner(gens)
     for divisors, leads in ((gens, [leading_term(d) for d in gens]),
                             (gb.generators, gb.leading)):
+        # the leading terms come as packed keys; the loop reads tuples
+        leads = [None if lt is None else (ctx.unpack(lt[0]), lt[1])
+                 for lt in leads]
         cof, rem = division(g, divisors)
         want_cof, want_rem = _loop_division(g, divisors, leads)
         assert len(cof) == len(want_cof)
@@ -422,6 +426,19 @@ def test_division_and_normal_form_match_the_loop_they_replaced(gens, data):
             _same_terms(got.terms, want.terms)
         _same_terms(rem.terms, want_rem.terms)
     _same_terms(normal_form(g, gb).terms, want_rem.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONTEXTS).flatmap(rational_polys))
+def test_leading_term_is_the_grlex_largest_term(p):
+    """The leading term's key is the largest packed key, and it is the
+    grlex-largest exponent tuple."""
+    lead = leading_term(p)
+    if p.is_zero():
+        assert lead is None
+        return
+    exp = max(p.terms, key=grlex_key)
+    assert lead == (p.ctx.pack(exp), p.terms[exp])
 
 
 def _integral(p: Poly, lead=None) -> Poly:

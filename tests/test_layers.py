@@ -64,6 +64,71 @@ def test_tft_reexports_the_jacobi_ring():
     assert tft.JacobiElement is residue.JacobiElement
 
 
+# Exponent tuples are the boundary of ring.py, whose kernels key every term
+# by one packed int.  Elsewhere a module reads the tuple view ``.terms``,
+# packs or unpacks exponent tuples, builds a Poly from them (``Poly(...)``,
+# ``ctx.poly``) or builds one with tuple(map(...)) only in a boundary reader
+# named here.
+TUPLE_ATTRIBUTES = {"terms", "pack", "unpack", "poly"}
+BOUNDARY_READERS = {"ideal.QuotientBasis.monomials"}
+
+
+def _tuple_uses(tree, module):
+    """'module.scope: what' for each exponent-tuple use in a parsed module
+    (see TUPLE_ATTRIBUTES), scope being the enclosing classes and
+    functions."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        what = None
+        if (isinstance(node, ast.Attribute)
+                and node.attr in TUPLE_ATTRIBUTES):
+            what = "." + node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            first = node.args[0] if node.args else None
+            if node.func.id == "Poly":
+                what = "Poly(...)"
+            elif (node.func.id == "tuple" and isinstance(first, ast.Call)
+                  and getattr(first.func, "id", None) == "map"):
+                what = "tuple(map(...))"
+        if what is not None:
+            where = ".".join([module] + scope)
+            if where not in BOUNDARY_READERS:
+                found.append(f"{where}: {what}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_ring_reads_exponent_tuples():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "ring":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += _tuple_uses(tree, path.stem)
+    assert found == []
+
+
+def test_the_tuple_guard_sees_every_form():
+    tree = ast.parse(
+        "def f(p, ctx):\n"
+        "    return p.terms, ctx.unpack(0), ctx.pack(()), ctx.poly({})\n"
+        "class QuotientBasis:\n"
+        "    def monomials(self):\n"
+        "        return self.ctx.unpack(0)\n"
+        "    def other(self):\n"
+        "        return tuple(map(max, a, b)), Poly(c, {}), p.packed\n"
+        "x = [e.terms for e in y]\n")
+    assert _tuple_uses(tree, "ideal") == [
+        "ideal.f: .terms", "ideal.f: .unpack", "ideal.f: .pack",
+        "ideal.f: .poly", "ideal.QuotientBasis.other: tuple(map(...))",
+        "ideal.QuotientBasis.other: Poly(...)", "ideal: .terms"]
+
+
 def _public_definitions():
     """(module, name) of each public module-level function or class."""
     for path in sorted(SRC.glob("*.py")):

@@ -406,7 +406,9 @@ def test_monomials_up_to_matches_filtered_product(n):
         filtered = sorted(e for e in itertools.product(range(bound + 1),
                                                        repeat=n)
                           if sum(e) <= bound)
-        assert _monomials_up_to(ctx, bound) == filtered
+        got = _monomials_up_to(ctx, bound)
+        assert [ctx.unpack(m) for m in got] == filtered
+        assert got == [ctx.pack(e) for e in filtered]
 
 
 # -- the boundary system against its first-written loop ---------------------
@@ -414,8 +416,11 @@ def test_monomials_up_to_matches_filtered_product(n):
 def _reference_boundary_columns(source, target, parity, bound, ctx,
                                 reduce=None):
     """The first-written builder: exponents added in a generator, every
-    term accumulated onto a default 0 and the sign a Fraction product."""
-    monos = _monomials_up_to(ctx, bound)
+    term accumulated onto a default 0 and the sign a Fraction product, on
+    exponent tuples."""
+    monos = sorted(e for e in itertools.product(range(bound + 1),
+                                                repeat=len(ctx.names))
+                   if sum(e) <= bound)
     domain = [(i, j, m) for i in range(target.rank) for j in range(source.rank)
               if (target.parity[i] + source.parity[j]) % 2 == parity
               for m in monos]
@@ -477,8 +482,9 @@ def test_boundary_columns_match_the_reference_loop(case):
                                               reduce)
                 rdom, rcols = _reference_boundary_columns(
                     S, T, parity, bound, ctx, reduce)
-                assert dom == rdom
-                assert cols == rcols
+                assert [(i, j, ctx.unpack(m)) for i, j, m in dom] == rdom
+                assert [{(r, b, ctx.unpack(k)): c for (r, b, k), c
+                         in col.items()} for col in cols] == rcols
                 assert all(canonical_coefficient(c)
                            for col in cols for c in col.values())
     # the hook changes some column

@@ -15,10 +15,11 @@ from lgmf.ideal import groebner, normal_form, power_membership
 from lgmf.residue import (DenominatorError, ResidueQuery, grothendieck_residue,
                           jacobian_delta, monomial_residue, residue,
                           residue_plan)
-from lgmf.ring import RingContext, _restrict, embed, partial_derivative, rename
+from lgmf.ring import (RingContext, _canon, _restrict, embed,
+                       partial_derivative, rename)
 
 from conftest import corpus_potentials, delta_defect, line_defect
-from test_ring import poly_strategy
+from test_ring import poly_strategy, rational_polys
 
 
 def test_defining_property_single_variable():
@@ -356,11 +357,13 @@ def test_plan_support_is_its_functional(key):
     names = list(ring.ctx.names)
     plan = ring.residue_plan()
     tops = [power_membership(n, ring.gb)[0] for n in names]
+    # the support is keyed by packed monomials of the ring's layout
+    support = {ring.ctx.unpack(k): d for k, d in plan.support.items()}
     assert all(all(k < a for k, a in zip(m, tops)) and d
-               for m, d in plan.support.items())
+               for m, d in support.items())
     for m in itertools.product(*(range(a + 1) for a in tops)):
         mono = ring.ctx.poly({m: Fraction(1)})
-        want = plan.support.get(m, Fraction(0))
+        want = support.get(m, Fraction(0))
         assert plan(mono) == ring.ctx.const(want)
     renamed = [n + "r" for n in names]
     rctx = RingContext(renamed)
@@ -379,10 +382,35 @@ def test_plan_support_is_its_functional(key):
         plan(g), RingContext([]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(JACOBI_POTENTIALS)), data=st.data())
+def test_a_plan_reads_its_support_like_the_tuple_functional(key, data):
+    """plan(g) against the support read on exponent tuples: a term
+    c x^m t^f contributes c support[m] t^f, in value and term order, with
+    the plan's variables anywhere in g's context."""
+    ring = _jacobi_ring(key)
+    plan = ring.residue_plan()
+    names = list(plan.names)
+    ctx = RingContext(data.draw(st.permutations(names + ["p1", "p2"])))
+    g = data.draw(rational_polys(ctx, max_deg=4, max_terms=10))
+    support = {ring.ctx.unpack(k): d for k, d in plan.support.items()}
+    want = {}
+    for exp, c in g.terms.items():
+        d = support.get(tuple(exp[ctx.index(n)] for n in names))
+        if d is not None:
+            rest = tuple(0 if n in names else e
+                         for n, e in zip(ctx.names, exp))
+            want[rest] = want.get(rest, 0) + c * d
+    got = plan(g)
+    assert got.ctx is ctx
+    assert list(got.terms.items()) == [(e, _canon(c)) for e, c in want.items()
+                                       if c]
+
+
 def test_plan_without_integration_variables_is_the_identity():
     plan = residue_plan([], [])
-    assert plan.support == {(): 1} and plan.names == ()
-    assert _jacobi_ring("no variables").residue_plan().support == {(): 1}
+    assert plan.support == {RingContext([]).pack(()): 1} and plan.names == ()
+    assert _jacobi_ring("no variables").residue_plan().support == {0: 1}
     p = PCTX.gen("t") ** 2 + PCTX.const(Fraction(3))
     assert plan(p) == p
     with pytest.raises(ValueError, match="integration variables"):

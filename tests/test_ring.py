@@ -10,15 +10,24 @@ from hypothesis import strategies as st
 
 from lgmf.adjunction import _project
 from lgmf.residue import DenominatorError, ResidueQuery, grothendieck_residue
-from lgmf.ring import (ContextMismatch, ParseError, Poly, RingContext,
-                       UnknownVariable, _difference_step, _remap, _restrict,
-                       _terms_add, _terms_mul, _terms_scale, _tokenize,
+from lgmf import polymat
+from lgmf.ring import (LIMIT, ContextMismatch, ExponentOverflow, ParseError,
+                       Poly, RingContext, UnknownVariable, _difference_step,
+                       _remap, _restrict,
+                       _terms_add, _terms_addmul, _terms_mul,
+                       _terms_scale, _tokenize,
                        divided_difference, embed,
                        embed_matrix, format_poly, parse_poly,
                        partial_derivative, rename, rename_matrix, substitute)
 from lgmf.unit import _try_restrict
 
 from conftest import canonical_coefficient
+
+
+def grlex_key(exp):
+    """Graded-lexicographic sort key of an exponent tuple (largest first
+    when reverse-sorted): the order of packed keys."""
+    return (sum(exp), exp)
 
 
 def doubled(n):
@@ -553,6 +562,11 @@ def _reference_pow(p, k):
     return out
 
 
+def _view(ctx, packed):
+    """A packed term dict as exponent tuples, in its term order."""
+    return {ctx.unpack(k): c for k, c in packed.items()}
+
+
 def _same_terms(got, want):
     """Equal values and identical term order, with canonical coefficients."""
     assert list(got.items()) == list(want.items())
@@ -596,7 +610,7 @@ _CANCEL_RETURN = (parse_poly("1 + x + x^2", _CX),
           RingContext([]).const(Fraction(-2, 9))))
 def test_terms_mul_matches_the_reference_in_value_and_order(pq):
     p, q = pq
-    _same_terms(_terms_mul(p.terms, q.terms),
+    _same_terms(_view(p.ctx, _terms_mul(p.packed, q.packed)),
                 _reference_terms_mul(p.terms, q.terms))
     _same_terms((p * q).terms, _reference_terms_mul(p.terms, q.terms))
 
@@ -659,10 +673,10 @@ _SCALARS = st.one_of(
 @given(poly_pairs(), _SCALARS)
 def test_terms_scale_matches_term_by_term_products(pq, c):
     p = pq[0]
-    got = _terms_scale(p.terms, c)
+    got = _terms_scale(p.packed, c)
     want = {exp: v * c for exp, v in p.terms.items()} if c else {}
-    assert got is not p.terms
-    _same_terms(got, want)
+    assert got is not p.packed
+    _same_terms(_view(p.ctx, got), want)
     _same_terms((p * c).terms, want)
     if c == -1:
         _same_terms((-p).terms, want)
@@ -803,7 +817,7 @@ def test_contexts_compare_by_identity_then_by_names(monkeypatch):
 
 
 def _snapshot(*polys):
-    return [(p.terms, list(p.terms.items())) for p in polys]
+    return [(p.packed, list(p.packed.items())) for p in polys]
 
 
 def _unchanged(before):
@@ -820,8 +834,9 @@ def test_no_operation_mutates_its_inputs(pq, c, k):
     for a, b in ((p, q), (p, z), (z, p), (z, z)):
         before = _snapshot(a, b)
         a + b, a - b, a * b, -a, a * c, c * a, c - a, a ** k, a == b, hash(a)
-        _terms_add(a.terms, b.terms), _terms_mul(a.terms, b.terms)
-        _terms_scale(a.terms, Fraction(c, 2))
+        _terms_add(a.packed, b.packed), _terms_mul(a.packed, b.packed)
+        _terms_addmul(dict(b.packed), a.packed, b.packed)
+        _terms_scale(a.packed, Fraction(c, 2))
         big = ctx.doubled()
         lifted = embed(a, big)
         swap = {n: f"{n}'" for n in ctx.names}
@@ -830,4 +845,157 @@ def test_no_operation_mutates_its_inputs(pq, c, k):
         substitute(back, {f"{n}'": n for n in ctx.names})
         _restrict(back, ctx)
         _unchanged(before)
-    assert not z.terms
+    assert not z.packed
+
+
+# -- packed keys: order, division, sums and the field edge -------------------
+
+@st.composite
+def exponent_pairs(draw):
+    """Two exponent tuples of one context (0 to 3 variables) whose sum is a
+    valid monomial, some near the field edge."""
+    ctx = draw(st.sampled_from(CONTEXTS))
+    n = len(ctx.names)
+    top = draw(st.sampled_from([3, LIMIT - 1]))
+    a = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    while sum(a) + sum(b) >= LIMIT:
+        a, b = [e // 2 for e in a], [e // 2 for e in b]
+    return ctx, tuple(a), tuple(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_pairs())
+@example((RingContext([]), (), ()))
+@example((RingContext(["x", "y"]), (LIMIT - 1, 0), (0, 0)))
+@example((RingContext(["x", "y"]), (1, 0), (0, 1)))
+def test_packed_keys_order_divide_and_add_like_exponent_tuples(args):
+    ctx, a, b = args
+    ka, kb = ctx.pack(a), ctx.pack(b)
+    assert ctx.unpack(ka) == a and ctx.unpack(kb) == b
+    assert (ka < kb) == (grlex_key(a) < grlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert ctx.divides(ka, kb) == all(x <= y for x, y in zip(a, b))
+    assert not (kb - ka) & ctx._guard == ctx.divides(ka, kb)
+    assert ka + kb == ctx.pack(tuple(x + y for x, y in zip(a, b)))
+    assert ctx.lcm(ka, kb) == ctx.pack(tuple(map(max, a, b)))
+    assert ctx.degree(ka) == sum(a)
+    assert (ka < ctx.lowest(sum(b))) == (sum(a) < sum(b))
+
+
+def test_the_field_edge_of_the_parser():
+    cx, cxy = RingContext(["x"]), RingContext(["x", "y"])
+    assert parse_poly(f"x^{LIMIT - 1}", cx).terms == {(LIMIT - 1,): 1}
+    assert parse_poly(f"x^{LIMIT - 2}*y", cxy).terms == {(LIMIT - 2, 1): 1}
+    # a variable's field and the degree field
+    for text, ctx in ((f"x^{LIMIT}", cx), (f"2*x^{LIMIT}*y", cxy),
+                      (f"x^{LIMIT - 1}*y", cxy),
+                      (f"x^{LIMIT // 2}*x^{LIMIT // 2}", cx),
+                      (f"(x + 1)*x^{LIMIT - 1}", cx), (f"(x)^{LIMIT}", cx),
+                      (f"x^{10 ** 30}", cx)):
+        with pytest.raises(ExponentOverflow, match="passes the limit"):
+            parse_poly(text, ctx)
+    with pytest.raises(ExponentOverflow):
+        Poly(cx, {(LIMIT,): 1})
+    with pytest.raises(ValueError, match="negative"):
+        Poly(cx, {(-1,): 1})
+
+
+def test_a_product_past_the_field_edge_raises():
+    cx, cxy = RingContext(["x"]), RingContext(["x", "y"])
+    edge = cx.gen("x") ** (LIMIT - 1)
+    assert (cx.gen("x") ** (LIMIT - 2) * cx.gen("x")) == edge
+    assert edge * cx.const(3) == 3 * edge
+    high = cxy.gen("x") ** (LIMIT - 1)
+    for f, g in ((edge, cx.gen("x")), (edge, edge + 1),
+                 (high, cxy.gen("y")), (cxy.gen("y") + 1, high)):
+        with pytest.raises(ExponentOverflow):
+            f * g
+        with pytest.raises(ExponentOverflow):
+            polymat.mat_mul([[f]], [[g]])
+        with pytest.raises(ExponentOverflow):
+            _terms_addmul({}, f.packed, g.packed)
+    with pytest.raises(ExponentOverflow):
+        cx.gen("x") ** LIMIT
+
+
+def test_a_remap_into_a_wider_context_keeps_the_field_edge():
+    ctx, names, primes, pairs = doubled(2)
+    wide = RingContext(["t"] + names + primes + ["s"])
+    a = LIMIT - 1
+    p = ctx.gen("x1") ** a
+    q = embed(p, wide)
+    assert q.terms == {(0, a, 0, 0, 0, 0): 1}
+    assert _restrict(q, ctx) == p
+    # a merge keeps the total degree: x1^k x1'^(a - k) -> x1^a
+    for k in (0, 1, a // 2, a):
+        m = ctx.gen("x1") ** k * ctx.gen("x1'") ** (a - k)
+        assert substitute(m, {"x1'": "x1"}).terms == {(a, 0, 0, 0): 1}
+        swap = {"x1": "x2'", "x1'": "x2", "x2": "x1'", "x2'": "x1"}
+        assert rename(m, swap).terms == {
+            (0, a - k, 0, k): 1}
+    with pytest.raises(ExponentOverflow):
+        q * wide.gen("s")
+
+
+def _reference_terms_add(a, b):
+    """The first-written sum: Fractions, then the terms of b in order."""
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp, 0) + c
+        if s:
+            out[exp] = _canon_ref(s)
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def _canon_ref(c):
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reference_terms_addmul(acc, a, b):
+    """acc + a * b, one exact Fraction product per pair, the shorter factor
+    outside, each pair updating acc at once."""
+    out = dict(acc)
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(exp, 0) + Fraction(ca) * cb
+            if s:
+                out[exp] = _canon_ref(s)
+            else:
+                out.pop(exp, None)
+    return out
+
+
+@st.composite
+def poly_triples(draw):
+    ctx = draw(st.sampled_from(CONTEXTS))
+    return tuple(draw(rational_polys(ctx)) for _ in range(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_triples())
+@example((_CX.zero(), *_CANCEL_RETURN))
+@example((parse_poly("x^2", _CX), *_CANCEL_RETURN))
+@example((parse_poly("-x^2 + 1/2", _CX), parse_poly("x", _CX),
+          parse_poly("x + 1/2", _CX)))
+def test_terms_add_and_addmul_match_the_reference_in_value_and_order(pqr):
+    p, q, r = pqr
+    ctx = p.ctx
+    _same_terms(_view(ctx, _terms_add(p.packed, q.packed)),
+                _reference_terms_add(p.terms, q.terms))
+    _same_terms((p + q).terms, _reference_terms_add(p.terms, q.terms))
+    acc = dict(r.packed)
+    _terms_addmul(acc, p.packed, q.packed)
+    _same_terms(_view(ctx, acc),
+                _reference_terms_addmul(r.terms, p.terms, q.terms))
+    # into an empty dict the fused product is the product, term order
+    # included
+    acc = {}
+    _terms_addmul(acc, p.packed, q.packed)
+    _same_terms(acc, _terms_mul(p.packed, q.packed))

@@ -12,7 +12,8 @@ from lgmf.ideal import groebner
 from lgmf.mf import (MatrixFactorisation, Morphism, _boundary_columns,
                      _equations, mf_rename, new_mf, null_homotopy_search,
                      supertrace)
-from lgmf.ring import RingContext, embed, partial_derivative, rename
+from lgmf.ring import (RingContext, embed, parse_poly, partial_derivative,
+                       rename)
 from lgmf.signs import binom2
 from lgmf.unit import koszul_unit, unit_action_right
 from lgmf.workspace import load_workspace
@@ -364,6 +365,43 @@ def test_hom_cohomology_dimensions():
     cx = RingContext(["x"])
     Xc = new_mf(cx, cx.gen("x") ** 3, [[cx.one()]], [[cx.gen("x") ** 3]])
     assert tft.hom_cohomology(Xc, Xc).dimensions == (0, 0)
+
+
+# Representatives and a witness as the parent of the packed-key kernels
+# computed them: entry by entry, the terms in their order.  Elimination
+# pivots follow the order of the unknowns, so these pin the domain order of
+# the boundary systems (degree-bounded monomials in lex order).
+_PINNED_CLASSES = {
+    ("x^4:(x,x^3)", "x^4:(x^2,x^2)"): (
+        [[[[((0,), 1)], []], [[], [((1,), 1)]]]],
+        [[[[], [((1,), -1)]], [[((0,), 1)], []]]]),
+    ("x^3-y^3:(x-y,x^2+x*y+y^2)", "x^3-y^3:(x-y,x^2+x*y+y^2)"): (
+        [[[[((0, 0), 1)], []], [[], [((0, 0), 1)]]],
+         [[[((0, 1), 1)], []], [[], [((0, 1), 1)]]]],
+        []),
+}
+_PINNED_WITNESS = [
+    [[], [((0, 2), -1), ((0, 3), 3), ((1, 1), -2), ((1, 2), 6), ((2, 1), 9),
+          ((3, 0), 3)]],
+    [[((0, 1), -1), ((0, 2), 3)], []]]
+
+
+def _term_lists(m: Morphism):
+    return [[list(e.terms.items()) for e in row] for row in m.mat]
+
+
+def test_representatives_and_a_witness_are_pinned():
+    mfs = corpus_boundary_mfs()
+    for (a, b), (h0, h1) in _PINNED_CLASSES.items():
+        coh = tft.hom_cohomology(mfs[a], mfs[b])
+        assert [_term_lists(m) for m in coh.h0] == h0
+        assert [_term_lists(m) for m in coh.h1] == h1
+    X = mfs["x^3-y^3:(x-y,x^2+x*y+y^2)"]
+    f = (parse_poly("x^2 + 2*x*y - y", X.ctx)
+         * partial_derivative(X.potential, "x"))
+    phi = Morphism(X, X, 0, [[e * f for e in row]
+                             for row in polymat.identity(X.ctx, X.rank)])
+    assert _term_lists(null_homotopy_search(phi)) == _PINNED_WITNESS
 
 
 def test_hom_cohomology_builds_each_boundary_system_once_per_bound(
