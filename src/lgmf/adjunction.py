@@ -519,6 +519,7 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     back = dict(zip(w, other.names))
     # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
     # coev pair (i, j) is the coev row i*r + j
+    read = plan.placed(ctx)
     out = polymat.zeros(X.ctx, r, r)
     for q in range(r):
         colQ = {}
@@ -543,7 +544,7 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
             for group in acc[o].values():
                 terms.update(group)
             num = substitute(_poly(ctx, terms), back, target_ctx=ctx)
-            out[o][q] = _project(plan(num), X.ctx)
+            out[o][q] = _project(read(num), X.ctx)
     return Morphism(X, X, 0, out)
 
 

@@ -15,16 +15,17 @@ One reduction kernel, ``_reduce``, serves division, Buchberger, normal forms
 and power membership.  It reduces one working term dict in place and
 records quotient terms only when it is handed cofactor dicts: division and
 Buchberger hand them, normal forms and the normal-form chain of power
-membership do not.  Its divisors come as their leading terms and tails,
-built per call from the leading terms a caller already holds (a basis
-stores those of its generators).  A basis's standard monomials are keys;
+membership do not.  Its divisors come as their leading terms and tails
+(``_lt``), built by ``division`` and ``groebner`` only; a basis carries
+those of its generators (``reducers``) for normal forms and power
+membership.  A basis's standard monomials are keys;
 ``QuotientBasis.monomials`` is their exponent-tuple view.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import (LIMIT, ContextMismatch, ExponentOverflow, Poly,
@@ -197,7 +198,8 @@ class GroebnerBasis:
     cofactor_log: list          # generators[i] = sum_j cofactor_log[i][j] * original_gens[j]
     ctx: RingContext
     quotient: QuotientBasis     # standard monomials of the ideal
-    leading: list               # (key, coefficient) of each generator
+    # the reduction data of each generator (see ``_lt``), built with the basis
+    reducers: list = field(repr=False, compare=False)
 
 
 def groebner(gens) -> GroebnerBasis:
@@ -277,33 +279,29 @@ def groebner(gens) -> GroebnerBasis:
         cofactor_log=[r for _, _, r in final],
         ctx=ctx,
         quotient=_standard_monomials([e for e, _, _ in final], ctx),
-        leading=[(e, b.packed[e]) for e, b, _ in final],
+        reducers=[_lt(j, b, (e, b.packed[e]))
+                  for j, (e, b, _) in enumerate(final)],
     )
-
-
-def _basis_lts(gb: GroebnerBasis):
-    return [_lt(j, b, lead)
-            for j, (b, lead) in enumerate(zip(gb.generators, gb.leading))]
 
 
 def normal_form(g: Poly, gb: GroebnerBasis) -> Poly:
     if g.ctx != gb.ctx:
         raise ContextMismatch("normal_form context mismatch")
-    return _wrap(g.ctx, _reduce(dict(g.packed), _basis_lts(gb),
-                                gb.ctx._guard))
+    return _wrap(g.ctx, _reduce(dict(g.packed), gb.reducers, gb.ctx._guard))
 
 
 def membership_with_cofactors(g: Poly, gens):
     """g = sum cofactors_j * gens_j + remainder, remainder in normal form."""
     gb = groebner(gens)
     cof = [{} for _ in gb.generators]
-    rem = _reduce(dict(g.packed), _basis_lts(gb), gb.ctx._guard, cof)
+    rem = _reduce(dict(g.packed), gb.reducers, gb.ctx._guard, cof)
     return _lift_cofactors(cof, gb), _wrap(g.ctx, rem)
 
 
 def _lift_cofactors(cof, gb: GroebnerBasis):
     """Cofactors over the original generators, as Polys, from the cofactor
-    term dicts over the basis: sum_k cof[k] * cofactor_log[k][j]."""
+    term dicts over the basis: sum_k cof[k] * cofactor_log[k][j], each
+    product formed before it is added (see ``polymat._det_terms``)."""
     out = [{} for _ in gb.original_gens]
     for c, row in zip(cof, gb.cofactor_log):
         if not c:
@@ -333,7 +331,7 @@ def power_membership(v: str, gb: GroebnerBasis):
         raise ValueError(f"infinite quotient: no power of {q.witness} "
                          f"lies in the ideal")
     D = q.dimension
-    lts = _basis_lts(gb)
+    lts = gb.reducers
     guard = gb.ctx._guard
     unit = gb.ctx.unit(v)
     cof = [{} for _ in gb.generators]

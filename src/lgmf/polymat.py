@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _terms_add,
                    _terms_addmul, _terms_mul, _terms_scale)
 
@@ -99,9 +102,13 @@ def is_zero_matrix(a) -> bool:
 def det(a, ctx: RingContext | None = None) -> Poly:
     """Determinant by Laplace expansion along the first row (desk scale).
 
-    The expansion runs on term dicts (``_det_terms``) and wraps one Poly at
-    the end.  A 0x0 matrix needs ``ctx`` and has determinant 1.  Entries in
-    different contexts raise ContextMismatch, checked once up front as in
+    Fraction-free: each row is scaled by the lcm of its denominators, the
+    expansion (``_det_terms``) runs on integer term dicts, and one division
+    by the product of the scales gives an int where it is exact and a
+    Fraction elsewhere.  Positive scales move no partial sum to or from
+    zero, so the terms come in the order of the expansion over Q.  A 0x0
+    matrix needs ``ctx`` and has determinant 1.  Entries in different
+    contexts raise ContextMismatch, checked once up front as in
     ``mat_mul``; a non-square matrix raises ValueError.
     """
     n = len(a)
@@ -116,14 +123,26 @@ def det(a, ctx: RingContext | None = None) -> Poly:
     ctx = a[0][0].ctx
     if any(x.ctx is not ctx and x.ctx != ctx for row in a for x in row):
         raise ContextMismatch("matrix entries in different contexts")
-    t = _det_terms([[x.packed for x in row] for row in a])
+    rows, den = [], 1
+    for row in a:
+        s = lcm(*[c.denominator for x in row for c in x.packed.values()])
+        den *= s
+        rows.append([x.packed if s == 1 else
+                     {e: c.numerator * (s // c.denominator)
+                      for e, c in x.packed.items()} for x in row])
+    t = _det_terms(rows)
+    if den != 1:
+        t = {e: Fraction(c, den) if c % den else c // den
+             for e, c in t.items()}
     return _poly(ctx, t) if t else ctx.zero()
 
 
 def _det_terms(a) -> dict:
     """The Laplace expansion of ``det`` on a square matrix of term dicts,
-    n >= 1, zero entries of the first row skipped.  The result is a fresh
-    dict unless n = 1."""
+    n >= 1, zero entries of the first row skipped.  Each product is formed
+    before it is added: ``_terms_addmul`` into the sum would move a term
+    whose running sum passes through zero.  The result is a fresh dict
+    unless n = 1."""
     n = len(a)
     if n == 1:
         return a[0][0]

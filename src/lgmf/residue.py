@@ -15,13 +15,16 @@ each residue off that map, forming no product.  The support is keyed by
 packed monomials over the integration variables, in their order and free of
 their names, so a caller may read it over renamed variables
 (``ResiduePlan.over``) or contract toward it without forming the terms it
-ignores, as the Zorro composites do.
+ignores, as the Zorro composites do.  Reading a numerator places the
+support in its context's layout; ``ResiduePlan.placed`` places it once for
+a loop over one context.
 Loops that take many residues over one tuple build one plan;
 ``grothendieck_residue`` builds a plan and applies it once.  A caller that
 already holds the Groebner basis of the denominators builds the plan from it
 with ``_plan_from_basis``, skipping the basis, as ``JacobiRing`` does with
 that of dW.  Power membership finds each a_i by a chain of normal forms and
-divides x_i^{a_i} with cofactors once.
+divides x_i^{a_i} with cofactors once; det(C) is expanded on integers with
+one division (``polymat.det``).
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from fractions import Fraction
 from . import polymat
 from .ideal import (GroebnerBasis, QuotientBasis, groebner, normal_form,
                     power_membership)
-from .ring import (Poly, RingContext, _clean, _moved_terms, _no_overflow,
-                   _poly, _restrict, _runs, divided_difference, embed,
-                   partial_derivative)
+from .ring import (ContextMismatch, ExponentOverflow, Poly, RingContext,
+                   _clean, _moved_terms, _no_overflow, _poly, _restrict, _runs,
+                   divided_difference, embed, partial_derivative)
 
 
 @dataclass
@@ -99,6 +102,8 @@ def _plan_from_basis(gb: GroebnerBasis | None, names) -> ResiduePlan:
     for name in names:
         try:
             a, cof = power_membership(name, gb)
+        except ExponentOverflow:
+            raise
         except ValueError as exc:
             raise DenominatorError(str(exc)) from None
         top += (a - 1) * sub.unit(name)
@@ -138,23 +143,33 @@ class ResiduePlan:
         return ResiduePlan(names, self.support)
 
     def __call__(self, numerator: Poly) -> Poly:
-        ctx = numerator.ctx
+        return self.placed(numerator.ctx)(numerator)
+
+    def placed(self, ctx: RingContext):
+        """The functional on numerators in ``ctx``, the support placed in
+        ctx's layout once for all of them."""
         pos = [ctx.index(n) for n in self.names]
         mask = ctx.field_mask(pos)
         # the support placed in the numerator's layout, keyed by its fields
         # at ``pos``; a term's key minus the placed key is its rest
-        placed = _moved_terms(self.support, _runs(len(pos), pos, len(ctx)))
-        table = {k & mask: (k, d) for k, d in placed.items()}
-        get = table.get
-        out = {}
-        for key, c in numerator.packed.items():
-            hit = get(key & mask)
-            if hit is None:
-                continue
-            rest = key - hit[0]
-            s = out.get(rest)
-            out[rest] = c * hit[1] if s is None else s + c * hit[1]
-        return _clean(ctx, out)
+        moved = _moved_terms(self.support, _runs(len(pos), pos, len(ctx)))
+        get = {k & mask: (k, d) for k, d in moved.items()}.get
+
+        def read(numerator: Poly) -> Poly:
+            if numerator.ctx is not ctx and numerator.ctx != ctx:
+                raise ContextMismatch(f"a numerator over {numerator.ctx} "
+                                      f"read through a plan placed in {ctx}")
+            out = {}
+            for key, c in numerator.packed.items():
+                hit = get(key & mask)
+                if hit is None:
+                    continue
+                rest = key - hit[0]
+                s = out.get(rest)
+                out[rest] = c * hit[1] if s is None else s + c * hit[1]
+            return _clean(ctx, out)
+
+        return read
 
 
 def grothendieck_residue(q: ResidueQuery) -> Poly:

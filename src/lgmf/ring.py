@@ -398,13 +398,18 @@ def _terms_mul(a, b):
     Coefficients are summed as integers over the common denominator
     la * lb; a monomial whose sum cancels is deleted, and re-inserted at the
     end if a later product brings it back.  With integer factors the integer
-    sums are the result.
+    sums are the result.  A one-term factor only shifts and scales the
+    other's terms: no two products share a key, so nothing is summed and
+    the terms keep the other factor's order.
     """
     if len(a) > len(b):
         a, b = b, a
     if not a:
         return {}
     _no_overflow(max(a) + max(b))
+    if len(a) == 1:
+        (ea, ca), = a.items()
+        return {ea + eb: _canon(ca * cb) for eb, cb in b.items()}
     la = lcm(*[c.denominator for c in a.values()])
     lb = lcm(*[c.denominator for c in b.values()])
     ib = (list(b.items()) if lb == 1 else

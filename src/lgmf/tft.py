@@ -119,10 +119,10 @@ def _defect_wrap(integrand: Poly, over: DefectEnd, onto: DefectEnd, k: int,
     ring of the end ``onto``.
     """
     sign = signs.minus_one_to(signs.binom2(k + 1))
-    plan = over.ring.residue_plan()
-    return [onto.ring.reduce(_project(plan(embed(f, over.base.ctx)
-                                           * integrand), onto.ring.ctx)
-                             * sign) for f in fields]
+    ctx = over.base.ctx
+    read = over.ring.residue_plan().placed(ctx)
+    return [onto.ring.reduce(_project(read(embed(f, ctx) * integrand),
+                                      onto.ring.ctx) * sign) for f in fields]
 
 
 def _ends(data: AdjointData, side: str):
@@ -233,9 +233,9 @@ def kapustin_li_pairing(psi1: Morphism, psi2: Morphism,
 
 def bulk_gram_matrix(ring: JacobiRing) -> list:
     """The bulk pairing on the monomial basis of the Jacobi ring."""
-    plan = ring.residue_plan()
+    read = ring.residue_plan().placed(ring.ctx)
     els = [b.rep for b in ring.basis_elements()]
-    return [[_constant(plan(a * b)) for b in els] for a in els]
+    return [[_constant(read(a * b)) for b in els] for a in els]
 
 
 # -- morphism cohomology -----------------------------------------------------

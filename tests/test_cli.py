@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgmf import adjunction, cli, mf, tft
+from lgmf import adjunction, cli, mf, residue, tft
 from lgmf.cli import main
-from lgmf.ring import LIMIT, RingContext
+from lgmf.ring import LIMIT, ExponentOverflow, RingContext
 from lgmf.workspace import (WorkspaceError, _parse_matrix_literal, _split_top,
                             load_workspace, parse_poly, parse_workspace)
 
@@ -391,6 +391,22 @@ def test_an_integral_residue_prints_as_a_rational(ws, capsys):
                          "--numerator", "x", "--denominators", "x^2")
     assert code == 0
     assert rep["outputs"]["residue"] == "1/1"
+
+
+def test_an_overflow_in_a_residue_plan_exits_2_as_an_overflow(
+        ws, capsys, monkeypatch):
+    """No workspace input reaches an overflow inside power membership (the
+    quotient basis overflows first), so one is raised there by hand."""
+    def overflow(v, gb):
+        raise ExponentOverflow(LIMIT)
+
+    monkeypatch.setattr(residue, "power_membership", overflow)
+    code, rep = run_json(capsys, "residue", ws, "--ring", "R1",
+                         "--numerator", "x", "--denominators", "x^2")
+    assert code == 2
+    assert rep["outputs"]["error"] == (
+        f"exponent overflow: a monomial of total degree {LIMIT} passes the "
+        f"limit {LIMIT - 1}")
 
 
 def test_residue_bad_denominator_count_fails_cleanly(ws, capsys):

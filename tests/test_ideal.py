@@ -17,12 +17,13 @@ from lgmf.ideal import (division, groebner, leading_term,
                         power_membership)
 from lgmf.residue import JacobiRing, NotAPotential
 from lgmf.ring import (ContextMismatch, Poly, RingContext, _canon,
-                       parse_poly)
+                       _terms_add, _terms_mul, parse_poly,
+                       partial_derivative)
 
 from conftest import canonical_coefficient, corpus_potentials
 from test_ring import (CONTEXTS, _reference_terms_mul, _same_terms,
-                       _snapshot, _unchanged, grlex_key, poly_strategy,
-                       rational_polys)
+                       _snapshot, _unchanged, _view, grlex_key,
+                       poly_strategy, rational_polys)
 
 CTX = RingContext(["x", "y"])
 
@@ -414,11 +415,10 @@ def test_division_and_normal_form_match_the_loop_they_replaced(gens, data):
     ctx = gens[0].ctx
     g = data.draw(rational_polys(ctx, max_deg=4, max_terms=6))
     gb = groebner(gens)
-    for divisors, leads in ((gens, [leading_term(d) for d in gens]),
-                            (gb.generators, gb.leading)):
+    for divisors in (gens, gb.generators):
         # the leading terms come as packed keys; the loop reads tuples
         leads = [None if lt is None else (ctx.unpack(lt[0]), lt[1])
-                 for lt in leads]
+                 for lt in map(leading_term, divisors)]
         cof, rem = division(g, divisors)
         want_cof, want_rem = _loop_division(g, divisors, leads)
         assert len(cof) == len(want_cof)
@@ -480,7 +480,7 @@ def test_leading_coefficients_2_and_3_keep_division_exact(gens, data):
     gb = groebner(gens)
     assert _all_canonical(gb.generators)
     assert _all_canonical([c for row in gb.cofactor_log for c in row])
-    assert all(type(lc) is int and lc == 1 for _, lc in gb.leading)
+    assert all(type(lc) is int and lc == 1 for _, _, lc, _ in gb.reducers)
     nf = normal_form(g, gb)
     assert _all_canonical([nf])
     assert nf == division(g, gb.generators)[1]
@@ -555,3 +555,72 @@ def test_power_membership_matches_the_reference(gens):
         assert got[0] == want[0] and len(got[1]) == len(want[1])
         for c, w in zip(got[1], want[1]):
             _same_terms(c.terms, w.terms)
+        assert _check_lift(got[1], gb.ctx.gen(v) ** got[0], gb).is_zero()
+
+
+# -- the cofactor lift against its expansion over Q --------------------------
+
+def _lift_over_q(cof_gb, gb):
+    """sum_k cof_gb[k] * cofactor_log[k][j] on term dicts, as first
+    written: each product formed, then added in k order."""
+    out = [{} for _ in gb.original_gens]
+    for c, row in zip(cof_gb, gb.cofactor_log):
+        for j, a in enumerate(row):
+            if c.packed and a.packed:
+                out[j] = _terms_add(out[j], _terms_mul(c.packed, a.packed))
+    return out
+
+
+def _check_lift(got, g, gb):
+    """The cofactors ``got`` of g over the original generators: those of
+    the expansion over Q in value and term order, and g minus its normal
+    form is their combination, exactly."""
+    cof_gb, rem = division(g, gb.generators)
+    for c, w in zip(got, _lift_over_q(cof_gb, gb)):
+        _same_terms(c.terms, _view(gb.ctx, w))
+    acc = gb.ctx.zero()
+    for c, f in zip(got, gb.original_gens):
+        acc = acc + c * f
+    assert acc == g - rem
+    return rem
+
+
+def _corpus_ideals():
+    """The Jacobi ideals of the corpus potentials, the Klein quartic and the
+    Fermat cubic."""
+    c3 = RingContext(["x", "y", "z"])
+    x, y, z = (c3.gen(n) for n in c3.names)
+    pots = list(corpus_potentials().values()) + [
+        x ** 3 * y + y ** 3 * z + z ** 3 * x, x ** 3 + y ** 3 + z ** 3]
+    return [[partial_derivative(W, n) for n in W.ctx.names] for W in pots]
+
+
+def test_corpus_cofactors_lift_like_the_expansion_over_q():
+    for gens in _corpus_ideals():
+        gb = groebner(gens)
+        for v in gb.ctx.names:
+            a, cof = power_membership(v, gb)
+            assert _check_lift(cof, gb.ctx.gen(v) ** a, gb).is_zero()
+        for text in ("1", "x^4", "x^2 - 1/3*x + 5"):
+            g = parse_poly(text, gb.ctx)
+            cof, rem = membership_with_cofactors(g, gens)
+            assert _check_lift(cof, g, gb) == rem
+
+
+@st.composite
+def ideals_and_polys(draw):
+    gens = draw(ideals())
+    return gens, draw(rational_polys(gens[0].ctx, max_deg=4, max_terms=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals_and_polys())
+# a running sum of the lift passes through zero inside one product, which a
+# multiply-accumulate into the sum would show by moving that term
+@example(([parse_poly("x^3*y^2 + 1", _CXY),
+           parse_poly("x^2*y^3 + x*y + 1", _CXY)],
+          parse_poly("x*y^3", _CXY)))
+def test_membership_with_cofactors_lifts_like_the_expansion_over_q(args):
+    gens, g = args
+    cof, rem = membership_with_cofactors(g, gens)
+    assert _check_lift(cof, g, groebner(gens)) == rem

@@ -8,7 +8,8 @@ import pathlib
 import re
 from collections import Counter, defaultdict
 
-from lgmf import residue, tft
+from lgmf import ideal, residue, tft
+from lgmf.ring import RingContext
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lgmf"
@@ -127,6 +128,85 @@ def test_the_tuple_guard_sees_every_form():
         "ideal.f: .terms", "ideal.f: .unpack", "ideal.f: .pack",
         "ideal.f: .poly", "ideal.QuotientBasis.other: tuple(map(...))",
         "ideal.QuotientBasis.other: Poly(...)", "ideal: .terms"]
+
+
+# The reduction data of divisors (``ideal._lt``: leading term and tail) is
+# built where the divisors are: by ``division`` for its own divisors and by
+# ``groebner`` for its basis, which carries it as ``reducers``.  Normal
+# forms, power membership and residue plans read a built basis's.
+LT_BUILDERS = {"ideal.groebner", "ideal.division"}
+
+
+def _lt_callers(tree, module):
+    """'module.function' of the outermost function around each call of
+    ``_lt`` in a parsed module ('module' at top level)."""
+    found = []
+
+    def visit(node, outer):
+        if outer is None and isinstance(node, ast.FunctionDef):
+            outer = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == "_lt" or getattr(f, "attr",
+                                                          None) == "_lt":
+                found.append(module if outer is None
+                             else f"{module}.{outer}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, outer)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_groebner_and_division_build_reduction_data():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += _lt_callers(tree, path.stem)
+    assert found and set(found) <= LT_BUILDERS
+
+
+def test_the_reduction_data_guard_sees_every_call():
+    tree = ast.parse(
+        "def groebner(gens):\n"
+        "    def append(rem):\n"
+        "        return _lt(0, rem, None)\n"
+        "    return append\n"
+        "def normal_form(g, gb):\n"
+        "    return [ideal._lt(j, b, l) for j, b, l in gb]\n"
+        "x = _lt(0, p, q)\n")
+    assert _lt_callers(tree, "ideal") == [
+        "ideal.groebner", "ideal.normal_form", "ideal"]
+
+
+def test_plans_and_normal_forms_read_the_basis_reducers(monkeypatch):
+    c3 = RingContext(["x", "y", "z"])
+    x, y, z = (c3.gen(n) for n in c3.names)
+    ring = tft.JacobiRing(x ** 3 * y + y ** 3 * z + z ** 3 * x)
+    calls = []
+    real = ideal._lt
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(ideal, "_lt", counted)
+    ring.residue_plan()(x ** 2 * y ** 3 * z)
+    ideal.normal_form(x ** 7 + y * z ** 5, ring.gb)
+    ring.reduce(x ** 4 * y)
+    assert calls == []
+    ideal.groebner(ring.partials)
+    assert calls
+
+
+def test_a_basis_compares_and_prints_without_its_reducers():
+    cx = RingContext(["x", "y"])
+    gb = ideal.groebner([cx.gen("x") ** 2, cx.gen("y") ** 3])
+    other = ideal.GroebnerBasis(gb.generators, gb.original_gens,
+                                gb.cofactor_log, gb.ctx, gb.quotient,
+                                reducers=[])
+    assert other == gb
+    assert repr(other) == repr(gb) and "reducers" not in repr(gb)
 
 
 def _public_definitions():

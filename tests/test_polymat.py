@@ -1,17 +1,22 @@
 """The sparse matrix product against the dense triple loop, and the
-determinant against the Leibniz sum."""
+determinant against the Leibniz sum, sympy and the expansion over Q."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgmf import polymat
-from lgmf.ring import ContextMismatch, RingContext
+from lgmf.ring import (LIMIT, ContextMismatch, ExponentOverflow, RingContext,
+                       _terms_add, _terms_mul, _terms_scale)
 
 from conftest import canonical_coefficient
-from test_ring import _snapshot, _unchanged, poly_strategy, rational_polys
+from test_ideal import _from_sympy, _to_sympy
+from test_ring import (_same_terms, _snapshot, _unchanged, _view,
+                       poly_strategy, rational_polys)
 
 CTX = RingContext(["x", "y"])
 OTHER = RingContext(["x", "y", "z"])
@@ -180,3 +185,90 @@ def test_det_refuses_entries_in_different_contexts():
               [[x, CTX.zero(), x], [x, x, x], [x, x, OTHER.one()]]):
         with pytest.raises(ContextMismatch):
             polymat.det(a)
+
+
+def test_det_past_the_field_edge_raises():
+    cx = RingContext(["x"])
+    x = cx.gen("x")
+    edge = x ** (LIMIT - 1)
+    with pytest.raises(ExponentOverflow):
+        polymat.det([[edge, x], [x, x]], cx)
+    with pytest.raises(ExponentOverflow):
+        polymat.det([[x, cx.one(), x], [x, edge, x], [cx.one(), x, x]], cx)
+
+
+# -- the determinant against independent oracles ---------------------------
+
+def _rational_det_terms(a):
+    """The expansion over Q: Laplace along the first row on term dicts with
+    rational coefficients, each product formed, negated at an odd column
+    and added in column order."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    acc = None
+    for j, x in enumerate(a[0]):
+        if not x:
+            continue
+        t = _terms_mul(x, _rational_det_terms(
+            [[row[k] for k in range(n) if k != j] for row in a[1:]]))
+        if j % 2:
+            t = _terms_scale(t, -1)
+        acc = t if acc is None else _terms_add(acc, t)
+    return {} if acc is None else acc
+
+
+# integer and rational coefficients, negative ones included; terms with
+# coefficients +-1 and +-2 on few monomials, so that running sums often
+# cancel and come back
+_COEFF = st.one_of(st.sampled_from([1, -1, 2, -2, Fraction(1, 2),
+                                    Fraction(-1, 3)]),
+                   st.integers(-5, 5),
+                   st.fractions(min_value=-4, max_value=4,
+                                max_denominator=6))
+
+
+def _entries(ctx):
+    term = st.tuples(st.tuples(*[st.integers(0, 1) for _ in ctx.names]),
+                     _COEFF)
+    poly = st.lists(term, max_size=3).map(
+        lambda ts: ctx.poly(dict(ts)))
+    return st.one_of(st.just(ctx.zero()), poly, poly)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """n x n, n = 0..4, over 1 to 3 variables; zero entries, and at times a
+    zero row."""
+    ctx = draw(st.sampled_from([RingContext(["x"]), CTX, OTHER]))
+    n = draw(st.integers(0, 4))
+    a = draw(st.lists(st.lists(_entries(ctx), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = [ctx.zero()] * n
+    return ctx, a
+
+
+_CX = RingContext(["x"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_matrices())
+# the running sum at x passes through zero inside the second product, which
+# a multiply-accumulate into the sum would show by moving x to the end
+@example((_CX, [[_CX.one(), _CX.poly({(0,): -1, (1,): -1})],
+                [_CX.poly({(1,): -1, (0,): 2}), _CX.gen("x")]]))
+@example((CTX, [[CTX.poly({(0, 0): Fraction(1, 2)}), CTX.zero()],
+                [CTX.poly({(1, 0): 3}), CTX.poly({(0, 1): Fraction(-2, 3)})]]))
+def test_det_matches_sympy_and_the_expansion_over_q(ca):
+    """In value against sympy's determinant; in value and term order
+    against the Laplace expansion over Q."""
+    ctx, a = ca
+    got = polymat.det(a, ctx)
+    assert got.ctx == ctx
+    syms = sympy.symbols(ctx.names)
+    want = sympy.Matrix([[_to_sympy(x, syms) for x in row] for row in a])
+    assert got == _from_sympy(sympy.expand(want.det()), syms, ctx)
+    if a:
+        ref = _rational_det_terms([[x.packed for x in row] for row in a])
+        _same_terms(_view(ctx, got.packed), _view(ctx, ref))

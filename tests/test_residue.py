@@ -15,7 +15,8 @@ from lgmf.ideal import groebner, normal_form, power_membership
 from lgmf.residue import (DenominatorError, ResidueQuery, grothendieck_residue,
                           jacobian_delta, monomial_residue, residue,
                           residue_plan)
-from lgmf.ring import (RingContext, _canon, _restrict, embed,
+from lgmf.ring import (LIMIT, ContextMismatch, ExponentOverflow,
+                       RingContext, _canon, _restrict, embed,
                        partial_derivative, rename)
 
 from conftest import corpus_potentials, delta_defect, line_defect
@@ -208,6 +209,24 @@ def test_plan_build_rejects_bad_denominators():
         residue_plan([PCTX.zero(), x ** 2], ["x", "y"])
 
 
+def test_an_overflow_in_a_plan_is_reported_as_an_overflow(monkeypatch):
+    """An ExponentOverflow in power membership's chain is no fault of the
+    denominators: it reaches the caller as it is."""
+    cx = RingContext(["x"])
+    with pytest.raises(DenominatorError, match="not nilpotent"):
+        residue_plan([cx.gen("x") ** 2 - 1], ["x"])
+
+    def overflow(v, gb):
+        raise ExponentOverflow(LIMIT)
+
+    monkeypatch.setattr(residue_module, "power_membership", overflow)
+    for build in (lambda: residue_plan([cx.gen("x") ** 2], ["x"]),
+                  tft.JacobiRing(cx.gen("x") ** 3).residue_plan):
+        with pytest.raises(ExponentOverflow) as info:
+            build()
+        assert not isinstance(info.value, DenominatorError)
+
+
 # -- one plan per loop --------------------------------------------------------
 
 def _count_groebner(monkeypatch):
@@ -289,6 +308,40 @@ def test_defect_operator_builds_one_plan(monkeypatch):
     # source ring's
     assert len(op.images) == 2 and calls == []
     assert plans == [op.source] and op.source is data.source.ring
+
+
+def _count_placements(monkeypatch):
+    """Count the placements of a plan's support in a context."""
+    calls = []
+    real = residue_module.ResiduePlan.placed
+
+    def wrapper(plan, ctx):
+        calls.append(ctx)
+        return real(plan, ctx)
+
+    monkeypatch.setattr(residue_module.ResiduePlan, "placed", wrapper)
+    return calls
+
+
+def test_a_loop_over_one_plan_places_its_support_once(monkeypatch):
+    """A Zorro composite (r^2 residues), a Gram matrix (one per pair) and a
+    defect wrap (one per bulk field) each read every numerator through
+    one placement."""
+    placed = _count_placements(monkeypatch)
+    cxy = RingContext(["x", "y"])
+    data = delta_defect(cxy.gen("x") ** 3 + cxy.gen("y") ** 3)
+    for variant in ("right", "left"):
+        del placed[:]
+        adjunction.zorro_composite(data, variant)
+        assert len(placed) == 1
+    del placed[:]
+    ring = tft.JacobiRing(cxy.gen("x") ** 4 + cxy.gen("y") ** 3)
+    tft.bulk_gram_matrix(ring)
+    assert placed == [ring.ctx]
+    del placed[:]
+    with pytest.warns(tft.ParityWarning):
+        op = tft.defect_operator(line_defect(3), "right")
+    assert len(op.images) == 2 and len(placed) == 1
 
 
 def test_bulk_gram_matrix_builds_one_plan(monkeypatch):
@@ -415,6 +468,22 @@ def test_plan_without_integration_variables_is_the_identity():
     assert plan(p) == p
     with pytest.raises(ValueError, match="integration variables"):
         plan.over(["x"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.sampled_from(sorted(JACOBI_POTENTIALS)), data=st.data())
+def test_a_placed_plan_reads_like_the_plan(key, data):
+    """Numerators read through one placement come out as the plan's own
+    calls give them, term order included; a numerator of another context
+    is refused."""
+    ring = _jacobi_ring(key)
+    plan = ring.residue_plan()
+    ctx = ring.ctx.extend(["t"])
+    read = plan.placed(ctx)
+    for p in data.draw(st.lists(rational_polys(ctx, max_deg=3), max_size=4)):
+        assert list(read(p).terms.items()) == list(plan(p).terms.items())
+    with pytest.raises(ContextMismatch):
+        read(RingContext(["s"]).one())
 
 
 def test_plan_from_a_basis_over_other_variables_is_rejected():

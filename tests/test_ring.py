@@ -615,6 +615,29 @@ def test_terms_mul_matches_the_reference_in_value_and_order(pq):
     _same_terms((p * q).terms, _reference_terms_mul(p.terms, q.terms))
 
 
+@st.composite
+def term_and_poly(draw):
+    ctx = draw(st.sampled_from(CONTEXTS))
+    term = draw(rational_polys(ctx, max_terms=1).filter(
+        lambda t: not t.is_zero()))
+    return term, draw(rational_polys(ctx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_and_poly())
+@example((parse_poly("-1/2*x", _CX), parse_poly("2*x + 4 - 1/3*x^2", _CX)))
+@example((parse_poly("3", _CX), parse_poly("x + 1", _CX)))
+def test_a_one_term_factor_keeps_the_other_factors_order(tp):
+    """A term times p (either side) shifts and scales p's terms in p's
+    order, with canonical coefficients."""
+    t, p = tp
+    want = _reference_terms_mul(t.terms, p.terms)
+    assert list(want) == [tuple(x + y for x, y in zip(next(iter(t.terms)), e))
+                          for e in p.terms]
+    for a, b in ((t, p), (p, t)):
+        _same_terms(_view(t.ctx, _terms_mul(a.packed, b.packed)), want)
+
+
 def test_terms_mul_cancels_and_brings_a_monomial_back():
     p, q = _CANCEL_RETURN
     got = p * q
