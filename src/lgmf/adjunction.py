@@ -1,31 +1,36 @@
-"""Adjoints of matrix factorisations and the four evaluation/coevaluation maps.
+"""Adjoints of matrix factorisations and their evaluation/coevaluation maps.
 
 A 1-morphism X from W (variables x_1..x_n) to V (variables z_1..z_m) is a
-factorisation of V - W.  Its right adjoint is the shifted dual X^(n) and its
-left adjoint X^(m); the four structure maps are given in closed
-divided-difference and residue form, and the Zorro composites are assembled
-as executable identity-up-to-homotopy checks.
+factorisation of V - W.  Its two adjoints are one dual read at the two
+ends: the right adjoint X^dagger is Xv shifted by n and the left adjoint
+dagger-X is Xv shifted by m.  The side ('right' or 'left') is data here
+(see ``_Side``): one coevaluation ``coev(data, side)`` and one evaluation
+``ev(data, side)`` give the four structure maps in closed divided-difference
+and residue form, and one snake ``zorro_composite(data, side)`` assembles
+each Zorro move as an executable identity-up-to-homotopy check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from . import polymat, signs
 from .ideal import groebner, normal_form
 from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  NullHomotopySet, _check_bound, _commutator_mismatch, _delta,
                  _solve_boundary, default_null_homotopies, dual,
-                 dual_morphism, mf_rename, null_homotopy_search, shift, tensor)
+                 dual_morphism, mf_rename, null_homotopy_search, tensor)
 from .residue import JacobiRing
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
                    _runs, _terms_add, _terms_mul, embed, embed_matrix,
                    partial_derivative, primed_name, rename_matrix,
                    substitute)
-from .unit import (KoszulUnit, _lambda_inverse, _onto_action, _rho_inverse,
-                   _subset_products, _unit_quotients, fresh_names,
-                   koszul_unit, unit_action_left, unit_action_right)
+from .unit import (KoszulUnit, _onto_action, _section, _subset_products,
+                   _unit_quotients, fresh_names, koszul_unit,
+                   unit_action_left, unit_action_right)
 
 
 class DefectEnd:
@@ -65,6 +70,48 @@ class DefectEnd:
                                        side=self.side).product()
 
 
+@dataclass(frozen=True)
+class _Side:
+    """All that tells one adjunction from the other.
+
+    ``ends`` reads (near, far) off a defect: coev runs through the near
+    end's unit, ev integrates over the near variables into the far end's
+    unit, and the adjoint is the dual shifted by k, the near end's variable
+    count.  With ``dual_first`` coev lands in adjoint (x) X, ev starts from
+    X (x) adjoint, the quotients multiply descending, D[i_l] ... D[i_1], and
+    the adjoint's suspension sits on its left, so its differential picks up
+    (-1)^k; without it each is the other way round.  The signs are exponents
+    of -1 at X's basis vector of parity p in the theta_S row (ev, l = |S|)
+    or column (coev, l = |B|, s the wedge sign of S and its complement B).
+    ``action`` is the snake's unit action and ``suffix`` ends the kinds.
+    """
+
+    ends: Callable
+    dual_first: bool
+    coev_sign: Callable
+    ev_sign: Callable
+    suffix: str
+    action: Callable
+
+    def strides(self, r: int) -> tuple:
+        """(sx, sa): the coev row pairing X's basis vector x with the
+        adjoint's a is x * sx + a * sa, and the ev column x * sa + a * sx."""
+        return (1, r) if self.dual_first else (r, 1)
+
+
+_SIDES = {
+    "right": _Side(ends=attrgetter("source", "target"), dual_first=True,
+                   coev_sign=lambda l, s, k, p: (l + 1) * p + s,
+                   ev_sign=lambda l, k, p: l + (k + 1) * p,
+                   suffix="_tilde", action=unit_action_right),
+    "left": _Side(ends=attrgetter("target", "source"), dual_first=False,
+                  coev_sign=lambda l, s, k, p: (signs.binom2(l + 1) + s + k
+                                                + k * l),
+                  ev_sign=lambda l, k, p: signs.binom2(l) + l * p + k,
+                  suffix="", action=unit_action_left),
+}
+
+
 class AdjointData:
     """A factorisation of V - W together with its two adjoints and ends.
 
@@ -73,13 +120,12 @@ class AdjointData:
     d^2 = (V - W) * Id over the joint context.  Both potentials are
     certified at construction, by building the ends' Jacobi rings.
 
-    The rest is built once, on first use, and kept: the adjoints, each end's
-    unit, quotients and Lambda (see ``DefectEnd``), and the two
-    coevaluations (coev_tilde through the source unit, coev through the
-    target unit).
-    ``coev_tilde(data)``, ``coev(data)`` and every ``EvCoevMaps`` of this
-    defect hold the same kept objects, and a Zorro check only reads them;
-    callers must not change their matrices or homotopy entries either.
+    The rest is built once, on first use, and kept: each side's adjoint,
+    each end's unit, quotients and Lambda (see ``DefectEnd``), and each
+    side's coevaluation (through the unit of its near end).
+    ``coev(data, side)`` and every ``EvCoevMaps`` of this defect hold the
+    same kept objects, and a Zorro check only reads them; callers must not
+    change their matrices or homotopy entries either.
     """
 
     def __init__(self, base: MatrixFactorisation, W: Poly, V: Poly):
@@ -100,6 +146,15 @@ class AdjointData:
         clash = {primed_name(nm) for nm in src + tgt} & set(ctx.names)
         if clash:
             raise ValueError(f"primed copies collide with base names: {clash}")
+        self._adjoints = {}
+        self._coevs = {}
+
+    def ends(self, side: str) -> tuple:
+        """(near, far) of ``side``: 'right' is read at the source end and
+        'left' at the target end.  Raises ValueError on another side."""
+        if side not in _SIDES:
+            raise ValueError("side must be 'left' or 'right'")
+        return _SIDES[side].ends(self)
 
     # The adjoints are read only by ev/coev, the Zorro moves and the
     # adjunction maps; each is built on first use from one shared dual.
@@ -107,30 +162,20 @@ class AdjointData:
     def _dual(self) -> MatrixFactorisation:
         return dual(self.base)
 
-    @cached_property
-    def right_adjoint(self) -> MatrixFactorisation:
-        """R[n] (x) Xv: the suspension sits on the left, so the differential
-        picks up (-1)^n."""
-        return shift(self._dual, self.n)
-
-    @cached_property
-    def left_adjoint(self) -> MatrixFactorisation:
-        """Xv (x) S[m]: the suspension sits on the right, so the parity flips
-        with m but the differential is unchanged."""
-        dl = self._dual
-        if self.m % 2 == 0:
-            return dl
-        return MatrixFactorisation(
-            dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity), dl.d,
-            validate=False)
-
-    @cached_property
-    def _coev_tilde(self) -> "KoszulValuedMap":
-        return _build_coev_tilde(self)
-
-    @cached_property
-    def _coev(self) -> "KoszulValuedMap":
-        return _build_coev(self)
+    def adjoint(self, side: str) -> MatrixFactorisation:
+        """The adjoint of ``side``: X^dagger = R[n] (x) Xv ('right') or
+        dagger-X = Xv (x) S[m] ('left'), see ``_Side``."""
+        adj = self._adjoints.get(side)
+        if adj is None:
+            near, _ = self.ends(side)
+            adj = dl = self._dual
+            if len(near.names) % 2:
+                adj = MatrixFactorisation(
+                    dl.ctx, dl.potential, tuple(p ^ 1 for p in dl.parity),
+                    polymat.mat_scale(dl.d, -1) if _SIDES[side].dual_first
+                    else dl.d, validate=False)
+            self._adjoints[side] = adj
+        return adj
 
 
 @dataclass
@@ -193,7 +238,7 @@ class EvCoevMaps:
 
 def _verify_homotopies(end: DefectEnd, hs: NullHomotopySet) -> None:
     """Raise unless a supplied set is null-homotopies of the defect at
-    ``end``."""
+    ``end``, which ``ev`` then reads in place of the end's kept Lambda."""
     if tuple(hs.order) != end.names:
         raise ValueError(f"homotopy set order must be {end.names}")
     sgn = -1 if end.side == "source" else 1
@@ -204,130 +249,107 @@ def _verify_homotopies(end: DefectEnd, hs: NullHomotopySet) -> None:
                 f"supplied homotopy for {name} fails verification")
 
 
-def _lambda(end: DefectEnd, hs: NullHomotopySet | None) -> list:
-    """The end's kept Lambda, or the product of a supplied set once it is
-    verified."""
-    if hs is None:
-        return end.Lambda
-    _verify_homotopies(end, hs)
-    return hs.product()
+def _with_adjoint(data, side, dual_first, unit) -> MatrixFactorisation:
+    """adjoint (x) X, or X (x) adjoint, with the second factor's copy of the
+    unit's variables primed."""
+    pair = (data.adjoint(side), data.base)
+    first, second = pair if dual_first else pair[::-1]
+    return tensor(first, mf_rename(second, dict(unit.pairs)))
 
 
-def coev_tilde(data: AdjointData) -> KoszulValuedMap:
-    """Delta_W -> X^dagger (x) X, in divided-difference form.
+def coev(data: AdjointData, side: str) -> KoszulValuedMap:
+    """The coevaluation of ``side``, in divided-difference form.
 
-    The basis element theta_S of the unit, with complement b_1 < ... < b_l and
-    sign s from theta_S ^ theta_B = (-1)^s theta_top, maps to
+    The basis element theta_S of the near end's unit, with complement
+    b_1 < ... < b_l and sign s from theta_S ^ theta_B = (-1)^s theta_top,
+    maps as follows, interpolating the near variables against their primes.
+    'right' (kind coev_tilde), Delta_W -> X^dagger (x) X: to
     sum_{i,j} (-1)^{(l+1)|e_j| + s} {del_[b_l] d ... del_[b_1] d}_{ji}
-    e_i^* (x) e_j, interpolating the source variables against their primes.
-    The map is built once per defect and kept (see ``AdjointData``).
-    """
-    return data._coev_tilde
-
-
-def _build_coev_tilde(data: AdjointData) -> KoszulValuedMap:
-    X = data.base
-    unit = data.source.unit
-    Xd = data.right_adjoint
-    Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
-    T = tensor(Xd, Xp)
-    ctx = T.ctx
-    r = X.rank
-    # del_[b_l] ... del_[b_1] for every complement B
-    prods = _subset_products(unit.subsets, polymat.identity(ctx, r),
-                             data.source.quotients, left=True)
-    mat = polymat.zeros(ctx, T.rank, unit.rank)
-    for c, S in enumerate(unit.subsets):
-        s, comp = signs.wedge_complement_sign(S, data.n)
-        l = len(comp)
-        prod = prods[comp]
-        for i in range(r):
-            for j in range(r):
-                if prod[j][i].is_zero():
-                    continue
-                sgn = signs.minus_one_to((l + 1) * X.parity[j] + s)
-                mat[i * r + j][c] = prod[j][i] * sgn
-    return KoszulValuedMap(kind="coev_tilde", source=unit, target=T,
-                           parity=0, mat=mat)
-
-
-def coev(data: AdjointData) -> KoszulValuedMap:
-    """Delta_V -> X (x) dagger-X, in divided-difference form.
-
-    theta_S with complement b_1 < ... < b_l and sign s maps to
+    e_i^* (x) e_j.
+    'left' (kind coev), Delta_V -> X (x) dagger-X: to
     sum_{i,j} (-1)^{binom(l+1,2) + s + m + ml}
     {del_[b_1] d ... del_[b_l] d}_{ij} e_i (x) e_j^*.
     The map is built once per defect and kept (see ``AdjointData``).
     """
-    return data._coev
-
-
-def _build_coev(data: AdjointData) -> KoszulValuedMap:
+    kept = data._coevs.get(side)
+    if kept is not None:
+        return kept
+    near, _ = data.ends(side)
+    sd = _SIDES[side]
     X = data.base
-    unit = data.target.unit
-    Xl = mf_rename(data.left_adjoint,
-                   dict(zip(unit.base_names, unit.prime_names)))
-    T = tensor(X, Xl)
+    unit = near.unit
+    k = len(near.names)
+    T = _with_adjoint(data, side, sd.dual_first, unit)
     ctx = T.ctx
     r = X.rank
-    # del_[b_1] ... del_[b_l] for every complement B
     prods = _subset_products(unit.subsets, polymat.identity(ctx, r),
-                             data.target.quotients, left=False)
+                             near.quotients, left=sd.dual_first)
+    sx, sa = sd.strides(r)
     mat = polymat.zeros(ctx, T.rank, unit.rank)
     for c, S in enumerate(unit.subsets):
-        s, comp = signs.wedge_complement_sign(S, data.m)
+        s, comp = signs.wedge_complement_sign(S, k)
         l = len(comp)
         prod = prods[comp]
-        for i in range(r):
-            for j in range(r):
-                if prod[i][j].is_zero():
-                    continue
-                e = signs.binom2(l + 1) + s + data.m + data.m * l
-                mat[i * r + j][c] = prod[i][j] * signs.minus_one_to(e)
-    return KoszulValuedMap(kind="coev", source=unit, target=T,
-                           parity=0, mat=mat)
+        for x in range(r):
+            sgn = signs.minus_one_to(sd.coev_sign(l, s, k, X.parity[x]))
+            for a, e in enumerate(prod[x]):
+                if not e.is_zero():
+                    mat[x * sx + a * sa][c] = e * sgn
+    kept = data._coevs[side] = KoszulValuedMap(
+        kind="coev" + sd.suffix, source=unit, target=T, parity=0, mat=mat)
+    return kept
 
 
-def ev_tilde(data: AdjointData,
-             homotopies: NullHomotopySet | None = None) -> KoszulValuedMap:
-    """X (x) X^dagger -> Delta_V, residue-valued.
+def ev(data: AdjointData, side: str,
+       homotopies: NullHomotopySet | None = None) -> KoszulValuedMap:
+    """The evaluation of ``side``, residue-valued.
 
-    g e_j (x) e_i^* goes to sum over subsets i_1 < ... < i_l of
-    (-1)^{l + (n+1)|e_j|} theta_{i_1}...theta_{i_l} times the x-residue of
-    {del_[i_l] d ... del_[i_1] d Lambda^(x)}_{ij} g against the partials of W.
-    Lambda^(x) is the source end's kept one without ``homotopies``; a
-    supplied set is verified on every call.
+    It lands in the far end's unit; the theta_{i_1}...theta_{i_l} component,
+    over subsets i_1 < ... < i_l, is the residue over the near variables,
+    against the partials of the near potential, of the following.
+    'right' (kind ev_tilde), X (x) X^dagger -> Delta_V: g e_j (x) e_i^*
+    goes to (-1)^{l + (n+1)|e_j|}
+    {del_[i_l] d ... del_[i_1] d Lambda^(x)}_{ij} g.
+    'left' (kind ev), dagger-X (x) X -> Delta_W: e_i^* (x) g e_j goes to
+    (-1)^{binom(l,2) + l|e_j| + m}
+    {Lambda^(z) del_[i_1] d ... del_[i_l] d}_{ij} g.
+    Lambda is the near end's kept one without ``homotopies``; a supplied
+    set is verified on every call.
     """
-    Lam = _lambda(data.source, homotopies)
-    X = data.base
-    unit = data.target.unit
-    Xd = mf_rename(data.right_adjoint,
-                   dict(zip(unit.base_names, unit.prime_names)))
-    T = tensor(X, Xd)
+    near, far = data.ends(side)
+    sd = _SIDES[side]
+    Lam = near.Lambda
+    if homotopies is not None:
+        _verify_homotopies(near, homotopies)
+        Lam = homotopies.product()
+    unit = far.unit
+    T = _with_adjoint(data, side, not sd.dual_first, unit)
     ctx = T.ctx
     Lam = embed_matrix(Lam, ctx)
-    # del_[i_l] ... del_[i_1] Lambda for every subset
-    prods = _subset_products(unit.subsets, Lam, data.target.quotients,
-                             left=True)
+    prods = _subset_products(unit.subsets, Lam, far.quotients,
+                             left=sd.dual_first)
     mat = polymat.zeros(ctx, unit.rank, T.rank)
     for row, S in enumerate(unit.subsets):
-        _ev_tilde_row(data, mat[row], prods[S], len(S))
-    return KoszulValuedMap(kind="ev_tilde", source=T, target=unit,
+        _ev_row(data, sd, mat[row], prods[S], len(S))
+    return KoszulValuedMap(kind="ev" + sd.suffix, source=T, target=unit,
                            parity=0, mat=mat,
-                           integration_names=data.source.names,
-                           denominators=_partials(data.source.potential))
+                           integration_names=near.names,
+                           denominators=_partials(near.potential))
 
 
-def _ev_tilde_row(data: AdjointData, out, prod, l):
-    """Fill ``out`` (column j*r + i) with the theta_S row of ev_tilde, for
-    |S| = l and prod = del_[i_l] ... del_[i_1] Lambda."""
+def _ev_row(data: AdjointData, sd: _Side, out, prod, l):
+    """Fill ``out`` with the theta_S row of the evaluation of ``sd``, for
+    |S| = l and prod the product of Lambda and the quotients over S."""
     X = data.base
     r = X.rank
-    for j in range(r):
-        sgn = signs.minus_one_to(l + (data.n + 1) * X.parity[j])
-        for i in range(r):
-            if not prod[i][j].is_zero():
-                out[j * r + i] = prod[i][j] * sgn
+    k = len(sd.ends(data)[0].names)
+    sx, sa = sd.strides(r)
+    for x in range(r):
+        sgn = signs.minus_one_to(sd.ev_sign(l, k, X.parity[x]))
+        for a in range(r):
+            e = prod[a][x]
+            if not e.is_zero():
+                out[x * sa + a * sx] = e * sgn
 
 
 def _partials(W: Poly) -> tuple:
@@ -335,50 +357,10 @@ def _partials(W: Poly) -> tuple:
     return tuple(partial_derivative(W, v) for v in W.ctx.names)
 
 
-def ev(data: AdjointData,
-       homotopies: NullHomotopySet | None = None) -> KoszulValuedMap:
-    """dagger-X (x) X -> Delta_W, residue-valued (the mirrored formula).
-
-    e_i^* (x) g e_j goes to sum over subsets i_1 < ... < i_l of
-    (-1)^{binom(l,2) + l|e_j| + m} theta_{i_1}...theta_{i_l} times the
-    z-residue of {Lambda^(z) del_[i_1] d ... del_[i_l] d}_{ij} g against the
-    partials of V.  Homotopies as for ``ev_tilde``, at the target end.
-    """
-    Lam = _lambda(data.target, homotopies)
-    X = data.base
-    unit = data.source.unit
-    Xp = mf_rename(X, dict(zip(unit.base_names, unit.prime_names)))
-    T = tensor(data.left_adjoint, Xp)
-    ctx = T.ctx
-    Lam = embed_matrix(Lam, ctx)
-    # Lambda del_[i_1] ... del_[i_l] for every subset
-    prods = _subset_products(unit.subsets, Lam, data.source.quotients,
-                             left=False)
-    mat = polymat.zeros(ctx, unit.rank, T.rank)
-    for row, S in enumerate(unit.subsets):
-        _ev_row(data, mat[row], prods[S], len(S))
-    return KoszulValuedMap(kind="ev", source=T, target=unit,
-                           parity=0, mat=mat,
-                           integration_names=data.target.names,
-                           denominators=_partials(data.target.potential))
-
-
-def _ev_row(data: AdjointData, out, prod, l):
-    """Fill ``out`` (column i*r + j) with the theta_S row of ev, for |S| = l
-    and prod = Lambda del_[i_1] ... del_[i_l]."""
-    X = data.base
-    r = X.rank
-    for j in range(r):
-        sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[j] + data.m)
-        for i in range(r):
-            if not prod[i][j].is_zero():
-                out[i * r + j] = prod[i][j] * sgn
-
-
 def ev_coev_maps(data: AdjointData) -> EvCoevMaps:
     """The four structure maps from the defect's kept ingredients."""
-    return EvCoevMaps(coev_tilde=coev_tilde(data), coev=coev(data),
-                      ev_tilde=ev_tilde(data), ev=ev(data))
+    return EvCoevMaps(coev_tilde=coev(data, "right"), coev=coev(data, "left"),
+                      ev_tilde=ev(data, "right"), ev=ev(data, "left"))
 
 
 # -- dual morphisms -----------------------------------------------------------
@@ -389,16 +371,14 @@ def adjoint_dual_morphism(phi: Morphism, data_src: AdjointData,
 
     'right': phi^dagger: Y^dagger -> X^dagger, signed (-1)^{n|phi|};
     'left': dagger-phi: dagger-Y -> dagger-X, signed (-1)^{m|phi|}.
+    Raises ValueError unless phi runs from data_src's base to data_tgt's.
     """
-    if side == "right":
-        k, adjoint = data_src.n, "right_adjoint"
-    elif side == "left":
-        k, adjoint = data_src.m, "left_adjoint"
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    sign = signs.minus_one_to(k * phi.parity)
+    near, _ = data_src.ends(side)
+    if phi.source is not data_src.base or phi.target is not data_tgt.base:
+        raise ValueError("phi must run from data_src's base to data_tgt's")
+    sign = signs.minus_one_to(len(near.names) * phi.parity)
     mat = [[e * sign for e in row] for row in dual_morphism(phi).mat]
-    return Morphism(getattr(data_tgt, adjoint), getattr(data_src, adjoint),
+    return Morphism(data_tgt.adjoint(side), data_src.adjoint(side),
                     phi.parity, mat)
 
 
@@ -424,32 +404,18 @@ def kernel_homotopy_search(delta: KoszulValuedMap):
                            else lambda p: normal_form(p, gb))
 
 
-def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
-    """a - b as a map with a's shape (integration data must agree)."""
-    if (a.integration_names != b.integration_names
-            or len(a.mat) != len(b.mat)):
-        raise ValueError("maps have incompatible shapes")
-    ctx = a._joint_ctx().merge(b._joint_ctx())
-    mat = polymat.mat_sub(embed_matrix(a.mat, ctx), embed_matrix(b.mat, ctx))
-    return KoszulValuedMap(kind=f"{a.kind}-diff", source=a.source,
-                           target=a.target, parity=a.parity,
-                           mat=mat, integration_names=a.integration_names,
-                           denominators=a.denominators)
-
-
 # -- Zorro composites ---------------------------------------------------------
 
-def zorro_composite(data: AdjointData, variant: str) -> Morphism:
-    """The snake composite X -> X for either adjunction.
+def zorro_composite(data: AdjointData, side: str) -> Morphism:
+    """The snake composite X -> X of the adjunction of ``side``.
 
-    variant='right': lambda o (ev_tilde (x) 1) o (1 (x) coev_tilde) o rho^{-1};
-    variant='left':  rho o (1 (x) ev) o (coev (x) 1) o lambda^{-1}.
+    side='right': lambda o (ev_tilde (x) 1) o (1 (x) coev_tilde) o rho^{-1};
+    side='left':  rho o (1 (x) ev) o (coev (x) 1) o lambda^{-1}.
     The middle copies are contracted only at the final unit-action stage, and
-    the residues are taken over the shared middle source copy with the
-    residue functional of the Jacobi ring of the defect's end (the source
-    end for 'right', the target end for 'left'), read over the middle names.
-    The unit action keeps theta-degree 0 only, so of the evaluation just its
-    row theta_{} (+-Lambda) is formed.
+    the residues are taken over the shared middle copy of the near end's
+    variables with the residue functional of that end's Jacobi ring, read
+    over the middle names.  The unit action keeps theta-degree 0 only, so of
+    the evaluation just its row theta_{} (+-Lambda) is formed.
 
     The contraction forms only the terms the functional reads.  Every factor
     is split by its exponent on the middle variables; a coev-times-section
@@ -457,47 +423,34 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     functional's support through some term of the evaluation entry it meets,
     and an evaluation term only if the product lands on the support.
     """
-    if variant not in ("right", "left"):
-        raise ValueError("variant must be 'right' or 'left'")
+    near, far = data.ends(side)
+    sd = _SIDES[side]
     X = data.base
     r = X.rank
-    src, tgt = data.source.names, data.target.names
-    end, other = ((data.source, data.target) if variant == "right"
-                  else (data.target, data.source))
-    unit = end.unit
-    if variant == "right":
-        act = unit_action_right(X, unit)
-        P = _rho_inverse(X, unit, act, _onto_action(end.quotients, unit, act))
-        C = coev_tilde(data)
-        ev_row = _ev_tilde_row
-        mids, w = _snake_names(X, act, unit, other.names)
-        cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
-        emap = dict(zip(src, mids))
-
-        def route(x, i, j):                 # (ev index, output row)
-            return x * r + i, j
-    else:
-        act = unit_action_left(X, unit)
-        P = _lambda_inverse(X, unit, act,
-                            _onto_action(end.quotients, unit, act))
-        C = coev(data)
-        ev_row = _ev_row
-        mids, w = _snake_names(X, act, unit, other.names)
-        cmap = dict(zip(unit.prime_names + src, mids + w))
-        emap = dict(zip(src + tgt, w + mids))
-
-        def route(x, i, j):
-            return j * r + x, i
+    unit = near.unit
+    act = sd.action(X, unit)
+    P = _section(X, unit, act, _onto_action(near.quotients, unit, act))
+    C = coev(data, side)
+    mids, w = _snake_names(X, act, unit, far.names)
+    # coev's adjoint copy of the near variables meets the section at the
+    # middles and its copy in X is kept; its far variables become w.  The
+    # evaluation's far variables are those of its first factor: X's, which
+    # it shares with the section, or the adjoint's, which it shares with coev
+    adj, own = ((unit.base_names, unit.prime_names) if sd.dual_first
+                else (unit.prime_names, unit.base_names))
+    cmap = dict(zip(adj + own + far.names, mids + near.names + w))
+    emap = dict(zip(near.names + far.names,
+                    mids + (far.names if sd.dual_first else w)))
     # the ring's support is positional: its variables must be the unit's,
     # in the order the middles copy them
-    if tuple(end.ring.ctx.names) != tuple(unit.base_names):
+    if tuple(near.ring.ctx.names) != tuple(unit.base_names):
         raise ContextMismatch(f"unit variables {unit.base_names} are not "
-                              f"those of {end.ring}")
-    plan = end.ring.residue_plan().over(mids)
+                              f"those of {near.ring}")
+    plan = near.ring.residue_plan().over(mids)
     ctx = X.ctx.extend(mids).extend(w)
     # a term's middle exponent: its fields at the middles, moved to the
     # fields of the plan's layout (one run when the middles are adjacent)
-    sub = end.ring.ctx
+    sub = near.ring.ctx
     where = {ctx.index(n): k for k, n in enumerate(mids)}
     runs = _runs(len(ctx), [where.get(i) for i in range(len(ctx))],
                  len(mids), degree=False)
@@ -508,7 +461,7 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     Cm = [[_by_middle(e, runs) for e in row]
           for row in rename_matrix(C.mat, cmap, target_ctx=ctx)]
     K0 = [X.ctx.zero()] * (r * r)
-    ev_row(data, K0, end.Lambda, 0)
+    _ev_row(data, sd, K0, near.Lambda, 0)
     K0 = [_by_middle(e, runs)
           for e in rename_matrix([K0], emap, target_ctx=ctx)[0]]
     # reach[e]: the middle exponents from which a term of K0[e] lands on the
@@ -516,9 +469,13 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
     guard = sub._guard
     reach = [{m - k for k in k0 for m in support if not (m - k) & guard}
              for k0 in K0]
-    back = dict(zip(w, other.names))
-    # row t of P is the tensor basis vector (x_t, theta_s) of the unit action;
-    # coev pair (i, j) is the coev row i*r + j
+    back = dict(zip(w, far.names))
+    # row t of P is the tensor basis vector (x_t, theta_s) of the unit
+    # action; coev row x*sx + a*sa meets the evaluation at its column
+    # x_t*sa + a*sx and leaves x as the output row
+    sx, sa = sd.strides(r)
+    meets = [((pair // sx) % r, (pair // sa) % r * sx)
+             for pair in range(r * r)]
     read = plan.placed(ctx)
     out = polymat.zeros(X.ctx, r, r)
     for q in range(r):
@@ -532,7 +489,8 @@ def zorro_composite(data: AdjointData, variant: str) -> Morphism:
                 ce = Cm[pair][s]
                 if not ce:
                     continue
-                key = route(x, *divmod(pair, r))
+                o, off = meets[pair]
+                key = (x * sa + off, o)
                 wanted = reach[key[0]]
                 if wanted:
                     _contract(colQ.setdefault(key, {}), ce, p, wanted)
@@ -601,14 +559,14 @@ def zorro_check(data: AdjointData, degree_bound: int | None = None) -> dict:
     X = data.base
     ident = Morphism(X, X, 0, polymat.identity(X.ctx, X.rank))
     report = {}
-    for variant in ("right", "left"):
-        Z = zorro_composite(data, variant)
+    for side in ("right", "left"):
+        Z = zorro_composite(data, side)
         if Z == ident:
-            report[variant] = {"matrix": Z, "exact": True, "witness": None,
+            report[side] = {"matrix": Z, "exact": True, "witness": None,
                                "ok": True}
             continue
         wit = null_homotopy_search(Z - ident, degree_bound)
-        report[variant] = {"matrix": Z, "exact": False, "witness": wit,
+        report[side] = {"matrix": Z, "exact": False, "witness": wit,
                            "ok": wit is not None}
     report["ok"] = report["right"]["ok"] and report["left"]["ok"]
     return report

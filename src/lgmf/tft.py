@@ -125,21 +125,11 @@ def _defect_wrap(integrand: Poly, over: DefectEnd, onto: DefectEnd, k: int,
                                       onto.ring.ctx) * sign) for f in fields]
 
 
-def _ends(data: AdjointData, side: str):
-    """(over, onto) of the wrap on ``side``: 'right' integrates over the
-    source end and lands in the target end, 'left' the reverse."""
-    if side == "right":
-        return data.source, data.target
-    if side == "left":
-        return data.target, data.source
-    raise ValueError("side must be 'left' or 'right'")
-
-
 def defect_operator(data: AdjointData, side: str,
                     Phi: Morphism | None = None) -> DefectOperator:
     """Wrapping the defect, with the field Phi inserted on it, around bulk
     insertions: 'right' maps Jac(W) -> Jac(V), 'left' Jac(V) -> Jac(W)."""
-    over, onto = _ends(data, side)
+    over, onto = data.ends(side)
     _parity_warn(data)
     images = _defect_wrap(defect_supertrace(data, Phi), over, onto,
                           len(onto.names),
@@ -154,7 +144,7 @@ def defect_act(data: AdjointData, field: Poly, side: str) -> JacobiElement:
     images of the whole Jacobi basis; ``defect_act(data, 1, side)`` is the
     quantum dimension.
     """
-    over, onto = _ends(data, side)
+    over, onto = data.ends(side)
     _parity_warn(data)
     return _defect_wrap(defect_supertrace(data), over, onto, len(onto.names),
                         [over.ring.reduce(field).rep])[0]
@@ -402,5 +392,6 @@ def generalized_boundary_bulk(data: AdjointData,
     # not defect_supertrace, which takes even insertions only: psi may be odd
     num = _str_with_derivatives(psi.mat, data.base,
                                 data.source.names + data.target.names)
-    return _defect_wrap(num, data.target, data.source, data.m,
+    over, onto = data.ends("left")
+    return _defect_wrap(num, over, onto, len(over.names),
                         [data.base.ctx.one()])[0]

@@ -378,29 +378,10 @@ def rho_inverse(X: MatrixFactorisation, unit: KoszulUnit,
 
     rho o rho_inverse = Id exactly; the subset-l term carries the sign
     (-1)^(binom(l,2) + l|e_i|) and the ascending product of difference
-    quotients of d_X in the unit's variables.
+    quotients of d_X in the unit's variables.  Raises ValueError unless
+    ``action`` is a right action.
     """
-    return _rho_inverse(X, unit, action,
-                        _onto_action(_unit_quotients(X, unit), unit, action))
-
-
-def _rho_inverse(X, unit, act, D) -> Morphism:
-    """rho_inverse from the quotients D of ``_onto_action``."""
-    T = act.tensor_mf
-    ctx = T.ctx
-    nsub = act.unit_mf.rank
-    prods = _subset_products(unit.subsets, polymat.identity(ctx, X.rank), D,
-                             left=False)
-    mat = polymat.zeros(ctx, T.rank, X.rank)
-    for s, S in enumerate(unit.subsets):
-        l = len(S)
-        prod = prods[S]
-        for i in range(X.rank):
-            sgn = signs.minus_one_to(signs.binom2(l) + l * X.parity[i])
-            for j in range(X.rank):
-                if not prod[j][i].is_zero():
-                    mat[j * nsub + s][i] = prod[j][i] * sgn
-    return Morphism(X, T, 0, mat)
+    return _checked_section(X, unit, action, "right")
 
 
 def lambda_inverse(X: MatrixFactorisation, unit: KoszulUnit,
@@ -408,26 +389,40 @@ def lambda_inverse(X: MatrixFactorisation, unit: KoszulUnit,
     """The explicit section of lambda = ``action``: X -> Delta_V (x) X.
 
     No binomial sign; the product of difference quotients is taken in
-    descending subset order.
+    descending subset order.  Raises ValueError unless ``action`` is a left
+    action.
     """
-    return _lambda_inverse(
-        X, unit, action, _onto_action(_unit_quotients(X, unit), unit, action))
+    return _checked_section(X, unit, action, "left")
 
 
-def _lambda_inverse(X, unit, act, D) -> Morphism:
-    """lambda_inverse from the quotients D of ``_onto_action``."""
+def _checked_section(X, unit, action, side) -> Morphism:
+    if action.side != side:
+        raise ValueError(f"no {side} section of a {action.side} action")
+    return _section(X, unit, action,
+                    _onto_action(_unit_quotients(X, unit), unit, action))
+
+
+def _section(X, unit, act, D) -> Morphism:
+    """rho_inverse or lambda_inverse, by ``act.side``, from the quotients D
+    of ``_onto_action``."""
+    right = act.side == "right"
     T = act.tensor_mf
-    ctx = T.ctx
     rx = X.rank
-    prods = _subset_products(unit.subsets, polymat.identity(ctx, rx), D,
-                             left=True)
-    mat = polymat.zeros(ctx, T.rank, X.rank)
+    # the tensor row of (x_j, theta_s) is j * sj + s * ss
+    sj, ss = (act.unit_mf.rank, 1) if right else (1, rx)
+    prods = _subset_products(unit.subsets, polymat.identity(T.ctx, rx), D,
+                             left=not right)
+    mat = polymat.zeros(T.ctx, T.rank, rx)
     for s, S in enumerate(unit.subsets):
+        l = len(S)
         prod = prods[S]
         for i in range(rx):
+            sgn = (signs.minus_one_to(signs.binom2(l) + l * X.parity[i])
+                   if right else 1)
             for j in range(rx):
-                if not prod[j][i].is_zero():
-                    mat[s * rx + j][i] = prod[j][i]
+                e = prod[j][i]
+                if not e.is_zero():
+                    mat[j * sj + s * ss][i] = e if sgn == 1 else e * sgn
     return Morphism(X, T, 0, mat)
 
 

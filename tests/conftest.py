@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from lgmf import linalg
-from lgmf.adjunction import AdjointData
+from lgmf import linalg, polymat
+from lgmf.adjunction import AdjointData, KoszulValuedMap
 from lgmf.mf import MatrixFactorisation, Morphism, mf_rename, new_mf
-from lgmf.ring import RingContext, rename
+from lgmf.ring import RingContext, embed_matrix, rename
 from lgmf.unit import koszul_unit
 
 
@@ -24,6 +24,19 @@ def dense_invertible(matrix) -> bool:
     return linalg.invertible(
         [{c: x for c, x in enumerate(row) if x} for row in matrix],
         len(matrix))
+
+
+def kvm_difference(a: KoszulValuedMap, b: KoszulValuedMap) -> KoszulValuedMap:
+    """a - b as a map with a's shape (integration data must agree)."""
+    if (a.integration_names != b.integration_names
+            or len(a.mat) != len(b.mat)):
+        raise ValueError("maps have incompatible shapes")
+    ctx = a._joint_ctx().merge(b._joint_ctx())
+    mat = polymat.mat_sub(embed_matrix(a.mat, ctx), embed_matrix(b.mat, ctx))
+    return KoszulValuedMap(kind=f"{a.kind}-diff", source=a.source,
+                           target=a.target, parity=a.parity,
+                           mat=mat, integration_names=a.integration_names,
+                           denominators=a.denominators)
 
 
 def ctx_of(*names) -> RingContext:

@@ -11,9 +11,8 @@ from fractions import Fraction
 import pytest
 
 from lgmf import polymat, tft
-from lgmf.adjunction import (AdjointData, ev_coev_maps, ev_tilde,
-                             kernel_homotopy_search, kvm_difference,
-                             zorro_check)
+from lgmf.adjunction import (AdjointData, ev, ev_coev_maps,
+                             kernel_homotopy_search, zorro_check)
 from lgmf.ideal import groebner, normal_form
 from lgmf.mf import (Morphism, NullHomotopySet, default_null_homotopies,
                      homotopic, new_mf, null_homotopy_search)
@@ -24,7 +23,8 @@ from lgmf.unit import (koszul_unit, lambda_inverse, psi_phi_is_identity,
                        rho_inverse, unit_action_left, unit_action_right)
 
 from conftest import (boundary_defect, corpus_boundary_mfs, corpus_potentials,
-                      delta_defect, dense_invertible, line_defect)
+                      delta_defect, dense_invertible, kvm_difference,
+                      line_defect)
 
 
 def criterion(number, label):
@@ -265,7 +265,8 @@ def test_criterion_9_kapustin_li():
 
 @criterion(10, "independence of choices")
 def test_criterion_10_independence():
-    # (a) homotopy replacement changes ev_tilde by a witnessed kernel homotopy
+    # (a) homotopy replacement changes the right evaluation (ev_tilde) by a
+    # witnessed kernel homotopy
     data = line_defect(3)
     X = data.base
     ctx = X.ctx
@@ -279,7 +280,8 @@ def test_criterion_10_independence():
                              polymat.mat_add(entries[name].mat, bump.mat))
     perturbed = NullHomotopySet(mf=X, side="source", entries=entries,
                                 order=hs.order)
-    diff = kvm_difference(ev_tilde(data, hs), ev_tilde(data, perturbed))
+    diff = kvm_difference(ev(data, "right", hs),
+                          ev(data, "right", perturbed))
     assert diff.is_closed()
     assert kernel_homotopy_search(diff) is not None
 

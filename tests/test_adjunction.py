@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from lgmf import adjunction, mf, polymat
 from lgmf import unit as unit_module
-from lgmf.adjunction import (AdjointData, adjoint_dual_morphism, ev,
-                             ev_coev_maps, ev_tilde, kernel_homotopy_search,
-                             kvm_difference, zorro_check, zorro_composite)
+from lgmf.adjunction import (AdjointData, adjoint_dual_morphism, coev, ev,
+                             ev_coev_maps, kernel_homotopy_search,
+                             zorro_check, zorro_composite)
 from lgmf.mf import (FactorisationError, Morphism, NullHomotopySet,
                      default_null_homotopies)
 from lgmf.residue import JacobiRing, residue_plan
@@ -20,8 +20,11 @@ from lgmf.unit import (lambda_inverse, rho_inverse, unit_action_left,
                        unit_action_right)
 
 from conftest import (boundary_defect, corpus_boundary_mfs, delta_defect,
-                      line_defect)
+                      kvm_difference, line_defect)
 from test_ring import rational_polys
+
+
+SIDES = ("right", "left")
 
 
 def _defects():
@@ -40,31 +43,37 @@ def defect(request):
 # -- adjoint objects ----------------------------------------------------------
 
 def test_adjoints_are_valid_factorisations(defect):
-    for adj in (defect.right_adjoint, defect.left_adjoint):
-        assert not adj.validation_failures()
-    # right adjoint factors the negated, swapped potential
-    ctx = defect.right_adjoint.ctx
+    # each adjoint factors the negated, swapped potential
+    ctx = defect.adjoint("right").ctx
     want = embed(defect.source.potential, ctx) - embed(
         defect.target.potential, ctx)
-    assert defect.right_adjoint.potential == want
-    assert defect.left_adjoint.potential == want
+    for side in SIDES:
+        adj = defect.adjoint(side)
+        assert not adj.validation_failures()
+        assert adj.potential == want
+        assert defect.adjoint(side) is adj
 
 
 def test_all_four_structure_maps_are_closed(defect):
     maps = ev_coev_maps(defect)
-    for kvm in (maps.coev_tilde, maps.coev, maps.ev_tilde, maps.ev):
-        assert kvm.is_closed()
+    for side, kinds in zip(SIDES, (("coev_tilde", "ev_tilde"),
+                                   ("coev", "ev"))):
+        for kvm, kind in zip((coev(defect, side), ev(defect, side)), kinds):
+            assert kvm.kind == kind
+            assert kvm.mat == getattr(maps, kind).mat
+            assert kvm.is_closed()
 
 
 def test_coevaluations_have_polynomial_matrices(defect):
-    maps = ev_coev_maps(defect)
-    for kvm in (maps.coev_tilde, maps.coev):
+    for side in SIDES:
+        kvm = coev(defect, side)
         assert not kvm.residue_valued
         assert kvm.as_morphism().is_closed()
-    # evaluations integrate over the contracted variables, when there are any
-    assert maps.ev_tilde.residue_valued == bool(defect.source.names)
-    assert maps.ev.residue_valued == bool(defect.target.names)
-    for kvm in (maps.ev_tilde, maps.ev):
+        # evaluations integrate over the near variables, when there are any
+        near, _ = defect.ends(side)
+        kvm = ev(defect, side)
+        assert kvm.integration_names == near.names
+        assert kvm.residue_valued == bool(near.names)
         if kvm.residue_valued:
             with pytest.raises(ValueError):
                 kvm.as_morphism()
@@ -84,7 +93,7 @@ def test_boundary_coev_tilde_starts_with_signed_inclusion():
 def test_zorro_moves_hold(defect):
     report = zorro_check(defect)
     assert report["ok"]
-    for side in ("right", "left"):
+    for side in SIDES:
         r = report[side]
         assert r["ok"]
         assert r["exact"] or r["witness"] is not None
@@ -92,7 +101,7 @@ def test_zorro_moves_hold(defect):
 
 def test_zorro_composites_have_identity_class(defect):
     report = zorro_check(defect)
-    for side in ("right", "left"):
+    for side in SIDES:
         comp = report[side]["matrix"]
         assert comp.parity == 0
         if report[side]["exact"]:
@@ -101,22 +110,28 @@ def test_zorro_composites_have_identity_class(defect):
 
 # -- the snake contraction against the full product ---------------------------
 
-def _reference_zorro_composite(data, variant):
+def _reference_zorro_composite(data, side):
     """The snake composite formed in full, as an independent oracle.
 
-    Forms every product term of K0 * (C * P), then takes the residue with a
-    plan built afresh from the renamed partials of the side's potential.
+    Forms every product term of K0 * (C * P), K0 the theta_{} row of the
+    evaluation written out here, then takes the residue with a plan built
+    afresh from the renamed partials of the side's potential.
     """
     X = data.base
     r = X.rank
     src, tgt = data.source.names, data.target.names
-    if variant == "right":
+    K0 = [X.ctx.zero()] * (r * r)
+    if side == "right":
         unit, others = data.source.unit, tgt
         act = unit_action_right(X, unit)
         P = rho_inverse(X, unit, action=act)
-        C = adjunction.coev_tilde(data)
-        hs = default_null_homotopies(X, src, side="source")
-        ev_row, W = adjunction._ev_tilde_row, data.source.potential
+        Lam = default_null_homotopies(X, src, side="source").product()
+        # e_j (x) e_i^* -> (-1)^{(n+1)|e_j|} Lambda_ij
+        for i in range(r):
+            for j in range(r):
+                sgn = (-1) ** ((data.n + 1) * X.parity[j])
+                K0[j * r + i] = Lam[i][j] * sgn
+        W = data.source.potential
         mids, w = adjunction._snake_names(X, act, unit, others)
         cmap = dict(zip(src + unit.prime_names + tgt, mids + src + w))
         emap = dict(zip(src, mids))
@@ -127,20 +142,22 @@ def _reference_zorro_composite(data, variant):
         unit, others = data.target.unit, src
         act = unit_action_left(X, unit)
         P = lambda_inverse(X, unit, action=act)
-        C = adjunction.coev(data)
-        hs = default_null_homotopies(X, tgt, side="target")
-        ev_row, W = adjunction._ev_row, data.target.potential
+        Lam = default_null_homotopies(X, tgt, side="target").product()
+        # e_i^* (x) e_j -> (-1)^m Lambda_ij
+        for i in range(r):
+            for j in range(r):
+                K0[i * r + j] = Lam[i][j] * (-1) ** data.m
+        W = data.target.potential
         mids, w = adjunction._snake_names(X, act, unit, others)
         cmap = dict(zip(unit.prime_names + src, mids + w))
         emap = dict(zip(src + tgt, w + mids))
 
         def route(x, i, j):
             return j * r + x, i
+    C = coev(data, side)
     ctx = X.ctx.extend(mids).extend(w)
     Pm = [[embed(e, ctx) for e in row] for row in P.mat]
     Cm = [[rename(e, cmap, target_ctx=ctx) for e in row] for row in C.mat]
-    K0 = [X.ctx.zero()] * (r * r)
-    ev_row(data, K0, hs.product(), 0)
     K0 = [rename(e, emap, target_ctx=ctx) for e in K0]
     to_mids = dict(zip(unit.base_names, mids))
     denoms = [rename(f, to_mids, target_ctx=ctx)
@@ -203,12 +220,12 @@ SNAKE_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("variant", ["right", "left"])
+@pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("key", list(SNAKE_DEFECTS))
-def test_snake_contraction_equals_the_full_product(key, variant):
+def test_snake_contraction_equals_the_full_product(key, side):
     data = SNAKE_DEFECTS[key]()
-    got = zorro_composite(data, variant)
-    want = _reference_zorro_composite(data, variant)
+    got = zorro_composite(data, side)
+    want = _reference_zorro_composite(data, side)
     assert got.source is want.source and got.parity == want.parity
     for got_row, want_row in zip(got.mat, want.mat, strict=True):
         for g, h in zip(got_row, want_row, strict=True):
@@ -263,8 +280,8 @@ def test_section_quotients_are_the_defects_renamed(key):
 
 
 def _same_report(a, b):
-    for variant in ("right", "left"):
-        ra, rb = a[variant], b[variant]
+    for side in SIDES:
+        ra, rb = a[side], b[side]
         assert ra["matrix"] == rb["matrix"]
         assert ra["exact"] == rb["exact"] and ra["ok"] == rb["ok"]
         wa, wb = ra["witness"], rb["witness"]
@@ -293,15 +310,13 @@ def test_kept_ingredients_change_no_output(key):
 def test_zorro_check_leaves_the_kept_coevaluations_alone(key):
     data = SNAKE_DEFECTS[key]()
     maps = ev_coev_maps(data)
-    before = {kind: [[dict(e.terms) for e in row]
-                     for row in getattr(maps, kind).mat]
-              for kind in ("coev_tilde", "coev")}
+    kept = dict(zip(SIDES, (maps.coev_tilde, maps.coev)))
+    before = {side: [[dict(e.terms) for e in row] for row in C.mat]
+              for side, C in kept.items()}
     zorro_check(data)
-    assert adjunction.coev_tilde(data) is maps.coev_tilde
-    assert adjunction.coev(data) is maps.coev
-    for kind, terms in before.items():
-        assert [[e.terms for e in row]
-                for row in getattr(maps, kind).mat] == terms
+    for side, C in kept.items():
+        assert coev(data, side) is C
+        assert [[e.terms for e in row] for row in C.mat] == before[side]
 
 
 def test_zorro_composite_checks_the_ring_order():
@@ -313,6 +328,17 @@ def test_zorro_composite_checks_the_ring_order():
         zorro_composite(data, "right")
     assert zorro_composite(data, "left") == _reference_zorro_composite(
         data, "left")
+
+
+def test_sides_read_their_ends_and_a_bad_side_raises():
+    data = line_defect(2)
+    assert data.ends("right") == (data.source, data.target)
+    assert data.ends("left") == (data.target, data.source)
+    for call in (lambda: coev(data, "up"), lambda: ev(data, "up"),
+                 lambda: data.adjoint("up"), lambda: data.ends("up"),
+                 lambda: zorro_composite(data, "up")):
+        with pytest.raises(ValueError, match="side must be"):
+            call()
 
 
 # -- independence of the homotopy choices -------------------------------------
@@ -333,8 +359,8 @@ def test_ev_tilde_independent_of_homotopy_choice():
         entries[name].mat, bump.mat))
     perturbed = NullHomotopySet(mf=X, side="source", entries=entries,
                                 order=base_hs.order)
-    a = ev_tilde(data, base_hs)
-    b = ev_tilde(data, perturbed)
+    a = ev(data, "right", base_hs)
+    b = ev(data, "right", perturbed)
     diff = kvm_difference(a, b)
     assert diff.is_closed()
     wit = kernel_homotopy_search(diff)
@@ -349,7 +375,7 @@ def test_invalid_homotopies_are_rejected():
              for name in hs.entries}
     bad = NullHomotopySet(mf=X, side="source", entries=wrong, order=hs.order)
     with pytest.raises(ValueError):
-        ev_tilde(data, bad)
+        ev(data, "right", bad)
 
 
 def test_ev_coev_maps_verifies_each_homotopy_once(monkeypatch):
@@ -376,8 +402,8 @@ def test_ev_coev_maps_verifies_each_homotopy_once(monkeypatch):
         first(data)
         zorro_check(data)
         ev_coev_maps(data)
-        ev_tilde(data)
-        ev(data)
+        ev(data, "right")
+        ev(data, "left")
         assert sorted(calls) == ["x", "y"]
         assert sorted(built) == [(("x", "x'"),), (("y", "y'"),)]
 
@@ -396,29 +422,29 @@ def test_each_sides_lambda_is_formed_once(monkeypatch):
     zorro_check(data)
     ev_coev_maps(data)
     assert sorted(sides) == ["source", "target"]
-    ev_tilde(data)
-    ev(data)
+    ev(data, "right")
+    ev(data, "left")
     assert sorted(sides) == ["source", "target"]
     hs = default_null_homotopies(data.base, data.source.names, side="source")
-    assert ev_tilde(data, hs).mat == ev_tilde(data).mat
+    assert ev(data, "right", hs).mat == ev(data, "right").mat
     assert sorted(sides) == ["source", "source", "target"]
 
 
-@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("side", SIDES)
 def test_tampered_supplied_homotopies_are_reverified(side):
     data = line_defect(3)
     X = data.base
-    names = data.source.names if side == "source" else data.target.names
-    hs = default_null_homotopies(X, names, side=side)
+    near, _ = data.ends(side)
+    names = near.names
+    hs = default_null_homotopies(X, names, side=near.side)
     entries = dict(hs.entries)
     lam = polymat.mat_scale(entries[names[0]].mat, Fraction(2))
     entries[names[0]] = Morphism(X, X, 1, lam)
-    tampered = NullHomotopySet(mf=X, side=side, entries=entries,
+    tampered = NullHomotopySet(mf=X, side=near.side, entries=entries,
                                order=hs.order)
-    build = ev_tilde if side == "source" else ev
-    build(data, hs)
+    assert ev(data, side, hs).mat == ev(data, side).mat
     with pytest.raises(FactorisationError):
-        build(data, tampered)
+        ev(data, side, tampered)
 
 
 # -- dual morphisms -----------------------------------------------------------
@@ -438,7 +464,7 @@ def _two_line_defects():
 
 def test_dual_morphisms_are_closed_and_functorial():
     data, phi = _two_line_defects()
-    for side in ("right", "left"):
+    for side in SIDES:
         dphi = adjoint_dual_morphism(phi, data, data, side)
         assert dphi.is_closed()
         did = adjoint_dual_morphism(data.base.identity(), data, data, side)
@@ -446,6 +472,21 @@ def test_dual_morphisms_are_closed_and_functorial():
         # contravariant functoriality on the composable pair (phi, phi)
         dcomp = adjoint_dual_morphism(phi.compose(phi), data, data, side)
         assert dcomp == dphi.compose(dphi)
+
+
+def test_dual_morphisms_refuse_a_morphism_of_other_defects():
+    """A second defect of the same potentials over another factorisation
+    has other adjoints: phi's dual does not run between them."""
+    data, phi = _two_line_defects()
+    ctx = data.base.ctx
+    x, y = ctx.gen("x"), ctx.gen("y")
+    swapped = mf.new_mf(ctx, data.base.potential, [[x * x + x * y + y * y]],
+                        [[x - y]])
+    other = AdjointData(swapped, data.source.potential, data.target.potential)
+    for side in SIDES:
+        for src, tgt in ((data, other), (other, data)):
+            with pytest.raises(ValueError, match="base"):
+                adjoint_dual_morphism(phi, src, tgt, side)
 
 
 # -- construction errors ------------------------------------------------------

@@ -301,7 +301,7 @@ def test_loading_builds_no_adjoint(ws, monkeypatch):
     monkeypatch.setattr(mf, "dual", counting(mf.dual))
     w = load_workspace(ws)
     assert duals == []
-    w.defect("D").right_adjoint, w.defect("D").left_adjoint
+    w.defect("D").adjoint("right"), w.defect("D").adjoint("left")
     assert len(duals) == 1      # both adjoints share one dual
 
 
@@ -312,8 +312,8 @@ def test_adjoints_built_on_first_use_equal_the_eager_ones(ws, name):
     right = mf.shift(dl, data.n)
     flip = data.m % 2
     for got, parity, d in (
-            (data.right_adjoint, right.parity, right.d),
-            (data.left_adjoint, tuple(p ^ flip for p in dl.parity), dl.d)):
+            (data.adjoint("right"), right.parity, right.d),
+            (data.adjoint("left"), tuple(p ^ flip for p in dl.parity), dl.d)):
         assert got.parity == parity
         assert got.potential == dl.potential
         assert got.d == d

@@ -155,14 +155,13 @@ def _reference_tensor(Y, X):
 
 def _structure_map_factors(data):
     """The factors of the six tensors a defect's structure maps build: both
-    unit actions, and the tensors of coev_tilde, coev, ev_tilde and ev."""
+    unit actions, and the tensors of both sides' coev and ev."""
     X = data.base
     tensors = [unit.unit_action_right(X, data.source.unit).tensor_mf,
-               unit.unit_action_left(X, data.target.unit).tensor_mf,
-               adjunction.coev_tilde(data).target,
-               adjunction.coev(data).target,
-               adjunction.ev_tilde(data).source,
-               adjunction.ev(data).source]
+               unit.unit_action_left(X, data.target.unit).tensor_mf]
+    for side in ("right", "left"):
+        tensors += [adjunction.coev(data, side).target,
+                    adjunction.ev(data, side).source]
     return [T.factors for T in tensors]
 
 
@@ -451,21 +450,21 @@ def _reference_boundary_columns(source, target, parity, bound, ctx,
 def _boundary_cases():
     """(name, source, target, ctx, Groebner basis of a normal-form hook).
 
-    The corpus line defects as endomorphism systems and coev_tilde's
+    The corpus line defects as endomorphism systems and the right coev's
     unit -> tensor system, each with the hook kernel_homotopy_search passes
-    for the defect's ev_tilde; and factors with diagonal entries, where
+    for the defect's right ev; and factors with diagonal entries, where
     both terms of the boundary reach one cell and some cancel."""
     out = []
     for p in (2, 3):
         data = line_defect(p)
         X = data.base
         out.append((f"line {p}", X, X, X.ctx,
-                    adjunction.ev_tilde(data).denominator_gb(X.ctx)))
+                    adjunction.ev(data, "right").denominator_gb(X.ctx)))
     data = line_defect(2)
-    C = adjunction.coev_tilde(data)
+    C = adjunction.coev(data, "right")
     ctx = C._joint_ctx()
     out.append(("coev_tilde line 2", C.source, C.target, ctx,
-                adjunction.ev_tilde(data).denominator_gb(ctx)))
+                adjunction.ev(data, "right").denominator_gb(ctx)))
     X = _meeting_cells()[0][1]
     out.append(("meeting cells", X, X, X.ctx,
                 groebner([X.ctx.gen("x") ** 2])))

@@ -291,10 +291,10 @@ def test_zorro_composite_builds_one_plan_per_variant(monkeypatch):
     calls = _count_groebner(monkeypatch)
     plans = _count_plans(monkeypatch)
     # the functional is the defect's own ring's: no basis is built
-    for variant, ring in (("right", data.source.ring),
-                          ("left", data.target.ring)):
+    for side, ring in (("right", data.source.ring),
+                       ("left", data.target.ring)):
         del plans[:]
-        adjunction.zorro_composite(data, variant)
+        adjunction.zorro_composite(data, side)
         assert calls == [] and len(plans) == 1 and plans[0] is ring
 
 
@@ -330,9 +330,9 @@ def test_a_loop_over_one_plan_places_its_support_once(monkeypatch):
     placed = _count_placements(monkeypatch)
     cxy = RingContext(["x", "y"])
     data = delta_defect(cxy.gen("x") ** 3 + cxy.gen("y") ** 3)
-    for variant in ("right", "left"):
+    for side in ("right", "left"):
         del placed[:]
-        adjunction.zorro_composite(data, variant)
+        adjunction.zorro_composite(data, side)
         assert len(placed) == 1
     del placed[:]
     ring = tft.JacobiRing(cxy.gen("x") ** 4 + cxy.gen("y") ** 3)

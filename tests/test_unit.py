@@ -153,6 +153,23 @@ def test_rho_reversed_composite_fixes_morphism_classes(power):
     _reversed_composite_acts_as_identity(X, act, ri)
 
 
+def test_each_section_refuses_the_other_sides_action():
+    """The action's side picks the section's formula: rho_inverse of a left
+    action, or lambda_inverse of a right one, would not be closed."""
+    ctx = ctx_of("x", "y")
+    x, y = ctx.gen("x"), ctx.gen("y")
+    X = new_mf(ctx, x ** 3 + y ** 3, [[x + y]], [[x * x - x * y + y * y]])
+    unit = koszul_unit(X.potential)
+    for section, own, other in ((rho_inverse, unit_action_right,
+                                 unit_action_left),
+                                (lambda_inverse, unit_action_left,
+                                 unit_action_right)):
+        with pytest.raises(ValueError, match="section of a"):
+            section(X, unit, action=other(X, unit))
+        act = own(X, unit)
+        assert act.compose(section(X, unit, action=act)) == X.identity()
+
+
 # -- the difference-quotient primitive ---------------------------------------
 
 QUOTIENT_DEFECTS = {
