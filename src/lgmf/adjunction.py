@@ -25,7 +25,7 @@ from .mf import (FactorisationError, MatrixFactorisation, Morphism,
                  dual_morphism, mf_rename, null_homotopy_search, tensor)
 from .residue import JacobiRing
 from .ring import (ContextMismatch, Poly, RingContext, _poly, _restrict,
-                   _runs, _terms_add, _terms_mul, embed, embed_matrix,
+                   _runs, _terms_iadd, _terms_mul, embed, embed_matrix,
                    partial_derivative, primed_name, rename_matrix,
                    substitute)
 from .unit import (KoszulUnit, _onto_action, _section, _subset_products,
@@ -534,7 +534,7 @@ def _contract(out, a, b, wanted):
             if m in wanted:
                 prod = _terms_mul(ta, tb)
                 have = out.get(m)
-                out[m] = prod if have is None else _terms_add(have, prod)
+                out[m] = prod if have is None else _terms_iadd(have, prod)
 
 
 def _snake_names(X, act, unit, others):

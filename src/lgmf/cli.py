@@ -242,8 +242,8 @@ def cmd_pair_kl(ws, args, report):
 
 def cmd_defect_act(ws, args, report):
     data = ws.defect(args.name)
-    end = data.source if args.side == "right" else data.target
-    field = parse_poly(args.field, end.potential.ctx)
+    near, _ = data.ends(args.side)
+    field = parse_poly(args.field, near.potential.ctx)
     with _capture_warnings(report):
         out = tft.defect_act(data, field, args.side)
     report.outputs["side"] = args.side

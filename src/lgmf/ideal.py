@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import (LIMIT, ContextMismatch, ExponentOverflow, Poly,
-                   RingContext, _canon, _no_overflow, _poly, _terms_add,
+                   RingContext, _canon, _no_overflow, _poly, _terms_iadd,
                    _terms_mul)
 
 
@@ -114,10 +114,6 @@ def _reduce(p: dict, lts, guard: int, cof=None) -> dict:
     return rem
 
 
-def _wrap(ctx: RingContext, terms: dict) -> Poly:
-    return _poly(ctx, terms) if terms else ctx.zero()
-
-
 def _divide(g: Poly, lts, n: int):
     """``division`` of g by n divisors, the nonzero ones described in
     ``lts``: the cofactors and the remainder as Polys, from one ``_reduce``
@@ -125,7 +121,7 @@ def _divide(g: Poly, lts, n: int):
     ctx = g.ctx
     cof = [{} for _ in range(n)]
     rem = _reduce(dict(g.packed), lts, ctx._guard, cof)
-    return [_wrap(ctx, t) for t in cof], _wrap(ctx, rem)
+    return [_poly(ctx, t) for t in cof], _poly(ctx, rem)
 
 
 def _combine(row, terms):
@@ -287,7 +283,7 @@ def groebner(gens) -> GroebnerBasis:
 def normal_form(g: Poly, gb: GroebnerBasis) -> Poly:
     if g.ctx != gb.ctx:
         raise ContextMismatch("normal_form context mismatch")
-    return _wrap(g.ctx, _reduce(dict(g.packed), gb.reducers, gb.ctx._guard))
+    return _poly(g.ctx, _reduce(dict(g.packed), gb.reducers, gb.ctx._guard))
 
 
 def membership_with_cofactors(g: Poly, gens):
@@ -295,21 +291,21 @@ def membership_with_cofactors(g: Poly, gens):
     gb = groebner(gens)
     cof = [{} for _ in gb.generators]
     rem = _reduce(dict(g.packed), gb.reducers, gb.ctx._guard, cof)
-    return _lift_cofactors(cof, gb), _wrap(g.ctx, rem)
+    return _lift_cofactors(cof, gb), _poly(g.ctx, rem)
 
 
 def _lift_cofactors(cof, gb: GroebnerBasis):
     """Cofactors over the original generators, as Polys, from the cofactor
-    term dicts over the basis: sum_k cof[k] * cofactor_log[k][j], each
-    product formed before it is added (see ``polymat._det_terms``)."""
+    term dicts over the basis: the sums of products
+    sum_k cof[k] * cofactor_log[k][j] (see ``ring._terms_iadd``)."""
     out = [{} for _ in gb.original_gens]
     for c, row in zip(cof, gb.cofactor_log):
         if not c:
             continue
         for j, a in enumerate(row):
             if a.packed:
-                out[j] = _terms_add(out[j], _terms_mul(c, a.packed))
-    return [_wrap(gb.ctx, t) for t in out]
+                _terms_iadd(out[j], _terms_mul(c, a.packed))
+    return [_poly(gb.ctx, t) for t in out]
 
 
 def power_membership(v: str, gb: GroebnerBasis):

@@ -5,8 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .ring import (ContextMismatch, Poly, RingContext, _poly, _terms_add,
-                   _terms_addmul, _terms_mul, _terms_scale)
+from .ring import (ContextMismatch, Poly, RingContext, _poly, _terms_iadd,
+                   _terms_mul, _terms_scale)
 
 
 def zeros(ctx: RingContext, rows: int, cols: int):
@@ -40,12 +40,13 @@ def mat_scale(a, c):
 def mat_mul(a, b):
     """a * b, forming only the products of two nonzero entries.
 
-    Each output cell accumulates its products into one term dict
-    (``_terms_addmul``) and is wrapped in a Poly once.  Cells that get no
-    product are the zero of the entries' common context; as in the dense
-    product, entries in different contexts raise ContextMismatch whenever
-    there is a product to form.  Factors whose shapes do not chain raise
-    ValueError.
+    Each output cell is a sum of products: each product is formed
+    (``_terms_mul``) and added into one term dict (``_terms_iadd``), so the
+    cell has the value and the term order of the dense product, and is
+    wrapped in a Poly once.  Cells that get no product are the zero of the
+    entries' common context; as in the dense product, entries in different
+    contexts raise ContextMismatch whenever there is a product to form.
+    Factors whose shapes do not chain raise ValueError.
     """
     if not a:
         return []
@@ -73,11 +74,10 @@ def mat_mul(a, b):
             if not x:
                 continue
             for j, y in b_nonzero[k]:
+                t = _terms_mul(x, y)
                 cell = acc[j]
-                if cell is None:
-                    cell = acc[j] = {}
-                _terms_addmul(cell, x, y)
-        out.append([_poly(ctx, e) if e else zero for e in acc])
+                acc[j] = t if cell is None else _terms_iadd(cell, t)
+        out.append([zero if e is None else _poly(ctx, e) for e in acc])
     return out
 
 
@@ -134,15 +134,13 @@ def det(a, ctx: RingContext | None = None) -> Poly:
     if den != 1:
         t = {e: Fraction(c, den) if c % den else c // den
              for e, c in t.items()}
-    return _poly(ctx, t) if t else ctx.zero()
+    return _poly(ctx, t)
 
 
 def _det_terms(a) -> dict:
     """The Laplace expansion of ``det`` on a square matrix of term dicts,
-    n >= 1, zero entries of the first row skipped.  Each product is formed
-    before it is added: ``_terms_addmul`` into the sum would move a term
-    whose running sum passes through zero.  The result is a fresh dict
-    unless n = 1."""
+    n >= 1, zero entries of the first row skipped; a sum of products (see
+    ``ring._terms_iadd``).  The result is a fresh dict unless n = 1."""
     n = len(a)
     if n == 1:
         return a[0][0]
@@ -154,5 +152,5 @@ def _det_terms(a) -> dict:
                                       for row in a[1:]]))
         if j % 2:
             t = _terms_scale(t, -1)
-        acc = t if acc is None else _terms_add(acc, t)
+        acc = t if acc is None else _terms_iadd(acc, t)
     return {} if acc is None else acc

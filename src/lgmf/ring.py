@@ -91,7 +91,7 @@ class RingContext:
         # LIMIT in every variable's field: LIMIT times the repunit
         # sum(2**s for s in shifts)
         _set(self, "_guard", LIMIT * ((1 << top) - 1) // _FIELD)
-        _set(self, "_zero", _poly(self, {}))
+        _set(self, "_zero", Poly(self, {}))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("RingContext is immutable")
@@ -326,8 +326,11 @@ def _poly(ctx: RingContext, terms: dict) -> Poly:
 
     Only for fresh dicts that nothing else holds, already in canonical form
     (valid keys of the context's layout, nonzero ints or Fractions with a
-    denominator > 1): the results of the term kernels below.
+    denominator > 1): the results of the term kernels below.  An empty dict
+    gives the context's shared zero.
     """
+    if not terms:
+        return ctx._zero
     p = _new(Poly)
     _set(p, "ctx", ctx)
     _set(p, "packed", terms)
@@ -342,7 +345,7 @@ def _clean(ctx: RingContext, terms: dict) -> Poly:
         c = _canon(c)
         if c:
             out[k] = c
-    return _poly(ctx, out) if out else ctx.zero()
+    return _poly(ctx, out)
 
 
 # -- sparse-term kernels ----------------------------------------------------
@@ -358,10 +361,13 @@ def _clean(ctx: RingContext, terms: dict) -> Poly:
 # scaled by the lcm of its denominators, and only an output coefficient with
 # a denominator becomes a Fraction.  A product checks its largest key, the
 # sum of its factors' largest keys, against overflow before its loop.
-# Division (``ideal._reduce``) reduces one working dict in place.  Every
-# context owns one immutable zero, so the terms dict of a zero result may be
-# shared; nothing may mutate a Poly's terms.  Each kernel visits terms in a
-# fixed order, so results keep a reproducible term order.
+# Division (``ideal._reduce``) reduces one working dict in place.  A sum of
+# products (a ``polymat.mat_mul`` cell, a determinant, a cofactor lift, the
+# Zorro contraction) forms each product with ``_terms_mul`` and adds it with
+# ``_terms_iadd``, so it has the term order of the Poly arithmetic
+# ``a*b + c*d``.  Every context owns one immutable zero, the Poly of every
+# empty term dict; nothing may mutate a Poly's terms.  Each kernel visits
+# terms in a fixed order, so results keep a reproducible term order.
 
 def _canon(c):
     """A rational (int, Fraction, bool, float) as a coefficient in canonical
@@ -375,21 +381,28 @@ def _canon(c):
 
 def _terms_add(a, b):
     """Sum of two term dicts, zero coefficients dropped."""
-    out = dict(a)
+    return _terms_iadd(dict(a), b)
+
+
+def _terms_iadd(acc, b):
+    """acc += b in place, zero coefficients dropped; returns acc.  The one
+    loop that merges a term dict into another: b's new monomials go to the
+    end in b's order, and a monomial that cancels is deleted."""
+    get = acc.get
     for exp, c in b.items():
-        s = out.get(exp)
+        s = get(exp)
         if s is None:
-            out[exp] = c
+            acc[exp] = c
         else:
             s = s + c
             if s:
                 # only two Fractions can sum to an integer
                 if type(s) is Fraction and s.denominator == 1:
                     s = s.numerator
-                out[exp] = s
+                acc[exp] = s
             else:
-                del out[exp]
-    return out
+                del acc[exp]
+    return acc
 
 
 def _terms_mul(a, b):
@@ -435,49 +448,6 @@ def _terms_mul(a, b):
         return out
     return {exp: Fraction(n, den) if n % den else n // den
             for exp, n in out.items()}
-
-
-def _terms_addmul(acc, a, b):
-    """acc += a * b on term dicts, accumulated into ``acc`` in place.
-
-    The shorter factor runs the outer loop, as in ``_terms_mul``; each term
-    pair updates acc at once, so a monomial that cancels is deleted and
-    re-inserted at the end if a later pair brings it back.  acc stays
-    canonical: with integer factors every update is an int addition (an int
-    added to a Fraction with a denominator keeps one), otherwise each pair's
-    product is exact and every sum is made canonical.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return
-    _no_overflow(max(a) + max(b))
-    get = acc.get
-    if Fraction not in map(type, a.values()) and Fraction not in map(
-            type, b.values()):
-        ib = list(b.items())
-        for ea, ca in a.items():
-            for eb, cb in ib:
-                exp = ea + eb
-                s = get(exp)
-                if s is None:
-                    acc[exp] = ca * cb
-                else:
-                    s += ca * cb
-                    if s:
-                        acc[exp] = s
-                    else:
-                        del acc[exp]
-        return
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = ea + eb
-            s = get(exp)
-            s = ca * cb if s is None else s + ca * cb
-            if s:
-                acc[exp] = _canon(s)
-            else:
-                del acc[exp]
 
 
 def _terms_scale(a, c):
@@ -689,7 +659,7 @@ def partial_derivative(p: Poly, name: str) -> Poly:
         e = key >> s & _FIELD
         if e:
             out[key - unit] = _canon(c * e)
-    return _poly(ctx, out) if out else ctx.zero()
+    return _poly(ctx, out)
 
 
 def _difference_step(p: Poly, u: str, v: str):
@@ -829,7 +799,7 @@ def _parse_sum(tokens, i, ctx):
             i += 1
             kind = tokens[i][0]
         terms, i = _parse_product(tokens, i, ctx, negative)
-        out = terms if out is None else _terms_add(out, terms)
+        out = terms if out is None else _terms_iadd(out, terms)
         kind = tokens[i][0]
         if kind != "+" and kind != "-":
             return out, i

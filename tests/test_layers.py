@@ -1,7 +1,8 @@
 """The package's import layers: each module imports only from lower layers.
-Every public name of the package has a reader, no public name has a
-mirrored twin, and every parameter default of a public function, method or
-dataclass field has a caller that relies on it."""
+Every public name of the package has a reader, every private name a reader
+in the package, no public name has a mirrored twin, and every parameter
+default of a public function, method or dataclass field has a caller that
+relies on it."""
 
 import ast
 import pathlib
@@ -291,6 +292,62 @@ def test_every_public_name_is_read_somewhere():
     unread = [f"{module}.{name}" for module, name in defs
               if not name.startswith("cmd_") and words[name] <= defined[name]]
     assert unread == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _dead_private(sources):
+    """The private module-level functions and classes, and the private
+    methods of module-level classes, of the modules in ``sources`` (module
+    name -> text) that no ``Name`` or ``Attribute`` node of those modules
+    refers to.  An import is no reference; dunder names are the
+    language's."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if _is_private(node.name) and node.name not in used:
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}.{node.name}.{item.name}"
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and _is_private(item.name) and item.name not in used]
+    return sorted(dead)
+
+
+def test_every_private_name_is_read_in_the_package():
+    """Private code is read by the package itself; a reader in tests/ or
+    layerbench/ does not keep it alive."""
+    assert _dead_private({path.stem: path.read_text(encoding="utf-8")
+                          for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_dead_code_guard_sees_an_import_without_a_call():
+    ring = ("def _terms_mul(a, b): pass\n"
+            "def _terms_addmul(acc, a, b): pass\n"
+            "class _Plan:\n"
+            "    def __init__(self): self._used()\n"
+            "    def _used(self): pass\n"
+            "    def _unused(self): pass\n"
+            "class Poly:\n"
+            "    def __add__(self, other): return _Plan()\n")
+    polymat = ("from .ring import _terms_addmul, _terms_mul\n"
+               "def mat_mul(a, b):\n"
+               "    return _terms_mul(a, b)\n")
+    assert _dead_private({"ring": ring, "polymat": polymat}) == [
+        "ring._Plan._unused", "ring._terms_addmul"]
 
 
 def _defaults(node):

@@ -65,12 +65,24 @@ def factor_pairs(draw):
     return draw(_matrix(rows, inner)), draw(_matrix(inner, cols))
 
 
+_X = CTX.gen("x")
+
+
 @settings(max_examples=100, deadline=None)
 @given(factor_pairs())
+# within the second product x^2 cancels; updating the cell term by term
+# instead would move x^2 (the first product) behind x^3
+@example(([[CTX.const(-2), -2 * _X - 1]], [[_X ** 2], [2 * _X ** 2 - _X]]))
 def test_mat_mul_equals_the_dense_product(ab):
+    """Equal values and the same term order: each cell is the sum of its
+    products, each formed before it is added, as in Poly arithmetic."""
     a, b = ab
     got = polymat.mat_mul(a, b)
-    assert got == dense_mat_mul(a, b)
+    want = dense_mat_mul(a, b)
+    assert got == want
+    for row, wrow in zip(got, want):
+        for e, w in zip(row, wrow):
+            _same_terms(e.packed, w.packed)
     assert all(e.ctx == CTX for row in got for e in row)
 
 
