@@ -10,12 +10,18 @@ reduced form, whatever the integer scalings on the way.
 
 An input vector is scaled by the lcm of its denominators.  Eliminating pivot
 p from v with row r is the fraction-free step v <- (a/g) v - (b/g) r, with
-a = r[p], b = v[p] and g = gcd(a, b), after which v's content is divided out
-(Bareiss 1968 keeps integers the same way).  Results are ``Fraction``s
-formed only at the end.  A vector is a sparse dict ``{key: value}`` of ints
-or ``Fraction``s with no zero entry, over any totally ordered keys; a matrix
-is a list of such rows over the column indices, and every result holds only
-nonzero entries.
+a = r[p], b = v[p] and g = gcd(a, b) (Bareiss 1968 keeps integers the same
+way).  A reduction carries v through all its steps, tracking only the
+product of the factors a/g, and divides v's content out once at the end; a
+new row is stored with its pivot entry made positive, and each stored row it
+is substituted into is divided by its content again, so every stored row
+stays primitive.  Results are ``Fraction``s formed only at the end.
+
+A vector is a sparse dict ``{key: value}`` of ints or ``Fraction``s over
+any totally ordered keys; a matrix is a list of such rows over the column
+indices, and every result holds only nonzero entries.  An explicit zero
+entry is refused with ``ValueError`` naming its key, since a stored zero
+would become a pivot entry.
 """
 
 from __future__ import annotations
@@ -27,18 +33,22 @@ from math import gcd, lcm
 def _integral(d):
     """{column: int | Fraction} -> ({column: int}, den): den * d, integral.
 
-    Every value must be nonzero.
+    Raises ValueError on a zero entry.
     """
     den = lcm(*[x.denominator for x in d.values()])
     if den == 1:
-        return {c: x.numerator for c, x in d.items()}, 1
-    return {c: x.numerator * (den // x.denominator)
-            for c, x in d.items()}, den
+        v = {c: x.numerator for c, x in d.items()}
+    else:
+        v = {c: x.numerator * (den // x.denominator) for c, x in d.items()}
+    if 0 in v.values():
+        raise ValueError("zero entry at key "
+                         f"{next(c for c, x in v.items() if not x)!r}")
+    return v, den
 
 
 def _eliminate(v, row, p):
-    """v <- (a/g) v - (b/g) row for a = row[p], b = v[p], g = gcd(a, b),
-    dividing out the content; returns (v, the factor a/g, the content)."""
+    """v <- (a/g) v - (b/g) row in place, for a = row[p], b = v[p] and
+    g = gcd(a, b); returns the factor a/g."""
     a, b = row[p], v[p]
     g = gcd(a, b)
     a //= g
@@ -55,10 +65,15 @@ def _eliminate(v, row, p):
                 del v[c]
         else:
             v[c] = -b * x
+    return a
+
+
+def _primitive(v):
+    """v divided by its content g, the gcd of its entries: (v / g, g)."""
     g = gcd(*v.values())
     if g > 1:
         v = {c: x // g for c, x in v.items()}
-    return v, a, g
+    return v, g
 
 
 class Span:
@@ -73,14 +88,16 @@ class Span:
             self.add(vec)
 
     def _reduce(self, v):
-        """Reduce an integer row against the span; returns (w, num, den)
-        with v's reduced vector equal to w * num / den."""
+        """Reduce an integer row (consumed) against the span; returns
+        (w, num, den) with w primitive, a positive multiple of v's reduced
+        vector, which equals w * num / den."""
         rows = self._rows
-        num = den = 1
+        den = 1
+        # the rows have no entry in each other's pivot columns, so the
+        # steps add none of them to v
         for p in [c for c in v if c in rows]:
-            v, a, g = _eliminate(v, rows[p], p)
-            den *= a
-            num *= g
+            den *= _eliminate(v, rows[p], p)
+        v, num = _primitive(v)
         return v, num, den
 
     def _insert(self, v):
@@ -89,15 +106,13 @@ class Span:
         if not v:
             return None
         p = min(v)
-        g = gcd(*v.values())
         if v[p] < 0:
-            g = -g
-        if g != 1:
-            v = {c: x // g for c, x in v.items()}
+            v = {c: -x for c, x in v.items()}
         rows = self._rows
         for q, row in rows.items():
             if p in row:
-                rows[q] = _eliminate(row, v, p)[0]
+                _eliminate(row, v, p)
+                rows[q] = _primitive(row)[0]
         rows[p] = v
         return p
 
@@ -114,6 +129,13 @@ class Span:
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         return self._insert(_integral(vec)[0]) is not None
+
+    def add_remainder(self, vec, modulo: Span) -> bool:
+        """Insert vec's remainder modulo the span ``modulo``; returns True if
+        it enlarged this span.  The remainder is inserted as a positive
+        multiple of ``modulo.reduce(vec)``; scaling cannot change whether it
+        is independent."""
+        return self._insert(modulo._reduce(_integral(vec)[0])[0]) is not None
 
     @property
     def dim(self) -> int:
@@ -158,7 +180,10 @@ def solve(rows, rhs):
 def nullspace(rows, n, m):
     """The rank of the rows over the columns range(n), and the basis of their
     kernel on range(m): one vector per free column below m, as its nonzero
-    entries {column: Fraction}, the same whatever columns follow m."""
+    entries {column: Fraction}, the same whatever columns follow m.
+    Raises ValueError unless 0 <= m <= n."""
+    if not 0 <= m <= n:
+        raise ValueError(f"kernel columns range({m}) outside range({n})")
     _require_columns(rows, n)
     rows = _span(rows)._rows
     pivots = sorted(rows)

@@ -257,7 +257,12 @@ def _classes_at(X, Y, bound, ctx):
     their kernel vectors and columns are those at the bound.  A cocycle is a
     new class iff its remainder modulo the span is independent of the
     earlier classes' remainders.  As delta^2 = 0, the count at bound + 1 is
-    dim Z - dim B + rank(B's parts above bound + 1)."""
+    dim Z - dim B + rank(B's parts above bound + 1).
+
+    A coboundary span takes only the columns that are not free in the other
+    parity's kernel: the kernel vector of a free column has that column as
+    its largest key, so the column is a combination of earlier ones and
+    would reduce to zero in the span."""
     top = bound + 1
     # keys below ``low_key`` have degree <= bound, keys from ``high_key``
     # on have degree > top
@@ -268,19 +273,25 @@ def _classes_at(X, Y, bound, ctx):
         order = sorted(range(len(dom)), key=lambda k: dom[k][2] >= low_key)
         systems.append(([dom[k] for k in order], [cols[k] for k in order],
                         sum(m < low_key for _, _, m in dom)))
-    coboundaries = tuple(linalg.Span(cols[:low])
-                         for _, cols, low in reversed(systems))
-    classes, ranks = [], []
-    for (dom, cols, low), cob in zip(systems, coboundaries):
-        rank, cocycles = linalg.nullspace(_equations(cols)[0], len(dom), low)
+    kernels = [linalg.nullspace(_equations(cols)[0], len(dom), low)
+               for dom, cols, low in systems]
+    coboundaries = []
+    for (_, cols, low), (_, cocycles) in zip(reversed(systems),
+                                             reversed(kernels)):
+        free = {max(vec) for vec in cocycles}
+        coboundaries.append(linalg.Span(
+            [col for k, col in enumerate(cols[:low]) if k not in free]))
+    classes = []
+    for (dom, _, _), (_, cocycles), cob in zip(systems, kernels,
+                                               coboundaries):
         reps = ({dom[k]: c for k, c in vec.items()} for vec in cocycles)
         chosen = linalg.Span()
-        classes.append([d for d in reps if chosen.add(cob.reduce(d))])
-        ranks.append(rank)
+        classes.append([d for d in reps if chosen.add_remainder(d, cob)])
+    ranks = [rank for rank, _ in kernels]
     counts = [len(systems[p][0]) - ranks[p] - ranks[p ^ 1] + linalg.rank(
         _equations([{k: c for k, c in col.items() if k[2] >= high_key}
                     for col in systems[p ^ 1][1]])[0]) for p in (0, 1)]
-    return classes, coboundaries, counts
+    return classes, tuple(coboundaries), counts
 
 
 def default_cohomology_bound(X: MatrixFactorisation) -> int:

@@ -2,7 +2,7 @@
 Every public name of the package has a reader, every private name a reader
 in the package, no public name has a mirrored twin, and every parameter
 default of a public function, method or dataclass field has a caller that
-relies on it."""
+relies on it.  Only linalg reads the elimination engine's private names."""
 
 import ast
 import pathlib
@@ -296,6 +296,63 @@ def test_every_public_name_is_read_somewhere():
 
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
+
+
+# One sparse elimination engine behind one API: outside linalg.py no module
+# reads a private member of a Span (those Span reads through ``self``) or a
+# private name of linalg.  A private attribute of another package module,
+# such as ``ideal._reduce``, is that module's own.
+
+def _span_privates(text):
+    """The private attributes that class Span reads through ``self`` in
+    linalg's source."""
+    span = next(node for node in ast.parse(text).body
+                if isinstance(node, ast.ClassDef) and node.name == "Span")
+    return {node.attr for node in ast.walk(span)
+            if isinstance(node, ast.Attribute) and _is_private(node.attr)
+            and getattr(node.value, "id", None) == "self"}
+
+
+def _engine_reads(tree, module, members):
+    """'module:line: what' for each import of a private linalg name, read of
+    ``linalg._name``, or read of a Span private member in ``members`` in a
+    parsed module, sorted."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            found += [f"{module}:{node.lineno}: import {alias.name}"
+                      for alias in node.names if _is_private(alias.name)]
+        elif isinstance(node, ast.Attribute) and _is_private(node.attr):
+            owner = getattr(node.value, "id", None)
+            if owner == "linalg":
+                found.append(f"{module}:{node.lineno}: linalg.{node.attr}")
+            elif node.attr in members and owner not in RANK:
+                found.append(f"{module}:{node.lineno}: .{node.attr}")
+    return sorted(found)
+
+
+def test_only_linalg_reads_the_engine_privates():
+    members = _span_privates((SRC / "linalg.py").read_text(encoding="utf-8"))
+    assert {"_rows", "_reduce", "_insert"} <= members
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "linalg":
+            found += _engine_reads(
+                ast.parse(path.read_text(encoding="utf-8")), path.stem,
+                members)
+    assert found == []
+
+
+def test_the_engine_guard_sees_every_form():
+    tree = ast.parse(
+        "from .linalg import Span, _integral\n"
+        "def f(cob, d):\n"
+        "    rows = cob._rows\n"
+        "    w = cob._reduce(linalg._integral(d)[0])[0]\n"
+        "    return Span()._insert(w), ideal._reduce(w, [], 0), cob._other\n")
+    assert _engine_reads(tree, "tft", {"_rows", "_reduce", "_insert"}) == [
+        "tft:1: import _integral", "tft:3: ._rows", "tft:4: ._reduce",
+        "tft:4: linalg._integral", "tft:5: ._insert"]
 
 
 def _dead_private(sources):

@@ -1,7 +1,7 @@
 """Exact rational linear algebra."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -585,3 +585,159 @@ def test_line_defect_boundary_systems_match_the_reference(p):
             cols, {k: b for k, b in zip(keys, bad) if b}))
         assert (got if got is None else densify(got, n)) == _reference_solve(
             matrix, bad)
+
+
+# -- the per-step reduction: content divided after every elimination step ----
+
+def _per_step_integral(d):
+    den = lcm(*[x.denominator for x in d.values()])
+    return {c: x.numerator * (den // x.denominator) for c, x in d.items()}
+
+
+def _per_step_eliminate(v, row, p):
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for c in v:
+            v[c] *= a
+    for c, x in row.items():
+        if c in v:
+            y = v[c] - b * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+        else:
+            v[c] = -b * x
+    g = gcd(*v.values())
+    if g > 1:
+        v = {c: x // g for c, x in v.items()}
+    return v, a, g
+
+
+class _PerStepSpan:
+    """The engine before one content division per reduction: v's content
+    is divided out after every step, and again when a row is inserted."""
+
+    def __init__(self):
+        self._rows = {}
+
+    def reduce_integral(self, v):
+        num = den = 1
+        for p in [c for c in v if c in self._rows]:
+            v, a, g = _per_step_eliminate(v, self._rows[p], p)
+            den *= a
+            num *= g
+        return v, num, den
+
+    def insert(self, v):
+        v = self.reduce_integral(v)[0]
+        if not v:
+            return None
+        p = min(v)
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        if g != 1:
+            v = {c: x // g for c, x in v.items()}
+        for q, row in self._rows.items():
+            if p in row:
+                self._rows[q] = _per_step_eliminate(row, v, p)[0]
+        self._rows[p] = v
+        return p
+
+    def add(self, vec):
+        return self.insert(_per_step_integral(vec)) is not None
+
+    def reduce(self, vec):
+        den = lcm(*[x.denominator for x in vec.values()])
+        v, num, d = self.reduce_integral(_per_step_integral(vec))
+        return {c: Fraction(x * num, den * d) for c, x in v.items()}
+
+    def contains(self, vec):
+        return not self.reduce_integral(_per_step_integral(vec))[0]
+
+
+def _per_step_solve(rows, rhs):
+    n = 1 + max((max(row) for row in rows if row), default=-1)
+    span = _PerStepSpan()
+    for row, b in zip(rows, rhs):
+        if span.insert(_per_step_integral({**row, n: b} if b else row)) == n:
+            return None
+    return {c: Fraction(row[n], row[c])
+            for c, row in sorted(span._rows.items()) if n in row}
+
+
+def _per_step_nullspace(rows, m):
+    span = _PerStepSpan()
+    for row in rows:
+        span.add(row)
+    rows = span._rows
+    basis = []
+    for free in range(m):
+        if free not in rows:
+            v = {c: Fraction(-rows[c][free], rows[c][c])
+                 for c in sorted(rows) if free in rows[c]}
+            v[free] = Fraction(1)
+            basis.append(v)
+    return len(rows), basis
+
+
+def _layout(span):
+    """The stored rows with their pivot order and each row's entry order."""
+    return [(p, list(row.items())) for p, row in span._rows.items()]
+
+
+step_entry = st.one_of(
+    st.integers(-4, 4), st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 50)),
+).filter(bool)
+step_vectors = st.lists(st.dictionaries(st.integers(0, 7), step_entry,
+                                        max_size=6), max_size=9)
+
+
+@given(step_vectors, step_vectors, st.data())
+def test_span_matches_the_per_step_reduction(added, probes, data):
+    """Dividing the content once per reduction stores the same primitive
+    rows, in the same order, and gives the same remainders, solutions,
+    ranks and kernels as dividing it after every step."""
+    span, ref = linalg.Span(), _PerStepSpan()
+    for v in added:
+        assert span.add(v) == ref.add(v)
+        assert _layout(span) == _layout(ref)
+        _check_rows(span)
+    for v in added + probes:
+        got = span.reduce(v)
+        assert list(got.items()) == list(ref.reduce(v).items())
+        assert span.contains(v) == ref.contains(v)
+    rhs = data.draw(st.lists(st.one_of(st.just(0), step_entry),
+                             min_size=len(added), max_size=len(added)))
+    assert linalg.solve(added, rhs) == _per_step_solve(added, rhs)
+    assert linalg.rank(added) == len(ref._rows)
+    n = 1 + max((max(v) for v in added if v), default=7)
+    m = data.draw(st.integers(0, n))
+    assert linalg.nullspace(added, n, m) == _per_step_nullspace(added, m)
+
+
+# -- refused inputs -----------------------------------------------------------
+
+def test_nullspace_refuses_a_kernel_range_outside_its_columns():
+    with pytest.raises(ValueError, match=r"range\(5\) outside range\(2\)"):
+        linalg.nullspace([], 2, 5)
+    with pytest.raises(ValueError, match=r"range\(-1\) outside range\(2\)"):
+        linalg.nullspace([{0: 1}], 2, -1)
+    assert linalg.nullspace([], 2, 2) == (0, [{0: 1}, {1: 1}])
+    assert linalg.nullspace([{0: 1}], 2, 0) == (1, [])
+
+
+def test_an_explicit_zero_entry_is_refused_with_its_key():
+    with pytest.raises(ValueError, match="zero entry at key 0"):
+        linalg.solve([{0: 0, 1: 1}, {0: 1}], [1, 2])
+    with pytest.raises(ValueError, match="zero entry at key 0"):
+        linalg.Span([{0: 0}])
+    with pytest.raises(ValueError, match=r"zero entry at key \(1, 2\)"):
+        linalg.Span().reduce({(0, 0): Fraction(1, 2), (1, 2): Fraction(0)})
+    assert linalg.solve([{1: 1}, {0: 1}], [1, 2]) == {0: 2, 1: 1}

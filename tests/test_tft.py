@@ -513,6 +513,75 @@ def test_stability_counts_match_a_second_pass_at_bound_plus_one(cases):
     assert unstable
 
 
+def _classes_per_column(X, Y, bound, ctx):
+    """_classes_at with every column of degree <= bound inserted into its
+    coboundary span, and each cocycle's remainder formed by reduce() and
+    inserted by add(): the selection before free columns were skipped."""
+    top = bound + 1
+    low_key, high_key = ctx.lowest(top), ctx.lowest(top + 1)
+    systems = []
+    for p in (0, 1):
+        dom, cols = _boundary_columns(X, Y, p, top, ctx)
+        order = sorted(range(len(dom)), key=lambda k: dom[k][2] >= low_key)
+        systems.append(([dom[k] for k in order], [cols[k] for k in order],
+                        sum(m < low_key for _, _, m in dom)))
+    coboundaries = tuple(linalg.Span(cols[:low])
+                         for _, cols, low in reversed(systems))
+    classes, ranks = [], []
+    for (dom, cols, low), cob in zip(systems, coboundaries):
+        rank, cocycles = linalg.nullspace(_equations(cols)[0], len(dom), low)
+        reps = ({dom[k]: c for k, c in vec.items()} for vec in cocycles)
+        chosen = linalg.Span()
+        classes.append([d for d in reps if chosen.add(cob.reduce(d))])
+        ranks.append(rank)
+    counts = [len(systems[p][0]) - ranks[p] - ranks[p ^ 1] + linalg.rank(
+        _equations([{k: c for k, c in col.items() if k[2] >= high_key}
+                    for col in systems[p ^ 1][1]])[0]) for p in (0, 1)]
+    return classes, coboundaries, counts
+
+
+def _delta_cases():
+    """End(Delta) of x^3 up to its default bound 6, and of x^3 + y^3 up to
+    bound 4."""
+    c2 = RingContext(["x", "y"])
+    x, y = c2.gen("x"), c2.gen("y")
+    for W, top in ((corpus_potentials()["x^3"], 6), (x ** 3 + y ** 3, 4)):
+        D = delta_defect(W).base
+        for bound in range(top + 1):
+            yield D, D, bound
+
+
+@pytest.mark.parametrize("cases", [_line_cases, _corpus_cases, _delta_cases],
+                         ids=["line-defects", "corpus-pairs", "delta"])
+def test_coboundary_spans_take_only_the_columns_that_are_not_free(
+        cases, monkeypatch):
+    """Skipping the free columns moves no class, count, stability flag or
+    stored coboundary row, and every column that _classes_at inserts into
+    a coboundary span enlarges it."""
+    real_add = linalg.Span.add
+    grew = {}
+
+    def add(span, vec):
+        out = real_add(span, vec)
+        grew.setdefault(id(span), []).append(out)
+        return out
+
+    for X, Y, bound in cases():
+        ctx = Y.ctx.merge(X.ctx)
+        want, want_cob, want_counts = _classes_per_column(X, Y, bound, ctx)
+        grew.clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg.Span, "add", add)
+            classes, coboundaries, counts = tft._classes_at(X, Y, bound, ctx)
+        assert classes == want and counts == want_counts, (X, Y, bound)
+        assert [list(span._rows.items()) for span in coboundaries] == [
+            list(span._rows.items()) for span in want_cob]
+        for span in coboundaries:
+            assert grew.get(id(span), []) == [True] * span.dim
+        assert tft.hom_cohomology(X, Y, bound).stable == (
+            [len(c) for c in want] == want_counts)
+
+
 def test_a_negative_degree_bound_is_refused():
     X = line_defect(2).base
     with pytest.raises(ValueError, match="negative degree bound -1"):
